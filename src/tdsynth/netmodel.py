@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -182,9 +183,8 @@ def validate(case: NetworkCase) -> ValidationReport:
         if b.base_kv <= 0:
             out.append(f"bus {b.id}: base_kv must be positive, got {b.base_kv}")
 
-    names = [b.name for b in case.buses if b.name]
-    dupes = {n for n in names if names.count(n) > 1}
-    for n in sorted(dupes):
+    name_counts = Counter(b.name for b in case.buses if b.name)
+    for n in sorted(n for n, c in name_counts.items() if c > 1):
         out.append(f"duplicate bus name {n!r}")
 
     for i, br in enumerate(case.branches):

@@ -1,9 +1,13 @@
 """Full Newton-Raphson AC power flow in polar coordinates.
 
-The Jacobian is assembled sparse and factorized with a direct sparse LU
-(SuperLU through scipy).  The polar full-Newton formulation is kept even for
-small cases because distribution feeders with high R/X ratios defeat the
-fast-decoupled shortcuts.
+The solver has two kernels with the same arithmetic.  Cases of up to
+``DENSE_MAX_BUSES`` buses, such as the feeder copies solved thousands of times
+per run, keep Ybus and the Jacobian as dense arrays and solve the Newton step
+with LAPACK: at that size, building scipy.sparse objects costs more than the
+arithmetic.  Larger cases, such as the combined T&D case, assemble the
+Jacobian sparse and factorize it with a direct sparse LU (SuperLU through
+scipy).  Both use the polar full-Newton formulation, because distribution
+feeders with high R/X ratios defeat the fast-decoupled shortcuts.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .netmodel import BusKind, NetworkCase, islands
+
+# Largest bus count solved with the dense kernel: the measured crossover of
+# the per-solve time of the two kernels on random networks.
+DENSE_MAX_BUSES = 150
 
 
 class PowerFlowError(RuntimeError):
@@ -30,7 +38,6 @@ class SingularJacobianError(PowerFlowError):
 class SolverOptions:
     tolerance: float = 1e-8      # max |S_calc - S_spec| accepted, per unit
     max_iterations: int = 20
-    flat_start: bool = False
     enforce_q_limits: bool = False
 
     def __post_init__(self):
@@ -52,63 +59,70 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     pq_switched: list[int] = field(default_factory=list)  # bus ids demoted PV->PQ
+    mismatch_bus: int | None = None  # bus id holding max_mismatch; None if no unknowns
 
 
-def _complex_tap(branch) -> complex:
-    return branch.ratio * np.exp(1j * branch.phase_shift)
+@dataclass
+class _BranchTerms:
+    """Per-branch pi-model admittances, with I_from = yff V_f + yft V_t and
+    I_to = ytf V_f + ytt V_t.  Out-of-service branches have all four zero."""
+
+    f: np.ndarray    # from-bus position
+    t: np.ndarray    # to-bus position
+    yff: np.ndarray
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+    on: np.ndarray   # in service
+
+
+def _branch_terms(case: NetworkCase, idx: dict[int, int]) -> _BranchTerms:
+    brs = case.branches
+    m = len(brs)
+    f = np.fromiter((idx[br.from_bus] for br in brs), dtype=int, count=m)
+    t = np.fromiter((idx[br.to_bus] for br in brs), dtype=int, count=m)
+    on = np.fromiter((br.status for br in brs), dtype=bool, count=m)
+    for k, br in enumerate(brs):
+        if br.status and br.r == 0.0 and br.x == 0.0:
+            raise PowerFlowError(f"branch {k} is in service with zero impedance")
+    # CPython's complex division, not numpy's: the two differ in the last bit
+    # for some quotients, and this one keeps Ybus, and so the exported
+    # states, bit for bit as earlier versions computed them
+    y = np.array([1.0 / complex(br.r, br.x) if br.status else 0j for br in brs], dtype=complex)
+    bc = 0.5j * np.fromiter((br.b_charging for br in brs), dtype=float, count=m)
+    tap = np.fromiter((br.ratio for br in brs), dtype=float, count=m) * np.exp(
+        1j * np.fromiter((br.phase_shift for br in brs), dtype=float, count=m)
+    )
+    ytt = np.where(on, y + bc, 0.0)
+    return _BranchTerms(
+        f=f, t=t, yff=ytt / (tap * np.conj(tap)), yft=-y / np.conj(tap), ytf=-y / tap,
+        ytt=ytt, on=on,
+    )
+
+
+def _ybus(case: NetworkCase, br: _BranchTerms, dense: bool):
+    """N x N complex admittance matrix: an ndarray if ``dense``, else CSR.
+    Entries are summed branch by branch, then shunts, in case order."""
+    n = len(case.buses)
+    on = br.on
+    rows = np.stack([br.f, br.t, br.f, br.t], axis=1)[on].ravel()
+    cols = np.stack([br.f, br.t, br.t, br.f], axis=1)[on].ravel()
+    vals = np.stack([br.yff, br.ytt, br.yft, br.ytf], axis=1)[on].ravel()
+    shunt = np.array([complex(b.g_shunt, b.b_shunt) for b in case.buses], dtype=complex)
+    has = np.flatnonzero(shunt)
+    rows = np.concatenate([rows, has])
+    cols = np.concatenate([cols, has])
+    vals = np.concatenate([vals, shunt[has]])
+    if dense:
+        Y = np.zeros((n, n), dtype=complex)
+        np.add.at(Y, (rows, cols), vals)
+        return Y
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def build_ybus(case: NetworkCase) -> sp.csr_matrix:
     """N x N complex admittance matrix over the case's bus ordering."""
-    n = len(case.buses)
-    idx = case.bus_index()
-    rows, cols, vals = [], [], []
-    for k, br in enumerate(case.branches):
-        if not br.status:
-            continue
-        if br.r == 0.0 and br.x == 0.0:
-            raise PowerFlowError(f"branch {k} is in service with zero impedance")
-        y = 1.0 / complex(br.r, br.x)
-        bc = 0.5j * br.b_charging
-        t = _complex_tap(br)
-        f, to = idx[br.from_bus], idx[br.to_bus]
-        rows += [f, to, f, to]
-        cols += [f, to, to, f]
-        vals += [(y + bc) / (t * np.conj(t)), y + bc, -y / np.conj(t), -y / t]
-    for b in case.buses:
-        if b.g_shunt or b.b_shunt:
-            rows.append(idx[b.id])
-            cols.append(idx[b.id])
-            vals.append(complex(b.g_shunt, b.b_shunt))
-    return sp.csr_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(n, n)
-    )
-
-
-def build_branch_admittances(case: NetworkCase) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Yf, Yt with I_from = Yf V and I_to = Yt V (rows follow branch order;
-    out-of-service branches give zero rows)."""
-    n = len(case.buses)
-    m = len(case.branches)
-    idx = case.bus_index()
-    rf, cf, vf = [], [], []
-    rt, ct, vt = [], [], []
-    for k, br in enumerate(case.branches):
-        if not br.status:
-            continue
-        y = 1.0 / complex(br.r, br.x)
-        bc = 0.5j * br.b_charging
-        t = _complex_tap(br)
-        f, to = idx[br.from_bus], idx[br.to_bus]
-        rf += [k, k]
-        cf += [f, to]
-        vf += [(y + bc) / (t * np.conj(t)), -y / np.conj(t)]
-        rt += [k, k]
-        ct += [f, to]
-        vt += [-y / t, y + bc]
-    Yf = sp.csr_matrix((np.array(vf, dtype=complex), (rf, cf)), shape=(m, n))
-    Yt = sp.csr_matrix((np.array(vt, dtype=complex), (rt, ct)), shape=(m, n))
-    return Yf, Yt
+    return _ybus(case, _branch_terms(case, case.bus_index()), dense=False)
 
 
 def _dSbus_dV(Ybus: sp.spmatrix, V: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -121,6 +135,49 @@ def _dSbus_dV(Ybus: sp.spmatrix, V: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_m
     dS_dVm = diagV @ (Ybus @ diagVnorm).conjugate() + diagI.conjugate() @ diagVnorm
     dS_dVa = 1j * diagV @ (diagI - Ybus @ diagV).conjugate()
     return dS_dVa.tocsr(), dS_dVm.tocsr()
+
+
+def _jacobian_sparse(Ybus: sp.spmatrix, V, pvpq, pq) -> sp.csc_matrix:
+    dSa, dSm = _dSbus_dV(Ybus, V)
+    J11 = dSa[pvpq, :][:, pvpq].real
+    J12 = dSm[pvpq, :][:, pq].real
+    J21 = dSa[pq, :][:, pvpq].imag
+    J22 = dSm[pq, :][:, pq].imag
+    return sp.bmat([[J11, J12], [J21, J22]], format="csc")
+
+
+def _jacobian_dense(Ybus: np.ndarray, V, pvpq, pq) -> np.ndarray:
+    """The same Jacobian as :func:`_jacobian_sparse`, from a dense Ybus."""
+    Ibus = Ybus @ V
+    Vnorm = V / np.abs(V)
+    diag = np.diag_indices(len(V))
+    dSm = V[:, None] * np.conj(Ybus * Vnorm)
+    dSm[diag] += np.conj(Ibus) * Vnorm
+    dSa = -(Ybus * V)
+    dSa[diag] += Ibus
+    dSa = 1j * V[:, None] * np.conj(dSa)
+    cols = np.concatenate([dSa[:, pvpq], dSm[:, pq]], axis=1)
+    return np.concatenate([cols[pvpq].real, cols[pq].imag])
+
+
+def _newton_step(Ybus, V, F, pvpq, pq) -> np.ndarray:
+    """Solve J dx = F with the kernel matching Ybus's storage."""
+    if isinstance(Ybus, np.ndarray):
+        try:
+            dx = np.linalg.solve(_jacobian_dense(Ybus, V, pvpq, pq), F)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
+    else:
+        J = _jacobian_sparse(Ybus, V, pvpq, pq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            try:
+                dx = spsolve(J, F)
+            except (MatrixRankWarning, RuntimeError) as exc:
+                raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
+    if not np.all(np.isfinite(dx)):
+        raise SingularJacobianError("singular Jacobian: non-finite Newton step")
+    return dx
 
 
 def _specified_injection(case: NetworkCase) -> np.ndarray:
@@ -174,7 +231,8 @@ def _solve_fixed_types(
     demoted = demoted or {}
     n = len(case.buses)
     idx = case.bus_index()
-    Ybus = build_ybus(case)
+    br = _branch_terms(case, idx)
+    Ybus = _ybus(case, br, dense=n <= DENSE_MAX_BUSES)
     Sbus = _specified_injection(case)
     vset = _setpoint_voltages(case)
 
@@ -197,9 +255,6 @@ def _solve_fixed_types(
 
     vm = np.array([b.v_mag for b in case.buses], dtype=float)
     va = np.array([b.v_ang for b in case.buses], dtype=float)
-    if opts.flat_start:
-        vm[:] = 1.0
-        va[:] = slack_bus.v_ang
     for bus_id, v in vset.items():
         if bus_id not in demoted:  # demoted buses keep their starting magnitude
             vm[idx[bus_id]] = v
@@ -213,20 +268,7 @@ def _solve_fixed_types(
 
     npv, npq = len(pv), len(pq)
     while not converged and iterations < opts.max_iterations:
-        dSa, dSm = _dSbus_dV(Ybus, V)
-        J11 = dSa[pvpq, :][:, pvpq].real
-        J12 = dSm[pvpq, :][:, pq].real
-        J21 = dSa[pq, :][:, pvpq].imag
-        J22 = dSm[pq, :][:, pq].imag
-        J = sp.bmat([[J11, J12], [J21, J22]], format="csc")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            try:
-                dx = spsolve(J, F)
-            except (MatrixRankWarning, RuntimeError) as exc:
-                raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
-        if not np.all(np.isfinite(dx)):
-            raise SingularJacobianError("singular Jacobian: non-finite Newton step")
+        dx = _newton_step(Ybus, V, F, pvpq, pq)
         va[pvpq] -= dx[: npv + npq]
         vm[pq] -= dx[npv + npq :]
         V = vm * np.exp(1j * va)
@@ -234,17 +276,16 @@ def _solve_fixed_types(
         F = _mismatch(Ybus, V, Sbus, pvpq, pq)
         converged = bool(np.max(np.abs(F)) < opts.tolerance) if F.size else True
 
-    max_mismatch = float(np.max(np.abs(F))) if F.size else 0.0
+    if F.size:
+        worst = int(np.argmax(np.abs(F)))  # F holds P at pvpq, then Q at pq
+        max_mismatch = float(abs(F[worst]))
+        mismatch_bus = case.buses[np.concatenate([pvpq, pq])[worst]].id
+    else:
+        max_mismatch, mismatch_bus = 0.0, None
     S = V * np.conj(Ybus @ V)
-    Yf, Yt = build_branch_admittances(case)
-    f_idx = np.array(
-        [idx[br.from_bus] for br in case.branches], dtype=int
-    ) if case.branches else np.array([], dtype=int)
-    t_idx = np.array(
-        [idx[br.to_bus] for br in case.branches], dtype=int
-    ) if case.branches else np.array([], dtype=int)
-    Sf = V[f_idx] * np.conj(Yf @ V) if case.branches else np.array([], dtype=complex)
-    St = V[t_idx] * np.conj(Yt @ V) if case.branches else np.array([], dtype=complex)
+    Vf, Vt = V[br.f], V[br.t]
+    Sf = Vf * np.conj(br.yff * Vf + br.yft * Vt)
+    St = Vt * np.conj(br.ytf * Vf + br.ytt * Vt)
 
     return PowerFlowSolution(
         v_mag=np.abs(V),
@@ -259,6 +300,7 @@ def _solve_fixed_types(
         iterations=iterations,
         max_mismatch=max_mismatch,
         pq_switched=sorted(demoted),
+        mismatch_bus=mismatch_bus,
     )
 
 
@@ -293,18 +335,14 @@ def _solve_with_q_limits(case: NetworkCase, opts: SolverOptions) -> PowerFlowSol
     return sol
 
 
-def apply_solution(
-    case: NetworkCase, sol: PowerFlowSolution, update_generators: bool = True
-) -> None:
-    """Write a solution back onto the case (voltages; optionally the slack P
-    and PV/slack Q spread over the controllable generators at each bus)."""
+def apply_solution(case: NetworkCase, sol: PowerFlowSolution) -> None:
+    """Write a solution back onto the case: voltages, then the slack P and
+    PV/slack Q spread over the controllable generators at each bus."""
     idx = case.bus_index()
     for b in case.buses:
         i = idx[b.id]
         b.v_mag = float(sol.v_mag[i])
         b.v_ang = float(sol.v_ang[i])
-    if not update_generators:
-        return
     for b in case.buses:
         if b.kind is BusKind.PQ:
             continue

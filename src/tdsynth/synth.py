@@ -693,20 +693,15 @@ def generate(
 
 
 def _worst_bus(case: NetworkCase, sol: PowerFlowSolution) -> str:
-    """Best-effort localization of a divergence: names the host of the bus
-    with the largest stored voltage excursion."""
-    idx = case.bus_index()
-    worst, worst_bus = -1.0, None
-    for b in case.buses:
-        dev = abs(float(sol.v_mag[idx[b.id]]) - 1.0)
-        if dev > worst:
-            worst, worst_bus = dev, b
-    if worst_bus is None:
+    """Localizes a divergence: names the bus with the largest final NR
+    mismatch, or the TN host of the replica it belongs to."""
+    if sol.mismatch_bus is None:
         return "unknown bus"
-    if worst_bus.name.startswith("dn:"):
-        host = worst_bus.name.split(":")[1]
-        return f"TN bus {host} (replica bus {worst_bus.name})"
-    return f"TN bus {worst_bus.id}"
+    bus = case.bus(sol.mismatch_bus)
+    if bus.name.startswith("dn:"):
+        host = bus.name.split(":")[1]
+        return f"TN bus {host} (replica bus {bus.name})"
+    return f"TN bus {bus.id}"
 
 
 def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solution) -> dict:

@@ -172,12 +172,22 @@ def losses_from_flows(sol) -> float:
 
 
 def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
-    """Worst relative disagreement between the analytic Newton Jacobian and a
-    central finite difference of the mismatch function, at a random state."""
+    """Worst relative disagreement between an analytic Newton Jacobian and a
+    central finite difference of the mismatch function, at a random state.
+    Both kernels are checked: the dense one and the sparse ``_dSbus_dV`` one."""
     from tdsynth.netmodel import BusKind
-    from tdsynth.powerflow import _dSbus_dV, _mismatch, _specified_injection, build_ybus
+    from tdsynth.powerflow import (
+        _branch_terms,
+        _jacobian_dense,
+        _jacobian_sparse,
+        _mismatch,
+        _specified_injection,
+        _ybus,
+        build_ybus,
+    )
 
     Ybus = build_ybus(case)
+    Ydense = _ybus(case, _branch_terms(case, case.bus_index()), dense=True)
     Sbus = _specified_injection(case)
     kinds = [b.kind for b in case.buses]
     pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
@@ -195,20 +205,19 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
 
     x0 = np.concatenate([va[pvpq], vm[pq]])
     V0 = vm * np.exp(1j * va)
-    dSa, dSm = _dSbus_dV(Ybus, V0)
-    J = np.block(
-        [
-            [dSa[pvpq, :][:, pvpq].real.toarray(), dSm[pvpq, :][:, pq].real.toarray()],
-            [dSa[pq, :][:, pvpq].imag.toarray(), dSm[pq, :][:, pq].imag.toarray()],
-        ]
-    )
     h = 6e-6
-    J_fd = np.empty_like(J)
+    J_fd = np.empty((len(x0), len(x0)))
     for j in range(len(x0)):
         e = np.zeros_like(x0)
         e[j] = h
         J_fd[:, j] = (F(x0 + e) - F(x0 - e)) / (2 * h)
-    return float(np.abs(J - J_fd).max() / max(1.0, np.abs(J).max()))
+    gaps = []
+    for J in (
+        _jacobian_dense(Ydense, V0, pvpq, pq),
+        _jacobian_sparse(Ybus, V0, pvpq, pq).toarray(),
+    ):
+        gaps.append(np.abs(J - J_fd).max() / max(1.0, np.abs(J).max()))
+    return float(max(gaps))
 
 
 def three_bus_opf_case(load=0.8) -> NetworkCase:

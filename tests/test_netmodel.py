@@ -45,6 +45,21 @@ def test_validate_duplicate_ids_and_islands():
     report = validate(island)
     assert any("islands" in e for e in report.entries)
 
+    named = two_bus_case()
+    named.buses.append(Bus(id=3, base_kv=130.0))
+    named.buses.append(Bus(id=4, base_kv=130.0))
+    named.branches.append(Branch(from_bus=2, to_bus=3, x=0.1))
+    named.branches.append(Branch(from_bus=3, to_bus=4, x=0.1))
+    for b, name in zip(named.buses, ["z", "a", "z", "z"]):
+        b.name = name
+    named.buses.append(Bus(id=5, base_kv=130.0, name="a"))
+    named.branches.append(Branch(from_bus=4, to_bus=5, x=0.1))
+    report = validate(named)
+    assert [e for e in report.entries if "name" in e] == [
+        "duplicate bus name 'a'",
+        "duplicate bus name 'z'",
+    ]
+
 
 def test_validate_oltc_ratio_out_of_sync():
     from tdsynth.netmodel import OltcTransformer

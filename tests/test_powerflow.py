@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tdsynth import residual
+from tdsynth import powerflow, residual
 from tdsynth.caseio import from_network, to_network
 from tdsynth.netmodel import Branch, Bus, BusKind, Generator, NetworkCase
 from tdsynth.powerflow import (
@@ -91,19 +91,27 @@ def test_solver_requires_single_slack_and_connectivity():
         solve(case)
 
 
-def test_singular_jacobian_is_reported():
+def test_singular_jacobian_is_reported(monkeypatch):
     # two antiparallel reactances cancel: bus 2 is electrically floating
     case = two_bus_case()
     case.branches.append(Branch(from_bus=1, to_bus=2, r=0.0, x=-0.1))
-    with pytest.raises(SingularJacobianError):
-        solve(case)
+    for dense_max in (powerflow.DENSE_MAX_BUSES, 0):  # dense kernel, then sparse
+        monkeypatch.setattr(powerflow, "DENSE_MAX_BUSES", dense_max)
+        with pytest.raises(SingularJacobianError):
+            solve(case)
 
 
 def test_nonconvergence_is_flagged_not_silent():
+    from tdsynth.synth import _worst_bus
+
     case = two_bus_case(p_load=50.0)  # far beyond any loadability limit
     sol = solve(case)
     assert not sol.converged
     assert sol.max_mismatch > 0
+    assert sol.mismatch_bus == 2
+    assert _worst_bus(case, sol) == "TN bus 2"
+    case.buses[1].name = "dn:7:0:2"
+    assert _worst_bus(case, sol) == "TN bus 7 (replica bus dn:7:0:2)"
 
 
 def test_reported_mismatch_agrees_with_independent_evaluator(run_pipeline):
@@ -187,3 +195,57 @@ def test_pv_bus_holds_setpoint_and_q_limit_switching():
     assert limited.pq_switched == [2]
     assert limited.q_inj[1] == pytest.approx(0.05, abs=1e-8)
     assert limited.v_mag[1] < 1.04
+
+
+def _assert_kernels_agree(case, monkeypatch):
+    """Solve with the dense kernel, then with the sparse one forced, and
+    compare both with each other and with the independent evaluator."""
+    dense = solve(case)
+    with monkeypatch.context() as m:
+        m.setattr(powerflow, "DENSE_MAX_BUSES", 0)
+        sparse = solve(case)
+    assert dense.converged == sparse.converged
+    assert dense.iterations == sparse.iterations
+    v_dense = dense.v_mag * np.exp(1j * dense.v_ang)
+    v_sparse = sparse.v_mag * np.exp(1j * sparse.v_ang)
+    assert np.max(np.abs(v_dense - v_sparse)) <= 1e-12
+    for flow in ("p_from", "q_from", "p_to", "q_to"):
+        assert np.max(np.abs(getattr(dense, flow) - getattr(sparse, flow)), initial=0.0) <= 1e-10
+    for sol in (dense, sparse):
+        if sol.converged:
+            recomputed = residual.max_residual(case, sol.v_mag, sol.v_ang)
+            assert abs(recomputed - sol.max_mismatch) <= 1e-12
+    return dense
+
+
+def _flat(case):
+    case = case.clone()
+    for b in case.buses:
+        b.v_mag, b.v_ang = 1.0, 0.0
+    return case
+
+
+def test_dense_and_sparse_kernels_agree_on_shipped_cases(tn_bundle, dn_bundle, run_pipeline, monkeypatch):
+    from tdsynth.synth import SynthesisConfig
+
+    combined = run_pipeline(SynthesisConfig(penetration_level=0.5)).case
+    for case in (tn_bundle.case, dn_bundle.case, combined):
+        if len(case.buses) > powerflow.DENSE_MAX_BUSES:
+            continue  # a full-size template (TDSYNTH_TEMPLATES) runs sparse only
+        sol = _assert_kernels_agree(_flat(case), monkeypatch)
+        assert sol.converged and sol.iterations > 0
+
+
+def test_dense_and_sparse_kernels_agree_on_random_cases(monkeypatch):
+    rng = np.random.default_rng(29)
+    kinds, taps, out_flows = set(), set(), []
+    for _ in range(12):
+        case = random_network(rng, int(rng.integers(3, 11)))
+        # an out-of-service parallel branch; zero impedance is allowed there
+        case.branches.append(Branch(from_bus=1, to_bus=2, status=False))
+        kinds |= {b.kind for b in case.buses}
+        taps |= {(br.ratio != 1.0, br.phase_shift != 0.0) for br in case.branches}
+        sol = _assert_kernels_agree(case, monkeypatch)
+        out_flows += [sol.p_from[-1], sol.q_from[-1], sol.p_to[-1], sol.q_to[-1]]
+    assert BusKind.PV in kinds and {(True, False), (False, True)} <= taps
+    assert not any(out_flows)
