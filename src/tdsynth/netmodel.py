@@ -115,9 +115,6 @@ class NetworkCase:
                 return b
         raise KeyError(f"no bus with id {bus_id}")
 
-    def name_index(self) -> dict[str, Bus]:
-        return {b.name: b for b in self.buses if b.name}
-
     def gens_at(self, bus_id: int) -> list[Generator]:
         return [g for g in self.generators if g.bus_id == bus_id]
 

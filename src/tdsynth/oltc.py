@@ -50,6 +50,41 @@ def tap_update(xfmr: OltcTransformer, v_controlled: float) -> int:
     return 0
 
 
+class TapStepper:
+    """The one-step tap rule shared by :func:`regulate` and the OPF relaxation
+    loop.  Each transformer freezes for the rest of the run the moment its
+    proposed step reverses the last step it took (anti-cycling)."""
+
+    def __init__(self, case: NetworkCase):
+        self.case = case
+        self.frozen = [False] * len(case.oltcs)
+        self._last = [0] * len(case.oltcs)
+        self._idx = case.bus_index()
+
+    def propose(self, v_mag) -> list[int]:
+        """One delta (-1, 0 or +1) per transformer from a solved voltage
+        profile; a reversal freezes its transformer and proposes 0."""
+        deltas = []
+        for i, t in enumerate(self.case.oltcs):
+            if self.frozen[i]:
+                deltas.append(0)
+                continue
+            d = tap_update(t, float(v_mag[self._idx[t.controlled_bus]]))
+            if d != 0 and d == -self._last[i]:
+                self.frozen[i] = True  # oscillation: park it for the run
+                d = 0
+            deltas.append(d)
+        return deltas
+
+    def apply(self, deltas: list[int]) -> None:
+        """Move every tap by its delta and refresh its branch ratio."""
+        for i, (t, d) in enumerate(zip(self.case.oltcs, deltas)):
+            if d:
+                t.tap += d
+                t.sync_branch(self.case)
+                self._last[i] = d
+
+
 def regulate(
     case: NetworkCase,
     opts: SolverOptions | None = None,
@@ -65,7 +100,7 @@ def regulate(
     """
     opts = opts or SolverOptions()
     idx = case.bus_index()
-    report = RegulationReport(frozen=[False] * len(case.oltcs))
+    report = RegulationReport()
 
     for t in case.oltcs:
         t.sync_branch(case)
@@ -76,25 +111,13 @@ def regulate(
         raise RegulationError("power flow diverged before any tap adjustment", None)
     apply_solution(case, sol)
 
-    last_delta = [0] * len(case.oltcs)
+    stepper = TapStepper(case)
+    report.frozen = stepper.frozen
     for _ in range(max_rounds):
-        deltas = []
-        for i, t in enumerate(case.oltcs):
-            if report.frozen[i]:
-                deltas.append(0)
-                continue
-            d = tap_update(t, float(sol.v_mag[idx[t.controlled_bus]]))
-            if d != 0 and last_delta[i] != 0 and d == -last_delta[i]:
-                report.frozen[i] = True  # oscillation: park it for the run
-                d = 0
-            deltas.append(d)
+        deltas = stepper.propose(sol.v_mag)
         if not any(deltas):
             break
-        for i, (t, d) in enumerate(zip(case.oltcs, deltas)):
-            if d:
-                t.tap += d
-                t.sync_branch(case)
-                last_delta[i] = d
+        stepper.apply(deltas)
         report.rounds += 1
         report.tap_trace.append([t.tap for t in case.oltcs])
         new_sol = solve(case, opts)

@@ -2,9 +2,12 @@
 
 The continuous core (taps frozen) minimizes total generation cost over the
 dispatchable units subject to the AC bus power-balance equalities, generator
-box bounds and per-bus voltage bounds.  It rides on scipy's trust-region
-interior-point solver with analytic sparse Jacobians; the contract is the
-returned KKT residual, not the mechanism.
+box bounds and per-bus voltage bounds.  It is a primal-dual interior-point
+Newton method in the style of MATPOWER's MIPS (Wang, Murillo-Sanchez,
+Zimmerman & Thomas, IEEE TPWRS 2007) with the exact Hessian of the
+Lagrangian, so a solve takes tens of Newton steps on sparse matrices.  The
+contract is the returned KKT residual and ``converged`` flag, not the
+mechanism.
 
 Discrete taps are handled by the outer relaxation loop: solve with voltage
 bounds widened, nudge every tap one step by the deadband rule using the
@@ -16,16 +19,17 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, NonlinearConstraint, minimize
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
+from . import powerflow
 from .netmodel import BusKind, GenKind, NetworkCase
-from .oltc import tap_update
-from .powerflow import _dSbus_dV, build_ybus
+from .oltc import TapStepper
 
 
 class RelaxationError(RuntimeError):
@@ -91,6 +95,8 @@ class OpfSolution:
     feasible: bool
     kkt_residual: float
     max_violation: float
+    iterations: int                   # interior-point Newton steps
+    converged: bool                   # every interior-point run met its tolerances
     relaxation_rounds: int = 0
     trace: list[dict] = field(default_factory=list)
     raw_x: np.ndarray | None = None
@@ -123,14 +129,8 @@ def _pack_structure(problem: OpfProblem):
         raise ValueError(f"need exactly one slack bus, found {len(slack)}")
     slack_pos = slack[0]
     nonslack = np.array([i for i in range(n) if i != slack_pos], dtype=int)
-
-    nd = len(problem.dispatchable)
-    rows, cols = [], []
-    for j, gi in enumerate(problem.dispatchable):
-        rows.append(idx[case.generators[gi].bus_id])
-        cols.append(j)
-    Cg = sp.csr_matrix(
-        (np.ones(nd), (rows, cols)), shape=(n, nd)
+    gen_pos = np.array(
+        [idx[case.generators[gi].bus_id] for gi in problem.dispatchable], dtype=int
     )
 
     s_fixed = np.array([-complex(b.p_load, b.q_load) for b in case.buses])
@@ -139,7 +139,253 @@ def _pack_structure(problem: OpfProblem):
         if i not in dispatch_set:
             s_fixed[idx[g.bus_id]] += complex(g.p, g.q)
 
-    return n, nd, slack_pos, nonslack, Cg, s_fixed
+    return n, slack_pos, nonslack, gen_pos, s_fixed
+
+
+class _OpfModel:
+    """Scaled cost, bus balances and their exact derivatives over
+    x = (Va without the slack bus, Vm, Pg, Qg).  The derivatives are
+    MATPOWER's ``dSbus_dV`` and ``d2Sbus_dV2`` written entry by entry on the
+    Ybus pattern: each is a COO matrix of index arrays fixed here and values
+    computed per call, and the KKT matrix is assembled from the same arrays."""
+
+    def __init__(self, problem: OpfProblem):
+        case = problem.case
+        self.base = base = case.base_mva
+        n, self.slack_pos, self.nonslack, gen_pos, self.s_fixed = _pack_structure(problem)
+        nd = len(problem.dispatchable)
+        self.n, self.nd, self.na = n, nd, n - 1
+        self.nx = self.na + n + 2 * nd
+        self.slack_ang = case.buses[self.slack_pos].v_ang
+        self.Ybus = powerflow.build_ybus(case)
+        self.YbusH = self.Ybus.conj().T.tocsr()
+        self.Cg = sp.csr_matrix((np.ones(nd), (gen_pos, np.arange(nd))), shape=(n, nd))
+
+        Y = self.Ybus.tocoo()
+        self.y, r, c = Y.data, Y.row, Y.col
+        self.r, self.c = r, c
+        buses = np.arange(n)
+        # x position of each bus angle (-1: the slack bus) and magnitude,
+        # and of each dispatchable unit's P and Q
+        ia = np.full(n, -1)
+        ia[self.nonslack] = np.arange(self.na)
+        im = self.na + buses
+        ip = self.na + n + np.arange(nd)
+        iq = ip + nd
+
+        # Jacobian: dS/dVa and dS/dVm at the Ybus entries, then the diagonal;
+        # the P rows take the real part, the Q rows the imaginary part
+        jr, jc = np.concatenate([r, buses]), np.concatenate([c, buses])
+        self.jac_keep = ia[jc] >= 0
+        ja = ia[jc][self.jac_keep]
+        jra = jr[self.jac_keep]
+        self.jac_rows = np.concatenate([jra, n + jra, jr, n + jr, gen_pos, n + gen_pos])
+        self.jac_cols = np.concatenate([ja, ja, im[jc], im[jc], ip, iq])
+
+        # Hessian: second derivatives at (r, c), at (c, r), then the diagonal;
+        # blocks Va-Va, Vm-Va, its transpose Va-Vm, Vm-Vm, then the cost
+        hr, hc = np.concatenate([r, c, buses]), np.concatenate([c, r, buses])
+        self.hess_keep_aa = (ia[hr] >= 0) & (ia[hc] >= 0)
+        self.hess_keep_va = ia[hc] >= 0
+        m2 = 2 * len(r)
+        self.hess_rows = np.concatenate([
+            ia[hr][self.hess_keep_aa], im[hr][self.hess_keep_va], ia[hc][self.hess_keep_va],
+            im[hr[:m2]], ip,
+        ])
+        self.hess_cols = np.concatenate([
+            ia[hc][self.hess_keep_aa], ia[hc][self.hess_keep_va], im[hr][self.hess_keep_va],
+            im[hc[:m2]], ip,
+        ])
+
+        gens = [case.generators[i] for i in problem.dispatchable]
+        self.c2 = np.array([g.cost[0] for g in gens])
+        self.c1 = np.array([g.cost[1] for g in gens])
+        self.c0 = np.array([g.cost[2] for g in gens])
+        # cost scale keeps the stationarity tolerance unit-free
+        self.grad_scale = float(max(1.0, np.max(np.abs(self.c1) * base, initial=0.0),
+                                    np.max(np.abs(self.c2) * base * base, initial=0.0)))
+
+    def split(self, x):
+        na, n, nd = self.na, self.n, self.nd
+        va = np.empty(n)
+        va[self.nonslack] = x[:na]
+        va[self.slack_pos] = self.slack_ang
+        return va, x[na : na + n], x[na + n : na + n + nd], x[na + n + nd :]
+
+    def voltage(self, x) -> np.ndarray:
+        va, vm, _, _ = self.split(x)
+        return vm * np.exp(1j * va)
+
+    def cost(self, x) -> float:
+        p_mw = self.split(x)[2] * self.base
+        return float(np.sum(self.c2 * p_mw * p_mw + self.c1 * p_mw + self.c0)) / self.grad_scale
+
+    def cost_grad(self, x) -> np.ndarray:
+        g = np.zeros(self.nx)
+        pg = self.split(x)[2]
+        g[self.na + self.n : self.na + self.n + self.nd] = (
+            2.0 * self.c2 * self.base * self.base * pg + self.c1 * self.base
+        ) / self.grad_scale
+        return g
+
+    def balance(self, x) -> np.ndarray:
+        """The 2n bus balances: P rows, then Q rows."""
+        _, _, pg, qg = self.split(x)
+        V = self.voltage(x)
+        mis = V * np.conj(self.Ybus @ V) - self.s_fixed - self.Cg @ (pg + 1j * qg)
+        return np.concatenate([mis.real, mis.imag])
+
+    def jacobian(self, x):
+        """d balance / dx, 2n x nx."""
+        V = self.voltage(x)
+        Ibus = self.Ybus @ V
+        Vnorm = V / np.abs(V)
+        r, c, y = self.r, self.c, self.y
+        dSa = 1j * np.concatenate([-V[r] * np.conj(y * V[c]), V * np.conj(Ibus)])
+        dSm = np.concatenate([V[r] * np.conj(y * Vnorm[c]), np.conj(Ibus) * Vnorm])
+        dSa = dSa[self.jac_keep]
+        ones = np.ones(self.nd)
+        vals = np.concatenate([dSa.real, dSa.imag, dSm.real, dSm.imag, -ones, -ones])
+        return sp.coo_matrix((vals, (self.jac_rows, self.jac_cols)),
+                             shape=(2 * self.n, self.nx))
+
+    def hessian(self, x, lam):
+        """Hessian of cost + lam^T balance, nx x nx.  lamP^T Re S + lamQ^T Im S
+        equals Re((lamP - j lamQ)^T S), so one complex weight gives both."""
+        n, r, c, y = self.n, self.r, self.c, self.y
+        V = self.voltage(x)
+        vm = np.abs(V)
+        lV = (lam[:n] - 1j * lam[n:]) * V
+        # MATPOWER's d2Sbus_dV2 has E = F^T off the diagonal, both equal to f
+        f = lV[r] * np.conj(y * V[c])
+        dE = -np.conj(V) * (self.YbusH @ lV)
+        dF = -lV * np.conj(self.Ybus @ V)
+        Gaa = np.concatenate([f, f, dE + dF]).real
+        Gva = (1j * np.concatenate([-f / vm[r], f / vm[c], (dE - dF) / vm])).real
+        Gvv = (f / (vm[r] * vm[c])).real
+        Gva = Gva[self.hess_keep_va]
+        vals = np.concatenate([
+            Gaa[self.hess_keep_aa], Gva, Gva, Gvv, Gvv,
+            2.0 * self.c2 * self.base * self.base / self.grad_scale,
+        ])
+        return sp.coo_matrix((vals, (self.hess_rows, self.hess_cols)),
+                             shape=(self.nx, self.nx))
+
+
+def _kkt_step(Lxx, w, dg, rhs) -> np.ndarray | None:
+    """Solve [[Lxx + diag(w), dg^T], [dg, 0]] d = rhs; None if the matrix is
+    singular or the step is not finite."""
+    nx = len(w)
+    diag = np.arange(nx)
+    K = sp.csc_matrix((
+        np.concatenate([Lxx.data, w, dg.data, dg.data]),
+        (np.concatenate([Lxx.row, diag, nx + dg.row, dg.col]),
+         np.concatenate([Lxx.col, diag, dg.col, nx + dg.row])),
+    ), shape=(nx + dg.shape[0],) * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            d = spsolve(K, rhs, permc_spec=powerflow.SPARSE_LU_ORDERING)
+        except (MatrixRankWarning, RuntimeError):
+            return None
+    return d if np.all(np.isfinite(d)) else None
+
+
+@dataclass
+class _IpmResult:
+    x: np.ndarray
+    iterations: int
+    converged: bool
+    stationarity: float        # |grad of the Lagrangian|, inf-norm
+    complementarity: float     # max z_i mu_i
+
+
+# MIPS step parameters (Wang et al., IEEE TPWRS 2007): fraction to the
+# boundary, centering factor, smallest accepted step
+_XI, _SIGMA, _ALPHA_MIN = 0.99995, 0.1, 1e-8
+# target of each relative convergence measure (feasibility, stationarity,
+# complementarity, cost change); tighter than MIPS's 1e-6 so that active
+# bounds are hit to well under 1e-6
+_TOL = 1e-10
+
+
+def _interior_point(model: _OpfModel, x, lb, ub, max_iterations: int) -> _IpmResult:
+    """Primal-dual interior-point Newton method after MIPS: minimize
+    model.cost(x) subject to model.balance(x) = 0 and lb <= x <= ub, with
+    the exact Hessian of the Lagrangian.  The box bounds are the
+    inequalities h(x) + z = 0, z > 0.  A run that reaches
+    ``max_iterations``, meets a singular KKT matrix or fails to make
+    progress returns its last iterate with ``converged=False``."""
+    iu = np.flatnonzero(np.isfinite(ub))
+    il = np.flatnonzero(np.isfinite(lb))
+    nu = len(iu)
+
+    def ineq(x):
+        return np.concatenate([x[iu] - ub[iu], lb[il] - x[il]])
+
+    def dh_t(v):  # dh(x)^T v, with dh the constant Jacobian of ineq
+        out = np.zeros(model.nx)
+        out[iu] += v[:nu]
+        out[il] -= v[nu:]
+        return out
+
+    h = ineq(x)
+    niq = len(h)
+    z = np.maximum(1.0, -h)
+    mu = np.ones(niq)
+    gamma = 1.0
+    f, g, dg = model.cost(x), model.balance(x), model.jacobian(x)
+    lam = np.zeros(len(g))
+    Lx = model.cost_grad(x) + dg.T @ lam + dh_t(mu)
+
+    def done(f0):
+        x_norm = np.max(np.abs(x), initial=0.0)
+        feas = max(np.max(np.abs(g), initial=0.0), np.max(h, initial=0.0)) / (
+            1.0 + max(x_norm, np.max(z, initial=0.0)))
+        grad = np.max(np.abs(Lx), initial=0.0) / (
+            1.0 + max(np.max(np.abs(lam), initial=0.0), np.max(mu, initial=0.0)))
+        comp = float(z @ mu) / (1.0 + x_norm)
+        cost = abs(f - f0) / (1.0 + abs(f0))
+        return bool(max(feas, grad, comp, cost) < _TOL)
+
+    converged = done(f)
+    it = 0
+    while not converged and it < max_iterations:
+        w = np.zeros(model.nx)
+        w[iu] += mu[:nu] / z[:nu]
+        w[il] += mu[nu:] / z[nu:]
+        N = Lx + dh_t((mu * h + gamma) / z)
+        d = _kkt_step(model.hessian(x, lam), w, dg, -np.concatenate([N, g]))
+        if d is None:
+            break
+        it += 1
+        dx, dlam = d[: model.nx], d[model.nx :]
+        dz = -h - z - np.concatenate([dx[iu], -dx[il]])  # h(x + dx) + z + dz = 0
+        dmu = -mu + (gamma - mu * dz) / z
+        neg = dz < 0
+        alpha_p = min(_XI * np.min(z[neg] / -dz[neg], initial=np.inf), 1.0)
+        neg = dmu < 0
+        alpha_d = min(_XI * np.min(mu[neg] / -dmu[neg], initial=np.inf), 1.0)
+        x = x + alpha_p * dx
+        z = z + alpha_p * dz
+        lam = lam + alpha_d * dlam
+        mu = mu + alpha_d * dmu
+        if niq:
+            gamma = _SIGMA * float(z @ mu) / niq
+
+        f0 = f
+        h, f, g, dg = ineq(x), model.cost(x), model.balance(x), model.jacobian(x)
+        Lx = model.cost_grad(x) + dg.T @ lam + dh_t(mu)
+        converged = done(f0)
+        if (not np.all(np.isfinite(x)) or alpha_p < _ALPHA_MIN or alpha_d < _ALPHA_MIN
+                or not np.finfo(float).eps < gamma < 1.0 / np.finfo(float).eps):
+            break
+
+    return _IpmResult(
+        x=x, iterations=it, converged=converged,
+        stationarity=float(np.max(np.abs(Lx), initial=0.0)),
+        complementarity=float(np.max(z * mu, initial=0.0)),
+    )
 
 
 def solve_continuous(
@@ -153,121 +399,45 @@ def solve_continuous(
 
     The stationarity part of the reported KKT residual is measured on the
     cost normalized by its gradient scale, so the 1e-6 target is meaningful
-    regardless of the currency units of the coefficients.
+    regardless of the currency units of the coefficients.  ``feasible`` is
+    decided by the returned point's violation alone; ``converged`` says
+    whether the interior-point run met its tolerances.
     """
     case = problem.case
-    base = case.base_mva
-    n, nd, slack_pos, nonslack, Cg, s_fixed = _pack_structure(problem)
+    model = _OpfModel(problem)
+    n, na = model.n, model.na
     v_lo = v_limits[0] if v_limits is not None else problem.v_min
     v_hi = v_limits[1] if v_limits is not None else problem.v_max
-    slack_ang = case.buses[slack_pos].v_ang
-    Ybus = build_ybus(case).tocsr()
-
-    na = n - 1
-    nx = na + n + 2 * nd
-
-    c2 = np.array([case.generators[i].cost[0] for i in problem.dispatchable])
-    c1 = np.array([case.generators[i].cost[1] for i in problem.dispatchable])
-    c0 = np.array([case.generators[i].cost[2] for i in problem.dispatchable])
-    p_lb = np.array([case.generators[i].p_min for i in problem.dispatchable])
-    p_ub = np.array([case.generators[i].p_max for i in problem.dispatchable])
-    q_lb = np.array([case.generators[i].q_min for i in problem.dispatchable])
-    q_ub = np.array([case.generators[i].q_max for i in problem.dispatchable])
-
-    def split(x):
-        va = np.empty(n)
-        va[nonslack] = x[:na]
-        va[slack_pos] = slack_ang
-        vm = x[na : na + n]
-        pg = x[na + n : na + n + nd]
-        qg = x[na + n + nd :]
-        return va, vm, pg, qg
-
-    def voltages(x):
-        va, vm, _, _ = split(x)
-        return vm * np.exp(1j * va)
-
-    # cost scale keeps the stationarity tolerance unit-free
-    grad_scale = float(max(1.0, np.max(np.abs(c1) * base, initial=0.0),
-                           np.max(np.abs(c2) * base * base, initial=0.0)))
-
-    def objective(x):
-        pg = x[na + n : na + n + nd]
-        p_mw = pg * base
-        return float(np.sum(c2 * p_mw * p_mw + c1 * p_mw + c0)) / grad_scale
-
-    def gradient(x):
-        g = np.zeros(nx)
-        pg = x[na + n : na + n + nd]
-        g[na + n : na + n + nd] = (2.0 * c2 * base * base * pg + c1 * base) / grad_scale
-        return g
-
-    def hessian(x):
-        d = np.zeros(nx)
-        d[na + n : na + n + nd] = 2.0 * c2 * base * base / grad_scale
-        return sp.diags(d).tocsr()
-
-    def balance(x):
-        va, vm, pg, qg = split(x)
-        V = vm * np.exp(1j * va)
-        mis = V * np.conj(Ybus @ V) - s_fixed - Cg @ (pg + 1j * qg)
-        return np.concatenate([mis.real, mis.imag])
-
-    zero_pad = sp.csr_matrix((n, nd))
-
-    def balance_jac(x):
-        V = voltages(x)
-        dSa, dSm = _dSbus_dV(Ybus, V)
-        dSa = dSa[:, nonslack]
-        top = sp.hstack([dSa.real, dSm.real, -Cg, zero_pad])
-        bot = sp.hstack([dSa.imag, dSm.imag, zero_pad, -Cg])
-        return sp.vstack([top, bot], format="csr")
-
+    gens = [case.generators[i] for i in problem.dispatchable]
+    p_lb = np.array([g.p_min for g in gens])
+    p_ub = np.array([g.p_max for g in gens])
+    q_lb = np.array([g.q_min for g in gens])
+    q_ub = np.array([g.q_max for g in gens])
     lb = np.concatenate([np.full(na, -np.inf), v_lo, p_lb, q_lb])
     ub = np.concatenate([np.full(na, np.inf), v_hi, p_ub, q_ub])
 
     if x0 is None:
         va0 = np.array([b.v_ang for b in case.buses])
-        vm0 = np.clip(np.array([b.v_mag for b in case.buses]), v_lo, v_hi)
-        pg0 = np.clip(
-            np.array([case.generators[i].p for i in problem.dispatchable]), p_lb, p_ub
-        )
-        qg0 = np.clip(
-            np.array([case.generators[i].q for i in problem.dispatchable]), q_lb, q_ub
-        )
-        x0 = np.concatenate([va0[nonslack], vm0, pg0, qg0])
-    else:
-        x0 = np.clip(x0, lb, ub)
+        vm0 = np.array([b.v_mag for b in case.buses])
+        pg0 = np.array([g.p for g in gens])
+        qg0 = np.array([g.q for g in gens])
+        x0 = np.concatenate([va0[model.nonslack], vm0, pg0, qg0])
+    x0 = np.clip(x0, lb, ub)
 
-    res = minimize(
-        objective,
-        x0,
-        jac=gradient,
-        hess=hessian,
-        method="trust-constr",
-        bounds=Bounds(lb, ub, keep_feasible=False),
-        constraints=[NonlinearConstraint(balance, 0.0, 0.0, jac=balance_jac)],
-        options={
-            # tight gtol drives the barrier far enough that active bounds
-            # are hit to well under 1e-6
-            "gtol": 1e-10,
-            "xtol": 1e-12,
-            "barrier_tol": 1e-12,
-            "maxiter": max_iterations,
-            "verbose": 0,
-        },
-    )
+    ipm = _interior_point(model, x0, lb, ub, max_iterations)
 
-    va, vm, pg, qg = split(res.x)
+    va, vm, pg, qg = model.split(ipm.x)
     pg = np.clip(pg, p_lb, p_ub)
     qg = np.clip(qg, q_lb, q_ub)
     p = {gi: float(pg[j]) for j, gi in enumerate(problem.dispatchable)}
     q = {gi: float(qg[j]) for j, gi in enumerate(problem.dispatchable)}
 
-    violation = float(np.max(np.abs(balance(res.x)), initial=0.0))
+    # the violation of the point returned, i.e. with the dispatch clipped
+    violation = float(np.max(np.abs(
+        model.balance(np.concatenate([ipm.x[: na + n], pg, qg]))), initial=0.0))
     v_viol = float(np.max(np.maximum(v_lo - vm, vm - v_hi), initial=0.0))
     max_violation = max(violation, v_viol, 0.0)
-    kkt = max(float(res.optimality), violation)
+    kkt = max(ipm.stationarity, ipm.complementarity, violation)
 
     return OpfSolution(
         p=p,
@@ -279,7 +449,9 @@ def solve_continuous(
         feasible=max_violation <= feasibility_tol,
         kkt_residual=kkt,
         max_violation=max_violation,
-        raw_x=res.x.copy(),
+        iterations=ipm.iterations,
+        converged=ipm.converged,
+        raw_x=ipm.x.copy(),
     )
 
 
@@ -304,12 +476,11 @@ def solve_with_relaxation(
     for t in work.oltcs:
         t.sync_branch(work)
 
-    frozen = [False] * len(work.oltcs)
-    last_delta = [0] * len(work.oltcs)
-    idx = work.bus_index()
+    stepper = TapStepper(work)
     trace: list[dict] = []
     warm = None
     sol = None
+    iterations, converged = 0, True
     rounds_cap = schedule.rounds + schedule.max_extra_rounds
     k = 0
     while True:
@@ -328,20 +499,13 @@ def solve_with_relaxation(
         sol = solve_continuous(
             sub, v_limits=(lo, hi), x0=warm, feasibility_tol=feasibility_tol
         )
+        iterations += sol.iterations
+        converged = converged and sol.converged
         if sol.max_violation > max(1e-4, feasibility_tol):
             raise RelaxationError(k, (slack, slack))
         warm = sol.raw_x
 
-        deltas = []
-        for i, t in enumerate(work.oltcs):
-            if frozen[i]:
-                deltas.append(0)
-                continue
-            d = tap_update(t, float(sol.v_mag[idx[t.controlled_bus]]))
-            if d != 0 and last_delta[i] != 0 and d == -last_delta[i]:
-                frozen[i] = True
-                d = 0
-            deltas.append(d)
+        deltas = stepper.propose(sol.v_mag)
         moved = sum(1 for d in deltas if d)
 
         within_final = bool(
@@ -366,17 +530,15 @@ def solve_with_relaxation(
         k += 1
         if moved == 0 and (slack == 0.0 or within_final):
             break
-        for i, (t, d) in enumerate(zip(work.oltcs, deltas)):
-            if d:
-                t.tap += d
-                t.sync_branch(work)
-                last_delta[i] = d
+        stepper.apply(deltas)
         if k >= rounds_cap:
             sub = OpfProblem(
                 case=work, v_min=problem.v_min, v_max=problem.v_max,
                 dispatchable=problem.dispatchable,
             )
             sol = solve_continuous(sub, x0=warm, feasibility_tol=feasibility_tol)
+            iterations += sol.iterations
+            converged = converged and sol.converged
             trace.append(
                 {
                     "round": k,
@@ -405,6 +567,8 @@ def solve_with_relaxation(
         feasible=bool(final_viol <= feasibility_tol and taps_ok),
         kkt_residual=sol.kkt_residual,
         max_violation=final_viol,
+        iterations=iterations,
+        converged=converged,
         relaxation_rounds=k,
         trace=trace,
     )

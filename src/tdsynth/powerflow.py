@@ -25,6 +25,11 @@ from .netmodel import BusKind, NetworkCase, islands
 # the per-solve time of the two kernels on random networks.
 DENSE_MAX_BUSES = 150
 
+# Column ordering of SuperLU's sparse LU: minimum degree on A^T + A.  On the
+# 17,927-bus combined case it cuts a 3-iteration solve from 2.3 to 0.5 s
+# (2-core VM) against the default COLAMD, with the same voltages to 1.5e-14.
+SPARSE_LU_ORDERING = "MMD_AT_PLUS_A"
+
 
 class PowerFlowError(RuntimeError):
     pass
@@ -172,7 +177,7 @@ def _newton_step(Ybus, V, F, pvpq, pq) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.simplefilter("error", MatrixRankWarning)
             try:
-                dx = spsolve(J, F)
+                dx = spsolve(J, F, permc_spec=SPARSE_LU_ORDERING)
             except (MatrixRankWarning, RuntimeError) as exc:
                 raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
     if not np.all(np.isfinite(dx)):

@@ -745,6 +745,8 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "objective": opf_solution.objective,
             "feasible": opf_solution.feasible,
             "rounds": opf_solution.relaxation_rounds,
+            "iterations": opf_solution.iterations,
+            "converged": opf_solution.converged,
             "kkt_residual": opf_solution.kkt_residual,
         }
     return out

@@ -67,19 +67,6 @@ def read_meta(path: Path) -> TemplateMeta:
     return meta
 
 
-def write_meta(path: Path, meta: TemplateMeta) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["record", "key", "value"])
-        for code in sorted(meta.area_names):
-            w.writerow(["area", code, meta.area_names[code]])
-        for feeder in sorted(meta.feeders):
-            for bus in meta.feeders[feeder]:
-                w.writerow(["feeder", feeder, bus])
-        for gen in sorted(meta.dg_class):
-            w.writerow(["dg", gen, meta.dg_class[gen]])
-
-
 def load_bundle(path: Path | str) -> TemplateBundle:
     path = Path(path)
     if not (path / "case.m").exists():

@@ -220,6 +220,42 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     return float(max(gaps))
 
 
+def opf_derivative_fd_gaps(problem, rng: np.random.Generator) -> tuple[float, float]:
+    """Worst relative disagreement of the OPF's analytic constraint Jacobian
+    and Lagrangian Hessian with central finite differences (of the balances,
+    and of the analytic Lagrangian gradient), at a random state and random
+    multipliers."""
+    from tdsynth.opf import _OpfModel
+
+    model = _OpfModel(problem)
+
+    x0 = np.concatenate([
+        rng.uniform(-0.2, 0.2, size=model.na),
+        rng.uniform(0.95, 1.05, size=model.n),
+        rng.uniform(-0.5, 1.0, size=2 * model.nd),
+    ])
+    lam = rng.normal(size=2 * model.n)
+
+    def grad_lagrangian(x):
+        return model.cost_grad(x) + model.jacobian(x).T @ lam
+
+    h = 6e-6
+    J_fd = np.empty((2 * model.n, model.nx))
+    H_fd = np.empty((model.nx, model.nx))
+    for j in range(model.nx):
+        e = np.zeros(model.nx)
+        e[j] = h
+        J_fd[:, j] = (model.balance(x0 + e) - model.balance(x0 - e)) / (2 * h)
+        H_fd[:, j] = (grad_lagrangian(x0 + e) - grad_lagrangian(x0 - e)) / (2 * h)
+    gaps = []
+    for analytic, fd in (
+        (model.jacobian(x0).toarray(), J_fd),
+        (model.hessian(x0, lam).toarray(), H_fd),
+    ):
+        gaps.append(float(np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())))
+    return gaps[0], gaps[1]
+
+
 def three_bus_opf_case(load=0.8) -> NetworkCase:
     """Two generators with deliberately different quadratic costs feeding one
     load over a small triangle; used against the grid-search oracle."""

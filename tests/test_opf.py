@@ -14,7 +14,7 @@ from tdsynth.opf import (
 from tdsynth.powerflow import solve
 from tdsynth.synth import _scale_loads, _set_source_voltage
 
-from helpers import losses_from_flows, three_bus_opf_case
+from helpers import losses_from_flows, opf_derivative_fd_gaps, three_bus_opf_case
 
 
 def _two_bus_opf(v_max=1.05):
@@ -170,3 +170,34 @@ def test_relaxation_monotone_tightening_and_single_steps(run_pipeline):
         assert all(abs(b - a) <= 1 for a, b in zip(before, after))
     for t, pos in zip(result.case.oltcs, sol.taps):
         assert t.tap_min <= pos <= t.tap_max
+
+
+def test_opf_derivatives_match_finite_differences(run_pipeline):
+    from tdsynth.synth import SynthesisConfig
+
+    rng = np.random.default_rng(11)
+    combined = run_pipeline(SynthesisConfig(penetration_level=1.5)).case
+    for name, case in (("3-bus", three_bus_opf_case()), ("combined", combined)):
+        problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
+        jac_gap, hess_gap = opf_derivative_fd_gaps(problem, rng)
+        assert jac_gap <= 1e-6, name
+        assert hess_gap <= 1e-6, name
+
+
+def test_iteration_cap_is_reported_not_silent():
+    problem = OpfProblem.from_case(three_bus_opf_case(), v_limits=(0.95, 1.05))
+    capped = solve_continuous(problem, max_iterations=2)
+    assert capped.iterations == 2
+    assert not capped.converged
+    full = solve_continuous(problem)
+    assert full.converged and 2 < full.iterations < 100
+
+
+def test_singular_kkt_is_reported_not_silent():
+    case = three_bus_opf_case()
+    # a bus without branches leaves its balance rows of the KKT matrix zero
+    case.buses.append(Bus(id=4, kind=BusKind.PQ, p_load=0.1, base_kv=130.0))
+    problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
+    sol = solve_continuous(problem)
+    assert sol.iterations == 0
+    assert not sol.converged and not sol.feasible

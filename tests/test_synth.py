@@ -248,6 +248,8 @@ def test_generate_with_opf_writes_trace_and_manifest(template_dir, tmp_path):
     )
     assert result.opf is not None and result.opf.feasible
     assert result.manifest["opf"]["objective"] == pytest.approx(result.opf.objective)
+    assert result.manifest["opf"]["converged"] is True
+    assert result.manifest["opf"]["iterations"] == result.opf.iterations > 0
     trace = (tmp_path / "run" / "opf_trace.csv").read_text().splitlines()
     assert trace[0] == "round,objective,max_violation,taps_moved"
     assert len(trace) >= 2
