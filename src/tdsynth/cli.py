@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import caseio
 from .netmodel import GenKind, penetration_level, total_load, validate
-from .oltc import regulate
+from .oltc import RegulationError, regulate
+from .powerflow import PowerFlowError
 from .synth import (
     GenerateResult,
     PipelineError,
@@ -196,9 +197,10 @@ def _cmd_inspect(args) -> int:
         for entry in report.entries:
             print(f"  - {entry}")
 
-    sol, reg = regulate(case)
-    if not sol.converged:
-        print("power flow did not converge", file=sys.stderr)
+    try:
+        sol, _ = regulate(case)
+    except (RegulationError, PowerFlowError) as exc:
+        print(f"power flow failed: {exc}", file=sys.stderr)
         return 1
     print(f"power flow: converged in {sol.iterations} iterations "
           f"(mismatch {sol.max_mismatch:.2e})")
@@ -236,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     gen.add_argument("--templates", help="directory with mini-tn/ and mini-dn/ bundles")
     gen.add_argument("--out", default="output", help="output root (default: ./output)")
     gen.add_argument("--seed", type=int, help="override rng_seed from the config")
-    gen.add_argument("--jobs", type=int, default=1, help="parallel replica workers")
+    gen.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     gen.set_defaults(func=_cmd_generate)
 
     ins = sub.add_parser("inspect", help="load a case bundle and print its state")

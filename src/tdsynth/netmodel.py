@@ -3,8 +3,7 @@
 Every quantity is expressed in per-unit on the case MVA base (``base_mva``);
 angles are radians.  Conversion to MW/Mvar happens only at I/O boundaries.
 A case is mutable, but by convention it is never touched while a solver call
-is in flight: mutation happens between solves, so read-only sharing across
-workers is safe.
+is in flight: mutation happens between solves.
 """
 
 from __future__ import annotations

@@ -144,9 +144,10 @@ def _pack_structure(problem: OpfProblem):
 
 class _OpfModel:
     """Scaled cost, bus balances and their exact derivatives over
-    x = (Va without the slack bus, Vm, Pg, Qg).  The derivatives are
-    MATPOWER's ``dSbus_dV`` and ``d2Sbus_dV2`` written entry by entry on the
-    Ybus pattern: each is a COO matrix of index arrays fixed here and values
+    x = (Va without the slack bus, Vm, Pg, Qg).  The first derivatives are
+    the power flow's entry-wise dS/dV (:func:`powerflow._dS_dV`), the second
+    are MATPOWER's ``d2Sbus_dV2`` written entry by entry on the same Ybus
+    pattern: each is a COO matrix of index arrays fixed here and values
     computed per call, and the KKT matrix is assembled from the same arrays."""
 
     def __init__(self, problem: OpfProblem):
@@ -237,12 +238,7 @@ class _OpfModel:
 
     def jacobian(self, x):
         """d balance / dx, 2n x nx."""
-        V = self.voltage(x)
-        Ibus = self.Ybus @ V
-        Vnorm = V / np.abs(V)
-        r, c, y = self.r, self.c, self.y
-        dSa = 1j * np.concatenate([-V[r] * np.conj(y * V[c]), V * np.conj(Ibus)])
-        dSm = np.concatenate([V[r] * np.conj(y * Vnorm[c]), np.conj(Ibus) * Vnorm])
+        dSa, dSm = powerflow._dS_dV(self.Ybus, self.voltage(x), self.r, self.c, self.y)
         dSa = dSa[self.jac_keep]
         ones = np.ones(self.nd)
         vals = np.concatenate([dSa.real, dSa.imag, dSm.real, dSm.imag, -ones, -ones])

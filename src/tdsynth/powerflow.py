@@ -1,13 +1,13 @@
 """Full Newton-Raphson AC power flow in polar coordinates.
 
-The solver has two kernels with the same arithmetic.  Cases of up to
-``DENSE_MAX_BUSES`` buses, such as the feeder copies solved thousands of times
-per run, keep Ybus and the Jacobian as dense arrays and solve the Newton step
-with LAPACK: at that size, building scipy.sparse objects costs more than the
-arithmetic.  Larger cases, such as the combined T&D case, assemble the
-Jacobian sparse and factorize it with a direct sparse LU (SuperLU through
-scipy).  Both use the polar full-Newton formulation, because distribution
-feeders with high R/X ratios defeat the fast-decoupled shortcuts.
+Every Newton step takes its Jacobian from one entry-wise dS/dV
+(:func:`_dS_dV`, which the OPF shares).  Case size decides only where the
+entries go and how the step is solved: up to ``DENSE_MAX_BUSES`` buses, such
+as the feeder copies solved thousands of times per run, into a dense array
+solved with LAPACK, since at that size scipy.sparse objects cost more than
+the arithmetic; above it, such as the combined T&D case, into a CSC matrix
+factorized with SuperLU.  The formulation is polar full Newton, because
+distribution feeders with high R/X ratios defeat the fast-decoupled shortcuts.
 """
 
 from __future__ import annotations
@@ -130,50 +130,59 @@ def build_ybus(case: NetworkCase) -> sp.csr_matrix:
     return _ybus(case, _branch_terms(case, case.bus_index()), dense=False)
 
 
-def _dSbus_dV(Ybus: sp.spmatrix, V: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Partial derivatives of the complex bus injections w.r.t. angle and
-    magnitude (standard polar NR building blocks)."""
-    Ibus = Ybus @ V
-    diagV = sp.diags(V)
-    diagI = sp.diags(Ibus)
-    diagVnorm = sp.diags(V / np.abs(V))
-    dS_dVm = diagV @ (Ybus @ diagVnorm).conjugate() + diagI.conjugate() @ diagVnorm
-    dS_dVa = 1j * diagV @ (diagI - Ybus @ diagV).conjugate()
-    return dS_dVa.tocsr(), dS_dVm.tocsr()
-
-
-def _jacobian_sparse(Ybus: sp.spmatrix, V, pvpq, pq) -> sp.csc_matrix:
-    dSa, dSm = _dSbus_dV(Ybus, V)
-    J11 = dSa[pvpq, :][:, pvpq].real
-    J12 = dSm[pvpq, :][:, pq].real
-    J21 = dSa[pq, :][:, pvpq].imag
-    J22 = dSm[pq, :][:, pq].imag
-    return sp.bmat([[J11, J12], [J21, J22]], format="csc")
-
-
-def _jacobian_dense(Ybus: np.ndarray, V, pvpq, pq) -> np.ndarray:
-    """The same Jacobian as :func:`_jacobian_sparse`, from a dense Ybus."""
+def _dS_dV(Ybus, V, r, c, y) -> tuple[np.ndarray, np.ndarray]:
+    """dS/dVa and dS/dVm of the injections S = V conj(Ybus V), entry by entry
+    (MATPOWER's ``dSbus_dV``): the values at the Ybus entries (r, c, y), then
+    at the diagonal (i, i) of every bus; values at one position add up."""
     Ibus = Ybus @ V
     Vnorm = V / np.abs(V)
-    diag = np.diag_indices(len(V))
-    dSm = V[:, None] * np.conj(Ybus * Vnorm)
-    dSm[diag] += np.conj(Ibus) * Vnorm
-    dSa = -(Ybus * V)
-    dSa[diag] += Ibus
-    dSa = 1j * V[:, None] * np.conj(dSa)
-    cols = np.concatenate([dSa[:, pvpq], dSm[:, pq]], axis=1)
-    return np.concatenate([cols[pvpq].real, cols[pq].imag])
+    dSa = 1j * np.concatenate([-V[r] * np.conj(y * V[c]), V * np.conj(Ibus)])
+    dSm = np.concatenate([V[r] * np.conj(y * Vnorm[c]), np.conj(Ibus) * Vnorm])
+    return dSa, dSm
 
 
-def _newton_step(Ybus, V, F, pvpq, pq) -> np.ndarray:
-    """Solve J dx = F with the kernel matching Ybus's storage."""
+def _placement(Ybus, pvpq, pq):
+    """The Ybus entries (r, c, y) and where the NR Jacobian puts the values of
+    :func:`_dS_dV`: P rows at pvpq, then Q rows at pq; Va columns at pvpq,
+    then Vm columns at pq.  ``take`` picks from (Re dS/dVa, Re dS/dVm,
+    Im dS/dVa, Im dS/dVm), and ``rows``/``cols`` place each picked value."""
     if isinstance(Ybus, np.ndarray):
+        r, c = np.nonzero(Ybus)
+        y = Ybus[r, c]
+    else:
+        Y = Ybus.tocoo()
+        r, c, y = Y.row, Y.col, Y.data
+    n, npvpq = Ybus.shape[0], len(pvpq)
+    at_a = np.full(n, -1)  # P row and Va column of each bus
+    at_a[pvpq] = np.arange(npvpq)
+    at_m = np.full(n, -1)  # Q row and Vm column
+    at_m[pq] = npvpq + np.arange(len(pq))
+    rb = np.concatenate([r, np.arange(n)])  # bus of each dS value
+    rows = np.concatenate([at_a[rb], at_a[rb], at_m[rb], at_m[rb]])
+    cols = np.concatenate([at_a[c], at_a, at_m[c], at_m] * 2)
+    take = np.flatnonzero((rows >= 0) & (cols >= 0))
+    return (r, c, y), take, rows[take], cols[take]
+
+
+def _jacobian(Ybus, V, place, m: int):
+    """The m x m NR Jacobian at V: an ndarray for a dense Ybus, else CSC."""
+    (r, c, y), take, rows, cols = place
+    dS = np.concatenate(_dS_dV(Ybus, V, r, c, y))
+    vals = np.concatenate([dS.real, dS.imag])[take]
+    if isinstance(Ybus, np.ndarray):
+        return np.bincount(rows * m + cols, weights=vals, minlength=m * m).reshape(m, m)
+    return sp.csc_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def _newton_step(Ybus, V, F, place) -> np.ndarray:
+    """Solve J dx = F: LAPACK for a dense Ybus, SuperLU for a sparse one."""
+    J = _jacobian(Ybus, V, place, len(F))
+    if isinstance(J, np.ndarray):
         try:
-            dx = np.linalg.solve(_jacobian_dense(Ybus, V, pvpq, pq), F)
+            dx = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
     else:
-        J = _jacobian_sparse(Ybus, V, pvpq, pq)
         with warnings.catch_warnings():
             warnings.simplefilter("error", MatrixRankWarning)
             try:
@@ -271,11 +280,11 @@ def _solve_fixed_types(
     converged = bool(np.max(np.abs(F)) < opts.tolerance) if F.size else True
     iterations = 0
 
-    npv, npq = len(pv), len(pq)
+    place = None if converged else _placement(Ybus, pvpq, pq)
     while not converged and iterations < opts.max_iterations:
-        dx = _newton_step(Ybus, V, F, pvpq, pq)
-        va[pvpq] -= dx[: npv + npq]
-        vm[pq] -= dx[npv + npq :]
+        dx = _newton_step(Ybus, V, F, place)
+        va[pvpq] -= dx[: len(pvpq)]
+        vm[pq] -= dx[len(pvpq) :]
         V = vm * np.exp(1j * va)
         iterations += 1
         F = _mismatch(Ybus, V, Sbus, pvpq, pq)

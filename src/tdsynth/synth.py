@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -135,6 +134,7 @@ class DnInstance:
     realized_split: float
     dg_allocation: dict[int, float]  # generator index -> active output
     boundary_p: float                # active import from the host at the end
+    import_mismatch: float           # relative, after the import-matching loop
     regulation: RegulationReport | None = None
 
 
@@ -343,6 +343,7 @@ def customize_dn(
         _scale_loads(case, adjust)
         scale *= adjust
     pre_dg_import = boundary
+    import_mismatch = abs(boundary - target_import) / target_import
 
     # DG sizing against the replica's own demand
     pl = cfg.penetration_level
@@ -405,6 +406,7 @@ def customize_dn(
         realized_split=gs,
         dg_allocation=allocation,
         boundary_p=boundary,
+        import_mismatch=import_mismatch,
         regulation=report,
     )
 
@@ -550,7 +552,10 @@ def generate(
     out_dir: Path | str | None = None,
     jobs: int = 1,
 ) -> GenerateResult:
-    """Run the full pipeline; deterministic for a given (templates, cfg)."""
+    """Run the full pipeline; deterministic for a given (templates, cfg).
+
+    ``jobs`` is accepted for compatibility and has no effect: replicas are
+    built one after another, which measured faster than any thread pool."""
     problems = cfg.field_errors()
     if problems:
         raise PipelineError(
@@ -599,24 +604,12 @@ def generate(
         for copy_index in range(count):
             plan.append((bus_id, copy_index, p_load / count, host_v))
 
-    def build_instance(item):
-        bus_id, copy_index, target_p, host_v = item
-        return customize_dn(
-            dn_bundle.case,
-            target_p,
-            cfg,
-            _rng_for(cfg, bus_id, copy_index),
-            source_v=host_v,
-            host_bus=bus_id,
-            copy_index=copy_index,
-        )
-
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                instances = list(pool.map(build_instance, plan))
-        else:
-            instances = [build_instance(item) for item in plan]
+        instances = [
+            customize_dn(dn_bundle.case, target_p, cfg, _rng_for(cfg, bus_id, copy_index),
+                         source_v=host_v, host_bus=bus_id, copy_index=copy_index)
+            for bus_id, copy_index, target_p, host_v in plan
+        ]
     except PipelineError:
         raise
     except Exception as exc:
@@ -714,6 +707,8 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "generation_split": inst.realized_split,
             "boundary_import_pu": inst.boundary_p,
             "final_taps": [t.tap for t in inst.case.oltcs],
+            "import_mismatch": inst.import_mismatch,
+            "regulation_settled": inst.regulation.settled,
         }
         for inst in instances
     ]
@@ -738,6 +733,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "generators": len(combined.generators),
             "oltcs": len(combined.oltcs),
             "regulation_rounds": regulation.rounds,
+            "regulation_settled": regulation.settled,
         },
     }
     if opf_solution is not None:

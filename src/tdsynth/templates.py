@@ -5,9 +5,10 @@ A bundle directory holds ``case.m`` (MATPOWER text), ``case.oltc.csv``
 three-column table ``record,key,value`` carrying what the case format
 cannot express:
 
-* ``area,<code>,<label>``   -- zone label for a bus-table area code
-* ``feeder,<number>,<bus>`` -- feeder membership, one row per bus
-* ``dg,<gen index>,<class>``-- generator classification (controllable | pv)
+* ``area,<code>,<label>`` -- zone label for a bus-table area code
+
+Any other record type is rejected.  The generator classification is not a
+meta record: it travels in the case file's ``mpc.gen_kind`` table.
 
 Two miniature bundles ship with the package (``mini-tn``, ``mini-dn``);
 full-size bundles dropped into the same layout work identically.
@@ -27,8 +28,6 @@ from .netmodel import NetworkCase
 @dataclass
 class TemplateMeta:
     area_names: dict[int, str] = field(default_factory=dict)
-    feeders: dict[int, list[int]] = field(default_factory=dict)
-    dg_class: dict[int, str] = field(default_factory=dict)
 
     def area_code(self, label: str) -> int | None:
         for code, name in self.area_names.items():
@@ -58,10 +57,6 @@ def read_meta(path: Path) -> TemplateMeta:
             record, key, value = row["record"], row["key"], row["value"]
             if record == "area":
                 meta.area_names[int(key)] = value
-            elif record == "feeder":
-                meta.feeders.setdefault(int(key), []).append(int(value))
-            elif record == "dg":
-                meta.dg_class[int(key)] = value
             else:
                 raise ValueError(f"{path}: unknown meta record type {record!r}")
     return meta

@@ -172,15 +172,16 @@ def losses_from_flows(sol) -> float:
 
 
 def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
-    """Worst relative disagreement between an analytic Newton Jacobian and a
+    """Worst relative disagreement between the analytic Newton Jacobian and a
     central finite difference of the mismatch function, at a random state.
-    Both kernels are checked: the dense one and the sparse ``_dSbus_dV`` one."""
+    The one dS/dV is checked as both kernels place it: into a dense array
+    (dense Ybus) and into a sparse matrix (sparse Ybus)."""
     from tdsynth.netmodel import BusKind
     from tdsynth.powerflow import (
         _branch_terms,
-        _jacobian_dense,
-        _jacobian_sparse,
+        _jacobian,
         _mismatch,
+        _placement,
         _specified_injection,
         _ybus,
         build_ybus,
@@ -211,11 +212,12 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         e = np.zeros_like(x0)
         e[j] = h
         J_fd[:, j] = (F(x0 + e) - F(x0 - e)) / (2 * h)
+    m = len(x0)
+    dense = _jacobian(Ydense, V0, _placement(Ydense, pvpq, pq), m)
+    sparse = _jacobian(Ybus, V0, _placement(Ybus, pvpq, pq), m)
+    assert isinstance(dense, np.ndarray) and not isinstance(sparse, np.ndarray)
     gaps = []
-    for J in (
-        _jacobian_dense(Ydense, V0, pvpq, pq),
-        _jacobian_sparse(Ybus, V0, pvpq, pq).toarray(),
-    ):
+    for J in (dense, sparse.toarray()):
         gaps.append(np.abs(J - J_fd).max() / max(1.0, np.abs(J).max()))
     return float(max(gaps))
 

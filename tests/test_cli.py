@@ -139,3 +139,23 @@ def test_inspect_roundtrip(tmp_path, capsys):
     assert "boundary transfers" in out
 
     assert main(["inspect", str(tmp_path / "nowhere")]) == 1
+
+
+def test_inspect_reports_a_failed_solve_with_exit_code_1(tmp_path, capsys):
+    from tdsynth import bundled_template_dir, load_case_dir, save_case_dir
+    from tdsynth.netmodel import BusKind
+
+    overloaded = load_case_dir(bundled_template_dir() / "mini-tn")
+    for b in overloaded.buses:
+        b.p_load *= 40
+        b.q_load *= 40
+    save_case_dir(overloaded, tmp_path / "overloaded")
+    capsys.readouterr()
+    assert main(["inspect", str(tmp_path / "overloaded")]) == 1
+    assert "diverged before any tap adjustment" in capsys.readouterr().err
+
+    two_slacks = load_case_dir(bundled_template_dir() / "mini-tn")
+    next(b for b in two_slacks.buses if b.kind is BusKind.PV).kind = BusKind.SLACK
+    save_case_dir(two_slacks, tmp_path / "two-slacks")
+    assert main(["inspect", str(tmp_path / "two-slacks")]) == 1
+    assert "exactly one slack bus" in capsys.readouterr().err

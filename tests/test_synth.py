@@ -37,6 +37,17 @@ def test_select_requires_some_load(tn_bundle):
         select_replaceable_loads(case, True, tn_bundle.meta.area_names)
 
 
+def test_meta_rejects_a_second_generator_classification(tmp_path, dn_bundle):
+    from tdsynth.templates import read_meta
+
+    assert read_meta(dn_bundle.path / "meta.csv").area_names == {}
+    for row in ("dg,1,controllable", "feeder,1,3"):
+        path = tmp_path / "meta.csv"
+        path.write_text(f"record,key,value\n{row}\n")
+        with pytest.raises(ValueError, match="unknown meta record type"):
+            read_meta(path)
+
+
 def test_dn_count_rounding():
     assert dn_count(1.0, 0.3) == 4
     assert dn_count(0.9, 0.3) == 3
@@ -239,6 +250,17 @@ def test_generate_reports_equipment_ceiling(template_dir):
     )
     with pytest.raises(PipelineError, match="exceeds p_max .* generator 1 at bus 4"):
         generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg)
+
+
+def test_manifest_records_regulation_settling_and_import_residual(run_pipeline):
+    result = run_pipeline(SynthesisConfig(penetration_level=0.5))
+    records = result.manifest["instances"]
+    assert len(records) == len(result.instances)
+    for rec, inst in zip(records, result.instances):
+        assert rec["regulation_settled"] is inst.regulation.settled
+        assert rec["import_mismatch"] == inst.import_mismatch
+        assert 0.0 <= inst.import_mismatch <= 1e-4  # the loop met its target
+    assert result.manifest["combined"]["regulation_settled"] is result.regulation.settled
 
 
 def test_generate_with_opf_writes_trace_and_manifest(template_dir, tmp_path):
