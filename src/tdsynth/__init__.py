@@ -3,7 +3,6 @@
 from .caseio import (
     CaseDocument,
     CaseParseError,
-    OltcAnnotation,
     StructuralError,
     emit_case,
     export,

@@ -8,9 +8,11 @@ rejected.  Unknown ``mpc.<name>`` tables are kept so they survive a
 parse/emit round trip.
 
 Tap-changer data has no home in the MATPOWER tables, so it travels in a
-sidecar CSV (``<case>.oltc.csv``) with header
-``branch_index,controlled_bus,v_set,deadband,tap,tap_min,tap_max,tap_step``;
-``branch_index`` is the 0-based row in the branch table.
+sidecar CSV (``<case>.oltc.csv``) whose columns are the fields of
+:class:`~tdsynth.netmodel.OltcTransformer` in order:
+``branch_index,controlled_bus,v_set,deadband,tap,tap_min,tap_max,tap_step``.
+``branch_index`` is the file's name for ``branch_ref``, the 0-based row in
+the branch table.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from .netmodel import (
     Branch,
@@ -46,7 +48,9 @@ BRANCH_COLS = 13
 _KIND_CODE = {GenKind.TN_UNIT: 0, GenKind.DN_CONTROLLABLE: 1, GenKind.DN_PV: 2}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
-OLTC_CSV_HEADER = "branch_index,controlled_bus,v_set,deadband,tap,tap_min,tap_max,tap_step"
+_OLTC_FIELDS = [f.name for f in fields(OltcTransformer)]
+_OLTC_TYPES = [get_type_hints(OltcTransformer)[name] for name in _OLTC_FIELDS]
+OLTC_CSV_HEADER = ["branch_index"] + _OLTC_FIELDS[1:]
 
 
 class CaseParseError(ValueError):
@@ -70,18 +74,6 @@ class CaseDocument:
     base_mva: float = 100.0
     matrices: dict[str, list[list[float]]] = field(default_factory=dict)
     bus_name: list[str] | None = None
-
-
-@dataclass
-class OltcAnnotation:
-    branch_index: int
-    controlled_bus: int
-    v_set: float
-    deadband: float
-    tap: int
-    tap_min: int
-    tap_max: int
-    tap_step: float
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +296,9 @@ def emit_case(doc: CaseDocument) -> str:
 # document <-> network model
 
 
-def to_network(doc: CaseDocument, oltc_spec: list[OltcAnnotation] | None = None) -> NetworkCase:
-    """Build the per-unit model; MW quantities are divided by baseMVA here."""
+def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) -> NetworkCase:
+    """Build the per-unit model; MW quantities are divided by baseMVA here.
+    The case holds copies of ``oltcs``."""
     base = doc.base_mva
     kinds = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
     case = NetworkCase(base_mva=base)
@@ -341,15 +334,22 @@ def to_network(doc: CaseDocument, oltc_spec: list[OltcAnnotation] | None = None)
         cost = (0.0, 0.0, 0.0)
         if gencost is not None and i < len(gencost):
             crow = gencost[i]
-            if int(crow[COST_MODEL]) != 2 or int(crow[NCOST]) != 3:
+            if len(crow) <= COST_C0 or int(crow[COST_MODEL]) != 2 or int(crow[NCOST]) != 3:
                 raise StructuralError(
-                    f"gencost row {i}: only 3-coefficient polynomial costs are supported"
+                    f"gencost row {i}: only 3-coefficient polynomial costs "
+                    f"({COST_C0 + 1} columns) are supported"
                 )
             cost = (crow[COST_C2], crow[COST_C1], crow[COST_C0])
         kind, controllable = GenKind.TN_UNIT, True
         if genkind is not None and i < len(genkind):
-            kind = _CODE_KIND[int(genkind[i][0])]
-            controllable = bool(int(genkind[i][1]))
+            krow = genkind[i]
+            if len(krow) < 2 or int(krow[0]) not in _CODE_KIND:
+                raise StructuralError(
+                    f"gen_kind row {i}: needs a kind code in {sorted(_CODE_KIND)} "
+                    "and a controllable flag"
+                )
+            kind = _CODE_KIND[int(krow[0])]
+            controllable = bool(int(krow[1]))
         case.generators.append(
             Generator(
                 bus_id=int(row[GEN_BUS]),
@@ -382,29 +382,22 @@ def to_network(doc: CaseDocument, oltc_spec: list[OltcAnnotation] | None = None)
             )
         )
 
-    for ann in oltc_spec or []:
-        if not 0 <= ann.branch_index < len(case.branches):
-            raise StructuralError(
-                f"oltc annotation references absent branch {ann.branch_index}"
-            )
-        t = OltcTransformer(
-            branch_ref=ann.branch_index,
-            controlled_bus=ann.controlled_bus,
-            v_set=ann.v_set,
-            deadband=ann.deadband,
-            tap=ann.tap,
-            tap_min=ann.tap_min,
-            tap_max=ann.tap_max,
-            tap_step=ann.tap_step,
-        )
+    bus_ids = {b.id for b in case.buses}
+    for spec in oltcs or []:
+        if not 0 <= spec.branch_ref < len(case.branches):
+            raise StructuralError(f"oltc references absent branch {spec.branch_ref}")
+        if spec.controlled_bus not in bus_ids:
+            raise StructuralError(f"oltc controls absent bus {spec.controlled_bus}")
+        t = replace(spec)
         t.sync_branch(case)  # the tap, not the file ratio, is authoritative
         case.oltcs.append(t)
 
     return case
 
 
-def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcAnnotation]]:
-    """Inverse of :func:`to_network` up to the column defaults listed below."""
+def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcTransformer]]:
+    """Inverse of :func:`to_network` up to the column defaults listed below;
+    the tap changers are copies of ``case.oltcs``."""
     base = case.base_mva
     codes = {BusKind.PQ: 1, BusKind.PV: 2, BusKind.SLACK: 3}
     doc = CaseDocument(version="2", base_mva=base, matrices={}, bus_name=None)
@@ -472,61 +465,32 @@ def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcAnnotation]]
         for br in case.branches
     ]
 
-    annotations = [
-        OltcAnnotation(
-            branch_index=t.branch_ref,
-            controlled_bus=t.controlled_bus,
-            v_set=t.v_set,
-            deadband=t.deadband,
-            tap=t.tap,
-            tap_min=t.tap_min,
-            tap_max=t.tap_max,
-            tap_step=t.tap_step,
-        )
-        for t in case.oltcs
-    ]
-    return doc, annotations
+    return doc, [replace(t) for t in case.oltcs]
 
 
 # ---------------------------------------------------------------------------
 # sidecar CSV
 
 
-def write_oltc_annotations(path: Path, annotations: list[OltcAnnotation]) -> None:
+def write_oltc_csv(path: Path, oltcs: list[OltcTransformer]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(OLTC_CSV_HEADER.split(","))
-        for a in annotations:
-            w.writerow(
-                [
-                    a.branch_index,
-                    a.controlled_bus,
-                    _fmt(a.v_set),
-                    _fmt(a.deadband),
-                    a.tap,
-                    a.tap_min,
-                    a.tap_max,
-                    _fmt(a.tap_step),
-                ]
-            )
+        w.writerow(OLTC_CSV_HEADER)
+        w.writerows([_fmt(getattr(t, name)) for name in _OLTC_FIELDS] for t in oltcs)
 
 
-def read_oltc_annotations(path: Path) -> list[OltcAnnotation]:
-    out = []
+def read_oltc_csv(path: Path) -> list[OltcTransformer]:
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                OltcAnnotation(
-                    branch_index=int(row["branch_index"]),
-                    controlled_bus=int(row["controlled_bus"]),
-                    v_set=float(row["v_set"]),
-                    deadband=float(row["deadband"]),
-                    tap=int(row["tap"]),
-                    tap_min=int(row["tap_min"]),
-                    tap_max=int(row["tap_max"]),
-                    tap_step=float(row["tap_step"]),
-                )
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows or rows[0] != OLTC_CSV_HEADER:
+        raise StructuralError(f"{path.name}: header must be {','.join(OLTC_CSV_HEADER)}")
+    out = []
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(OLTC_CSV_HEADER):
+            raise StructuralError(
+                f"{path.name} row {i} has {len(row)} cells, needs {len(OLTC_CSV_HEADER)}"
             )
+        out.append(OltcTransformer(*(kind(cell) for kind, cell in zip(_OLTC_TYPES, row))))
     return out
 
 
@@ -535,18 +499,17 @@ def load_case_dir(path: Path | str) -> NetworkCase:
     path = Path(path)
     doc = parse_case((path / "case.m").read_text())
     sidecar = path / "case.oltc.csv"
-    annotations = read_oltc_annotations(sidecar) if sidecar.exists() else []
-    return to_network(doc, annotations)
+    return to_network(doc, read_oltc_csv(sidecar) if sidecar.exists() else [])
 
 
 def save_case_dir(case: NetworkCase, path: Path | str) -> list[Path]:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    doc, annotations = from_network(case)
+    doc, oltcs = from_network(case)
     case_m = path / "case.m"
     case_m.write_text(emit_case(doc))
     sidecar = path / "case.oltc.csv"
-    write_oltc_annotations(sidecar, annotations)
+    write_oltc_csv(sidecar, oltcs)
     return [case_m, sidecar]
 
 
@@ -632,15 +595,8 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
             for g in case.generators
         ],
     )
-    table(
-        "oltc.csv",
-        OLTC_CSV_HEADER.split(","),
-        [
-            [t.branch_ref, t.controlled_bus, _fmt(t.v_set), _fmt(t.deadband),
-             t.tap, t.tap_min, t.tap_max, _fmt(t.tap_step)]
-            for t in case.oltcs
-        ],
-    )
+    write_oltc_csv(sink / "oltc.csv", case.oltcs)
+    written.append(sink / "oltc.csv")
     return written
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import caseio
@@ -30,7 +31,7 @@ from .synth import (
     config_digest,
     generate,
 )
-from .templates import bundled_template_dir, load_bundle
+from .templates import bundled_template_dir
 
 
 class ConfigError(ValueError):
@@ -39,14 +40,20 @@ class ConfigError(ValueError):
         self.field = name
 
 
-_BOOL_FIELDS = {"constant_load", "random", "large_system", "run_opf"}
-_INT_FIELDS = {"rng_seed", "pf_max_iterations", "oltc_max_rounds", "opf_rounds"}
-_FLOAT_FIELDS = {
-    "penetration_level", "generation_split", "oversize", "oltc_v_set",
-    "pf_tolerance", "capacity_tolerance", "capacity_ceiling", "opf_v_slack",
-    "dn_v_min", "dn_v_max",
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number"}
+# key -> value type, from each field's default; the voltage-limit pair is
+# written as two scalar keys
+_FIELD_TYPES = {
+    f.name: type(f.default) for f in fields(SynthesisConfig) if f.name != "dn_v_limits"
 }
-_STR_FIELDS = {"export_format"}
+_FIELD_TYPES.update(dn_v_min=float, dn_v_max=float)
 
 
 def parse_config(path: Path) -> SynthesisConfig:
@@ -62,24 +69,13 @@ def parse_config(path: Path) -> SynthesisConfig:
         text = text.strip()
         if key in values:
             raise ConfigError(key, "assigned twice")
-        if key in _BOOL_FIELDS:
-            if text.lower() not in ("true", "false"):
-                raise ConfigError(key, f"expected true or false, got {text!r}")
-            values[key] = text.lower() == "true"
-        elif key in _INT_FIELDS:
-            try:
-                values[key] = int(text)
-            except ValueError:
-                raise ConfigError(key, f"expected an integer, got {text!r}") from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                values[key] = float(text)
-            except ValueError:
-                raise ConfigError(key, f"expected a number, got {text!r}") from None
-        elif key in _STR_FIELDS:
-            values[key] = text
-        else:
+        kind = _FIELD_TYPES.get(key)
+        if kind is None:
             raise ConfigError(key, "unknown field")
+        try:
+            values[key] = _PARSERS[kind](text)
+        except ValueError:
+            raise ConfigError(key, f"expected {_EXPECTED[kind]}, got {text!r}") from None
 
     v_min = values.pop("dn_v_min", None)
     v_max = values.pop("dn_v_max", None)
@@ -94,11 +90,11 @@ def parse_config(path: Path) -> SynthesisConfig:
     return cfg
 
 
-def _summary(result: GenerateResult, area_names: dict[int, str]) -> dict:
+def _summary(result: GenerateResult) -> dict:
     case = result.case
     pens = [inst.realized_penetration for inst in result.instances]
     per_area: dict[str, int] = {}
-    host_area = {b.id: area_names.get(b.area, str(b.area)) for b in case.buses}
+    host_area = {b.id: result.area_names.get(b.area, str(b.area)) for b in case.buses}
     for inst in result.instances:
         label = host_area.get(inst.host_tn_bus, str(inst.host_tn_bus))
         per_area[label] = per_area.get(label, 0) + 1
@@ -172,8 +168,7 @@ def _cmd_generate(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
 
-    area_names = load_bundle(templates / "mini-tn").meta.area_names
-    summary = _summary(result, area_names)
+    summary = _summary(result)
     (run_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

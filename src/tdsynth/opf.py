@@ -106,7 +106,12 @@ class OpfSolution:
 class RelaxationSchedule:
     rounds: int = 5                   # linear tightening steps, >= 1
     v_slack: float = 0.1              # initial widening of both voltage bounds
-    max_extra_rounds: int = 10        # tap-settling rounds after the last step
+
+
+# largest violation a solution called feasible may have (pu)
+FEASIBILITY_TOL = 1e-6
+# tap-settling rounds allowed after the last tightening step
+EXTRA_ROUNDS = 10
 
 
 def dispatch_cost(problem: OpfProblem, p_by_gen: dict[int, float]) -> float:
@@ -389,7 +394,6 @@ def solve_continuous(
     v_limits: tuple[np.ndarray, np.ndarray] | None = None,
     x0: np.ndarray | None = None,
     max_iterations: int = 400,
-    feasibility_tol: float = 1e-6,
 ) -> OpfSolution:
     """Minimize dispatch cost with the tap ratios frozen as they stand.
 
@@ -442,7 +446,7 @@ def solve_continuous(
         v_ang=va.copy(),
         taps=[t.tap for t in case.oltcs],
         objective=dispatch_cost(problem, p),
-        feasible=max_violation <= feasibility_tol,
+        feasible=max_violation <= FEASIBILITY_TOL,
         kkt_residual=kkt,
         max_violation=max_violation,
         iterations=ipm.iterations,
@@ -455,7 +459,6 @@ def solve_with_relaxation(
     problem: OpfProblem,
     schedule: RelaxationSchedule | None = None,
     trace_path: Path | None = None,
-    feasibility_tol: float = 1e-6,
 ) -> OpfSolution:
     """Outer loop coupling the continuous solve with one-step tap moves.
 
@@ -463,7 +466,9 @@ def solve_with_relaxation(
     whole round passes with no tap motion; a solution already inside the
     final bounds short-circuits the remaining tightening steps.  Taps freeze
     individually on direction reversal, and the total number of rounds is
-    capped, mirroring the power-flow regulation safeguards.
+    capped, mirroring the power-flow regulation safeguards: a run that
+    reaches the cap ends with one more solve at the final bounds that moves
+    no tap.
     """
     schedule = schedule or RelaxationSchedule()
     if schedule.rounds < 1:
@@ -471,87 +476,52 @@ def solve_with_relaxation(
     work = problem.case.clone()
     for t in work.oltcs:
         t.sync_branch(work)
+    sub = OpfProblem(
+        case=work, v_min=problem.v_min, v_max=problem.v_max,
+        dispatchable=problem.dispatchable,
+    )
 
     stepper = TapStepper(work)
     trace: list[dict] = []
     warm = None
-    sol = None
     iterations, converged = 0, True
-    rounds_cap = schedule.rounds + schedule.max_extra_rounds
-    k = 0
-    while True:
+    cap = schedule.rounds + EXTRA_ROUNDS
+    for k in range(cap + 1):
         step = min(k, schedule.rounds - 1)
         if schedule.rounds > 1:
             slack = schedule.v_slack * (1.0 - step / (schedule.rounds - 1))
         else:
             slack = 0.0
-        lo = problem.v_min - slack
-        hi = problem.v_max + slack
-
-        sub = OpfProblem(
-            case=work, v_min=problem.v_min, v_max=problem.v_max,
-            dispatchable=problem.dispatchable,
-        )
         sol = solve_continuous(
-            sub, v_limits=(lo, hi), x0=warm, feasibility_tol=feasibility_tol
+            sub, v_limits=(problem.v_min - slack, problem.v_max + slack), x0=warm
         )
         iterations += sol.iterations
         converged = converged and sol.converged
-        if sol.max_violation > max(1e-4, feasibility_tol):
+        # round `cap` only re-solves at the final bounds: it neither raises
+        # on its violation nor moves a tap
+        if sol.max_violation > 1e-4 and k < cap:
             raise RelaxationError(k, (slack, slack))
         warm = sol.raw_x
 
-        deltas = stepper.propose(sol.v_mag)
+        v_gap = float(np.max(np.maximum(problem.v_min - sol.v_mag,
+                                        sol.v_mag - problem.v_max), initial=0.0))
+        final_viol = max(sol.max_violation, v_gap)
+        deltas = stepper.propose(sol.v_mag) if k < cap else [0] * len(work.oltcs)
         moved = sum(1 for d in deltas if d)
-
-        within_final = bool(
-            np.all(sol.v_mag >= problem.v_min - feasibility_tol)
-            and np.all(sol.v_mag <= problem.v_max + feasibility_tol)
-        )
         trace.append(
             {
                 "round": k,
                 "objective": sol.objective,
-                "max_violation": max(
-                    sol.max_violation,
-                    float(np.max(np.maximum(problem.v_min - sol.v_mag,
-                                            sol.v_mag - problem.v_max), initial=0.0)),
-                ),
+                "max_violation": final_viol,
                 "taps_moved": moved,
                 "taps": [t.tap for t in work.oltcs],
                 "v_slack": slack,
             }
         )
-
-        k += 1
-        if moved == 0 and (slack == 0.0 or within_final):
+        if moved == 0 and (slack == 0.0 or v_gap <= FEASIBILITY_TOL):
             break
         stepper.apply(deltas)
-        if k >= rounds_cap:
-            sub = OpfProblem(
-                case=work, v_min=problem.v_min, v_max=problem.v_max,
-                dispatchable=problem.dispatchable,
-            )
-            sol = solve_continuous(sub, x0=warm, feasibility_tol=feasibility_tol)
-            iterations += sol.iterations
-            converged = converged and sol.converged
-            trace.append(
-                {
-                    "round": k,
-                    "objective": sol.objective,
-                    "max_violation": sol.max_violation,
-                    "taps_moved": 0,
-                    "taps": [t.tap for t in work.oltcs],
-                    "v_slack": 0.0,
-                }
-            )
-            break
 
-    final_viol = max(
-        sol.max_violation,
-        float(np.max(np.maximum(problem.v_min - sol.v_mag,
-                                sol.v_mag - problem.v_max), initial=0.0)),
-    )
     taps_ok = all(t.tap_min <= t.tap <= t.tap_max for t in work.oltcs)
     result = OpfSolution(
         p=sol.p,
@@ -560,12 +530,12 @@ def solve_with_relaxation(
         v_ang=sol.v_ang,
         taps=[t.tap for t in work.oltcs],
         objective=sol.objective,
-        feasible=bool(final_viol <= feasibility_tol and taps_ok),
+        feasible=bool(final_viol <= FEASIBILITY_TOL and taps_ok),
         kkt_residual=sol.kkt_residual,
         max_violation=final_viol,
         iterations=iterations,
         converged=converged,
-        relaxation_rounds=k,
+        relaxation_rounds=min(k + 1, cap),  # the closing solve at the cap is no round
         trace=trace,
     )
     if trace_path is not None:

@@ -20,23 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import caseio
-from .netmodel import (
-    Branch,
-    Bus,
-    BusKind,
-    Generator,
-    GenKind,
-    NetworkCase,
-    OltcTransformer,
-    total_load,
-    validate,
-)
+from .netmodel import BusKind, GenKind, NetworkCase, total_load, validate
 from .oltc import RegulationError, RegulationReport, regulate
 from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve
 from .templates import TemplateBundle, load_bundle
@@ -135,6 +125,8 @@ class DnInstance:
     dg_allocation: dict[int, float]  # generator index -> active output
     boundary_p: float                # active import from the host at the end
     import_mismatch: float           # relative, after the import-matching loop
+    # relative, after the constant-load loop; None when that loop did not run
+    constant_load_mismatch: float | None
     regulation: RegulationReport | None = None
 
 
@@ -378,6 +370,7 @@ def customize_dn(
     else:
         allocation = {i: 0.0 for i in ctrl + pv}
 
+    constant_load_mismatch = None
     if cfg.constant_load and dg_total > 0:
         # grow active demand until the boundary import is back where it was
         # before the DGs came in; reactive demand stays untouched
@@ -393,6 +386,7 @@ def customize_dn(
             if abs(boundary - pre_dg_import) <= 1e-3 * abs(pre_dg_import):
                 break
             addition += pre_dg_import - boundary
+        constant_load_mismatch = abs(boundary - pre_dg_import) / abs(pre_dg_import)
 
     sol, report = regulate(case, solver, max_rounds=cfg.oltc_max_rounds)
     boundary = float(sol.p_inj[slack_pos])
@@ -407,6 +401,7 @@ def customize_dn(
         dg_allocation=allocation,
         boundary_p=boundary,
         import_mismatch=import_mismatch,
+        constant_load_mismatch=constant_load_mismatch,
         regulation=report,
     )
 
@@ -438,69 +433,25 @@ def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
             if b.id == slack_bus.id:
                 continue
             id_map[b.id] = next_id
-            combined.buses.append(
-                Bus(
-                    id=next_id,
-                    kind=BusKind.PQ,
-                    p_load=b.p_load,
-                    q_load=b.q_load,
-                    g_shunt=b.g_shunt,
-                    b_shunt=b.b_shunt,
-                    v_mag=b.v_mag,
-                    v_ang=b.v_ang + shift,
-                    base_kv=b.base_kv,
-                    v_max=b.v_max,
-                    v_min=b.v_min,
-                    area=host.area,
-                    name=f"dn:{host.id}:{inst.copy_index}:{b.id}",
-                )
-            )
+            combined.buses.append(replace(
+                b, id=next_id, kind=BusKind.PQ, v_ang=b.v_ang + shift, area=host.area,
+                name=f"dn:{host.id}:{inst.copy_index}:{b.id}",
+            ))
             next_id += 1
 
         branch_offset = len(combined.branches)
-        for br in src.branches:
-            nb = Branch(
-                from_bus=id_map[br.from_bus],
-                to_bus=id_map[br.to_bus],
-                r=br.r,
-                x=br.x,
-                b_charging=br.b_charging,
-                ratio=br.ratio,
-                phase_shift=br.phase_shift,
-                rate_a=br.rate_a,
-                status=br.status,
-            )
-            combined.branches.append(nb)
-
-        for g in src.generators:
-            if g.bus_id == slack_bus.id:
-                continue  # the boundary source dies with the boundary bus
-            ng = Generator(
-                bus_id=id_map[g.bus_id],
-                p=g.p,
-                q=g.q,
-                p_min=g.p_min,
-                p_max=g.p_max,
-                q_min=g.q_min,
-                q_max=g.q_max,
-                v_set=g.v_set,
-                controllable=g.controllable,
-                kind=g.kind,
-                cost=g.cost,
-            )
-            combined.generators.append(ng)
-
+        combined.branches += [
+            replace(br, from_bus=id_map[br.from_bus], to_bus=id_map[br.to_bus])
+            for br in src.branches
+        ]
+        # the boundary source dies with the boundary bus
+        combined.generators += [
+            replace(g, bus_id=id_map[g.bus_id])
+            for g in src.generators if g.bus_id != slack_bus.id
+        ]
         for t in src.oltcs:
-            nt = OltcTransformer(
-                branch_ref=t.branch_ref + branch_offset,
-                controlled_bus=id_map[t.controlled_bus],
-                v_set=t.v_set,
-                deadband=t.deadband,
-                tap=t.tap,
-                tap_min=t.tap_min,
-                tap_max=t.tap_max,
-                tap_step=t.tap_step,
-            )
+            nt = replace(t, branch_ref=t.branch_ref + branch_offset,
+                         controlled_bus=id_map[t.controlled_bus])
             combined.oltcs.append(nt)
             nt.sync_branch(combined)
 
@@ -530,6 +481,7 @@ class GenerateResult:
     instances: list[DnInstance]
     capacity: CapacityResult
     selected: list[tuple[int, float, float]]
+    area_names: dict[int, str]      # zone labels the loads were selected by
     tn_solution: PowerFlowSolution
     solution: PowerFlowSolution
     regulation: RegulationReport
@@ -675,6 +627,7 @@ def generate(
         instances=instances,
         capacity=capacity,
         selected=selected,
+        area_names=area_names,
         tn_solution=tn_solution,
         solution=solution,
         regulation=regulation,
@@ -708,6 +661,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "boundary_import_pu": inst.boundary_p,
             "final_taps": [t.tap for t in inst.case.oltcs],
             "import_mismatch": inst.import_mismatch,
+            "constant_load_mismatch": inst.constant_load_mismatch,
             "regulation_settled": inst.regulation.settled,
         }
         for inst in instances

@@ -15,7 +15,7 @@ from tdsynth.netmodel import (
     NetworkCase,
     OltcTransformer,
 )
-from tdsynth.caseio import CaseDocument
+from tdsynth.caseio import CaseDocument, emit_case, parse_case, save_case_dir
 from tdsynth.powerflow import SolverOptions, solve
 
 
@@ -323,3 +323,51 @@ def grid_search_dispatch_cost(
                 )
                 best = min(best, cost)
     return best
+
+
+def _unknown_gen_kind_code(bundle) -> None:
+    doc = parse_case((bundle / "case.m").read_text())
+    doc.matrices["gen_kind"][0][0] = 7.0
+    (bundle / "case.m").write_text(emit_case(doc))
+
+
+def _short_gencost_rows(bundle) -> None:
+    doc = parse_case((bundle / "case.m").read_text())
+    doc.matrices["gencost"] = [row[:6] for row in doc.matrices["gencost"]]
+    (bundle / "case.m").write_text(emit_case(doc))
+
+
+def _sidecar_rows(bundle) -> list[list[str]]:
+    return [line.split(",") for line in (bundle / "case.oltc.csv").read_text().splitlines()]
+
+
+def _write_sidecar_rows(bundle, rows) -> None:
+    (bundle / "case.oltc.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+
+
+def _sidecar_without_deadband(bundle) -> None:
+    rows = _sidecar_rows(bundle)
+    col = rows[0].index("deadband")
+    _write_sidecar_rows(bundle, [r[:col] + r[col + 1:] for r in rows])
+
+
+def _sidecar_controls_absent_bus(bundle) -> None:
+    rows = _sidecar_rows(bundle)
+    rows[1][1] = "999"
+    _write_sidecar_rows(bundle, rows)
+
+
+# name -> (edit of a saved bundle, what the load error says)
+MALFORMED_BUNDLES = {
+    "unknown-gen-kind-code": (_unknown_gen_kind_code, "gen_kind row 0"),
+    "short-gencost-row": (_short_gencost_rows, "gencost row 0"),
+    "sidecar-missing-column": (_sidecar_without_deadband, "header must be"),
+    "sidecar-absent-controlled-bus": (_sidecar_controls_absent_bus, "absent bus 999"),
+}
+
+
+def write_malformed_bundle(case: NetworkCase, dest, name: str):
+    """Save ``case`` under ``dest``, then break it as MALFORMED_BUNDLES[name] says."""
+    save_case_dir(case, dest)
+    MALFORMED_BUNDLES[name][0](dest)
+    return dest

@@ -1,21 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tdsynth import caseio
 from tdsynth.caseio import (
     CaseParseError,
-    OltcAnnotation,
     StructuralError,
     emit_case,
     export,
     from_network,
+    load_case_dir,
     parse_case,
     register_exporter,
     to_network,
 )
 from tdsynth.netmodel import GenKind, OltcTransformer
 
-from helpers import random_document, two_bus_case
+from helpers import MALFORMED_BUNDLES, random_document, two_bus_case, write_malformed_bundle
 
 MINIMAL = """mpc.baseMVA = 100;
 mpc.bus = [
@@ -144,13 +146,13 @@ def test_oltc_annotation_passthrough_and_errors():
     doc.matrices["branch"] = [
         [1.0, 1.0, 0.01, 0.1, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, -360.0, 360.0]
     ]
-    ann = OltcAnnotation(0, 1, 1.02, 0.02, 3, -16, 16, 0.01)
+    ann = OltcTransformer(0, 1, 1.02, 0.02, 3, -16, 16, 0.01)
     case = to_network(doc, [ann])
     assert case.oltcs[0].deadband == 0.02
     assert case.branches[0].ratio == pytest.approx(1.03)  # 1 + tap * step wins
 
     with pytest.raises(StructuralError, match="absent branch"):
-        to_network(doc, [OltcAnnotation(5, 1, 1.02, 0.02, 0, -16, 16, 0.01)])
+        to_network(doc, [OltcTransformer(5, 1, 1.02, 0.02, 0, -16, 16, 0.01)])
 
 
 def test_oltc_tap_emits_synced_ratio():
@@ -233,3 +235,30 @@ def test_custom_exporter_registry(tn_bundle, tmp_path):
 
     with pytest.raises(caseio.ExporterError, match="matpower"):
         export(tn_bundle.case, "does-not-exist", tmp_path)
+
+
+def test_to_network_copies_the_tap_records_it_is_given(dn_bundle):
+    doc, oltcs = from_network(dn_bundle.case)
+    before = [replace(t) for t in oltcs]
+    case = to_network(doc, oltcs)
+    case.oltcs[0].tap += 1
+    case.oltcs[0].v_set = 0.9
+    assert oltcs == before
+    _, again = from_network(case)
+    again[0].tap -= 1
+    assert case.oltcs[0].tap == before[0].tap + 1
+
+
+def test_flat_oltc_csv_equals_the_sidecar(dn_bundle, tmp_path):
+    export(dn_bundle.case, "flat", tmp_path / "flat")
+    export(dn_bundle.case, "matpower", tmp_path / "matpower")
+    flat = (tmp_path / "flat" / "oltc.csv").read_bytes()
+    assert flat == (tmp_path / "matpower" / "case.oltc.csv").read_bytes()
+    assert flat.startswith(b"branch_index,controlled_bus,v_set,deadband,tap,")
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundle_is_structural(name, dn_bundle, tmp_path):
+    bundle = write_malformed_bundle(dn_bundle.case, tmp_path / name, name)
+    with pytest.raises(StructuralError, match=MALFORMED_BUNDLES[name][1]):
+        load_case_dir(bundle)

@@ -1,9 +1,15 @@
 import json
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from tdsynth.cli import ConfigError, main, parse_config
+from tdsynth.synth import SynthesisConfig
+from tdsynth.templates import bundled_template_dir
+
+from helpers import MALFORMED_BUNDLES, write_malformed_bundle
 
 CONF_ROOT = Path(__file__).resolve().parent.parent / "configs" / "default.conf"
 
@@ -159,3 +165,42 @@ def test_inspect_reports_a_failed_solve_with_exit_code_1(tmp_path, capsys):
     save_case_dir(two_slacks, tmp_path / "two-slacks")
     assert main(["inspect", str(tmp_path / "two-slacks")]) == 1
     assert "exactly one slack bus" in capsys.readouterr().err
+
+
+_WRONG = {bool: "maybe", int: "1.5", float: "abc", str: "no-such-format"}
+_SCALAR_FIELDS = [f for f in fields(SynthesisConfig) if f.name != "dn_v_limits"]
+
+
+@pytest.mark.parametrize("field", _SCALAR_FIELDS, ids=lambda f: f.name)
+def test_config_accepts_and_type_checks_every_field(field, tmp_path):
+    text = str(field.default).lower() if type(field.default) is bool else str(field.default)
+    cfg = parse_config(_write(tmp_path, f"{field.name} = {text}\n"))
+    assert getattr(cfg, field.name) == field.default
+    with pytest.raises(ConfigError, match=field.name):
+        parse_config(_write(tmp_path, f"{field.name} = {_WRONG[type(field.default)]}\n"))
+
+
+def test_config_sets_voltage_limits_by_two_keys_only(tmp_path):
+    cfg = parse_config(_write(tmp_path, "dn_v_min = 0.9\ndn_v_max = 1.1\n"))
+    assert cfg.dn_v_limits == (0.9, 1.1)
+    with pytest.raises(ConfigError, match="dn_v_limits.*unknown field"):
+        parse_config(_write(tmp_path, "dn_v_limits = 0.9\n"))
+
+
+def test_summary_labels_areas_without_meta_csv(tmp_path):
+    templates = tmp_path / "templates"
+    shutil.copytree(bundled_template_dir(), templates)
+    (templates / "mini-tn" / "meta.csv").unlink()
+    conf = _write(tmp_path, "penetration_level = 0.5\n")
+    assert main(["generate", str(conf), "--out", str(tmp_path / "out"),
+                 "--templates", str(templates)]) == 0
+    summary = json.loads((next((tmp_path / "out").iterdir()) / "summary.json").read_text())
+    assert summary["dn_instances_per_area"] == {"Central": 2, "North": 1}
+
+
+def test_inspect_rejects_malformed_bundles_with_exit_code_1(dn_bundle, tmp_path, capsys):
+    for name in sorted(MALFORMED_BUNDLES):
+        bundle = write_malformed_bundle(dn_bundle.case, tmp_path / name, name)
+        capsys.readouterr()
+        assert main(["inspect", str(bundle)]) == 1, name
+        assert "cannot load case bundle" in capsys.readouterr().err, name

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tdsynth.netmodel import Branch, Bus, BusKind, Generator, NetworkCase
+from tdsynth.netmodel import Branch, Bus, BusKind, Generator, NetworkCase, OltcTransformer
 from tdsynth.opf import (
+    EXTRA_ROUNDS,
     OpfProblem,
     RelaxationError,
     RelaxationSchedule,
@@ -201,3 +202,21 @@ def test_singular_kkt_is_reported_not_silent():
     sol = solve_continuous(problem)
     assert sol.iterations == 0
     assert not sol.converged and not sol.feasible
+
+
+def test_relaxation_round_cap_ends_with_a_final_bound_solve(tmp_path):
+    # an unreachable setpoint keeps the tap stepping up every round, so only
+    # the round cap ends the loop
+    case = three_bus_opf_case()
+    case.oltcs.append(OltcTransformer(branch_ref=1, controlled_bus=3, v_set=0.5))
+    case.oltcs[0].sync_branch(case)
+    problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
+    schedule = RelaxationSchedule(rounds=3, v_slack=0.05)
+    sol = solve_with_relaxation(problem, schedule, trace_path=tmp_path / "trace.csv")
+    cap = schedule.rounds + EXTRA_ROUNDS
+    assert sol.relaxation_rounds == cap
+    assert [row["taps_moved"] for row in sol.trace] == [1] * cap + [0]
+    assert sol.trace[-1]["v_slack"] == 0.0
+    assert sol.taps == [cap]
+    assert sol.feasible and sol.converged
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == cap + 2

@@ -319,3 +319,12 @@ def test_generate_random_streams_survive_selection_change(template_dir):
     }
     for key, value in small_pens.items():
         assert large_pens[key] == value
+
+
+def test_manifest_records_the_constant_load_residual(run_pipeline):
+    grown = run_pipeline(SynthesisConfig(penetration_level=0.5, constant_load=True))
+    for rec, inst in zip(grown.manifest["instances"], grown.instances):
+        assert rec["constant_load_mismatch"] == inst.constant_load_mismatch
+        assert 0.0 <= inst.constant_load_mismatch <= 1e-3  # the loop met its target
+    plain = run_pipeline(SynthesisConfig(penetration_level=0.5))
+    assert all(rec["constant_load_mismatch"] is None for rec in plain.manifest["instances"])
