@@ -122,9 +122,6 @@ class _Parser:
         self.tokens = [t for t in _tokenize(text)]
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
     def next(self, skip_nl: bool = True):
         while skip_nl and self.tokens[self.i][0] == "nl":
             self.i += 1
@@ -490,7 +487,11 @@ def read_oltc_csv(path: Path) -> list[OltcTransformer]:
             raise StructuralError(
                 f"{path.name} row {i} has {len(row)} cells, needs {len(OLTC_CSV_HEADER)}"
             )
-        out.append(OltcTransformer(*(kind(cell) for kind, cell in zip(_OLTC_TYPES, row))))
+        values = [kind(cell) for kind, cell in zip(_OLTC_TYPES, row)]
+        bad = [n for n, v in zip(OLTC_CSV_HEADER, values) if not math.isfinite(v)]
+        if bad:
+            raise StructuralError(f"{path.name} row {i}: non-finite {', '.join(bad)}")
+        out.append(OltcTransformer(*values))
     return out
 
 

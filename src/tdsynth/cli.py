@@ -162,7 +162,6 @@ def _cmd_generate(args) -> int:
             templates / "mini-dn",
             cfg,
             out_dir=run_dir,
-            jobs=args.jobs,
         )
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
@@ -233,7 +232,6 @@ def main(argv: list[str] | None = None) -> int:
     gen.add_argument("--templates", help="directory with mini-tn/ and mini-dn/ bundles")
     gen.add_argument("--out", default="output", help="output root (default: ./output)")
     gen.add_argument("--seed", type=int, help="override rng_seed from the config")
-    gen.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     gen.set_defaults(func=_cmd_generate)
 
     ins = sub.add_parser("inspect", help="load a case bundle and print its state")

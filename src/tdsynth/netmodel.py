@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -209,9 +210,11 @@ def validate(case: NetworkCase) -> ValidationReport:
             out.append(f"oltc {i}: dangling branch reference {t.branch_ref}")
         if t.controlled_bus not in known:
             out.append(f"oltc {i}: dangling controlled-bus reference {t.controlled_bus}")
-        if t.deadband <= 0:
+        if not math.isfinite(t.v_set):
+            out.append(f"oltc {i}: v_set must be finite, got {t.v_set}")
+        if not t.deadband > 0:
             out.append(f"oltc {i}: deadband must be positive, got {t.deadband}")
-        if t.tap_step <= 0:
+        if not t.tap_step > 0:
             out.append(f"oltc {i}: tap_step must be positive, got {t.tap_step}")
         if not t.tap_min <= t.tap <= t.tap_max:
             out.append(f"oltc {i}: tap {t.tap} outside [{t.tap_min}, {t.tap_max}]")

@@ -13,7 +13,7 @@ distribution feeders with high R/X ratios defeat the fast-decoupled shortcuts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +43,6 @@ class SingularJacobianError(PowerFlowError):
 class SolverOptions:
     tolerance: float = 1e-8      # max |S_calc - S_spec| accepted, per unit
     max_iterations: int = 20
-    enforce_q_limits: bool = False
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -63,7 +62,6 @@ class PowerFlowSolution:
     converged: bool
     iterations: int
     max_mismatch: float
-    pq_switched: list[int] = field(default_factory=list)  # bus ids demoted PV->PQ
     mismatch_bus: int | None = None  # bus id holding max_mismatch; None if no unknowns
 
 
@@ -221,8 +219,10 @@ def _mismatch(Ybus, V, Sbus, pvpq, pq) -> np.ndarray:
 
 
 def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolution:
-    """Newton-Raphson solve.  The case itself is never mutated; use
-    :func:`apply_solution` to store the result between solver calls."""
+    """Newton-Raphson solve with fixed bus types: a PV bus holds its voltage
+    setpoint whatever reactive output that takes.  The case itself is never
+    mutated; use :func:`apply_solution` to store the result between solver
+    calls."""
     opts = opts or SolverOptions()
     slacks = case.slack_buses()
     if len(slacks) != 1:
@@ -230,19 +230,6 @@ def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolu
     if len(islands(case)) != 1:
         raise PowerFlowError("network is not connected")
 
-    if opts.enforce_q_limits:
-        return _solve_with_q_limits(case, opts)
-    return _solve_fixed_types(case, opts)
-
-
-def _solve_fixed_types(
-    case: NetworkCase,
-    opts: SolverOptions,
-    demoted: dict[int, float] | None = None,
-) -> PowerFlowSolution:
-    """One NR run with fixed bus types.  ``demoted`` maps PV bus ids that are
-    treated as PQ to the reactive injection pinned at a limit."""
-    demoted = demoted or {}
     n = len(case.buses)
     idx = case.bus_index()
     br = _branch_terms(case, idx)
@@ -250,30 +237,14 @@ def _solve_fixed_types(
     Sbus = _specified_injection(case)
     vset = _setpoint_voltages(case)
 
-    slack_bus = case.slack_buses()[0]
-    kind = []
-    for b in case.buses:
-        if b.kind is BusKind.PV and b.id in demoted:
-            kind.append(BusKind.PQ)
-        else:
-            kind.append(b.kind)
-    for bus_id, q_fixed in demoted.items():
-        b = case.bus(bus_id)
-        Sbus[idx[bus_id]] = complex(
-            sum(g.p for g in case.gens_at(bus_id)) - b.p_load, q_fixed - b.q_load
-        )
-
-    pv = np.array([i for i, k in enumerate(kind) if k is BusKind.PV], dtype=int)
-    pq = np.array([i for i, k in enumerate(kind) if k is BusKind.PQ], dtype=int)
+    pv = np.array([i for i, b in enumerate(case.buses) if b.kind is BusKind.PV], dtype=int)
+    pq = np.array([i for i, b in enumerate(case.buses) if b.kind is BusKind.PQ], dtype=int)
     pvpq = np.concatenate([pv, pq])
 
     vm = np.array([b.v_mag for b in case.buses], dtype=float)
     va = np.array([b.v_ang for b in case.buses], dtype=float)
     for bus_id, v in vset.items():
-        if bus_id not in demoted:  # demoted buses keep their starting magnitude
-            vm[idx[bus_id]] = v
-    vm[idx[slack_bus.id]] = vset[slack_bus.id]
-    va[idx[slack_bus.id]] = slack_bus.v_ang
+        vm[idx[bus_id]] = v
 
     V = vm * np.exp(1j * va)
     F = _mismatch(Ybus, V, Sbus, pvpq, pq)
@@ -313,65 +284,33 @@ def _solve_fixed_types(
         converged=converged,
         iterations=iterations,
         max_mismatch=max_mismatch,
-        pq_switched=sorted(demoted),
         mismatch_bus=mismatch_bus,
     )
 
 
-def _solve_with_q_limits(case: NetworkCase, opts: SolverOptions) -> PowerFlowSolution:
-    """Outer PV->PQ switching loop: after each converged solve, pin any PV bus
-    whose implied generator reactive output leaves its range."""
-    idx = case.bus_index()
-    demoted: dict[int, float] = {}
-    sol = _solve_fixed_types(case, opts, demoted)
-    for _ in range(10):
-        if not sol.converged:
-            return sol
-        changed = False
-        for b in case.buses:
-            if b.kind is not BusKind.PV or b.id in demoted:
-                continue
-            gens = [g for g in case.gens_at(b.id) if g.controllable]
-            if not gens:
-                continue
-            q_gen = sol.q_inj[idx[b.id]] + b.q_load
-            q_min = sum(g.q_min for g in gens)
-            q_max = sum(g.q_max for g in gens)
-            if q_gen < q_min - opts.tolerance:
-                demoted[b.id] = q_min
-                changed = True
-            elif q_gen > q_max + opts.tolerance:
-                demoted[b.id] = q_max
-                changed = True
-        if not changed:
-            return sol
-        sol = _solve_fixed_types(case, opts, demoted)
-    return sol
-
-
 def apply_solution(case: NetworkCase, sol: PowerFlowSolution) -> None:
-    """Write a solution back onto the case: voltages, then the slack P and
-    PV/slack Q spread over the controllable generators at each bus."""
+    """Write a solution back onto the case: every bus voltage, and at each
+    slack/PV bus its Q (at the slack also its P) spread over the bus's
+    controllable generators."""
     idx = case.bus_index()
     for b in case.buses:
         i = idx[b.id]
         b.v_mag = float(sol.v_mag[i])
         b.v_ang = float(sol.v_ang[i])
-    for b in case.buses:
         if b.kind is BusKind.PQ:
             continue
-        i = idx[b.id]
-        gens = [g for g in case.gens_at(b.id) if g.controllable]
+        at_bus = case.gens_at(b.id)
+        gens = [g for g in at_bus if g.controllable]
         if not gens:
             continue
         q_total = float(sol.q_inj[i]) + b.q_load
-        fixed_q = sum(g.q for g in case.gens_at(b.id) if not g.controllable)
+        fixed_q = sum(g.q for g in at_bus if not g.controllable)
         share_q = (q_total - fixed_q) / len(gens)
         for g in gens:
             g.q = share_q
         if b.kind is BusKind.SLACK:
             p_total = float(sol.p_inj[i]) + b.p_load
-            fixed_p = sum(g.p for g in case.gens_at(b.id) if not g.controllable)
+            fixed_p = sum(g.p for g in at_bus if not g.controllable)
             share_p = (p_total - fixed_p) / len(gens)
             for g in gens:
                 g.p = share_p

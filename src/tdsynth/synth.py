@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from . import caseio
 from .netmodel import BusKind, GenKind, NetworkCase, total_load, validate
 from .oltc import RegulationError, RegulationReport, regulate
 from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve
-from .templates import TemplateBundle, load_bundle
+from .templates import load_bundle
 
 DEFAULT_AREA_NAMES = {1: "Equiv", 2: "North", 3: "Central", 4: "South"}
 
@@ -497,17 +498,26 @@ def config_digest(cfg: SynthesisConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:10]
 
 
+@contextmanager
+def _stage(name: str):
+    """Tags any failure inside the block with pipeline stage ``name``; a
+    failure that already carries a stage keeps it."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
+
+
 def generate(
     tn_path: Path | str,
     dn_path: Path | str,
     cfg: SynthesisConfig,
     out_dir: Path | str | None = None,
-    jobs: int = 1,
 ) -> GenerateResult:
     """Run the full pipeline; deterministic for a given (templates, cfg).
-
-    ``jobs`` is accepted for compatibility and has no effect: replicas are
-    built one after another, which measured faster than any thread pool."""
+    Every failure raises :class:`PipelineError` tagged with its stage."""
     problems = cfg.field_errors()
     if problems:
         raise PipelineError(
@@ -515,38 +525,30 @@ def generate(
         )
     solver = cfg.solver_options()
 
-    def stage(name):
-        def wrap(fn, *args, **kw):
-            try:
-                return fn(*args, **kw)
-            except PipelineError:
-                raise
-            except Exception as exc:
-                raise PipelineError(name, str(exc)) from exc
-        return wrap
-
-    tn_bundle: TemplateBundle = stage("load-tn")(load_bundle, tn_path)
+    with _stage("load-tn"):
+        tn_bundle = load_bundle(tn_path)
     tn = tn_bundle.case.clone()
-    tn_solution = stage("tn-solve")(solve, tn, solver)
+    with _stage("tn-solve"):
+        tn_solution = solve(tn, solver)
     if not tn_solution.converged:
         raise PipelineError("tn-solve", "transmission power flow did not converge")
     apply_solution(tn, tn_solution)
 
     area_names = tn_bundle.meta.area_names or DEFAULT_AREA_NAMES
-    selected = stage("select-loads")(
-        select_replaceable_loads, tn, cfg.large_system, area_names
-    )
+    with _stage("select-loads"):
+        selected = select_replaceable_loads(tn, cfg.large_system, area_names)
 
-    dn_bundle: TemplateBundle = stage("load-dn")(load_bundle, dn_path)
-    capacity = stage("capacity")(
-        dn_max_capacity,
-        dn_bundle.case,
-        cfg.dn_v_limits,
-        tolerance=cfg.capacity_tolerance,
-        ceiling=cfg.capacity_ceiling,
-        solver=solver,
-        max_rounds=cfg.oltc_max_rounds,
-    )
+    with _stage("load-dn"):
+        dn_bundle = load_bundle(dn_path)
+    with _stage("capacity"):
+        capacity = dn_max_capacity(
+            dn_bundle.case,
+            cfg.dn_v_limits,
+            tolerance=cfg.capacity_tolerance,
+            ceiling=cfg.capacity_ceiling,
+            solver=solver,
+            max_rounds=cfg.oltc_max_rounds,
+        )
 
     tn_idx = tn.bus_index()
     plan: list[tuple[int, int, float, float]] = []  # host bus, copy, target_p, host_v
@@ -556,29 +558,22 @@ def generate(
         for copy_index in range(count):
             plan.append((bus_id, copy_index, p_load / count, host_v))
 
-    try:
+    with _stage("customize"):
         instances = [
             customize_dn(dn_bundle.case, target_p, cfg, _rng_for(cfg, bus_id, copy_index),
                          source_v=host_v, host_bus=bus_id, copy_index=copy_index)
             for bus_id, copy_index, target_p, host_v in plan
         ]
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("customize", str(exc)) from exc
 
-    combined = stage("assemble")(assemble, tn, instances)
-    try:
-        solution, regulation = regulate(
-            combined, solver, max_rounds=cfg.oltc_max_rounds
-        )
-    except RegulationError as exc:
-        raise PipelineError("combined-solve", str(exc)) from exc
+    with _stage("assemble"):
+        combined = assemble(tn, instances)
+    with _stage("combined-solve"):
+        solution, regulation = regulate(combined, solver, max_rounds=cfg.oltc_max_rounds)
     if not solution.converged:
-        worst = _worst_bus(combined, solution)
         raise PipelineError(
             "combined-solve",
-            f"combined power flow did not converge (worst mismatch near {worst})",
+            "combined power flow did not converge "
+            f"(worst mismatch near {_worst_bus(combined, solution)})",
         )
     apply_solution(combined, solution)
 
@@ -586,41 +581,38 @@ def generate(
     if cfg.run_opf:
         from . import opf as opf_mod
 
-        def run_opf():
+        with _stage("opf"):
             problem = opf_mod.OpfProblem.from_case(combined)
             schedule = opf_mod.RelaxationSchedule(
                 rounds=cfg.opf_rounds, v_slack=cfg.opf_v_slack
             )
-            trace = (
-                Path(out_dir) / "opf_trace.csv" if out_dir is not None else None
-            )
+            trace = Path(out_dir) / "opf_trace.csv" if out_dir is not None else None
             if trace is not None:
                 trace.parent.mkdir(parents=True, exist_ok=True)
-            sol = opf_mod.solve_with_relaxation(problem, schedule, trace_path=trace)
-            opf_mod.apply_opf_solution(combined, problem, sol)
+            opf_solution = opf_mod.solve_with_relaxation(problem, schedule, trace_path=trace)
+            opf_mod.apply_opf_solution(combined, problem, opf_solution)
             # plain re-solve: the optimized taps are pinned, the deadband rule
             # already had its say inside the relaxation loop
-            nonlocal solution
             solution = solve(combined, solver)
+            if not solution.converged:
+                raise PipelineError(
+                    "opf",
+                    "power flow at the optimized dispatch did not converge "
+                    f"(worst mismatch near {_worst_bus(combined, solution)})",
+                )
             apply_solution(combined, solution)
-            return sol
-
-        opf_solution = stage("opf")(run_opf)
 
     manifest = _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solution)
 
     written: list[Path] = []
     resolved_out = Path(out_dir) if out_dir is not None else None
     if resolved_out is not None:
-        def do_export():
+        with _stage("export"):
             resolved_out.mkdir(parents=True, exist_ok=True)
-            files = caseio.export(combined, cfg.export_format, resolved_out)
+            written = caseio.export(combined, cfg.export_format, resolved_out)
             manifest_path = resolved_out / "manifest.json"
             manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-            files.append(manifest_path)
-            return files
-
-        written = stage("export")(do_export)
+            written.append(manifest_path)
 
     return GenerateResult(
         case=combined,

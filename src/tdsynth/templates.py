@@ -29,12 +29,6 @@ from .netmodel import NetworkCase
 class TemplateMeta:
     area_names: dict[int, str] = field(default_factory=dict)
 
-    def area_code(self, label: str) -> int | None:
-        for code, name in self.area_names.items():
-            if name == label:
-                return code
-        return None
-
 
 @dataclass
 class TemplateBundle:

@@ -33,11 +33,11 @@ _GENERATE_CACHE: dict[str, object] = {}
 def run_pipeline(template_dir):
     """Session-cached generate() so the sweep cases are built once."""
 
-    def run(cfg: SynthesisConfig, jobs: int = 1):
+    def run(cfg: SynthesisConfig):
         key = config_digest(cfg)
         if key not in _GENERATE_CACHE:
             _GENERATE_CACHE[key] = generate(
-                template_dir / "mini-tn", template_dir / "mini-dn", cfg, jobs=jobs
+                template_dir / "mini-tn", template_dir / "mini-dn", cfg
             )
         return _GENERATE_CACHE[key]
 

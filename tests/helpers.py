@@ -357,12 +357,20 @@ def _sidecar_controls_absent_bus(bundle) -> None:
     _write_sidecar_rows(bundle, rows)
 
 
+def _sidecar_non_finite(bundle) -> None:
+    rows = _sidecar_rows(bundle)
+    rows[1][rows[0].index("v_set")] = "inf"
+    rows[1][rows[0].index("deadband")] = "nan"
+    _write_sidecar_rows(bundle, rows)
+
+
 # name -> (edit of a saved bundle, what the load error says)
 MALFORMED_BUNDLES = {
     "unknown-gen-kind-code": (_unknown_gen_kind_code, "gen_kind row 0"),
     "short-gencost-row": (_short_gencost_rows, "gencost row 0"),
     "sidecar-missing-column": (_sidecar_without_deadband, "header must be"),
     "sidecar-absent-controlled-bus": (_sidecar_controls_absent_bus, "absent bus 999"),
+    "sidecar-non-finite-tap-data": (_sidecar_non_finite, "non-finite v_set, deadband"),
 }
 
 

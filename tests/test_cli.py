@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from tdsynth import synth as synth_mod
 from tdsynth.cli import ConfigError, main, parse_config
-from tdsynth.synth import SynthesisConfig
+from tdsynth.powerflow import SingularJacobianError
+from tdsynth.synth import PipelineError, SynthesisConfig
 from tdsynth.templates import bundled_template_dir
 
 from helpers import MALFORMED_BUNDLES, write_malformed_bundle
@@ -92,14 +94,21 @@ def test_generate_is_deterministic(tmp_path):
         assert f.read_bytes() == (run_b / f.name).read_bytes()
 
 
-def test_jobs_flag_matches_serial_output(tmp_path):
-    conf = _write(tmp_path, "penetration_level = 0.6\nrandom = true\nrng_seed = 4\n")
-    assert main(["generate", str(conf), "--out", str(tmp_path / "s")]) == 0
-    assert main(["generate", str(conf), "--out", str(tmp_path / "p"), "--jobs", "3"]) == 0
-    run_s = next((tmp_path / "s").iterdir())
-    run_p = next((tmp_path / "p").iterdir())
-    for f in sorted(run_s.iterdir()):
-        assert f.read_bytes() == (run_p / f.name).read_bytes()
+def test_combined_solve_failure_is_tagged(template_dir, tmp_path, monkeypatch, capsys):
+    real_regulate = synth_mod.regulate
+
+    def regulate_failing_on_the_combined_case(case, *args, **kw):
+        if any(b.name.startswith("dn:") for b in case.buses):
+            raise SingularJacobianError("singular Jacobian: forced")
+        return real_regulate(case, *args, **kw)
+
+    monkeypatch.setattr("tdsynth.synth.regulate", regulate_failing_on_the_combined_case)
+    with pytest.raises(PipelineError, match=r"^\[combined-solve\] singular Jacobian: forced$"):
+        synth_mod.generate(template_dir / "mini-tn", template_dir / "mini-dn", SynthesisConfig())
+    conf = _write(tmp_path, "penetration_level = 0.5\n")
+    capsys.readouterr()
+    assert main(["generate", str(conf), "--out", str(tmp_path / "out")]) == 1
+    assert "[combined-solve] singular Jacobian: forced" in capsys.readouterr().err
 
 
 def test_inspect_transfers_match_manifest(tmp_path, capsys):

@@ -70,6 +70,11 @@ def test_validate_oltc_ratio_out_of_sync():
     assert any("out of sync" in e for e in report.entries)
     case.oltcs[0].sync_branch(case)
     assert validate(case).ok
+    case.oltcs[0].deadband = float("nan")
+    case.oltcs[0].v_set = float("inf")
+    entries = validate(case).entries
+    assert any("deadband must be positive, got nan" in e for e in entries)
+    assert any("v_set must be finite, got inf" in e for e in entries)
 
 
 def test_total_load_sums_and_empty_case():

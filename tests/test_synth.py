@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tdsynth import residual
+from tdsynth import synth as synth_mod
 from tdsynth.netmodel import GenKind, penetration_level, total_load, validate
 from tdsynth.synth import (
     PipelineError,
@@ -30,7 +33,7 @@ def test_select_replaceable_loads(tn_bundle):
 
 def test_select_requires_some_load(tn_bundle):
     case = tn_bundle.case.clone()
-    equiv = tn_bundle.meta.area_code("Equiv")
+    equiv = next(code for code, name in tn_bundle.meta.area_names.items() if name == "Equiv")
     for b in case.buses:
         b.area = equiv
     with pytest.raises(SynthesisError, match="no replaceable loads"):
@@ -292,14 +295,21 @@ def test_generate_stage_tags(template_dir):
         generate(template_dir / "mini-tn", template_dir / "mini-dn", bad)
 
 
-def test_generate_parallel_matches_serial(template_dir, run_pipeline):
-    cfg = SynthesisConfig(penetration_level=0.5, random=True, rng_seed=3)
-    serial = generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg, jobs=1)
-    parallel = generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg, jobs=4)
-    assert [i.realized_penetration for i in serial.instances] == [
-        i.realized_penetration for i in parallel.instances
-    ]
-    assert serial.case == parallel.case
+def test_generate_rejects_an_unconverged_post_opf_solve(template_dir, monkeypatch):
+    real_solve, calls = synth_mod.solve, []
+
+    def solve_failing_after_opf(case, opts=None):
+        sol = real_solve(case, opts)
+        calls.append(sol)
+        # the first call is the TN solve, the second the re-solve after the OPF
+        return replace(sol, converged=False) if len(calls) == 2 else sol
+
+    monkeypatch.setattr("tdsynth.synth.solve", solve_failing_after_opf)
+    cfg = SynthesisConfig(penetration_level=1.2, large_system=False, run_opf=True)
+    failed = r"^\[opf\] .* did not converge \(worst mismatch near TN bus"
+    with pytest.raises(PipelineError, match=failed):
+        generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg)
+    assert len(calls) == 2
 
 
 def test_generate_random_streams_survive_selection_change(template_dir):
