@@ -122,7 +122,16 @@ class NetworkCase:
         return [b for b in self.buses if b.kind is BusKind.SLACK]
 
     def clone(self) -> "NetworkCase":
-        return copy.deepcopy(self)
+        """Independent copy.  Every record field is immutable (scalars, enums,
+        strings, the ``cost`` tuple), so a shallow copy of each record is a
+        full copy."""
+        return NetworkCase(
+            base_mva=self.base_mva,
+            buses=[copy.copy(b) for b in self.buses],
+            generators=[copy.copy(g) for g in self.generators],
+            branches=[copy.copy(br) for br in self.branches],
+            oltcs=[copy.copy(t) for t in self.oltcs],
+        )
 
 
 @dataclass

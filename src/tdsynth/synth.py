@@ -6,8 +6,9 @@ Pipeline stages (mirrored by :func:`generate`):
 1. solve the transmission network (master) and pick the loads to replace,
 2. size the template: voltage-feasible capacity by bisection, replica count
    per bus by ceiling division,
-3. customize every replica (load scaling, DG sizing and allocation, optional
-   demand growth, per-replica randomization) against its host-bus voltage,
+3. customize every replica against its host-bus voltage: load scaling once
+   per host, then per copy DG sizing and allocation, optional demand growth
+   and per-replica randomization,
 4. assemble, re-regulate the tap changers on the combined system, optionally
    optimize, and export.
 
@@ -285,26 +286,28 @@ def dn_count(tn_p_load: float, dn_capacity: float) -> int:
     return max(1, math.ceil(tn_p_load / dn_capacity))
 
 
-def customize_dn(
+@dataclass
+class PreDgState:
+    """A replica before DG sizing: template loads scaled until the solved
+    boundary import matches the target.  Every copy of one host starts here."""
+
+    case: NetworkCase
+    load_scale: float
+    pre_dg_import: float             # solved boundary import at load_scale
+    import_mismatch: float           # relative, after the import-matching loop
+
+
+def scale_to_import(
     dn: NetworkCase,
     target_p: float,
     cfg: SynthesisConfig,
-    rng_stream: np.random.Generator,
     source_v: float | None = None,
-    host_bus: int = 0,
-    copy_index: int = 0,
-) -> DnInstance:
-    """Build one replica carrying ``target_p`` of boundary demand.
-
-    Loads are scaled (constant power factor) until the replica's solved
-    import from the boundary equals ``target_p * oversize``: the aggregated
-    load it stands in for already included the network losses, so the match
-    is on the import, not on the arithmetic load sum.  DG output is then
-    sized against the replica's own demand, split between the controllable
-    group and the unity-power-factor PV group, and, in the constant-load
-    scenario, matched by extra demand until the boundary import is back at
-    its pre-DG value.
-    """
+) -> PreDgState:
+    """Scale the template's loads (constant power factor), with DGs zeroed,
+    until the replica's solved import from the boundary equals
+    ``target_p * oversize``: the aggregated load it stands in for already
+    included the network losses, so the match is on the import, not on the
+    arithmetic load sum.  Draws no random numbers."""
     solver = cfg.solver_options()
     case = dn.clone()
     if source_v is not None:
@@ -323,7 +326,6 @@ def customize_dn(
     if target_import <= 0:
         raise SynthesisError("replica demand target must be positive")
 
-    # scale until the solved boundary import hits the target
     scale = target_import / p_template
     _scale_loads(case, scale)
     boundary = math.nan
@@ -335,8 +337,41 @@ def customize_dn(
         adjust = target_import / boundary
         _scale_loads(case, adjust)
         scale *= adjust
-    pre_dg_import = boundary
-    import_mismatch = abs(boundary - target_import) / target_import
+    return PreDgState(
+        case=case,
+        load_scale=scale,
+        pre_dg_import=boundary,
+        import_mismatch=abs(boundary - target_import) / target_import,
+    )
+
+
+def customize_dn(
+    dn: NetworkCase,
+    target_p: float,
+    cfg: SynthesisConfig,
+    rng_stream: np.random.Generator,
+    source_v: float | None = None,
+    host_bus: int = 0,
+    copy_index: int = 0,
+    pre_dg: PreDgState | None = None,
+) -> DnInstance:
+    """Build one replica carrying ``target_p`` of boundary demand.
+
+    The replica starts from :func:`scale_to_import` of the same arguments;
+    pass its result as ``pre_dg`` to share one import match between the
+    copies of a host, which differ only from DG sizing on.  DG output is
+    sized against the replica's own demand, split between the controllable
+    group and the unity-power-factor PV group, and, in the constant-load
+    scenario, matched by extra demand until the boundary import is back at
+    its pre-DG value.
+    """
+    if pre_dg is None:
+        pre_dg = scale_to_import(dn, target_p, cfg, source_v)
+    solver = cfg.solver_options()
+    case = pre_dg.case.clone()
+    slack_bus, _ = _slack_generator(case)
+    slack_pos = case.bus_index()[slack_bus.id]
+    pre_dg_import = pre_dg.pre_dg_import
 
     # DG sizing against the replica's own demand
     pl = cfg.penetration_level
@@ -396,12 +431,12 @@ def customize_dn(
         case=case,
         host_tn_bus=host_bus,
         copy_index=copy_index,
-        load_scale=scale,
+        load_scale=pre_dg.load_scale,
         realized_penetration=pl,
         realized_split=gs,
         dg_allocation=allocation,
         boundary_p=boundary,
-        import_mismatch=import_mismatch,
+        import_mismatch=pre_dg.import_mismatch,
         constant_load_mismatch=constant_load_mismatch,
         regulation=report,
     )
@@ -419,9 +454,13 @@ def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
     """
     combined = tn.clone()
     next_id = max((b.id for b in combined.buses), default=0) + 1
+    # replica buses are only appended, so the TN buses keep these positions
+    tn_idx = combined.bus_index()
 
     for inst in instances:
-        host = combined.bus(inst.host_tn_bus)
+        if inst.host_tn_bus not in tn_idx:
+            raise SynthesisError(f"host bus {inst.host_tn_bus} is not a transmission bus")
+        host = combined.buses[tn_idx[inst.host_tn_bus]]
         host.p_load = 0.0
         host.q_load = 0.0
 
@@ -551,19 +590,22 @@ def generate(
         )
 
     tn_idx = tn.bus_index()
-    plan: list[tuple[int, int, float, float]] = []  # host bus, copy, target_p, host_v
+    plan: list[tuple[int, int, float, float]] = []  # host bus, copies, target_p, host_v
     for bus_id, p_load, _q in selected:
         count = dn_count(p_load, capacity.p_capacity * cfg.oversize)
-        host_v = float(tn_solution.v_mag[tn_idx[bus_id]])
-        for copy_index in range(count):
-            plan.append((bus_id, copy_index, p_load / count, host_v))
+        plan.append((bus_id, count, p_load / count, float(tn_solution.v_mag[tn_idx[bus_id]])))
 
     with _stage("customize"):
-        instances = [
-            customize_dn(dn_bundle.case, target_p, cfg, _rng_for(cfg, bus_id, copy_index),
-                         source_v=host_v, host_bus=bus_id, copy_index=copy_index)
-            for bus_id, copy_index, target_p, host_v in plan
-        ]
+        instances = []
+        for bus_id, count, target_p, host_v in plan:
+            # the copies of one host share their pre-DG state
+            pre_dg = scale_to_import(dn_bundle.case, target_p, cfg, source_v=host_v)
+            instances += [
+                customize_dn(dn_bundle.case, target_p, cfg, _rng_for(cfg, bus_id, copy_index),
+                             source_v=host_v, host_bus=bus_id, copy_index=copy_index,
+                             pre_dg=pre_dg)
+                for copy_index in range(count)
+            ]
 
     with _stage("assemble"):
         combined = assemble(tn, instances)

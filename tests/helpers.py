@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import shutil
 
 import numpy as np
 
@@ -15,8 +16,9 @@ from tdsynth.netmodel import (
     NetworkCase,
     OltcTransformer,
 )
-from tdsynth.caseio import CaseDocument, emit_case, parse_case, save_case_dir
+from tdsynth.caseio import CaseDocument, emit_case, load_case_dir, parse_case, save_case_dir
 from tdsynth.powerflow import SolverOptions, solve
+from tdsynth.templates import bundled_template_dir
 
 
 def two_bus_case(p_load=0.1, q_load=0.0, r=0.0, x=0.1) -> NetworkCase:
@@ -378,4 +380,24 @@ def write_malformed_bundle(case: NetworkCase, dest, name: str):
     """Save ``case`` under ``dest``, then break it as MALFORMED_BUNDLES[name] says."""
     save_case_dir(case, dest)
     MALFORMED_BUNDLES[name][0](dest)
+    return dest
+
+
+def scaled_templates(dest, k: int):
+    """Write ``dest/mini-tn`` (shipped) and ``dest/mini-dn`` with every branch
+    r and x multiplied by k and every load divided by k: the voltage drop is
+    unchanged, so capacity still binds at scale 1.0 while the replica count
+    grows about k-fold."""
+    src = bundled_template_dir()
+    shutil.copytree(src / "mini-tn", dest / "mini-tn")
+    dn = load_case_dir(src / "mini-dn")
+    for br in dn.branches:
+        br.r *= k
+        br.x *= k
+    for b in dn.buses:
+        b.p_load /= k
+        b.q_load /= k
+    save_case_dir(dn, dest / "mini-dn")
+    for name in ("meta.csv", "README"):
+        shutil.copy(src / "mini-dn" / name, dest / "mini-dn" / name)
     return dest

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from tdsynth.netmodel import (
     validate,
 )
 
-from helpers import raw_bus_load_sums, two_bus_case
+from helpers import radial_oltc_case, raw_bus_load_sums, two_bus_case
 
 
 def test_validate_well_formed_two_bus_is_clean():
@@ -143,3 +145,17 @@ def test_total_load_additive_under_disjoint_union():
 def test_validate_template_bundles(tn_bundle, dn_bundle):
     assert validate(tn_bundle.case).ok
     assert validate(dn_bundle.case).ok
+
+
+def test_clone_is_equal_and_independent():
+    case = radial_oltc_case()
+    before = copy.deepcopy(case)
+    twin = case.clone()
+    assert twin == case
+    twin.buses[2].p_load += 0.1
+    twin.branches[1].ratio = 1.05
+    twin.generators[0].p = 0.7
+    twin.oltcs[0].tap += 2
+    twin.buses.append(Bus(id=9))
+    assert twin != case
+    assert case == before

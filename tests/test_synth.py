@@ -1,4 +1,5 @@
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tdsynth import residual
 from tdsynth import synth as synth_mod
 from tdsynth.netmodel import GenKind, penetration_level, total_load, validate
 from tdsynth.synth import (
+    DnInstance,
     PipelineError,
     SynthesisConfig,
     SynthesisError,
@@ -17,8 +19,12 @@ from tdsynth.synth import (
     dn_count,
     dn_max_capacity,
     generate,
+    scale_to_import,
     select_replaceable_loads,
 )
+from tdsynth.templates import load_bundle
+
+from helpers import scaled_templates
 
 
 def test_select_replaceable_loads(tn_bundle):
@@ -181,9 +187,38 @@ def test_customize_constant_load_restores_boundary_import(dn_bundle):
     assert total_load(grown.case)[0] > total_load(base.case)[0]
 
 
+def test_customize_from_a_shared_pre_dg_state_equals_a_fresh_one(dn_bundle):
+    cfg = _cfg(random=True, constant_load=True, rng_seed=4)
+    pre_dg = scale_to_import(dn_bundle.case, 0.4, cfg, source_v=1.01)
+    for copy in (0, 3):
+        shared = customize_dn(
+            dn_bundle.case, 0.4, cfg, _rng_for(cfg, 5, copy), source_v=1.01,
+            host_bus=5, copy_index=copy, pre_dg=pre_dg,
+        )
+        fresh = customize_dn(
+            dn_bundle.case, 0.4, cfg, _rng_for(cfg, 5, copy), source_v=1.01,
+            host_bus=5, copy_index=copy,
+        )
+        for f in fields(DnInstance):
+            assert getattr(shared, f.name) == getattr(fresh, f.name), f.name
+    # the copies worked on clones: the shared state is as it was built
+    assert pre_dg.case == scale_to_import(dn_bundle.case, 0.4, cfg, source_v=1.01).case
+
+
 def test_assemble_zero_instances_is_identity(tn_bundle):
     combined = assemble(tn_bundle.case, [])
     assert combined == tn_bundle.case
+
+
+def test_assemble_rejects_a_host_outside_the_transmission_case(tn_bundle, dn_bundle):
+    cfg = _cfg()
+    host = select_replaceable_loads(tn_bundle.case, True)[0][0]
+    inst = customize_dn(dn_bundle.case, 0.4, cfg, _rng_for(cfg, host, 0), host_bus=host)
+    # the first replica bus gets the id after the largest TN id
+    replica_bus = max(b.id for b in tn_bundle.case.buses) + 1
+    stray = replace(inst, host_tn_bus=replica_bus, copy_index=1)
+    with pytest.raises(SynthesisError, match=f"host bus {replica_bus} is not a transmission bus"):
+        assemble(tn_bundle.case, [inst, stray])
 
 
 def test_assemble_counting_and_residual(run_pipeline, dn_bundle, tn_bundle):
@@ -329,6 +364,35 @@ def test_generate_random_streams_survive_selection_change(template_dir):
     }
     for key, value in small_pens.items():
         assert large_pens[key] == value
+
+
+def test_generate_matches_each_host_import_once(tmp_path, monkeypatch):
+    templates = scaled_templates(tmp_path, 10)
+    real = synth_mod.scale_to_import
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synth_mod, "scale_to_import", counting)
+    cfg = SynthesisConfig(random=True, constant_load=True, rng_seed=6)
+    result = generate(templates / "mini-tn", templates / "mini-dn", cfg)
+    assert len(result.instances) == 21
+    assert len(calls) == len(result.selected) < len(result.instances)
+
+    dn = load_bundle(templates / "mini-dn").case
+    idx = result.case.bus_index()  # TN buses keep their positions
+    copies = Counter(inst.host_tn_bus for inst in result.instances)
+    p_load = {bus: p for bus, p, _q in result.selected}
+    for inst in result.instances:
+        host = inst.host_tn_bus
+        fresh = customize_dn(
+            dn, p_load[host] / copies[host], cfg, _rng_for(cfg, host, inst.copy_index),
+            source_v=float(result.tn_solution.v_mag[idx[host]]),
+            host_bus=host, copy_index=inst.copy_index,
+        )
+        assert fresh == inst, (host, inst.copy_index)
 
 
 def test_manifest_records_the_constant_load_residual(run_pipeline):
