@@ -1,11 +1,11 @@
 """Read and write the MATPOWER v2 case-file text format plus sidecar data.
 
 Only the declarative subset of the format is accepted: scalar assignments
-(``mpc.version``, ``mpc.baseMVA``), numeric matrix literals
-(``mpc.<name> = [ ... ];`` with rows split on ``;`` or newline), an optional
-``mpc.bus_name`` cell list, and ``%`` comments.  Anything executable is
-rejected.  Unknown ``mpc.<name>`` tables are kept so they survive a
-parse/emit round trip.
+(``mpc.version``, a positive ``mpc.baseMVA``), numeric matrix literals
+(``mpc.<name> = [ ... ];``, cells separated by a blank, ``;`` or newline,
+rows ended by ``;`` or newline), an optional ``mpc.bus_name`` cell list,
+and ``%`` comments.  Anything executable is rejected.  Unknown
+``mpc.<name>`` tables are kept so they survive a parse/emit round trip.
 
 Tap-changer data has no home in the MATPOWER tables, so it travels in a
 sidecar CSV (``<case>.oltc.csv``) whose columns are the fields of
@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, NoReturn, get_type_hints
 
 from .netmodel import (
     Branch,
@@ -77,149 +77,101 @@ class CaseDocument:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# reader
 
-
-_TOKEN_RE = re.compile(
-    r"""(?P<nl>\n)
-      | (?P<ws>[ \t\r]+)
-      | (?P<comment>%[^\n]*)
-      | (?P<lbracket>\[) | (?P<rbracket>\])
-      | (?P<lbrace>\{)   | (?P<rbrace>\})
-      | (?P<semi>;)      | (?P<eq>=)
-      | (?P<string>'[^'\n]*')
-      | (?P<name>mpc\.[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-    """,
-    re.VERBOSE,
+_BLANK = r"[ \t\r\n]*"
+_BLANK_RE = re.compile(_BLANK)
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+# a quoted string stays as it is; a % comment becomes blanks of its length,
+# so every offset still points at the same line and column
+_COMMENT_RE = re.compile(r"'[^'\n]*'|(%[^\n]*)")
+_STATEMENT_RE = re.compile(
+    rf"mpc\.(?P<name>[A-Za-z_][A-Za-z0-9_]*){_BLANK}={_BLANK}"
+    rf"(?P<value>'(?P<string>[^'\n]*)'|(?P<number>{_NUMBER})"
+    r"|\[(?P<matrix>[^\]]*)\]|\{(?P<cells>[^}']*(?:'[^'\n]*'[^}']*)*)\})"
+    rf"{_BLANK};"
 )
+# a matrix body holds only these characters; float() rejects the
+# malformed cells they can spell, such as "1-2" or "1.5.5"
+_NON_MATRIX_RE = re.compile(r"[^ \t\r\n;\deE+.\-]")
+_CELL_RE = re.compile(r"[^ \t\r]+")
+_NAME_OR_FAULT_RE = re.compile(r"'([^'\n]*)'|[^ \t\r\n;]")
+# statements whose value is not a matrix: (value group, what it must be)
+_SCALARS = {
+    "version": ("string", "a quoted version string"),
+    "baseMVA": ("number", "a number"),
+    "bus_name": ("cells", "'{'"),
+}
 
 
-def _tokenize(text: str):
-    """Yield (kind, value, line, col); comments and blanks are dropped,
-    newlines are kept because they separate matrix rows."""
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise CaseParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            yield "nl", value, line, pos - line_start + 1
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            yield kind, value, line, pos - line_start + 1
-        pos = m.end()
-    yield "eof", "", line, len(text) - line_start + 1
+def _fail(text: str, pos: int, message: str) -> NoReturn:
+    line_start = text.rfind("\n", 0, pos) + 1
+    raise CaseParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = [t for t in _tokenize(text)]
-        self.i = 0
-
-    def next(self, skip_nl: bool = True):
-        while skip_nl and self.tokens[self.i][0] == "nl":
-            self.i += 1
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise CaseParseError(f"expected {what}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
-
-    def parse(self) -> CaseDocument:
-        doc = CaseDocument(version="2", base_mva=100.0, matrices={}, bus_name=None)
-        seen: set[str] = set()
-        while True:
-            tok = self.next()
-            if tok[0] == "eof":
-                break
-            if tok[0] != "name":
-                raise CaseParseError(
-                    f"expected 'mpc.<name> = ...', found {tok[1]!r}", tok[2], tok[3]
-                )
-            name = tok[1][len("mpc.") :]
-            if name in seen:
-                raise CaseParseError(f"duplicate assignment to mpc.{name}", tok[2], tok[3])
-            seen.add(name)
-            self.expect("eq", "'='")
-            if name == "version":
-                s = self.expect("string", "a quoted version string")
-                doc.version = s[1][1:-1]
-            elif name == "baseMVA":
-                n = self.expect("number", "a number")
-                doc.base_mva = float(n[1])
-            elif name == "bus_name":
-                doc.bus_name = self._cell_list()
-            else:
-                doc.matrices[name] = self._matrix(name)
-            self.expect("semi", "';'")
-        _check_document(doc)
-        return doc
-
-    def _matrix(self, name: str) -> list[list[float]]:
-        self.expect("lbracket", "'['")
-        rows: list[list[float]] = []
-        row: list[float] = []
-        width: int | None = None
-
-        def close_row(tok):
-            nonlocal width
-            if not row:
-                return
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CaseParseError(
-                    f"ragged row in mpc.{name}: {len(row)} cells, expected {width}",
-                    tok[2],
-                    tok[3],
-                )
-            rows.append(row.copy())
-            row.clear()
-
-        while True:
-            tok = self.next(skip_nl=False)
-            if tok[0] == "number":
-                row.append(float(tok[1]))
-            elif tok[0] in ("semi", "nl"):
-                close_row(tok)
-            elif tok[0] == "rbracket":
-                close_row(tok)
+def _matrix(text: str, start: int, body: str, name: str) -> list[list[float]]:
+    """The rows of a matrix body found at ``text[start:]``; ``;`` or a
+    newline ends a row, and empty rows are dropped."""
+    lines = body.replace(";", "\n").split("\n")
+    if _NON_MATRIX_RE.search(body) is None:
+        try:
+            rows = [list(map(float, cells)) for cells in map(str.split, lines) if cells]
+        except ValueError:
+            pass
+        else:
+            if all(len(row) == len(rows[0]) for row in rows):
                 return rows
-            elif tok[0] == "eof":
-                raise CaseParseError(f"unterminated matrix mpc.{name}", tok[2], tok[3])
-            else:
-                raise CaseParseError(
-                    f"non-numeric cell {tok[1]!r} in mpc.{name}", tok[2], tok[3]
-                )
+    # the error path: walk the rows again to name and place the first fault
+    width, pos = None, start
+    for line in lines:
+        cells = list(_CELL_RE.finditer(line))
+        for cell in cells:
+            if not _NUMBER_RE.fullmatch(cell[0]):
+                _fail(text, pos + cell.start(), f"non-numeric cell {cell[0]!r} in mpc.{name}")
+        if cells and width is None:
+            width = len(cells)
+        elif cells and len(cells) != width:
+            _fail(text, pos + len(line),
+                  f"ragged row in mpc.{name}: {len(cells)} cells, expected {width}")
+        pos += len(line) + 1
+    raise AssertionError(f"mpc.{name} failed to parse but has no fault")
 
-    def _cell_list(self) -> list[str]:
-        self.expect("lbrace", "'{'")
-        names: list[str] = []
-        while True:
-            tok = self.next()
-            if tok[0] == "string":
-                names.append(tok[1][1:-1])
-            elif tok[0] == "semi":
-                continue
-            elif tok[0] == "rbrace":
-                return names
-            else:
-                raise CaseParseError(
-                    f"expected quoted name in mpc.bus_name, found {tok[1]!r}",
-                    tok[2],
-                    tok[3],
-                )
+
+def parse_case(text: str) -> CaseDocument:
+    """Read the document one ``mpc.<name> = <value>;`` statement at a time."""
+    text = _COMMENT_RE.sub(lambda m: " " * len(m[1]) if m[1] else m[0], text)
+    doc = CaseDocument()
+    seen: set[str] = set()
+    pos = 0
+    while (pos := _BLANK_RE.match(text, pos).end()) < len(text):
+        m = _STATEMENT_RE.match(text, pos)
+        if m is None:
+            found = text[pos : pos + 40].split("\n", 1)[0]
+            _fail(text, pos, f"expected 'mpc.<name> = <value>;', found {found!r}")
+        name = m["name"]
+        if name in seen:
+            _fail(text, pos, f"duplicate assignment to mpc.{name}")
+        seen.add(name)
+        group, what = _SCALARS.get(name, ("matrix", "'['"))
+        if m[group] is None:
+            _fail(text, m.start("value"), f"expected {what} for mpc.{name}")
+        if name == "version":
+            doc.version = m[group]
+        elif name == "baseMVA":
+            doc.base_mva = float(m[group])
+        elif name == "bus_name":
+            doc.bus_name = []
+            for cell in _NAME_OR_FAULT_RE.finditer(m[group]):
+                if cell[1] is None:
+                    _fail(text, m.start(group) + cell.start(),
+                          f"expected quoted name in mpc.bus_name, found {cell[0]!r}")
+                doc.bus_name.append(cell[1])
+        else:
+            doc.matrices[name] = _matrix(text, m.start(group), m[group], name)
+        pos = m.end()
+    _check_document(doc)
+    return doc
 
 
 def _check_document(doc: CaseDocument) -> None:
@@ -233,8 +185,8 @@ def _check_document(doc: CaseDocument) -> None:
                 raise StructuralError(
                     f"mpc.{table} row {i} has {len(row)} columns, needs at least {want}"
                 )
-    if not math.isfinite(doc.base_mva):
-        raise StructuralError("baseMVA must be finite")
+    if not 0 < doc.base_mva < math.inf:
+        raise StructuralError("baseMVA must be finite and positive")
     for name, rows in doc.matrices.items():
         for i, row in enumerate(rows):
             for v in row:
@@ -249,10 +201,6 @@ def _check_document(doc: CaseDocument) -> None:
         for n in doc.bus_name:
             if "'" in n or "\n" in n:
                 raise StructuralError(f"bus name {n!r} contains a quote or newline")
-
-
-def parse_case(text: str) -> CaseDocument:
-    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +273,16 @@ def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) ->
 
     gencost = doc.matrices.get("gencost")
     genkind = doc.matrices.get("gen_kind")
+    n_gen = len(doc.matrices["gen"])
+    if gencost is not None and len(gencost) < n_gen:
+        raise StructuralError(f"mpc.gencost has {len(gencost)} rows for {n_gen} generators")
+    if genkind is not None and len(genkind) != n_gen:
+        raise StructuralError(f"mpc.gen_kind has {len(genkind)} rows for {n_gen} generators")
     for i, row in enumerate(doc.matrices["gen"]):
         if int(row[GEN_STATUS]) == 0:
             continue
         cost = (0.0, 0.0, 0.0)
-        if gencost is not None and i < len(gencost):
+        if gencost is not None:
             crow = gencost[i]
             if len(crow) <= COST_C0 or int(crow[COST_MODEL]) != 2 or int(crow[NCOST]) != 3:
                 raise StructuralError(
@@ -338,7 +291,7 @@ def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) ->
                 )
             cost = (crow[COST_C2], crow[COST_C1], crow[COST_C0])
         kind, controllable = GenKind.TN_UNIT, True
-        if genkind is not None and i < len(genkind):
+        if genkind is not None:
             krow = genkind[i]
             if len(krow) < 2 or int(krow[0]) not in _CODE_KIND:
                 raise StructuralError(
@@ -543,10 +496,6 @@ def export(case: NetworkCase, name: str, sink: Path | str) -> list[Path]:
     return exporter(case, sink)
 
 
-def _export_matpower(case: NetworkCase, sink: Path) -> list[Path]:
-    return save_case_dir(case, sink)
-
-
 def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
     """Four plain CSVs in SI units (MW, Mvar, kV); one row per element."""
     base = case.base_mva
@@ -601,5 +550,5 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
     return written
 
 
-register_exporter("matpower", _export_matpower)
+register_exporter("matpower", save_case_dir)
 register_exporter("flat", _export_flat)

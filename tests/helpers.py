@@ -339,6 +339,19 @@ def _short_gencost_rows(bundle) -> None:
     (bundle / "case.m").write_text(emit_case(doc))
 
 
+def _zero_base_mva(bundle) -> None:
+    text = (bundle / "case.m").read_text()
+    (bundle / "case.m").write_text(re.sub(r"mpc\.baseMVA = [^;]*;", "mpc.baseMVA = 0;", text))
+
+
+def _short_table(table):
+    def edit(bundle) -> None:
+        doc = parse_case((bundle / "case.m").read_text())
+        doc.matrices[table] = doc.matrices[table][:-2]
+        (bundle / "case.m").write_text(emit_case(doc))
+    return edit
+
+
 def _sidecar_rows(bundle) -> list[list[str]]:
     return [line.split(",") for line in (bundle / "case.oltc.csv").read_text().splitlines()]
 
@@ -370,6 +383,9 @@ def _sidecar_non_finite(bundle) -> None:
 MALFORMED_BUNDLES = {
     "unknown-gen-kind-code": (_unknown_gen_kind_code, "gen_kind row 0"),
     "short-gencost-row": (_short_gencost_rows, "gencost row 0"),
+    "zero-base-mva": (_zero_base_mva, "baseMVA must be finite and positive"),
+    "short-gen-kind-table": (_short_table("gen_kind"), "gen_kind has 5 rows for 7 generators"),
+    "short-gencost-table": (_short_table("gencost"), "gencost has 5 rows for 7 generators"),
     "sidecar-missing-column": (_sidecar_without_deadband, "header must be"),
     "sidecar-absent-controlled-bus": (_sidecar_controls_absent_bus, "absent bus 999"),
     "sidecar-non-finite-tap-data": (_sidecar_non_finite, "non-finite v_set, deadband"),

@@ -42,8 +42,13 @@ def test_parse_minimal_file():
 def test_comments_are_whitespace():
     commented = "% header comment\n" + MINIMAL.replace(
         "mpc.gen", "% a table follows\nmpc.gen"
-    ).replace("\t1\t3", "\t1\t3") + "% trailing\n"
-    assert parse_case(commented) == parse_case(MINIMAL)
+    ).replace("\t1\t3", "% a comment inside a matrix\n\t1\t3").replace(
+        "0.9;\n", "0.9; % a row's end ]; ' [\n"
+    ) + "% trailing\nmpc.bus_name = {\n\t'100% busy'; % one ' name }\n};\n"
+    named = MINIMAL + "mpc.bus_name = {'100% busy'};\n"
+    assert parse_case(commented) == parse_case(named)
+    assert parse_case(commented).bus_name == ["100% busy"]
+    assert parse_case(named).matrices == parse_case(MINIMAL).matrices
 
 
 def test_mini_tn_bus_count_matches_readme(template_dir):
@@ -58,13 +63,25 @@ def test_parse_error_carries_line_and_column():
     with pytest.raises(CaseParseError) as err:
         parse_case(bad)
     assert err.value.line == 3
+    assert err.value.column == 4
+
+
+@pytest.mark.parametrize("cell", ["1-2", "1.5.5", "1e5e5", "inf", "nan", "1_000", "0x1", "1,2"])
+def test_parse_rejects_cells_that_run_together_or_are_not_plain_numbers(cell):
+    # float() accepts some of these ("inf", "1_000"); the reader must not
+    with pytest.raises(CaseParseError) as err:
+        parse_case(MINIMAL.replace("\t1\t3\t0", f"\t1\t3\t{cell}", 1))
+    assert err.value.line == 3
 
 
 def test_parse_rejects_ragged_rows_and_duplicates():
-    with pytest.raises(CaseParseError, match="ragged"):
+    with pytest.raises(CaseParseError, match="ragged") as err:
         parse_case("mpc.bus = [\n\t1\t2;\n\t1;\n];\nmpc.gen = [];\nmpc.branch = [];\n")
+    assert err.value.line == 3
     with pytest.raises(CaseParseError, match="duplicate"):
         parse_case(MINIMAL + "mpc.baseMVA = 50;\n")
+    with pytest.raises(CaseParseError):
+        parse_case("mpc.bus = [1 2")
 
 
 def test_parse_rejects_scripting():
