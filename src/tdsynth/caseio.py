@@ -280,7 +280,9 @@ def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) ->
         raise StructuralError(f"mpc.gen_kind has {len(genkind)} rows for {n_gen} generators")
     for i, row in enumerate(doc.matrices["gen"]):
         if int(row[GEN_STATUS]) == 0:
-            continue
+            # the model has no generator status, and a dropped unit would
+            # vanish from every bundle saved from this case
+            raise StructuralError(f"gen row {i}: out-of-service generators are not supported")
         cost = (0.0, 0.0, 0.0)
         if gencost is not None:
             crow = gencost[i]

@@ -5,27 +5,32 @@ dispatchable units subject to the AC bus power-balance equalities, generator
 box bounds and per-bus voltage bounds.  It is a primal-dual interior-point
 Newton method in the style of MATPOWER's MIPS (Wang, Murillo-Sanchez,
 Zimmerman & Thomas, IEEE TPWRS 2007) with the exact Hessian of the
-Lagrangian, so a solve takes tens of Newton steps on sparse matrices.  The
-contract is the returned KKT residual and ``converged`` flag, not the
-mechanism.
+Lagrangian, so a solve takes a few to tens of Newton steps.  The derivative
+values are computed once per step on fixed index arrays; the power flow's
+size rule (:func:`powerflow._dense`) decides only where they go: a small
+KKT matrix is scattered into a dense array and solved with LAPACK, a large
+one is built as a CSC matrix and factorized with SuperLU.  The contract is
+the returned KKT residual and ``converged`` flag, not the mechanism.
 
 Discrete taps are handled by the outer relaxation loop: solve with voltage
 bounds widened, nudge every tap one step by the deadband rule using the
 solved voltages, tighten the bounds one notch, repeat until the bounds are
-final and no tap wants to move.
+final and no tap wants to move.  Consecutive rounds differ by one tap step
+and one bound notch, so each round starts from the previous round's primal
+point and multipliers (a dual warm start after Yildirim & Wright, SIAM J.
+Optim. 2002: the bound multipliers and slacks are floored away from zero);
+only the first round starts cold.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from . import powerflow
 from .netmodel import BusKind, GenKind, NetworkCase
@@ -100,6 +105,7 @@ class OpfSolution:
     relaxation_rounds: int = 0
     trace: list[dict] = field(default_factory=list)
     raw_x: np.ndarray | None = None
+    raw_duals: tuple[np.ndarray, np.ndarray] | None = None  # (lam, mu) of raw_x
 
 
 @dataclass
@@ -152,8 +158,9 @@ class _OpfModel:
     x = (Va without the slack bus, Vm, Pg, Qg).  The first derivatives are
     the power flow's entry-wise dS/dV (:func:`powerflow._dS_dV`), the second
     are MATPOWER's ``d2Sbus_dV2`` written entry by entry on the same Ybus
-    pattern: each is a COO matrix of index arrays fixed here and values
-    computed per call, and the KKT matrix is assembled from the same arrays."""
+    pattern: each is a vector of values computed per call at index arrays
+    fixed here, and the KKT matrix is placed from the same arrays, dense or
+    sparse by :func:`powerflow._dense`."""
 
     def __init__(self, problem: OpfProblem):
         case = problem.case
@@ -203,6 +210,17 @@ class _OpfModel:
             im[hc[:m2]], ip,
         ])
 
+        # KKT matrix [[Lxx + diag(w), dg^T], [dg, 0]]: the Hessian, the
+        # barrier diagonal, then dg below and its transpose to the right
+        nk = self.nx + 2 * n
+        diag = np.arange(self.nx)
+        self.kkt_shape = (nk, nk)
+        self.kkt_rows = np.concatenate(
+            [self.hess_rows, diag, self.nx + self.jac_rows, self.jac_cols])
+        self.kkt_cols = np.concatenate(
+            [self.hess_cols, diag, self.jac_cols, self.nx + self.jac_rows])
+        self.dense = powerflow._dense(nk)
+
         gens = [case.generators[i] for i in problem.dispatchable]
         self.c2 = np.array([g.cost[0] for g in gens])
         self.c1 = np.array([g.cost[1] for g in gens])
@@ -241,18 +259,21 @@ class _OpfModel:
         mis = V * np.conj(self.Ybus @ V) - self.s_fixed - self.Cg @ (pg + 1j * qg)
         return np.concatenate([mis.real, mis.imag])
 
-    def jacobian(self, x):
-        """d balance / dx, 2n x nx."""
+    def jacobian(self, x) -> np.ndarray:
+        """d balance / dx (2n x nx): its values at (jac_rows, jac_cols)."""
         dSa, dSm = powerflow._dS_dV(self.Ybus, self.voltage(x), self.r, self.c, self.y)
         dSa = dSa[self.jac_keep]
         ones = np.ones(self.nd)
-        vals = np.concatenate([dSa.real, dSa.imag, dSm.real, dSm.imag, -ones, -ones])
-        return sp.coo_matrix((vals, (self.jac_rows, self.jac_cols)),
-                             shape=(2 * self.n, self.nx))
+        return np.concatenate([dSa.real, dSa.imag, dSm.real, dSm.imag, -ones, -ones])
 
-    def hessian(self, x, lam):
-        """Hessian of cost + lam^T balance, nx x nx.  lamP^T Re S + lamQ^T Im S
-        equals Re((lamP - j lamQ)^T S), so one complex weight gives both."""
+    def jacobian_t(self, jac, lam) -> np.ndarray:
+        """dg^T lam for the Jacobian values ``jac``."""
+        return np.bincount(self.jac_cols, weights=jac * lam[self.jac_rows], minlength=self.nx)
+
+    def hessian(self, x, lam) -> np.ndarray:
+        """Hessian of cost + lam^T balance (nx x nx): its values at
+        (hess_rows, hess_cols).  lamP^T Re S + lamQ^T Im S equals
+        Re((lamP - j lamQ)^T S), so one complex weight gives both."""
         n, r, c, y = self.n, self.r, self.c, self.y
         V = self.voltage(x)
         vm = np.abs(V)
@@ -265,36 +286,23 @@ class _OpfModel:
         Gva = (1j * np.concatenate([-f / vm[r], f / vm[c], (dE - dF) / vm])).real
         Gvv = (f / (vm[r] * vm[c])).real
         Gva = Gva[self.hess_keep_va]
-        vals = np.concatenate([
+        return np.concatenate([
             Gaa[self.hess_keep_aa], Gva, Gva, Gvv, Gvv,
             2.0 * self.c2 * self.base * self.base / self.grad_scale,
         ])
-        return sp.coo_matrix((vals, (self.hess_rows, self.hess_cols)),
-                             shape=(self.nx, self.nx))
 
-
-def _kkt_step(Lxx, w, dg, rhs) -> np.ndarray | None:
-    """Solve [[Lxx + diag(w), dg^T], [dg, 0]] d = rhs; None if the matrix is
-    singular or the step is not finite."""
-    nx = len(w)
-    diag = np.arange(nx)
-    K = sp.csc_matrix((
-        np.concatenate([Lxx.data, w, dg.data, dg.data]),
-        (np.concatenate([Lxx.row, diag, nx + dg.row, dg.col]),
-         np.concatenate([Lxx.col, diag, dg.col, nx + dg.row])),
-    ), shape=(nx + dg.shape[0],) * 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            d = spsolve(K, rhs, permc_spec=powerflow.SPARSE_LU_ORDERING)
-        except (MatrixRankWarning, RuntimeError):
-            return None
-    return d if np.all(np.isfinite(d)) else None
+    def kkt(self, hess, w, jac):
+        """[[Lxx + diag(w), dg^T], [dg, 0]] from the Hessian and Jacobian
+        values: an ndarray if ``self.dense``, else CSC."""
+        return powerflow._place(np.concatenate([hess, w, jac, jac]),
+                                self.kkt_rows, self.kkt_cols, self.kkt_shape, self.dense)
 
 
 @dataclass
 class _IpmResult:
     x: np.ndarray
+    lam: np.ndarray            # equality multipliers
+    mu: np.ndarray             # bound multipliers
     iterations: int
     converged: bool
     stationarity: float        # |grad of the Lagrangian|, inf-norm
@@ -308,13 +316,22 @@ _XI, _SIGMA, _ALPHA_MIN = 0.99995, 0.1, 1e-8
 # complementarity, cost change); tighter than MIPS's 1e-6 so that active
 # bounds are hit to well under 1e-6
 _TOL = 1e-10
+# smallest bound multiplier and slack a warm start begins from
+_WARM_FLOOR = 1e-4
 
 
-def _interior_point(model: _OpfModel, x, lb, ub, max_iterations: int) -> _IpmResult:
+def _interior_point(
+    model: _OpfModel, x, lb, ub, max_iterations: int,
+    duals: tuple[np.ndarray, np.ndarray] | None = None,
+) -> _IpmResult:
     """Primal-dual interior-point Newton method after MIPS: minimize
     model.cost(x) subject to model.balance(x) = 0 and lb <= x <= ub, with
     the exact Hessian of the Lagrangian.  The box bounds are the
-    inequalities h(x) + z = 0, z > 0.  A run that reaches
+    inequalities h(x) + z = 0, z > 0.  Without ``duals`` the run starts
+    cold (lam = 0, mu = 1, z = max(1, -h), barrier 1); with the (lam, mu)
+    of an earlier run on bounds of the same shape it starts from lam,
+    mu floored at ``_WARM_FLOOR``, z = max(-h, _WARM_FLOOR) and the
+    centered barrier of that point.  A run that reaches
     ``max_iterations``, meets a singular KKT matrix or fails to make
     progress returns its last iterate with ``converged=False``."""
     iu = np.flatnonzero(np.isfinite(ub))
@@ -332,12 +349,16 @@ def _interior_point(model: _OpfModel, x, lb, ub, max_iterations: int) -> _IpmRes
 
     h = ineq(x)
     niq = len(h)
-    z = np.maximum(1.0, -h)
-    mu = np.ones(niq)
-    gamma = 1.0
-    f, g, dg = model.cost(x), model.balance(x), model.jacobian(x)
-    lam = np.zeros(len(g))
-    Lx = model.cost_grad(x) + dg.T @ lam + dh_t(mu)
+    f, g, jac = model.cost(x), model.balance(x), model.jacobian(x)
+    if duals is None:
+        lam, mu = np.zeros(len(g)), np.ones(niq)
+        z = np.maximum(1.0, -h)
+        gamma = 1.0
+    else:
+        lam, mu = duals[0], np.maximum(duals[1], _WARM_FLOOR)
+        z = np.maximum(-h, _WARM_FLOOR)
+        gamma = _SIGMA * float(z @ mu) / niq if niq else 1.0
+    Lx = model.cost_grad(x) + model.jacobian_t(jac, lam) + dh_t(mu)
 
     def done(f0):
         x_norm = np.max(np.abs(x), initial=0.0)
@@ -356,7 +377,8 @@ def _interior_point(model: _OpfModel, x, lb, ub, max_iterations: int) -> _IpmRes
         w[iu] += mu[:nu] / z[:nu]
         w[il] += mu[nu:] / z[nu:]
         N = Lx + dh_t((mu * h + gamma) / z)
-        d = _kkt_step(model.hessian(x, lam), w, dg, -np.concatenate([N, g]))
+        d = powerflow._solve_linear(model.kkt(model.hessian(x, lam), w, jac),
+                                    -np.concatenate([N, g]))
         if d is None:
             break
         it += 1
@@ -375,15 +397,15 @@ def _interior_point(model: _OpfModel, x, lb, ub, max_iterations: int) -> _IpmRes
             gamma = _SIGMA * float(z @ mu) / niq
 
         f0 = f
-        h, f, g, dg = ineq(x), model.cost(x), model.balance(x), model.jacobian(x)
-        Lx = model.cost_grad(x) + dg.T @ lam + dh_t(mu)
+        h, f, g, jac = ineq(x), model.cost(x), model.balance(x), model.jacobian(x)
+        Lx = model.cost_grad(x) + model.jacobian_t(jac, lam) + dh_t(mu)
         converged = done(f0)
         if (not np.all(np.isfinite(x)) or alpha_p < _ALPHA_MIN or alpha_d < _ALPHA_MIN
                 or not np.finfo(float).eps < gamma < 1.0 / np.finfo(float).eps):
             break
 
     return _IpmResult(
-        x=x, iterations=it, converged=converged,
+        x=x, lam=lam, mu=mu, iterations=it, converged=converged,
         stationarity=float(np.max(np.abs(Lx), initial=0.0)),
         complementarity=float(np.max(z * mu, initial=0.0)),
     )
@@ -394,8 +416,13 @@ def solve_continuous(
     v_limits: tuple[np.ndarray, np.ndarray] | None = None,
     x0: np.ndarray | None = None,
     max_iterations: int = 400,
+    duals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OpfSolution:
     """Minimize dispatch cost with the tap ratios frozen as they stand.
+
+    ``x0`` and ``duals`` warm-start the interior point from an earlier
+    solution's ``raw_x`` and ``raw_duals``; without ``duals`` it starts
+    cold.
 
     The stationarity part of the reported KKT residual is measured on the
     cost normalized by its gradient scale, so the 1e-6 target is meaningful
@@ -424,7 +451,7 @@ def solve_continuous(
         x0 = np.concatenate([va0[model.nonslack], vm0, pg0, qg0])
     x0 = np.clip(x0, lb, ub)
 
-    ipm = _interior_point(model, x0, lb, ub, max_iterations)
+    ipm = _interior_point(model, x0, lb, ub, max_iterations, duals)
 
     va, vm, pg, qg = model.split(ipm.x)
     pg = np.clip(pg, p_lb, p_ub)
@@ -452,6 +479,7 @@ def solve_continuous(
         iterations=ipm.iterations,
         converged=ipm.converged,
         raw_x=ipm.x.copy(),
+        raw_duals=(ipm.lam, ipm.mu),
     )
 
 
@@ -483,7 +511,7 @@ def solve_with_relaxation(
 
     stepper = TapStepper(work)
     trace: list[dict] = []
-    warm = None
+    warm, duals = None, None
     iterations, converged = 0, True
     cap = schedule.rounds + EXTRA_ROUNDS
     for k in range(cap + 1):
@@ -493,7 +521,8 @@ def solve_with_relaxation(
         else:
             slack = 0.0
         sol = solve_continuous(
-            sub, v_limits=(problem.v_min - slack, problem.v_max + slack), x0=warm
+            sub, v_limits=(problem.v_min - slack, problem.v_max + slack),
+            x0=warm, duals=duals,
         )
         iterations += sol.iterations
         converged = converged and sol.converged
@@ -501,7 +530,7 @@ def solve_with_relaxation(
         # on its violation nor moves a tap
         if sol.max_violation > 1e-4 and k < cap:
             raise RelaxationError(k, (slack, slack))
-        warm = sol.raw_x
+        warm, duals = sol.raw_x, sol.raw_duals
 
         v_gap = float(np.max(np.maximum(problem.v_min - sol.v_mag,
                                         sol.v_mag - problem.v_max), initial=0.0))
@@ -516,6 +545,7 @@ def solve_with_relaxation(
                 "taps_moved": moved,
                 "taps": [t.tap for t in work.oltcs],
                 "v_slack": slack,
+                "iterations": sol.iterations,
             }
         )
         if moved == 0 and (slack == 0.0 or v_gap <= FEASIBILITY_TOL):

@@ -1,13 +1,15 @@
 """Full Newton-Raphson AC power flow in polar coordinates.
 
 Every Newton step takes its Jacobian from one entry-wise dS/dV
-(:func:`_dS_dV`, which the OPF shares).  Case size decides only where the
-entries go and how the step is solved: up to ``DENSE_MAX_BUSES`` buses, such
-as the feeder copies solved thousands of times per run, into a dense array
-solved with LAPACK, since at that size scipy.sparse objects cost more than
-the arithmetic; above it, such as the combined T&D case, into a CSC matrix
-factorized with SuperLU.  The formulation is polar full Newton, because
-distribution feeders with high R/X ratios defeat the fast-decoupled shortcuts.
+(:func:`_dS_dV`, which the OPF shares).  Matrix size decides only where the
+entries go and how the step is solved, by one rule (:func:`_dense`) that the
+OPF's KKT step follows too: up to ``DENSE_MAX_ROWS`` rows, such as the
+Jacobians of the feeder copies solved thousands of times per run, into a
+dense array solved with LAPACK, since at that size scipy.sparse objects cost
+more than the arithmetic; above it, such as the combined T&D case, into a CSC
+matrix factorized with SuperLU.  The formulation is polar full Newton,
+because distribution feeders with high R/X ratios defeat the fast-decoupled
+shortcuts.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .netmodel import BusKind, NetworkCase, islands
 
-# Largest bus count solved with the dense kernel: the measured crossover of
-# the per-solve time of the two kernels on random networks.
-DENSE_MAX_BUSES = 150
+# Largest matrix, in rows, that a Newton step solves dense.  Measured per
+# Newton step on random networks (2-core VM, one BLAS thread), dense costs as
+# much as sparse at about 200 rows for NR Jacobians (2 rows per bus, so about
+# 100 buses) and at about 260 rows for OPF KKT matrices (about 4 rows per
+# bus); the smaller crossover keeps dense from ever being the slow choice.
+DENSE_MAX_ROWS = 200
 
 # Column ordering of SuperLU's sparse LU: minimum degree on A^T + A.  On the
 # 17,927-bus combined case it cuts a 3-iteration solve from 2.3 to 0.5 s
@@ -128,6 +133,39 @@ def build_ybus(case: NetworkCase) -> sp.csr_matrix:
     return _ybus(case, _branch_terms(case, case.bus_index()), dense=False)
 
 
+def _dense(rows: int) -> bool:
+    """Whether a Newton matrix of ``rows`` rows is placed dense.  The
+    constant is read at call time, so setting it to 0 forces SuperLU."""
+    return rows <= DENSE_MAX_ROWS
+
+
+def _place(vals, rows, cols, shape, dense: bool):
+    """The values at (rows, cols), summed where positions repeat: an ndarray
+    if ``dense``, else a CSC matrix."""
+    if dense:
+        return np.bincount(rows * shape[1] + cols, weights=vals,
+                           minlength=shape[0] * shape[1]).reshape(shape)
+    return sp.csc_matrix((vals, (rows, cols)), shape=shape)
+
+
+def _solve_linear(A, b) -> np.ndarray | None:
+    """Solve A x = b: LAPACK for an ndarray, SuperLU for a sparse matrix;
+    None if A is singular or x is not finite."""
+    if isinstance(A, np.ndarray):
+        try:
+            x = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            try:
+                x = spsolve(A, b, permc_spec=SPARSE_LU_ORDERING)
+            except (MatrixRankWarning, RuntimeError):
+                return None
+    return x if np.all(np.isfinite(x)) else None
+
+
 def _dS_dV(Ybus, V, r, c, y) -> tuple[np.ndarray, np.ndarray]:
     """dS/dVa and dS/dVm of the injections S = V conj(Ybus V), entry by entry
     (MATPOWER's ``dSbus_dV``): the values at the Ybus entries (r, c, y), then
@@ -167,28 +205,14 @@ def _jacobian(Ybus, V, place, m: int):
     (r, c, y), take, rows, cols = place
     dS = np.concatenate(_dS_dV(Ybus, V, r, c, y))
     vals = np.concatenate([dS.real, dS.imag])[take]
-    if isinstance(Ybus, np.ndarray):
-        return np.bincount(rows * m + cols, weights=vals, minlength=m * m).reshape(m, m)
-    return sp.csc_matrix((vals, (rows, cols)), shape=(m, m))
+    return _place(vals, rows, cols, (m, m), isinstance(Ybus, np.ndarray))
 
 
 def _newton_step(Ybus, V, F, place) -> np.ndarray:
     """Solve J dx = F: LAPACK for a dense Ybus, SuperLU for a sparse one."""
-    J = _jacobian(Ybus, V, place, len(F))
-    if isinstance(J, np.ndarray):
-        try:
-            dx = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            try:
-                dx = spsolve(J, F, permc_spec=SPARSE_LU_ORDERING)
-            except (MatrixRankWarning, RuntimeError) as exc:
-                raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
-    if not np.all(np.isfinite(dx)):
-        raise SingularJacobianError("singular Jacobian: non-finite Newton step")
+    dx = _solve_linear(_jacobian(Ybus, V, place, len(F)), F)
+    if dx is None:
+        raise SingularJacobianError("singular Jacobian")
     return dx
 
 
@@ -232,14 +256,14 @@ def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolu
 
     n = len(case.buses)
     idx = case.bus_index()
-    br = _branch_terms(case, idx)
-    Ybus = _ybus(case, br, dense=n <= DENSE_MAX_BUSES)
-    Sbus = _specified_injection(case)
-    vset = _setpoint_voltages(case)
-
     pv = np.array([i for i, b in enumerate(case.buses) if b.kind is BusKind.PV], dtype=int)
     pq = np.array([i for i, b in enumerate(case.buses) if b.kind is BusKind.PQ], dtype=int)
     pvpq = np.concatenate([pv, pq])
+
+    br = _branch_terms(case, idx)
+    Ybus = _ybus(case, br, dense=_dense(len(pvpq) + len(pq)))
+    Sbus = _specified_injection(case)
+    vset = _setpoint_voltages(case)
 
     vm = np.array([b.v_mag for b in case.buses], dtype=float)
     va = np.array([b.v_ang for b in case.buses], dtype=float)

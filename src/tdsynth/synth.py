@@ -730,6 +730,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "feasible": opf_solution.feasible,
             "rounds": opf_solution.relaxation_rounds,
             "iterations": opf_solution.iterations,
+            "round_iterations": [row["iterations"] for row in opf_solution.trace],
             "converged": opf_solution.converged,
             "kkt_residual": opf_solution.kkt_residual,
         }

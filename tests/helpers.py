@@ -228,10 +228,14 @@ def opf_derivative_fd_gaps(problem, rng: np.random.Generator) -> tuple[float, fl
     """Worst relative disagreement of the OPF's analytic constraint Jacobian
     and Lagrangian Hessian with central finite differences (of the balances,
     and of the analytic Lagrangian gradient), at a random state and random
-    multipliers."""
+    multipliers.  The one set of derivative values is checked as the KKT
+    matrix places it, both dense and sparse: the Hessian in the upper-left
+    block (no barrier term), the Jacobian below it and its transpose to the
+    right."""
     from tdsynth.opf import _OpfModel
 
     model = _OpfModel(problem)
+    nx = model.nx
 
     x0 = np.concatenate([
         rng.uniform(-0.2, 0.2, size=model.na),
@@ -241,23 +245,31 @@ def opf_derivative_fd_gaps(problem, rng: np.random.Generator) -> tuple[float, fl
     lam = rng.normal(size=2 * model.n)
 
     def grad_lagrangian(x):
-        return model.cost_grad(x) + model.jacobian(x).T @ lam
+        return model.cost_grad(x) + model.jacobian_t(model.jacobian(x), lam)
 
     h = 6e-6
-    J_fd = np.empty((2 * model.n, model.nx))
-    H_fd = np.empty((model.nx, model.nx))
-    for j in range(model.nx):
-        e = np.zeros(model.nx)
+    J_fd = np.empty((2 * model.n, nx))
+    H_fd = np.empty((nx, nx))
+    for j in range(nx):
+        e = np.zeros(nx)
         e[j] = h
         J_fd[:, j] = (model.balance(x0 + e) - model.balance(x0 - e)) / (2 * h)
         H_fd[:, j] = (grad_lagrangian(x0 + e) - grad_lagrangian(x0 - e)) / (2 * h)
-    gaps = []
-    for analytic, fd in (
-        (model.jacobian(x0).toarray(), J_fd),
-        (model.hessian(x0, lam).toarray(), H_fd),
-    ):
-        gaps.append(float(np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())))
-    return gaps[0], gaps[1]
+    hess, jac = model.hessian(x0, lam), model.jacobian(x0)
+    jac_gaps, hess_gaps = [], []
+    for dense in (True, False):
+        model.dense = dense
+        K = model.kkt(hess, np.zeros(nx), jac)
+        assert isinstance(K, np.ndarray) == dense
+        K = K if dense else K.toarray()
+        assert not np.any(K[nx:, nx:])
+        for analytic, fd, gaps in (
+            (K[nx:, :nx], J_fd, jac_gaps),
+            (K[:nx, nx:].T, J_fd, jac_gaps),
+            (K[:nx, :nx], H_fd, hess_gaps),
+        ):
+            gaps.append(float(np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())))
+    return max(jac_gaps), max(hess_gaps)
 
 
 def three_bus_opf_case(load=0.8) -> NetworkCase:
@@ -339,6 +351,12 @@ def _short_gencost_rows(bundle) -> None:
     (bundle / "case.m").write_text(emit_case(doc))
 
 
+def _out_of_service_generator(bundle) -> None:
+    doc = parse_case((bundle / "case.m").read_text())
+    doc.matrices["gen"][1][7] = 0.0  # GEN_STATUS
+    (bundle / "case.m").write_text(emit_case(doc))
+
+
 def _zero_base_mva(bundle) -> None:
     text = (bundle / "case.m").read_text()
     (bundle / "case.m").write_text(re.sub(r"mpc\.baseMVA = [^;]*;", "mpc.baseMVA = 0;", text))
@@ -384,6 +402,7 @@ MALFORMED_BUNDLES = {
     "unknown-gen-kind-code": (_unknown_gen_kind_code, "gen_kind row 0"),
     "short-gencost-row": (_short_gencost_rows, "gencost row 0"),
     "zero-base-mva": (_zero_base_mva, "baseMVA must be finite and positive"),
+    "out-of-service-generator": (_out_of_service_generator, "gen row 1: out-of-service"),
     "short-gen-kind-table": (_short_table("gen_kind"), "gen_kind has 5 rows for 7 generators"),
     "short-gencost-table": (_short_table("gencost"), "gencost has 5 rows for 7 generators"),
     "sidecar-missing-column": (_sidecar_without_deadband, "header must be"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tdsynth import powerflow
 from tdsynth.netmodel import Branch, Bus, BusKind, Generator, NetworkCase, OltcTransformer
 from tdsynth.opf import (
     EXTRA_ROUNDS,
@@ -220,3 +221,33 @@ def test_relaxation_round_cap_ends_with_a_final_bound_solve(tmp_path):
     assert sol.taps == [cap]
     assert sol.feasible and sol.converged
     assert len((tmp_path / "trace.csv").read_text().splitlines()) == cap + 2
+
+
+def test_dense_and_sparse_kkt_kernels_agree(run_pipeline, monkeypatch):
+    from tdsynth.synth import SynthesisConfig
+
+    combined = run_pipeline(SynthesisConfig(penetration_level=1.5)).case
+    problem = OpfProblem.from_case(combined, v_limits=(0.95, 1.05))
+    schedule = RelaxationSchedule(rounds=5, v_slack=0.1)
+    dense = solve_with_relaxation(problem, schedule)
+    with monkeypatch.context() as m:
+        m.setattr(powerflow, "DENSE_MAX_ROWS", 0)
+        sparse = solve_with_relaxation(problem, schedule)
+    assert dense.taps == sparse.taps
+    assert dense.relaxation_rounds == sparse.relaxation_rounds > 1
+    assert dense.objective == pytest.approx(sparse.objective, rel=1e-10)
+    assert dense.converged and sparse.converged
+    assert dense.feasible and sparse.feasible
+
+
+def test_warm_start_from_a_converged_point_takes_fewer_steps(run_pipeline):
+    from tdsynth.synth import SynthesisConfig
+
+    combined = run_pipeline(SynthesisConfig(penetration_level=1.5)).case
+    problem = OpfProblem.from_case(combined, v_limits=(0.95, 1.05))
+    cold = solve_continuous(problem)
+    assert cold.converged and cold.raw_duals is not None
+    warm = solve_continuous(problem, x0=cold.raw_x, duals=cold.raw_duals)
+    assert warm.converged and warm.feasible
+    assert 0 < warm.iterations < cold.iterations
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-10)

@@ -95,8 +95,8 @@ def test_singular_jacobian_is_reported(monkeypatch):
     # two antiparallel reactances cancel: bus 2 is electrically floating
     case = two_bus_case()
     case.branches.append(Branch(from_bus=1, to_bus=2, r=0.0, x=-0.1))
-    for dense_max in (powerflow.DENSE_MAX_BUSES, 0):  # dense kernel, then sparse
-        monkeypatch.setattr(powerflow, "DENSE_MAX_BUSES", dense_max)
+    for dense_max in (powerflow.DENSE_MAX_ROWS, 0):  # dense kernel, then sparse
+        monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
         with pytest.raises(SingularJacobianError):
             solve(case)
 
@@ -195,7 +195,7 @@ def _assert_kernels_agree(case, monkeypatch):
     compare both with each other and with the independent evaluator."""
     dense = solve(case)
     with monkeypatch.context() as m:
-        m.setattr(powerflow, "DENSE_MAX_BUSES", 0)
+        m.setattr(powerflow, "DENSE_MAX_ROWS", 0)
         sparse = solve(case)
     assert dense.converged == sparse.converged
     assert dense.iterations == sparse.iterations
@@ -223,7 +223,7 @@ def test_dense_and_sparse_kernels_agree_on_shipped_cases(tn_bundle, dn_bundle, r
 
     combined = run_pipeline(SynthesisConfig(penetration_level=0.5)).case
     for case in (tn_bundle.case, dn_bundle.case, combined):
-        if len(case.buses) > powerflow.DENSE_MAX_BUSES:
+        if 2 * len(case.buses) > powerflow.DENSE_MAX_ROWS:
             continue  # a full-size template (TDSYNTH_TEMPLATES) runs sparse only
         sol = _assert_kernels_agree(_flat(case), monkeypatch)
         assert sol.converged and sol.iterations > 0

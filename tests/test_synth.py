@@ -310,9 +310,14 @@ def test_generate_with_opf_writes_trace_and_manifest(template_dir, tmp_path):
     assert result.manifest["opf"]["objective"] == pytest.approx(result.opf.objective)
     assert result.manifest["opf"]["converged"] is True
     assert result.manifest["opf"]["iterations"] == result.opf.iterations > 0
+    # one step count per continuous solve, the closing one included
+    per_round = result.manifest["opf"]["round_iterations"]
+    assert len(per_round) == len(result.opf.trace)
+    assert all(isinstance(k, int) and k > 0 for k in per_round)
+    assert sum(per_round) == result.manifest["opf"]["iterations"]
     trace = (tmp_path / "run" / "opf_trace.csv").read_text().splitlines()
     assert trace[0] == "round,objective,max_violation,taps_moved"
-    assert len(trace) >= 2
+    assert len(trace) == len(per_round) + 1
     # the exported operating point is the optimized one: every bus inside
     # its own voltage bounds
     assert result.solution.converged
