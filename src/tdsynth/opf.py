@@ -19,7 +19,8 @@ final and no tap wants to move.  Consecutive rounds differ by one tap step
 and one bound notch, so each round starts from the previous round's primal
 point and multipliers (a dual warm start after Yildirim & Wright, SIAM J.
 Optim. 2002: the bound multipliers and slacks are floored away from zero);
-only the first round starts cold.
+only the first round starts cold.  The model's index arrays are built once
+per relaxation; a tap move only rewrites the admittance values.
 """
 
 from __future__ import annotations
@@ -170,12 +171,18 @@ class _OpfModel:
         self.n, self.nd, self.na = n, nd, n - 1
         self.nx = self.na + n + 2 * nd
         self.slack_ang = case.buses[self.slack_pos].v_ang
-        self.Ybus = powerflow.build_ybus(case)
+        self._adm = powerflow._Admittance(case, case.bus_index())
+        self._taps = sorted({t.branch_ref for t in case.oltcs})
+        self.Ybus = self._adm.ybus(self._adm.ratio)
         self.YbusH = self.Ybus.conj().T.tocsr()
+        # YbusH.data is conj(Ybus.data) in this order
+        at = sp.csr_matrix((np.arange(self.Ybus.nnz, dtype=float), self.Ybus.indices,
+                            self.Ybus.indptr), shape=self.Ybus.shape)
+        self._to_h = at.T.tocsr().data.astype(int)
         self.Cg = sp.csr_matrix((np.ones(nd), (gen_pos, np.arange(nd))), shape=(n, nd))
 
-        Y = self.Ybus.tocoo()
-        self.y, r, c = Y.data, Y.row, Y.col
+        _, r, c = self._adm.entries()
+        self.y = self.Ybus.data
         self.r, self.c = r, c
         buses = np.arange(n)
         # x position of each bus angle (-1: the slack bus) and magnitude,
@@ -229,6 +236,17 @@ class _OpfModel:
         self.grad_scale = float(max(1.0, np.max(np.abs(self.c1) * base, initial=0.0),
                                     np.max(np.abs(self.c2) * base * base, initial=0.0)))
 
+    def retap(self, case: NetworkCase) -> None:
+        """Bring the admittances up to the tap ratios now on ``case``, the
+        case the model was built from: only the tap branches' ratios are
+        read, and Ybus, YbusH and y change values in place; every index
+        array, Cg and the KKT placement stay."""
+        ratio = self._adm.ratio.copy()
+        ratio[self._taps] = [case.branches[k].ratio for k in self._taps]
+        Y = self._adm.ybus(ratio)
+        self.Ybus.data[:] = Y.data
+        self.YbusH.data[:] = np.conj(Y.data)[self._to_h]
+
     def split(self, x):
         na, n, nd = self.na, self.n, self.nd
         va = np.empty(n)
@@ -261,7 +279,8 @@ class _OpfModel:
 
     def jacobian(self, x) -> np.ndarray:
         """d balance / dx (2n x nx): its values at (jac_rows, jac_cols)."""
-        dSa, dSm = powerflow._dS_dV(self.Ybus, self.voltage(x), self.r, self.c, self.y)
+        V = self.voltage(x)
+        dSa, dSm = powerflow._dS_dV(V, self.Ybus @ V, self.r, self.c, self.y)
         dSa = dSa[self.jac_keep]
         ones = np.ones(self.nd)
         return np.concatenate([dSa.real, dSa.imag, dSm.real, dSm.imag, -ones, -ones])
@@ -417,12 +436,14 @@ def solve_continuous(
     x0: np.ndarray | None = None,
     max_iterations: int = 400,
     duals: tuple[np.ndarray, np.ndarray] | None = None,
+    model: _OpfModel | None = None,
 ) -> OpfSolution:
     """Minimize dispatch cost with the tap ratios frozen as they stand.
 
     ``x0`` and ``duals`` warm-start the interior point from an earlier
     solution's ``raw_x`` and ``raw_duals``; without ``duals`` it starts
-    cold.
+    cold.  ``model`` is the problem's :class:`_OpfModel`, built here if not
+    given; it must hold the case's present tap ratios.
 
     The stationarity part of the reported KKT residual is measured on the
     cost normalized by its gradient scale, so the 1e-6 target is meaningful
@@ -431,7 +452,7 @@ def solve_continuous(
     whether the interior-point run met its tolerances.
     """
     case = problem.case
-    model = _OpfModel(problem)
+    model = model or _OpfModel(problem)
     n, na = model.n, model.na
     v_lo = v_limits[0] if v_limits is not None else problem.v_min
     v_hi = v_limits[1] if v_limits is not None else problem.v_max
@@ -510,6 +531,7 @@ def solve_with_relaxation(
     )
 
     stepper = TapStepper(work)
+    model = _OpfModel(sub)
     trace: list[dict] = []
     warm, duals = None, None
     iterations, converged = 0, True
@@ -522,7 +544,7 @@ def solve_with_relaxation(
             slack = 0.0
         sol = solve_continuous(
             sub, v_limits=(problem.v_min - slack, problem.v_max + slack),
-            x0=warm, duals=duals,
+            x0=warm, duals=duals, model=model,
         )
         iterations += sol.iterations
         converged = converged and sol.converged
@@ -551,6 +573,8 @@ def solve_with_relaxation(
         if moved == 0 and (slack == 0.0 or v_gap <= FEASIBILITY_TOL):
             break
         stepper.apply(deltas)
+        if moved:
+            model.retap(work)
 
     taps_ok = all(t.tap_min <= t.tap <= t.tap_max for t in work.oltcs)
     result = OpfSolution(

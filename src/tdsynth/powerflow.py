@@ -1,13 +1,26 @@
-"""Full Newton-Raphson AC power flow in polar coordinates.
+"""Full Newton-Raphson AC power flow in polar coordinates, over a batch.
+
+The kernel (:func:`solve_batch`) solves a list of cases of one structure:
+the same buses and bus kinds, branches, generator buses and tap changers.
+The cases, typically the copies of one distribution feeder, may differ only
+in loads, generator outputs, tap positions and stored voltages.  The
+structure is checked and indexed once per call.  Each case becomes one row
+of (B, n) voltage and injection arrays; its tap branches get their own
+admittances.  Every Newton step works on all unconverged rows at once, and
+a row that converges is masked out and never updated again.  A row's numbers
+do not depend on the batch around it: it passes through the same
+elementwise operations and the same LAPACK call whatever the batch size and
+its position (a large batch is cut into chunks for that, see
+``_ELIDE_BYTES``).  :func:`solve` is the one-item call.
 
 Every Newton step takes its Jacobian from one entry-wise dS/dV
 (:func:`_dS_dV`, which the OPF shares).  Matrix size decides only where the
 entries go and how the step is solved, by one rule (:func:`_dense`) that the
 OPF's KKT step follows too: up to ``DENSE_MAX_ROWS`` rows, such as the
-Jacobians of the feeder copies solved thousands of times per run, into a
-dense array solved with LAPACK, since at that size scipy.sparse objects cost
-more than the arithmetic; above it, such as the combined T&D case, into a CSC
-matrix factorized with SuperLU.  The formulation is polar full Newton,
+Jacobians of the feeder copies, into stacked (B, m, m) arrays solved with
+LAPACK, since at that size scipy.sparse objects cost more than the
+arithmetic; above it, such as the combined T&D case, into one CSC matrix
+per case factorized with SuperLU.  The formulation is polar full Newton,
 because distribution feeders with high R/X ratios defeat the fast-decoupled
 shortcuts.
 """
@@ -16,6 +29,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,67 +85,124 @@ class PowerFlowSolution:
     mismatch_bus: int | None = None  # bus id holding max_mismatch; None if no unknowns
 
 
-@dataclass
-class _BranchTerms:
-    """Per-branch pi-model admittances, with I_from = yff V_f + yft V_t and
-    I_to = ytf V_f + ytt V_t.  Out-of-service branches have all four zero."""
+# numpy computes ``a * b`` in the buffer of b, with the operands swapped,
+# when b is a temporary of at least 256 KiB, and a complex product then
+# rounds differently in the last bit.  A batch is solved in chunks whose
+# elementwise arrays stay below that size, so a case gets the same numbers
+# in a batch as alone; a case that large alone is solved one at a time.
+_ELIDE_BYTES = 256 * 1024
 
-    f: np.ndarray    # from-bus position
-    t: np.ndarray    # to-bus position
-    yff: np.ndarray
-    yft: np.ndarray
-    ytf: np.ndarray
-    ytt: np.ndarray
-    on: np.ndarray   # in service
-
-
-def _branch_terms(case: NetworkCase, idx: dict[int, int]) -> _BranchTerms:
-    brs = case.branches
-    m = len(brs)
-    f = np.fromiter((idx[br.from_bus] for br in brs), dtype=int, count=m)
-    t = np.fromiter((idx[br.to_bus] for br in brs), dtype=int, count=m)
-    on = np.fromiter((br.status for br in brs), dtype=bool, count=m)
-    for k, br in enumerate(brs):
-        if br.status and br.r == 0.0 and br.x == 0.0:
-            raise PowerFlowError(f"branch {k} is in service with zero impedance")
-    # CPython's complex division, not numpy's: the two differ in the last bit
-    # for some quotients, and this one keeps Ybus, and so the exported
-    # states, bit for bit as earlier versions computed them
-    y = np.array([1.0 / complex(br.r, br.x) if br.status else 0j for br in brs], dtype=complex)
-    bc = 0.5j * np.fromiter((br.b_charging for br in brs), dtype=float, count=m)
-    tap = np.fromiter((br.ratio for br in brs), dtype=float, count=m) * np.exp(
-        1j * np.fromiter((br.phase_shift for br in brs), dtype=float, count=m)
-    )
-    ytt = np.where(on, y + bc, 0.0)
-    return _BranchTerms(
-        f=f, t=t, yff=ytt / (tap * np.conj(tap)), yft=-y / np.conj(tap), ytf=-y / tap,
-        ytt=ytt, on=on,
-    )
+_BRANCH_PARAMS = attrgetter("status", "r", "x", "b_charging", "phase_shift", "ratio")
+_BUS_STATE = attrgetter("p_load", "q_load", "v_mag", "v_ang")
+_GEN_OUTPUT = attrgetter("p", "q")
+_SHUNT = attrgetter("g_shunt", "b_shunt")
 
 
-def _ybus(case: NetworkCase, br: _BranchTerms, dense: bool):
-    """N x N complex admittance matrix: an ndarray if ``dense``, else CSR.
-    Entries are summed branch by branch, then shunts, in case order."""
-    n = len(case.buses)
-    on = br.on
-    rows = np.stack([br.f, br.t, br.f, br.t], axis=1)[on].ravel()
-    cols = np.stack([br.f, br.t, br.t, br.f], axis=1)[on].ravel()
-    vals = np.stack([br.yff, br.ytt, br.yft, br.ytf], axis=1)[on].ravel()
-    shunt = np.array([complex(b.g_shunt, b.b_shunt) for b in case.buses], dtype=complex)
-    has = np.flatnonzero(shunt)
-    rows = np.concatenate([rows, has])
-    cols = np.concatenate([cols, has])
-    vals = np.concatenate([vals, shunt[has]])
-    if dense:
-        Y = np.zeros((n, n), dtype=complex)
-        np.add.at(Y, (rows, cols), vals)
+def _values(values, rows: int, width: int) -> np.ndarray:
+    """A (rows, width) float array of ``values``, given row by row."""
+    return np.fromiter(values, dtype=float, count=rows * width).reshape(rows, width)
+
+
+def _gather(records, fields: attrgetter, width: int) -> np.ndarray:
+    """The ``fields`` of every record as a (records, width) float array,
+    without a list of per-record tuples."""
+    return _values(chain.from_iterable(map(fields, records)), len(records), width)
+
+
+class _Admittance:
+    """The branch and shunt admittances of one network.
+
+    Each in-service branch contributes its four pi-model terms (I_from =
+    yff V_f + yft V_t, I_to = ytf V_f + ytt V_t), then each shunt its
+    admittance, at (rows, cols); Ybus adds them up position by position,
+    in that order.  Only branch ratios are read per evaluation, as a
+    (B, branches) array, so one instance serves every tap position."""
+
+    def __init__(self, case: NetworkCase, idx: dict[int, int]):
+        brs = case.branches
+        m, n = len(brs), len(case.buses)
+        self.n = n
+        ends = chain.from_iterable((idx[br.from_bus], idx[br.to_bus]) for br in brs)
+        self.f, self.t = np.fromiter(ends, dtype=int, count=2 * m).reshape(m, 2).T
+        par = _gather(brs, _BRANCH_PARAMS, 6)
+        on = par[:, 0] != 0
+        zero = on & (par[:, 1] == 0.0) & (par[:, 2] == 0.0)
+        if zero.any():
+            raise PowerFlowError(f"branch {zero.argmax()} is in service with zero impedance")
+        # CPython's complex division, not numpy's: the two differ in the last bit
+        # for some quotients, and this one keeps Ybus, and so the exported
+        # states, bit for bit as earlier versions computed them
+        y = np.array([1.0 / complex(br.r, br.x) if br.status else 0j for br in brs],
+                     dtype=complex)
+        self.neg_y = -y
+        self.ytt = np.where(on, y + 0.5j * par[:, 3], 0.0)
+        self.rot = np.exp(1j * par[:, 4])
+        self.ratio = par[:, 5].copy()
+
+        shunt = _gather(case.buses, _SHUNT, 2).view(complex)[:, 0]   # g + jb
+        has = np.flatnonzero(shunt)
+        self.shunt = shunt[has]
+        # per in-service branch its yff, ytt, yft, ytf (see ``values``), then the shunts
+        k = np.flatnonzero(on)
+        self.pick = np.concatenate([(k[:, None] + m * np.arange(4)).ravel(), 4 * m + np.arange(len(has))])
+        f, t = self.f[k], self.t[k]
+        self.rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), has])
+        self.cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), has])
+        self._entries = None
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Ybus positions some term reaches, row major: (flat position,
+        row, column).  Worked out on first use, which a power flow that
+        starts converged never makes."""
+        if self._entries is None:
+            pos = np.unique(self.rows * self.n + self.cols)
+            self._entries = (pos, *np.divmod(pos, self.n))
+        return self._entries
+
+    def terms(self, ratio: np.ndarray):
+        """(yff, yft, ytf, ytt) per case and branch for ratios (B, branches);
+        out-of-service branches have all four zero."""
+        tap = ratio * self.rot
+        yff = self.ytt / (tap * np.conj(tap))
+        return yff, self.neg_y / np.conj(tap), self.neg_y / tap, np.broadcast_to(self.ytt, yff.shape)
+
+    def values(self, terms) -> np.ndarray:
+        """Every admittance term per case (B, terms), in (rows, cols) order."""
+        yff, yft, ytf, ytt = terms
+        shunt = np.broadcast_to(self.shunt, (len(yff), len(self.shunt)))
+        return np.concatenate([yff, ytt, yft, ytf, shunt], axis=1)[:, self.pick]
+
+    def matrices(self, vals: np.ndarray, dense: bool):
+        """Ybus per case: stacked (B, n, n) arrays if ``dense``, the terms
+        added up in order; else a list of CSR matrices, the terms added up
+        by scipy's COO conversion, whose order on a row of many terms is its
+        own (the large LU's pivots hang on those last bits, so it stays)."""
+        B, n = len(vals), self.n
+        if not dense:
+            return [sp.csr_matrix((v, (self.rows, self.cols)), shape=(n, n)) for v in vals]
+        at = self.rows * n + self.cols
+        if B > 1:
+            at = (at + (n * n) * np.arange(B)[:, None]).ravel()
+        Y = np.zeros(B * n * n, dtype=complex)
+        np.add.at(Y, at, vals.ravel())
+        return Y.reshape(B, n, n)
+
+    def ybus(self, ratio: np.ndarray) -> sp.csr_matrix:
+        """One case's Ybus as CSR, for branch ratios ``ratio``."""
+        (Y,) = self.matrices(self.values(self.terms(ratio[None])), dense=False)
         return Y
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    def at_entries(self, Y) -> np.ndarray:
+        """The values of Ybus per case at :meth:`entries`, (B, entries)."""
+        if isinstance(Y, np.ndarray):
+            return Y.reshape(len(Y), -1)[:, self.entries()[0]]
+        return Y[0].data[None] if len(Y) == 1 else np.stack([Yk.data for Yk in Y])
 
 
 def build_ybus(case: NetworkCase) -> sp.csr_matrix:
     """N x N complex admittance matrix over the case's bus ordering."""
-    return _ybus(case, _branch_terms(case, case.bus_index()), dense=False)
+    adm = _Admittance(case, case.bus_index())
+    return adm.ybus(adm.ratio)
 
 
 def _dense(rows: int) -> bool:
@@ -166,29 +238,25 @@ def _solve_linear(A, b) -> np.ndarray | None:
     return x if np.all(np.isfinite(x)) else None
 
 
-def _dS_dV(Ybus, V, r, c, y) -> tuple[np.ndarray, np.ndarray]:
-    """dS/dVa and dS/dVm of the injections S = V conj(Ybus V), entry by entry
-    (MATPOWER's ``dSbus_dV``): the values at the Ybus entries (r, c, y), then
-    at the diagonal (i, i) of every bus; values at one position add up."""
-    Ibus = Ybus @ V
+def _dS_dV(V, Ibus, r, c, y) -> tuple[np.ndarray, np.ndarray]:
+    """dS/dVa and dS/dVm of the injections S = V conj(Ibus), Ibus = Ybus V,
+    entry by entry (MATPOWER's ``dSbus_dV``): the values at the Ybus entries
+    (r, c, y), then at the diagonal (i, i) of every bus; values at one
+    position add up.  A leading batch axis on V, Ibus and y carries over."""
     Vnorm = V / np.abs(V)
-    dSa = 1j * np.concatenate([-V[r] * np.conj(y * V[c]), V * np.conj(Ibus)])
-    dSm = np.concatenate([V[r] * np.conj(y * Vnorm[c]), np.conj(Ibus) * Vnorm])
+    dSa = 1j * np.concatenate([-V[..., r] * np.conj(y * V[..., c]), V * np.conj(Ibus)], axis=-1)
+    dSm = np.concatenate([V[..., r] * np.conj(y * Vnorm[..., c]), np.conj(Ibus) * Vnorm], axis=-1)
     return dSa, dSm
 
 
-def _placement(Ybus, pvpq, pq):
-    """The Ybus entries (r, c, y) and where the NR Jacobian puts the values of
-    :func:`_dS_dV`: P rows at pvpq, then Q rows at pq; Va columns at pvpq,
-    then Vm columns at pq.  ``take`` picks from (Re dS/dVa, Re dS/dVm,
-    Im dS/dVa, Im dS/dVm), and ``rows``/``cols`` place each picked value."""
-    if isinstance(Ybus, np.ndarray):
-        r, c = np.nonzero(Ybus)
-        y = Ybus[r, c]
-    else:
-        Y = Ybus.tocoo()
-        r, c, y = Y.row, Y.col, Y.data
-    n, npvpq = Ybus.shape[0], len(pvpq)
+def _placement(adm: _Admittance, pvpq, pq):
+    """Where the NR Jacobian puts the values of :func:`_dS_dV`: P rows at
+    pvpq, then Q rows at pq; Va columns at pvpq, then Vm columns at pq.
+    ``take`` picks from (Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm), as
+    positions in the float view of the complex (dS/dVa, dS/dVm), and
+    ``rows``/``cols`` place each picked value."""
+    _, r, c = adm.entries()
+    n, npvpq = adm.n, len(pvpq)
     at_a = np.full(n, -1)  # P row and Va column of each bus
     at_a[pvpq] = np.arange(npvpq)
     at_m = np.full(n, -1)  # Q row and Vm column
@@ -197,133 +265,289 @@ def _placement(Ybus, pvpq, pq):
     rows = np.concatenate([at_a[rb], at_a[rb], at_m[rb], at_m[rb]])
     cols = np.concatenate([at_a[c], at_a, at_m[c], at_m] * 2)
     take = np.flatnonzero((rows >= 0) & (cols >= 0))
-    return (r, c, y), take, rows[take], cols[take]
+    half = 2 * len(rb)   # the real parts, then the imaginary parts
+    take_view = np.where(take < half, 2 * take, 2 * (take - half) + 1)
+    return take_view, rows[take], cols[take]
 
 
-def _jacobian(Ybus, V, place, m: int):
-    """The m x m NR Jacobian at V: an ndarray for a dense Ybus, else CSC."""
-    (r, c, y), take, rows, cols = place
-    dS = np.concatenate(_dS_dV(Ybus, V, r, c, y))
-    vals = np.concatenate([dS.real, dS.imag])[take]
-    return _place(vals, rows, cols, (m, m), isinstance(Ybus, np.ndarray))
+def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int, dense: bool):
+    """The m x m NR Jacobian of every case at V (B, n): one (B, m, m) array
+    if ``dense``, else a list of CSC matrices."""
+    take, rows, cols = place
+    _, r, c = adm.entries()
+    if not dense:
+        # case by case on 1-D rows: numpy then evaluates every expression
+        # as it always has on this path (its in-place reuse of large
+        # temporaries included), which keeps the LU's pivots
+        return [_place(np.concatenate(_dS_dV(Vk, Ik, r, c, yk)).view(float)[take],
+                       rows, cols, (m, m), False) for Vk, Ik, yk in zip(V, Ibus, y)]
+    dS = np.concatenate(_dS_dV(V, Ibus, r, c, y), axis=-1)
+    vals = dS.view(float)[:, take]
+    B = len(vals)
+    at = rows * m + cols
+    if B > 1:
+        at = (at + (m * m) * np.arange(B)[:, None]).ravel()
+    return np.bincount(at, weights=vals.ravel(), minlength=B * m * m).reshape(B, m, m)
 
 
-def _newton_step(Ybus, V, F, place) -> np.ndarray:
-    """Solve J dx = F: LAPACK for a dense Ybus, SuperLU for a sparse one."""
-    dx = _solve_linear(_jacobian(Ybus, V, place, len(F)), F)
-    if dx is None:
-        raise SingularJacobianError("singular Jacobian")
-    return dx
+def _newton_steps(J, F) -> tuple[np.ndarray, np.ndarray]:
+    """Solve J dx = F for every case: the steps (B, m) and which of them
+    exist (a singular J or a non-finite step has none)."""
+    if isinstance(J, np.ndarray):
+        try:
+            dx = np.linalg.solve(J, F[..., None])[..., 0]
+            return dx, np.isfinite(dx).all(axis=1)
+        except np.linalg.LinAlgError:
+            # find the singular ones; each case gets the same LAPACK call
+            steps = [_solve_linear(J[k : k + 1], F[k : k + 1, :, None]) for k in range(len(F))]
+    else:
+        steps = [_solve_linear(Jk, Fk) for Jk, Fk in zip(J, F)]
+    ok = np.array([step is not None for step in steps])
+    dx = np.zeros_like(F)
+    for k, step in enumerate(steps):
+        if step is not None:
+            dx[k] = step.ravel()
+    return dx, ok
 
 
-def _specified_injection(case: NetworkCase) -> np.ndarray:
+def _currents(Y, V) -> np.ndarray:
+    """Ybus V per case."""
+    if isinstance(Y, np.ndarray):
+        return (Y @ V[..., None])[..., 0]
+    return np.array([Yk @ Vk for Yk, Vk in zip(Y, V)]).reshape(V.shape)
+
+
+def _mismatch(V, Ibus, Sbus, pvpq, pq) -> np.ndarray:
+    mis = V * np.conj(Ibus) - Sbus
+    return np.concatenate([mis[..., pvpq].real, mis[..., pq].imag], axis=-1)
+
+
+def _worst(F) -> np.ndarray:
+    """The largest |mismatch| of every case (0 without unknowns)."""
+    return np.abs(F).max(axis=1) if F.shape[1] else np.zeros(len(F))
+
+
+_BUS_KEY = attrgetter("id", "kind", "g_shunt", "b_shunt")
+_BRANCH_KEY = attrgetter("from_bus", "to_bus", "status", "r", "x", "b_charging", "phase_shift")
+
+
+def _key(case: NetworkCase, taps: list[int]) -> tuple:
+    """Everything a batch shares; the tap branches' ratios may differ."""
+    ratios = [br.ratio for br in case.branches]
+    for k in taps:
+        ratios[k] = None
+    return (
+        list(map(_BUS_KEY, case.buses)), list(map(_BRANCH_KEY, case.branches)), ratios,
+        [g.bus_id for g in case.generators], [t.branch_ref for t in case.oltcs],
+    )
+
+
+@dataclass
+class _Structure:
+    """What every case of one batch shares, checked and indexed once."""
+
+    adm: _Admittance
+    pvpq: np.ndarray
+    pq: np.ndarray
+    gen_pos: np.ndarray      # bus position of each generator
+    set_pos: np.ndarray      # slack/PV bus positions ...
+    set_gen: list[int]       # ... and the generator whose v_set each holds
+    tap_br: list[int]        # branches whose ratio may differ per case
+    dense: bool
+    chunk: int               # cases solved together, at most
+    place: tuple | None = None
+
+
+def _structure(cases: list[NetworkCase]) -> _Structure:
+    """Check the first case and index it; raise ValueError if another case
+    does not share its structure."""
+    case = cases[0]
+    kinds = [b.kind for b in case.buses]
+    slacks = kinds.count(BusKind.SLACK)
+    if slacks != 1:
+        raise PowerFlowError(f"need exactly one slack bus, found {slacks}")
+    if len(islands(case)) != 1:
+        raise PowerFlowError("network is not connected")
+    tap_br = sorted({t.branch_ref for t in case.oltcs})
+    if len(cases) > 1:
+        key = _key(case, tap_br)
+        for k, other in enumerate(cases[1:], 1):
+            if _key(other, tap_br) != key:
+                raise ValueError(f"case {k} of the batch differs in structure from case 0")
+
     idx = case.bus_index()
-    s = np.array([-complex(b.p_load, b.q_load) for b in case.buses])
-    for g in case.generators:
-        s[idx[g.bus_id]] += complex(g.p, g.q)
-    return s
-
-
-def _setpoint_voltages(case: NetworkCase) -> dict[int, float]:
-    """|V| setpoint per slack/PV bus, taken from the first generator there."""
-    vset: dict[int, float] = {}
-    for b in case.buses:
-        if b.kind is BusKind.PQ:
-            continue
-        gens = case.gens_at(b.id)
-        if not gens:
+    adm = _Admittance(case, idx)
+    gen_pos = np.fromiter((idx[g.bus_id] for g in case.generators), dtype=int,
+                          count=len(case.generators))
+    # the |V| setpoint of a slack/PV bus comes from its first generator
+    first: dict[int, int] = {}
+    for j, i in enumerate(gen_pos.tolist()):
+        first.setdefault(i, j)
+    is_pq = np.fromiter((kind is BusKind.PQ for kind in kinds), dtype=bool, count=len(kinds))
+    is_pv = np.fromiter((kind is BusKind.PV for kind in kinds), dtype=bool, count=len(kinds))
+    set_pos = np.flatnonzero(~is_pq)
+    for i in set_pos.tolist():
+        if i not in first:
+            b = case.buses[i]
             raise PowerFlowError(f"{b.kind.value} bus {b.id} has no generator")
-        vset[b.id] = gens[0].v_set
-    return vset
+    pq = np.flatnonzero(is_pq)
+    pvpq = np.concatenate([np.flatnonzero(is_pv), pq])
+    return _Structure(
+        adm=adm, pvpq=pvpq, pq=pq, gen_pos=gen_pos,
+        set_pos=set_pos, set_gen=[first[i] for i in set_pos.tolist()], tap_br=tap_br,
+        dense=_dense(len(pvpq) + len(pq)),
+        # the widest elementwise array of a case, dS/dV, holds fewer than
+        # 2 (terms + buses) complex values
+        chunk=max(1, (_ELIDE_BYTES - 1) // (32 * (len(adm.rows) + adm.n))),
+    )
 
 
-def _mismatch(Ybus, V, Sbus, pvpq, pq) -> np.ndarray:
-    mis = V * np.conj(Ybus @ V) - Sbus
-    return np.concatenate([mis[pvpq].real, mis[pq].imag])
+def _inputs(st: _Structure, cases: list[NetworkCase]):
+    """Per case (one row each): branch ratios, specified injections S =
+    generation - load, and the starting |V| and angle, with every slack/PV
+    bus at its setpoint."""
+    B, n = len(cases), st.adm.n
+    ratio = np.repeat(st.adm.ratio[None], B, axis=0)
+    if st.tap_br:
+        ratio[:, st.tap_br] = _values((c.branches[k].ratio for c in cases for k in st.tap_br),
+                                      B, len(st.tap_br))
+    # per bus (p_load + j q_load, v_mag + j v_ang)
+    bus = _gather([b for c in cases for b in c.buses], _BUS_STATE, 4).view(complex).reshape(B, n, 2)
+    Sbus = -bus[..., 0]
+    if len(st.gen_pos):
+        gen = _gather([g for c in cases for g in c.generators], _GEN_OUTPUT, 2).view(complex)
+        # generator by generator, in case order
+        np.add.at(Sbus.reshape(-1), (st.gen_pos + n * np.arange(B)[:, None]).ravel(), gen.ravel())
+    vm, va = bus[..., 1].real.copy(), bus[..., 1].imag.copy()
+    vm[:, st.set_pos] = _values((c.generators[j].v_set for c in cases for j in st.set_gen),
+                                B, len(st.set_gen))
+    return ratio, Sbus, vm, va
+
+
+def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> list:
+    """Newton-Raphson on every case of one structure; per case its
+    :class:`PowerFlowSolution` or its :class:`SingularJacobianError`."""
+    B, adm, dense = len(cases), st.adm, st.dense
+    pvpq, pq, npvpq = st.pvpq, st.pq, len(st.pvpq)
+    if B > st.chunk:
+        return [result for k in range(0, B, st.chunk)
+                for result in _solve(st, cases[k : k + st.chunk], opts)]
+    ratio, Sbus, vm, va = _inputs(st, cases)
+    terms = adm.terms(ratio)
+    Y = adm.matrices(adm.values(terms), dense)
+    V = vm * np.exp(1j * va)
+    Ibus = _currents(Y, V)
+    F = _mismatch(V, Ibus, Sbus, pvpq, pq)
+    iterations = np.zeros(B, dtype=int)
+    singular = np.zeros(B, dtype=bool)
+
+    # the unconverged cases: row j of the working arrays (w*) is case act[j]
+    act = np.flatnonzero(~(_worst(F) < opts.tolerance))
+    if act.size:
+        if st.place is None:
+            st.place = _placement(adm, pvpq, pq)
+        y = adm.at_entries(Y)
+        if act.size == B:   # the common case: no copies
+            wva, wvm, wS, wy, wV, wI, wF, wY = va, vm, Sbus, y, V, Ibus, F, Y
+        else:
+            wva, wvm, wS, wy, wV, wI, wF = (a[act] for a in (va, vm, Sbus, y, V, Ibus, F))
+            wY = Y[act] if dense else [Y[k] for k in act]
+    it = 0
+    while act.size and it < opts.max_iterations:
+        dx, ok = _newton_steps(_jacobians(adm, st.place, wV, wI, wy, F.shape[1], dense), wF)
+        wva[:, pvpq] -= dx[:, :npvpq]
+        wvm[:, pq] -= dx[:, npvpq:]
+        wV = wvm * np.exp(1j * wva)
+        wI = _currents(wY, wV)
+        wF = _mismatch(wV, wI, wS, pvpq, pq)
+        it += 1
+        done = ~ok | (np.abs(wF).max(axis=1) < opts.tolerance) | (it == opts.max_iterations)
+        if done.any():
+            # these cases leave the batch for good: keep their last state
+            fin = act[done]
+            singular[act[~ok]] = True
+            V[fin], Ibus[fin], F[fin], iterations[fin] = wV[done], wI[done], wF[done], it
+            keep = ~done
+            act = act[keep]
+            if act.size:
+                wva, wvm, wS, wy, wV, wI, wF = (a[keep] for a in (wva, wvm, wS, wy, wV, wI, wF))
+                wY = wY[keep] if dense else [Yk for Yk, k in zip(wY, keep) if k]
+    converged = _worst(F) < opts.tolerance
+
+    S = V * np.conj(Ibus)
+    yff, yft, ytf, ytt = terms
+    Vf, Vt = V[:, adm.f], V[:, adm.t]
+    Sf = Vf * np.conj(yff * Vf + yft * Vt)
+    St = Vt * np.conj(ytf * Vf + ytt * Vt)
+    v_mag, v_ang = np.abs(V), np.angle(V)
+    P, Q, Pf, Qf, Pt, Qt = S.real, S.imag, Sf.real, Sf.imag, St.real, St.imag
+    if F.shape[1]:
+        absF = np.abs(F)
+        worst = absF.argmax(axis=1)
+        max_mismatch = absF[np.arange(B), worst].tolist()
+        # F holds P at pvpq, then Q at pq
+        worst_pos = np.concatenate([pvpq, pq])[worst].tolist()
+    out: list = []
+    for k, case in enumerate(cases):
+        if singular[k]:
+            out.append(SingularJacobianError("singular Jacobian"))
+            continue
+        out.append(PowerFlowSolution(
+            v_mag=v_mag[k],
+            v_ang=v_ang[k],
+            p_inj=P[k],
+            q_inj=Q[k],
+            p_from=Pf[k],
+            q_from=Qf[k],
+            p_to=Pt[k],
+            q_to=Qt[k],
+            converged=bool(converged[k]),
+            iterations=int(iterations[k]),
+            max_mismatch=max_mismatch[k] if F.shape[1] else 0.0,
+            mismatch_bus=case.buses[worst_pos[k]].id if F.shape[1] else None,
+        ))
+    return out
+
+
+def solve_batch(
+    cases: list[NetworkCase], opts: SolverOptions | None = None
+) -> list[PowerFlowSolution | PowerFlowError]:
+    """Newton-Raphson solve of cases of one structure (see the module
+    docstring), with fixed bus types: a PV bus holds its voltage setpoint
+    whatever reactive output that takes.  Returns, per case, its solution
+    or its :class:`SingularJacobianError`; a structural problem (no single
+    slack, islands) raises for the whole batch.  No case is mutated; use
+    :func:`apply_solution` to store a result between solver calls."""
+    if not cases:
+        return []
+    return _solve(_structure(cases), cases, opts or SolverOptions())
 
 
 def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolution:
-    """Newton-Raphson solve with fixed bus types: a PV bus holds its voltage
-    setpoint whatever reactive output that takes.  The case itself is never
-    mutated; use :func:`apply_solution` to store the result between solver
-    calls."""
-    opts = opts or SolverOptions()
-    slacks = case.slack_buses()
-    if len(slacks) != 1:
-        raise PowerFlowError(f"need exactly one slack bus, found {len(slacks)}")
-    if len(islands(case)) != 1:
-        raise PowerFlowError("network is not connected")
-
-    n = len(case.buses)
-    idx = case.bus_index()
-    pv = np.array([i for i, b in enumerate(case.buses) if b.kind is BusKind.PV], dtype=int)
-    pq = np.array([i for i, b in enumerate(case.buses) if b.kind is BusKind.PQ], dtype=int)
-    pvpq = np.concatenate([pv, pq])
-
-    br = _branch_terms(case, idx)
-    Ybus = _ybus(case, br, dense=_dense(len(pvpq) + len(pq)))
-    Sbus = _specified_injection(case)
-    vset = _setpoint_voltages(case)
-
-    vm = np.array([b.v_mag for b in case.buses], dtype=float)
-    va = np.array([b.v_ang for b in case.buses], dtype=float)
-    for bus_id, v in vset.items():
-        vm[idx[bus_id]] = v
-
-    V = vm * np.exp(1j * va)
-    F = _mismatch(Ybus, V, Sbus, pvpq, pq)
-    converged = bool(np.max(np.abs(F)) < opts.tolerance) if F.size else True
-    iterations = 0
-
-    place = None if converged else _placement(Ybus, pvpq, pq)
-    while not converged and iterations < opts.max_iterations:
-        dx = _newton_step(Ybus, V, F, place)
-        va[pvpq] -= dx[: len(pvpq)]
-        vm[pq] -= dx[len(pvpq) :]
-        V = vm * np.exp(1j * va)
-        iterations += 1
-        F = _mismatch(Ybus, V, Sbus, pvpq, pq)
-        converged = bool(np.max(np.abs(F)) < opts.tolerance) if F.size else True
-
-    if F.size:
-        worst = int(np.argmax(np.abs(F)))  # F holds P at pvpq, then Q at pq
-        max_mismatch = float(abs(F[worst]))
-        mismatch_bus = case.buses[np.concatenate([pvpq, pq])[worst]].id
-    else:
-        max_mismatch, mismatch_bus = 0.0, None
-    S = V * np.conj(Ybus @ V)
-    Vf, Vt = V[br.f], V[br.t]
-    Sf = Vf * np.conj(br.yff * Vf + br.yft * Vt)
-    St = Vt * np.conj(br.ytf * Vf + br.ytt * Vt)
-
-    return PowerFlowSolution(
-        v_mag=np.abs(V),
-        v_ang=np.angle(V) if n else np.array([]),
-        p_inj=S.real,
-        q_inj=S.imag,
-        p_from=Sf.real,
-        q_from=Sf.imag,
-        p_to=St.real,
-        q_to=St.imag,
-        converged=converged,
-        iterations=iterations,
-        max_mismatch=max_mismatch,
-        mismatch_bus=mismatch_bus,
-    )
+    """:func:`solve_batch` of one case; raises its error."""
+    (result,) = solve_batch([case], opts)
+    if isinstance(result, PowerFlowError):
+        raise result
+    return result
 
 
 def apply_solution(case: NetworkCase, sol: PowerFlowSolution) -> None:
     """Write a solution back onto the case: every bus voltage, and at each
     slack/PV bus its Q (at the slack also its P) spread over the bus's
     controllable generators."""
-    idx = case.bus_index()
-    for b in case.buses:
-        i = idx[b.id]
-        b.v_mag = float(sol.v_mag[i])
-        b.v_ang = float(sol.v_ang[i])
-        if b.kind is BusKind.PQ:
-            continue
-        at_bus = case.gens_at(b.id)
+    regulated = []
+    for i, (b, vm, va) in enumerate(zip(case.buses, sol.v_mag.tolist(), sol.v_ang.tolist())):
+        b.v_mag = vm
+        b.v_ang = va
+        if b.kind is not BusKind.PQ:
+            regulated.append((i, b))
+    if not regulated:
+        return
+    gens_by_bus: dict[int, list] = {}
+    for g in case.generators:
+        gens_by_bus.setdefault(g.bus_id, []).append(g)
+    for i, b in regulated:
+        at_bus = gens_by_bus.get(b.id, [])
         gens = [g for g in at_bus if g.controllable]
         if not gens:
             continue

@@ -17,7 +17,7 @@ from tdsynth.netmodel import (
     OltcTransformer,
 )
 from tdsynth.caseio import CaseDocument, emit_case, load_case_dir, parse_case, save_case_dir
-from tdsynth.powerflow import SolverOptions, solve
+from tdsynth.powerflow import SolverOptions, solve_batch
 from tdsynth.templates import bundled_template_dir
 
 
@@ -178,24 +178,21 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     central finite difference of the mismatch function, at a random state.
     The one dS/dV is checked as both kernels place it: into a dense array
     (dense Ybus) and into a sparse matrix (sparse Ybus)."""
-    from tdsynth.netmodel import BusKind
     from tdsynth.powerflow import (
-        _branch_terms,
-        _jacobian,
+        _currents,
+        _inputs,
+        _jacobians,
         _mismatch,
         _placement,
-        _specified_injection,
-        _ybus,
-        build_ybus,
+        _structure,
     )
 
-    Ybus = build_ybus(case)
-    Ydense = _ybus(case, _branch_terms(case, case.bus_index()), dense=True)
-    Sbus = _specified_injection(case)
-    kinds = [b.kind for b in case.buses]
-    pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
-    pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
-    pvpq = np.concatenate([pv, pq])
+    st = _structure([case])
+    adm, pvpq, pq = st.adm, st.pvpq, st.pq
+    ratio, Sbus, _, _ = _inputs(st, [case])
+    vals = adm.values(adm.terms(ratio))
+    Ysparse, Ydense = adm.matrices(vals, dense=False), adm.matrices(vals, dense=True)
+    ysparse, ydense = adm.at_entries(Ysparse), adm.at_entries(Ydense)
     vm = rng.uniform(0.95, 1.05, size=len(case.buses))
     va = rng.uniform(-0.2, 0.2, size=len(case.buses))
 
@@ -203,11 +200,11 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         vm_l, va_l = vm.copy(), va.copy()
         va_l[pvpq] = x[: len(pvpq)]
         vm_l[pq] = x[len(pvpq):]
-        V = vm_l * np.exp(1j * va_l)
-        return _mismatch(Ybus, V, Sbus, pvpq, pq)
+        V = (vm_l * np.exp(1j * va_l))[None]
+        return _mismatch(V, _currents(Ysparse, V), Sbus, pvpq, pq)[0]
 
     x0 = np.concatenate([va[pvpq], vm[pq]])
-    V0 = vm * np.exp(1j * va)
+    V0 = (vm * np.exp(1j * va))[None]
     h = 6e-6
     J_fd = np.empty((len(x0), len(x0)))
     for j in range(len(x0)):
@@ -215,8 +212,9 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         e[j] = h
         J_fd[:, j] = (F(x0 + e) - F(x0 - e)) / (2 * h)
     m = len(x0)
-    dense = _jacobian(Ydense, V0, _placement(Ydense, pvpq, pq), m)
-    sparse = _jacobian(Ybus, V0, _placement(Ybus, pvpq, pq), m)
+    place = _placement(adm, pvpq, pq)
+    (dense,) = _jacobians(adm, place, V0, _currents(Ydense, V0), ydense, m, dense=True)
+    (sparse,) = _jacobians(adm, place, V0, _currents(Ysparse, V0), ysparse, m, dense=False)
     assert isinstance(dense, np.ndarray) and not isinstance(sparse, np.ndarray)
     gaps = []
     for J in (dense, sparse.toarray()):
@@ -302,22 +300,29 @@ def grid_search_dispatch_cost(
 ) -> float:
     """Brute-force oracle for the 3-bus case: enumerate the PV unit's output
     on a fixed grid and both setpoint voltages on a coarse one, solve an
-    ordinary power flow for each point, keep the cheapest feasible cost."""
+    ordinary power flow for each point, keep the cheapest feasible cost.
+    The points of one setpoint pair are solved as one batch, whose items
+    are each what a solve of that point alone gives."""
     base = case.base_mva
     load = case.buses[2].p_load
     best = math.inf
     opts = SolverOptions(tolerance=1e-10)
-    work = case.clone()
-    g_a, g_b = work.generators
+    g_a, g_b = case.generators
     for v_a in v_grid:
         for v_b in v_grid:
-            g_a.v_set = v_a
-            g_b.v_set = v_b
+            points = []
             for p_b in np.arange(0.0, load + 5 * p_step, p_step):
-                g_b.p = float(p_b)
-                sol = solve(work, opts)
+                work = case.clone()
+                work.generators[0].v_set = v_a
+                work.generators[1].v_set = v_b
+                work.generators[1].p = float(p_b)
+                points.append(work)
+            for work, sol in zip(points, solve_batch(points, opts)):
+                if isinstance(sol, Exception):
+                    raise sol
                 if not sol.converged:
                     continue
+                p_b = work.generators[1].p
                 vm = sol.v_mag
                 if vm.min() < v_limits[0] - 1e-9 or vm.max() > v_limits[1] + 1e-9:
                     continue
@@ -418,21 +423,26 @@ def write_malformed_bundle(case: NetworkCase, dest, name: str):
     return dest
 
 
-def scaled_templates(dest, k: int):
-    """Write ``dest/mini-tn`` (shipped) and ``dest/mini-dn`` with every branch
-    r and x multiplied by k and every load divided by k: the voltage drop is
-    unchanged, so capacity still binds at scale 1.0 while the replica count
-    grows about k-fold."""
-    src = bundled_template_dir()
-    shutil.copytree(src / "mini-tn", dest / "mini-tn")
-    dn = load_case_dir(src / "mini-dn")
+def rescaled_dn(dn: NetworkCase, k: int) -> NetworkCase:
+    """A copy of ``dn`` with every branch r and x multiplied by k and every
+    load divided by k: the voltage drop is unchanged, so capacity still
+    binds at scale 1.0 while the replica count grows about k-fold."""
+    dn = dn.clone()
     for br in dn.branches:
         br.r *= k
         br.x *= k
     for b in dn.buses:
         b.p_load /= k
         b.q_load /= k
-    save_case_dir(dn, dest / "mini-dn")
+    return dn
+
+
+def scaled_templates(dest, k: int):
+    """Write ``dest/mini-tn`` (shipped) and ``dest/mini-dn`` rescaled by
+    :func:`rescaled_dn`."""
+    src = bundled_template_dir()
+    shutil.copytree(src / "mini-tn", dest / "mini-tn")
+    save_case_dir(rescaled_dn(load_case_dir(src / "mini-dn"), k), dest / "mini-dn")
     for name in ("meta.csv", "README"):
         shutil.copy(src / "mini-dn" / name, dest / "mini-dn" / name)
     return dest

@@ -251,3 +251,33 @@ def test_warm_start_from_a_converged_point_takes_fewer_steps(run_pipeline):
     assert warm.converged and warm.feasible
     assert 0 < warm.iterations < cold.iterations
     assert warm.objective == pytest.approx(cold.objective, rel=1e-10)
+
+
+def test_model_refreshed_after_tap_moves_equals_a_fresh_one(run_pipeline):
+    import scipy.sparse as sp
+
+    from tdsynth.opf import _OpfModel
+    from tdsynth.synth import SynthesisConfig
+
+    case = run_pipeline(SynthesisConfig(penetration_level=0.5)).case.clone()
+    problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
+    model = _OpfModel(problem)
+    for t, step in zip(case.oltcs, (2, -1, 0)):
+        t.tap += step
+        t.sync_branch(case)
+    model.retap(case)
+    fresh = _OpfModel(problem)
+    assert vars(model).keys() == vars(fresh).keys()
+    for name, want in vars(fresh).items():
+        got = getattr(model, name)
+        if name == "_adm":      # its ratios are the build's; the taps are read anew
+            continue
+        if sp.issparse(want):
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), name
+        elif isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+    assert not np.array_equal(model.y, _OpfModel(OpfProblem.from_case(
+        run_pipeline(SynthesisConfig(penetration_level=0.5)).case, v_limits=(0.95, 1.05))).y)

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -407,3 +407,52 @@ def test_manifest_records_the_constant_load_residual(run_pipeline):
         assert 0.0 <= inst.constant_load_mismatch <= 1e-3  # the loop met its target
     plain = run_pipeline(SynthesisConfig(penetration_level=0.5))
     assert all(rec["constant_load_mismatch"] is None for rec in plain.manifest["instances"])
+
+
+def test_manifest_solve_counts_equal_a_one_copy_customization(run_pipeline, dn_bundle):
+    cfg = SynthesisConfig(penetration_level=0.6, constant_load=True, random=True, rng_seed=8)
+    result = run_pipeline(cfg)
+    idx = result.case.bus_index()  # TN buses keep their positions
+    copies = Counter(inst.host_tn_bus for inst in result.instances)
+    p_load = {bus: p for bus, p, _q in result.selected}
+    for rec, inst in zip(result.manifest["instances"], result.instances):
+        host = inst.host_tn_bus
+        alone = customize_dn(
+            dn_bundle.case, p_load[host] / copies[host], cfg,
+            _rng_for(cfg, host, inst.copy_index),
+            source_v=float(result.tn_solution.v_mag[idx[host]]),
+            host_bus=host, copy_index=inst.copy_index,
+        )
+        closing = alone.regulation
+        assert rec["solve_counts"] == {
+            "constant_load": asdict(alone.constant_load_counts),
+            "closing": {"solves": closing.solves, "iterations": closing.iterations,
+                        "tap_rounds": closing.rounds},
+        }
+        assert alone.constant_load_counts.solves >= 1 and closing.solves == 1
+    capacity = result.manifest["template_capacity"]
+    assert (capacity["probes"], capacity["unsettled_probes"]) == (
+        result.capacity.probes, result.capacity.unsettled_probes)
+
+
+def test_customize_copies_raises_what_the_first_failing_copy_raises(dn_bundle):
+    # near the DG ceilings the +-5% draws push some copies over p_max
+    cfg = _cfg(penetration_level=3.0, random=True, rng_seed=2)
+    pre_dg = scale_to_import(dn_bundle.case, 0.4, cfg, source_v=1.0)
+    outcomes = []
+    for copy in range(8):
+        try:
+            outcomes.append(customize_dn(dn_bundle.case, 0.4, cfg, _rng_for(cfg, 5, copy),
+                                         source_v=1.0, host_bus=5, copy_index=copy))
+        except SynthesisError as exc:
+            outcomes.append(exc)
+    failing = [k for k, o in enumerate(outcomes) if isinstance(o, Exception)]
+    assert 0 < len(failing) < 8
+    streams = [_rng_for(cfg, 5, copy) for copy in range(8)]
+    with pytest.raises(SynthesisError) as err:
+        synth_mod.customize_copies(pre_dg, cfg, streams, 5, list(range(8)))
+    assert str(err.value) == str(outcomes[failing[0]])
+    good = [k for k in range(8) if k not in failing]
+    batch = synth_mod.customize_copies(
+        pre_dg, cfg, [_rng_for(cfg, 5, k) for k in good], 5, good)
+    assert batch == [outcomes[k] for k in good]
