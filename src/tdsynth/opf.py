@@ -174,16 +174,11 @@ class _OpfModel:
         self._adm = powerflow._Admittance(case, case.bus_index())
         self._taps = sorted({t.branch_ref for t in case.oltcs})
         self.Ybus = self._adm.ybus(self._adm.ratio)
-        self.YbusH = self.Ybus.conj().T.tocsr()
-        # YbusH.data is conj(Ybus.data) in this order
-        at = sp.csr_matrix((np.arange(self.Ybus.nnz, dtype=float), self.Ybus.indices,
-                            self.Ybus.indptr), shape=self.Ybus.shape)
-        self._to_h = at.T.tocsr().data.astype(int)
+        self.YbusT = self.Ybus.T    # a view on Ybus's arrays, so retap reaches it
         self.Cg = sp.csr_matrix((np.ones(nd), (gen_pos, np.arange(nd))), shape=(n, nd))
 
-        _, r, c = self._adm.entries()
+        r, c = self.r, self.c = self._adm.r, self._adm.c
         self.y = self.Ybus.data
-        self.r, self.c = r, c
         buses = np.arange(n)
         # x position of each bus angle (-1: the slack bus) and magnitude,
         # and of each dispatchable unit's P and Q
@@ -239,13 +234,11 @@ class _OpfModel:
     def retap(self, case: NetworkCase) -> None:
         """Bring the admittances up to the tap ratios now on ``case``, the
         case the model was built from: only the tap branches' ratios are
-        read, and Ybus, YbusH and y change values in place; every index
-        array, Cg and the KKT placement stay."""
+        read, and Ybus, its transpose and y (views on one array of values)
+        change in place; every index array, Cg and the KKT placement stay."""
         ratio = self._adm.ratio.copy()
         ratio[self._taps] = [case.branches[k].ratio for k in self._taps]
-        Y = self._adm.ybus(ratio)
-        self.Ybus.data[:] = Y.data
-        self.YbusH.data[:] = np.conj(Y.data)[self._to_h]
+        self.Ybus.data[:] = self._adm.ybus(ratio).data
 
     def split(self, x):
         na, n, nd = self.na, self.n, self.nd
@@ -299,7 +292,7 @@ class _OpfModel:
         lV = (lam[:n] - 1j * lam[n:]) * V
         # MATPOWER's d2Sbus_dV2 has E = F^T off the diagonal, both equal to f
         f = lV[r] * np.conj(y * V[c])
-        dE = -np.conj(V) * (self.YbusH @ lV)
+        dE = -np.conj(V) * np.conj(self.YbusT @ np.conj(lV))
         dF = -lV * np.conj(self.Ybus @ V)
         Gaa = np.concatenate([f, f, dE + dF]).real
         Gva = (1j * np.concatenate([-f / vm[r], f / vm[c], (dE - dF) / vm])).real

@@ -13,28 +13,31 @@ elementwise operations and the same LAPACK call whatever the batch size and
 its position (a large batch is cut into chunks for that, see
 ``_ELIDE_BYTES``).  :func:`solve` is the one-item call.
 
-Every Newton step takes its Jacobian from one entry-wise dS/dV
-(:func:`_dS_dV`, which the OPF shares).  Matrix size decides only where the
-entries go and how the step is solved, by one rule (:func:`_dense`) that the
-OPF's KKT step follows too: up to ``DENSE_MAX_ROWS`` rows, such as the
-Jacobians of the feeder copies, into stacked (B, m, m) arrays solved with
-LAPACK, since at that size scipy.sparse objects cost more than the
-arithmetic; above it, such as the combined T&D case, into one CSC matrix
-per case factorized with SuperLU.  The formulation is polar full Newton,
-because distribution feeders with high R/X ratios defeat the fast-decoupled
-shortcuts.
+Both placements share one Ybus and one Jacobian evaluation: the admittance
+terms are added up once per Ybus entry (:class:`_Admittance`), and each
+Newton step evaluates one entry-wise dS/dV over the batch (:func:`_dS_dV`,
+which the OPF shares).  Matrix size decides only where those values go and
+how the step is solved, by one rule (:func:`_dense`) that the OPF's KKT step
+follows too: up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the
+feeder copies, into stacked (B, m, m) arrays solved with LAPACK, since at
+that size scipy.sparse objects cost more than the arithmetic; above it, such
+as the combined T&D case, into one CSC matrix per case factorized with
+SuperLU.  The combined case repeats one feeder's block many times, so SuperLU
+pivots by a threshold (``SPARSE_LU_PIVOT``) that keeps its fill from hanging
+on how ties between those equal entries round.  The formulation is polar
+full Newton, because distribution feeders with high R/X ratios defeat the
+fast-decoupled shortcuts.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import splu
 
 from .netmodel import BusKind, NetworkCase, islands
 
@@ -46,9 +49,20 @@ from .netmodel import BusKind, NetworkCase, islands
 DENSE_MAX_ROWS = 200
 
 # Column ordering of SuperLU's sparse LU: minimum degree on A^T + A.  On the
-# 17,927-bus combined case it cuts a 3-iteration solve from 2.3 to 0.5 s
-# (2-core VM) against the default COLAMD, with the same voltages to 1.5e-14.
+# 17,927-bus combined case it cuts a 3-iteration solve from 1.7 to 0.17 s
+# (2-core VM) against the default COLAMD, with the same voltages to 2.3e-15.
 SPARSE_LU_ORDERING = "MMD_AT_PLUS_A"
+
+# SuperLU's threshold partial pivoting (Demmel, Eisenstat, Gilbert, Li & Liu,
+# SIAM J. Matrix Anal. Appl. 1999): a diagonal entry stays the pivot while it
+# is at least this share of the largest one in its column.  The combined case
+# repeats one feeder's Jacobian block many times, and with the default share
+# of 1.0 ties between those equal entries go by last-bit rounding, and the
+# fill with them: the first Jacobian of the 17,927-bus case held 1.21 M or
+# 2.12 M non-zeros in L+U depending on the last bits of its values.  At 0.1
+# it holds 0.25 M either way and factorizes in 0.02 s instead of 0.08 s
+# (2-core VM).
+SPARSE_LU_PIVOT = 0.1
 
 
 class PowerFlowError(RuntimeError):
@@ -110,12 +124,13 @@ def _gather(records, fields: attrgetter, width: int) -> np.ndarray:
 
 
 class _Admittance:
-    """The branch and shunt admittances of one network.
+    """The branch and shunt admittances of one network, and its Ybus pattern.
 
     Each in-service branch contributes its four pi-model terms (I_from =
     yff V_f + yft V_t, I_to = ytf V_f + ytt V_t), then each shunt its
-    admittance, at (rows, cols); Ybus adds them up position by position,
-    in that order.  Only branch ratios are read per evaluation, as a
+    admittance.  The Ybus entries (``r``, ``c``) are the positions some term
+    reaches, row major, which is also their CSR order; ``slot`` names each
+    term's entry.  Only branch ratios are read per evaluation, as a
     (B, branches) array, so one instance serves every tap position."""
 
     def __init__(self, case: NetworkCase, idx: dict[int, int]):
@@ -129,11 +144,8 @@ class _Admittance:
         zero = on & (par[:, 1] == 0.0) & (par[:, 2] == 0.0)
         if zero.any():
             raise PowerFlowError(f"branch {zero.argmax()} is in service with zero impedance")
-        # CPython's complex division, not numpy's: the two differ in the last bit
-        # for some quotients, and this one keeps Ybus, and so the exported
-        # states, bit for bit as earlier versions computed them
-        y = np.array([1.0 / complex(br.r, br.x) if br.status else 0j for br in brs],
-                     dtype=complex)
+        y = np.zeros(m, dtype=complex)
+        y[on] = 1.0 / (par[on, 1] + 1j * par[on, 2])
         self.neg_y = -y
         self.ytt = np.where(on, y + 0.5j * par[:, 3], 0.0)
         self.rot = np.exp(1j * par[:, 4])
@@ -142,22 +154,15 @@ class _Admittance:
         shunt = _gather(case.buses, _SHUNT, 2).view(complex)[:, 0]   # g + jb
         has = np.flatnonzero(shunt)
         self.shunt = shunt[has]
-        # per in-service branch its yff, ytt, yft, ytf (see ``values``), then the shunts
+        # per in-service branch its yff, ytt, yft, ytf (see ``entry_values``), then the shunts
         k = np.flatnonzero(on)
         self.pick = np.concatenate([(k[:, None] + m * np.arange(4)).ravel(), 4 * m + np.arange(len(has))])
         f, t = self.f[k], self.t[k]
-        self.rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), has])
-        self.cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), has])
-        self._entries = None
-
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Ybus positions some term reaches, row major: (flat position,
-        row, column).  Worked out on first use, which a power flow that
-        starts converged never makes."""
-        if self._entries is None:
-            pos = np.unique(self.rows * self.n + self.cols)
-            self._entries = (pos, *np.divmod(pos, self.n))
-        return self._entries
+        rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), has])
+        cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), has])
+        pos, self.slot = np.unique(rows * n + cols, return_inverse=True)
+        self.r, self.c = np.divmod(pos, n)
+        self.indptr = np.searchsorted(self.r, np.arange(n + 1))
 
     def terms(self, ratio: np.ndarray):
         """(yff, yft, ytf, ytt) per case and branch for ratios (B, branches);
@@ -166,37 +171,32 @@ class _Admittance:
         yff = self.ytt / (tap * np.conj(tap))
         return yff, self.neg_y / np.conj(tap), self.neg_y / tap, np.broadcast_to(self.ytt, yff.shape)
 
-    def values(self, terms) -> np.ndarray:
-        """Every admittance term per case (B, terms), in (rows, cols) order."""
+    def entry_values(self, terms) -> np.ndarray:
+        """Ybus at its entries per case (B, entries): every admittance term
+        added to its entry, in term order."""
         yff, yft, ytf, ytt = terms
-        shunt = np.broadcast_to(self.shunt, (len(yff), len(self.shunt)))
-        return np.concatenate([yff, ytt, yft, ytf, shunt], axis=1)[:, self.pick]
+        B, ne = len(yff), len(self.r)
+        shunt = np.broadcast_to(self.shunt, (B, len(self.shunt)))
+        vals = np.concatenate([yff, ytt, yft, ytf, shunt], axis=1)[:, self.pick]
+        y = np.zeros(B * ne, dtype=complex)
+        np.add.at(y, (self.slot + ne * np.arange(B)[:, None]).ravel(), vals.ravel())
+        return y.reshape(B, ne)
 
-    def matrices(self, vals: np.ndarray, dense: bool):
-        """Ybus per case: stacked (B, n, n) arrays if ``dense``, the terms
-        added up in order; else a list of CSR matrices, the terms added up
-        by scipy's COO conversion, whose order on a row of many terms is its
-        own (the large LU's pivots hang on those last bits, so it stays)."""
-        B, n = len(vals), self.n
+    def matrices(self, y: np.ndarray, dense: bool):
+        """Ybus per case from its entry values y (B, entries): stacked
+        (B, n, n) arrays if ``dense``, else a list of CSR matrices on the one
+        pattern.  Either way a case's Ybus holds the same numbers."""
+        n = self.n
         if not dense:
-            return [sp.csr_matrix((v, (self.rows, self.cols)), shape=(n, n)) for v in vals]
-        at = self.rows * n + self.cols
-        if B > 1:
-            at = (at + (n * n) * np.arange(B)[:, None]).ravel()
-        Y = np.zeros(B * n * n, dtype=complex)
-        np.add.at(Y, at, vals.ravel())
-        return Y.reshape(B, n, n)
+            return [sp.csr_matrix((yk, self.c, self.indptr), shape=(n, n)) for yk in y]
+        Y = np.zeros((len(y), n * n), dtype=complex)
+        Y[:, self.r * n + self.c] = y
+        return Y.reshape(-1, n, n)
 
     def ybus(self, ratio: np.ndarray) -> sp.csr_matrix:
         """One case's Ybus as CSR, for branch ratios ``ratio``."""
-        (Y,) = self.matrices(self.values(self.terms(ratio[None])), dense=False)
+        (Y,) = self.matrices(self.entry_values(self.terms(ratio[None])), dense=False)
         return Y
-
-    def at_entries(self, Y) -> np.ndarray:
-        """The values of Ybus per case at :meth:`entries`, (B, entries)."""
-        if isinstance(Y, np.ndarray):
-            return Y.reshape(len(Y), -1)[:, self.entries()[0]]
-        return Y[0].data[None] if len(Y) == 1 else np.stack([Yk.data for Yk in Y])
 
 
 def build_ybus(case: NetworkCase) -> sp.csr_matrix:
@@ -229,12 +229,10 @@ def _solve_linear(A, b) -> np.ndarray | None:
         except np.linalg.LinAlgError:
             return None
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            try:
-                x = spsolve(A, b, permc_spec=SPARSE_LU_ORDERING)
-            except (MatrixRankWarning, RuntimeError):
-                return None
+        try:
+            x = splu(A, permc_spec=SPARSE_LU_ORDERING, diag_pivot_thresh=SPARSE_LU_PIVOT).solve(b)
+        except RuntimeError:   # exactly singular
+            return None
     return x if np.all(np.isfinite(x)) else None
 
 
@@ -255,7 +253,7 @@ def _placement(adm: _Admittance, pvpq, pq):
     ``take`` picks from (Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm), as
     positions in the float view of the complex (dS/dVa, dS/dVm), and
     ``rows``/``cols`` place each picked value."""
-    _, r, c = adm.entries()
+    r, c = adm.r, adm.c
     n, npvpq = adm.n, len(pvpq)
     at_a = np.full(n, -1)  # P row and Va column of each bus
     at_a[pvpq] = np.arange(npvpq)
@@ -271,18 +269,13 @@ def _placement(adm: _Admittance, pvpq, pq):
 
 
 def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int, dense: bool):
-    """The m x m NR Jacobian of every case at V (B, n): one (B, m, m) array
-    if ``dense``, else a list of CSC matrices."""
+    """The m x m NR Jacobian of every case at V (B, n) and Ybus entry values
+    y (B, entries), from one dS/dV over the batch: placed into one (B, m, m)
+    array if ``dense``, else into a CSC matrix per case."""
     take, rows, cols = place
-    _, r, c = adm.entries()
+    vals = np.concatenate(_dS_dV(V, Ibus, adm.r, adm.c, y), axis=-1).view(float)[:, take]
     if not dense:
-        # case by case on 1-D rows: numpy then evaluates every expression
-        # as it always has on this path (its in-place reuse of large
-        # temporaries included), which keeps the LU's pivots
-        return [_place(np.concatenate(_dS_dV(Vk, Ik, r, c, yk)).view(float)[take],
-                       rows, cols, (m, m), False) for Vk, Ik, yk in zip(V, Ibus, y)]
-    dS = np.concatenate(_dS_dV(V, Ibus, r, c, y), axis=-1)
-    vals = dS.view(float)[:, take]
+        return [_place(v, rows, cols, (m, m), False) for v in vals]
     B = len(vals)
     at = rows * m + cols
     if B > 1:
@@ -398,7 +391,7 @@ def _structure(cases: list[NetworkCase]) -> _Structure:
         dense=_dense(len(pvpq) + len(pq)),
         # the widest elementwise array of a case, dS/dV, holds fewer than
         # 2 (terms + buses) complex values
-        chunk=max(1, (_ELIDE_BYTES - 1) // (32 * (len(adm.rows) + adm.n))),
+        chunk=max(1, (_ELIDE_BYTES - 1) // (32 * (len(adm.slot) + adm.n))),
     )
 
 
@@ -434,7 +427,8 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
                 for result in _solve(st, cases[k : k + st.chunk], opts)]
     ratio, Sbus, vm, va = _inputs(st, cases)
     terms = adm.terms(ratio)
-    Y = adm.matrices(adm.values(terms), dense)
+    y = adm.entry_values(terms)
+    Y = adm.matrices(y, dense)
     V = vm * np.exp(1j * va)
     Ibus = _currents(Y, V)
     F = _mismatch(V, Ibus, Sbus, pvpq, pq)
@@ -446,7 +440,6 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
     if act.size:
         if st.place is None:
             st.place = _placement(adm, pvpq, pq)
-        y = adm.at_entries(Y)
         if act.size == B:   # the common case: no copies
             wva, wvm, wS, wy, wV, wI, wF, wY = va, vm, Sbus, y, V, Ibus, F, Y
         else:

@@ -190,9 +190,8 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     st = _structure([case])
     adm, pvpq, pq = st.adm, st.pvpq, st.pq
     ratio, Sbus, _, _ = _inputs(st, [case])
-    vals = adm.values(adm.terms(ratio))
-    Ysparse, Ydense = adm.matrices(vals, dense=False), adm.matrices(vals, dense=True)
-    ysparse, ydense = adm.at_entries(Ysparse), adm.at_entries(Ydense)
+    y = adm.entry_values(adm.terms(ratio))
+    Ysparse, Ydense = adm.matrices(y, dense=False), adm.matrices(y, dense=True)
     vm = rng.uniform(0.95, 1.05, size=len(case.buses))
     va = rng.uniform(-0.2, 0.2, size=len(case.buses))
 
@@ -213,8 +212,8 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         J_fd[:, j] = (F(x0 + e) - F(x0 - e)) / (2 * h)
     m = len(x0)
     place = _placement(adm, pvpq, pq)
-    (dense,) = _jacobians(adm, place, V0, _currents(Ydense, V0), ydense, m, dense=True)
-    (sparse,) = _jacobians(adm, place, V0, _currents(Ysparse, V0), ysparse, m, dense=False)
+    (dense,) = _jacobians(adm, place, V0, _currents(Ydense, V0), y, m, dense=True)
+    (sparse,) = _jacobians(adm, place, V0, _currents(Ysparse, V0), y, m, dense=False)
     assert isinstance(dense, np.ndarray) and not isinstance(sparse, np.ndarray)
     gaps = []
     for J in (dense, sparse.toarray()):
