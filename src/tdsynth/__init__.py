@@ -32,14 +32,13 @@ from .synth import (
     CapacityResult,
     DnInstance,
     GenerateResult,
-    PreDgState,
     SynthesisConfig,
     assemble,
+    customize,
     customize_dn,
     dn_count,
     dn_max_capacity,
     generate,
-    scale_to_import,
     select_replaceable_loads,
 )
 from .templates import TemplateBundle, bundled_template_dir, load_bundle

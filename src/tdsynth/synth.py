@@ -240,7 +240,6 @@ def _bisection_tree(lo: float, hi: float, levels: int, tolerance: float) -> list
 def dn_max_capacity(
     dn_template: NetworkCase,
     v_limits: tuple[float, float],
-    source_v: float | None = None,
     tolerance: float = 1e-3,
     ceiling: float = 10.0,
     solver: SolverOptions | None = None,
@@ -267,8 +266,6 @@ def dn_max_capacity(
     solver = solver or SolverOptions()
     base = dn_template.clone()
     _zero_dg(base)
-    if source_v is not None:
-        _set_source_voltage(base, source_v)
     slack_id = base.slack_buses()[0].id
     p_template, _ = total_load(base)
     if p_template <= 0:
@@ -364,176 +361,167 @@ def dn_count(tn_p_load: float, dn_capacity: float) -> int:
     return max(1, math.ceil(tn_p_load / dn_capacity))
 
 
-@dataclass
-class PreDgState:
-    """A replica before DG sizing: template loads scaled until the solved
-    boundary import matches the target.  Every copy of one host starts here."""
-
-    case: NetworkCase
-    load_scale: float
-    pre_dg_import: float             # solved boundary import at load_scale
-    import_mismatch: float           # relative, after the import-matching loop
-
-
-def scale_to_import(
-    dn: NetworkCase,
-    target_p: float,
-    cfg: SynthesisConfig,
-    source_v: float | None = None,
-) -> PreDgState:
-    """Scale the template's loads (constant power factor), with DGs zeroed,
-    until the replica's solved import from the boundary equals
-    ``target_p * oversize``: the aggregated load it stands in for already
-    included the network losses, so the match is on the import, not on the
-    arithmetic load sum.  Draws no random numbers."""
-    solver = cfg.solver_options()
+def _replica_template(dn: NetworkCase, cfg: SynthesisConfig) -> NetworkCase:
+    """The case every replica starts from, and the capacity search probes:
+    the template with its taps regulating at ``oltc_v_set`` and DGs zeroed."""
     case = dn.clone()
-    if source_v is not None:
-        _set_source_voltage(case, source_v)
     for t in case.oltcs:
         t.v_set = cfg.oltc_v_set
     _zero_dg(case)
+    return case
 
-    slack_bus, _ = _slack_generator(case)
-    slack_pos = case.bus_index()[slack_bus.id]
-    p_template, _ = total_load(case)
-    if p_template <= 0:
-        raise SynthesisError("template has no active load")
 
-    target_import = target_p * cfg.oversize
-    if target_import <= 0:
-        raise SynthesisError("replica demand target must be positive")
-
-    scale = target_import / p_template
-    _scale_loads(case, scale)
-    boundary = math.nan
-    for _ in range(12):
-        sol, _ = regulate(case, solver, max_rounds=cfg.oltc_max_rounds)
-        boundary = float(sol.p_inj[slack_pos])
-        if abs(boundary - target_import) <= 1e-4 * target_import:
-            break
-        adjust = target_import / boundary
-        _scale_loads(case, adjust)
-        scale *= adjust
-    return PreDgState(
-        case=case,
-        load_scale=scale,
-        pre_dg_import=boundary,
-        import_mismatch=abs(boundary - target_import) / target_import,
-    )
+# One host of :func:`customize`: host bus, target demand, source voltage (None
+# keeps the template's) and its copies as (copy index, RNG stream).
+Host = tuple[int, float, float | None, list[tuple[int, np.random.Generator | None]]]
 
 
 def customize_dn(
     dn: NetworkCase,
     target_p: float,
     cfg: SynthesisConfig,
-    rng_stream: np.random.Generator,
+    rng_stream: np.random.Generator | None,
     source_v: float | None = None,
     host_bus: int = 0,
     copy_index: int = 0,
-    pre_dg: PreDgState | None = None,
 ) -> DnInstance:
     """Build one replica carrying ``target_p`` of boundary demand: the
-    one-copy call of :func:`customize_copies`.
-
-    The replica starts from :func:`scale_to_import` of the same arguments;
-    pass its result as ``pre_dg`` to share one import match between the
-    copies of a host.
-    """
-    if pre_dg is None:
-        pre_dg = scale_to_import(dn, target_p, cfg, source_v)
-    (inst,) = customize_copies(pre_dg, cfg, [rng_stream], host_bus, [copy_index])
+    one-host, one-copy call of :func:`customize`."""
+    (inst,) = customize(dn, cfg, [(host_bus, target_p, source_v, [(copy_index, rng_stream)])])
     return inst
 
 
-def customize_copies(
-    pre_dg: PreDgState,
-    cfg: SynthesisConfig,
-    rng_streams: list[np.random.Generator],
-    host_bus: int,
-    copy_indices: list[int],
-) -> list[DnInstance]:
-    """Build the copies of one host from their shared pre-DG state, one per
-    RNG stream, solved as one batch.
+def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[DnInstance]:
+    """Build every copy of every host, each stage solved as one batch.
 
-    DG output is sized against each replica's own demand, split between the
-    controllable group and the unity-power-factor PV group (randomized per
-    copy from its stream, in copy order), and, in the constant-load
-    scenario, matched by extra demand until the boundary import is back at
-    its pre-DG value.  A closing regulation settles every copy.  The copies
-    only share solves, so each one is what it would be alone; if any copy
-    fails, the error of the first failing copy is raised.
+    Import match: per host, the template's loads are scaled (constant power
+    factor), with DGs zeroed, until the replica's solved import from the
+    boundary equals ``target_p * oversize``; the aggregated load it stands
+    in for already included the network losses, so the match is on the
+    import, not on the arithmetic load sum.  Every copy of a host starts
+    from that state.  DG output is then sized against each replica's own
+    demand, split between the controllable group and the unity-power-factor
+    PV group (randomized per copy from its stream, in plan order), and, in
+    the constant-load scenario, matched by extra demand until the boundary
+    import is back at its pre-DG value.  A closing regulation settles every
+    copy.
+
+    The replicas only share solves, so each one is what it would be alone.
+    If any fails, the error of the first failing one in plan order is
+    raised, naming its host bus (and copy).
     """
     solver = cfg.solver_options()
-    slack_bus, _ = _slack_generator(pre_dg.case)
-    slack_pos = pre_dg.case.bus_index()[slack_bus.id]
-    pre_dg_import = pre_dg.pre_dg_import
-    errors: dict[int, Exception] = {}   # copy position -> its first error
+    template = _replica_template(dn, cfg)
+    slack_bus, _ = _slack_generator(template)
+    slack_pos = template.bus_index()[slack_bus.id]
+    p_template, _ = total_load(template)
+    if p_template <= 0:
+        raise SynthesisError("template has no active load")
+    # (host position, -1 for the import match or the copy position) -> error
+    errors: dict[tuple[int, int], Exception] = {}
 
-    # DG sizing against each replica's own demand, copy by copy
-    cases, sizing = [], []
-    for k, rng in enumerate(rng_streams):
-        case = pre_dg.case.clone()
-        cases.append(case)
-        try:
-            sizing.append(_size_dg(case, cfg, rng))
-        except SynthesisError as exc:
-            errors[k] = exc
-            sizing.append(None)
+    def batch(keys: list, cases: dict):
+        results = regulate_batch([cases[key] for key in keys], solver, max_rounds=cfg.oltc_max_rounds)
+        for key, result in zip(keys, results):
+            if isinstance(result, Exception):
+                errors[key] = result
+            else:
+                yield key, result
+
+    # import match: up to 12 rounds over the hosts still off target
+    pre: dict[tuple[int, int], NetworkCase] = {}
+    scales, targets, imports = {}, {}, {}
+    for h, (_host, target_p, source_v, _copies) in enumerate(hosts):
+        key = (h, -1)
+        targets[key] = target_p * cfg.oversize
+        if targets[key] <= 0:
+            errors[key] = SynthesisError("replica demand target must be positive")
+            continue
+        pre[key] = case = template.clone()
+        if source_v is not None:
+            _set_source_voltage(case, source_v)
+        scales[key] = targets[key] / p_template
+        _scale_loads(case, scales[key])
+    off = list(pre)
+    for _ in range(12):
+        still = []
+        for key, (sol, _) in batch(off, pre):
+            imports[key] = boundary = float(sol.p_inj[slack_pos])
+            target_import = targets[key]
+            if abs(boundary - target_import) <= 1e-4 * target_import:
+                continue
+            adjust = target_import / boundary
+            _scale_loads(pre[key], adjust)
+            scales[key] *= adjust
+            still.append(key)
+        off = still
+        if not off:
+            break
+
+    # DG sizing against each replica's own demand, in plan order
+    cases: dict[tuple[int, int], NetworkCase] = {}
+    sizing = {}
+    for h, (_host, _p, _v, copies) in enumerate(hosts):
+        if (h, -1) in errors:
+            continue
+        for k, (_copy, rng) in enumerate(copies):
+            cases[(h, k)] = case = pre[(h, -1)].clone()
+            try:
+                sizing[(h, k)] = _size_dg(case, cfg, rng)
+            except SynthesisError as exc:
+                errors[(h, k)] = exc
 
     # grow active demand until the boundary import is back where it was
     # before the DGs came in; reactive demand stays untouched
-    growing = [k for k, sz in enumerate(sizing) if sz is not None and cfg.constant_load and sz[2] > 0]
-    counts = {k: SolveCounts() for k in growing}
-    mismatch: dict[int, float] = {}
-    base_p = {k: [b.p_load for b in cases[k].buses] for k in growing}
-    base_total = {k: sum(p) for k, p in base_p.items()}
-    addition = {k: sizing[k][2] for k in growing}
+    growing = [key for key, sz in sizing.items() if cfg.constant_load and sz[2] > 0]
+    counts = {key: SolveCounts() for key in growing}
+    mismatch: dict[tuple[int, int], float] = {}
+    base_p = {key: [b.p_load for b in cases[key].buses] for key in growing}
+    base_total = {key: sum(p) for key, p in base_p.items()}
+    addition = {key: sizing[key][2] for key in growing}
     for _ in range(20):
         if not growing:
             break
-        for k in growing:
-            f = 1.0 + addition[k] / base_total[k]
-            for b, p0 in zip(cases[k].buses, base_p[k]):
+        for key in growing:
+            f = 1.0 + addition[key] / base_total[key]
+            for b, p0 in zip(cases[key].buses, base_p[key]):
                 b.p_load = p0 * f
         still = []
-        for k, result in zip(growing, regulate_batch([cases[k] for k in growing], solver,
-                                                     max_rounds=cfg.oltc_max_rounds)):
-            if isinstance(result, Exception):
-                errors[k] = result
-                continue
-            sol, report = result
-            counts[k].add(report)
+        for key, (sol, report) in batch(growing, cases):
+            counts[key].add(report)
+            pre_dg_import = imports[(key[0], -1)]
             boundary = float(sol.p_inj[slack_pos])
-            mismatch[k] = abs(boundary - pre_dg_import) / abs(pre_dg_import)
+            mismatch[key] = abs(boundary - pre_dg_import) / abs(pre_dg_import)
             if abs(boundary - pre_dg_import) > 1e-3 * abs(pre_dg_import):
-                addition[k] += pre_dg_import - boundary
-                still.append(k)
+                addition[key] += pre_dg_import - boundary
+                still.append(key)
         growing = still
 
-    closing = [k for k in range(len(cases)) if k not in errors]
-    finals = dict(zip(closing, regulate_batch([cases[k] for k in closing], solver,
-                                              max_rounds=cfg.oltc_max_rounds)))
-    errors.update((k, r) for k, r in finals.items() if isinstance(r, Exception))
+    finals = dict(batch([key for key in sizing if key not in errors], cases))
     if errors:
-        raise errors[min(errors)]
+        h, k = min(errors)
+        host_bus, _p, _v, copies = hosts[h]
+        where = f"host bus {host_bus}" if k < 0 else f"host bus {host_bus}, copy {copies[k][0]}"
+        raise SynthesisError(f"{where}: {errors[h, k]}") from errors[h, k]
 
     instances = []
-    for k, (case, (pl, gs, _, allocation)) in enumerate(zip(cases, sizing)):
-        sol, report = finals[k]
+    for (h, k), (sol, report) in finals.items():
+        host_bus, _p, _v, copies = hosts[h]
+        pl, gs, _, allocation = sizing[(h, k)]
+        target_import = targets[(h, -1)]
         instances.append(DnInstance(
-            case=case,
+            case=cases[(h, k)],
             host_tn_bus=host_bus,
-            copy_index=copy_indices[k],
-            load_scale=pre_dg.load_scale,
+            copy_index=copies[k][0],
+            load_scale=scales[(h, -1)],
             realized_penetration=pl,
             realized_split=gs,
             dg_allocation=allocation,
             boundary_p=float(sol.p_inj[slack_pos]),
-            import_mismatch=pre_dg.import_mismatch,
-            constant_load_mismatch=mismatch.get(k),
+            import_mismatch=abs(imports[(h, -1)] - target_import) / target_import,
+            constant_load_mismatch=mismatch.get((h, k)),
             regulation=report,
-            constant_load_counts=counts.get(k),
+            constant_load_counts=counts.get((h, k)),
         ))
     return instances
 
@@ -713,9 +701,10 @@ def generate(
 
     with _stage("load-dn"):
         dn_bundle = load_bundle(dn_path)
+    template = _replica_template(dn_bundle.case, cfg)
     with _stage("capacity"):
         capacity = dn_max_capacity(
-            dn_bundle.case,
+            template,
             cfg.dn_v_limits,
             tolerance=cfg.capacity_tolerance,
             ceiling=cfg.capacity_ceiling,
@@ -724,20 +713,13 @@ def generate(
         )
 
     tn_idx = tn.bus_index()
-    plan: list[tuple[int, int, float, float]] = []  # host bus, copies, target_p, host_v
+    hosts: list[Host] = []
     for bus_id, p_load, _q in selected:
         count = dn_count(p_load, capacity.p_capacity * cfg.oversize)
-        plan.append((bus_id, count, p_load / count, float(tn_solution.v_mag[tn_idx[bus_id]])))
-
+        hosts.append((bus_id, p_load / count, float(tn_solution.v_mag[tn_idx[bus_id]]),
+                      [(k, _rng_for(cfg, bus_id, k)) for k in range(count)]))
     with _stage("customize"):
-        instances = []
-        for bus_id, count, target_p, host_v in plan:
-            # the copies of one host share their pre-DG state
-            pre_dg = scale_to_import(dn_bundle.case, target_p, cfg, source_v=host_v)
-            instances += customize_copies(
-                pre_dg, cfg, [_rng_for(cfg, bus_id, k) for k in range(count)],
-                bus_id, list(range(count)),
-            )
+        instances = customize(template, cfg, hosts)
 
     with _stage("assemble"):
         combined = assemble(tn, instances)

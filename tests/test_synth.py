@@ -15,11 +15,11 @@ from tdsynth.synth import (
     _rng_for,
     assemble,
     boundary_transfers,
+    customize,
     customize_dn,
     dn_count,
     dn_max_capacity,
     generate,
-    scale_to_import,
     select_replaceable_loads,
 )
 from tdsynth.templates import load_bundle
@@ -185,24 +185,6 @@ def test_customize_constant_load_restores_boundary_import(dn_bundle):
     assert abs(grown.boundary_p - base.boundary_p) <= 0.005 * abs(base.boundary_p)
     # the demand grew to absorb the DG output
     assert total_load(grown.case)[0] > total_load(base.case)[0]
-
-
-def test_customize_from_a_shared_pre_dg_state_equals_a_fresh_one(dn_bundle):
-    cfg = _cfg(random=True, constant_load=True, rng_seed=4)
-    pre_dg = scale_to_import(dn_bundle.case, 0.4, cfg, source_v=1.01)
-    for copy in (0, 3):
-        shared = customize_dn(
-            dn_bundle.case, 0.4, cfg, _rng_for(cfg, 5, copy), source_v=1.01,
-            host_bus=5, copy_index=copy, pre_dg=pre_dg,
-        )
-        fresh = customize_dn(
-            dn_bundle.case, 0.4, cfg, _rng_for(cfg, 5, copy), source_v=1.01,
-            host_bus=5, copy_index=copy,
-        )
-        for f in fields(DnInstance):
-            assert getattr(shared, f.name) == getattr(fresh, f.name), f.name
-    # the copies worked on clones: the shared state is as it was built
-    assert pre_dg.case == scale_to_import(dn_bundle.case, 0.4, cfg, source_v=1.01).case
 
 
 def test_assemble_zero_instances_is_identity(tn_bundle):
@@ -373,18 +355,25 @@ def test_generate_random_streams_survive_selection_change(template_dir):
 
 def test_generate_matches_each_host_import_once(tmp_path, monkeypatch):
     templates = scaled_templates(tmp_path, 10)
-    real = synth_mod.scale_to_import
-    calls = []
+    real_batch, real_customize = synth_mod.regulate_batch, synth_mod.customize
+    sizes, start = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def recording_batch(cases, *args, **kwargs):
+        sizes.append(len(cases))
+        return real_batch(cases, *args, **kwargs)
 
-    monkeypatch.setattr(synth_mod, "scale_to_import", counting)
+    def marking_customize(*args, **kwargs):
+        start.append(len(sizes))
+        return real_customize(*args, **kwargs)
+
+    monkeypatch.setattr(synth_mod, "regulate_batch", recording_batch)
+    monkeypatch.setattr(synth_mod, "customize", marking_customize)
     cfg = SynthesisConfig(random=True, constant_load=True, rng_seed=6)
     result = generate(templates / "mini-tn", templates / "mini-dn", cfg)
     assert len(result.instances) == 21
-    assert len(calls) == len(result.selected) < len(result.instances)
+    # one customize call, whose first batch is the import match of every host
+    assert len(start) == 1
+    assert sizes[start[0]] == len(result.selected) < len(result.instances)
 
     dn = load_bundle(templates / "mini-dn").case
     idx = result.case.bus_index()  # TN buses keep their positions
@@ -435,10 +424,9 @@ def test_manifest_solve_counts_equal_a_one_copy_customization(run_pipeline, dn_b
         result.capacity.probes, result.capacity.unsettled_probes)
 
 
-def test_customize_copies_raises_what_the_first_failing_copy_raises(dn_bundle):
+def test_customize_raises_what_the_first_failing_replica_raises(dn_bundle):
     # near the DG ceilings the +-5% draws push some copies over p_max
     cfg = _cfg(penetration_level=3.0, random=True, rng_seed=2)
-    pre_dg = scale_to_import(dn_bundle.case, 0.4, cfg, source_v=1.0)
     outcomes = []
     for copy in range(8):
         try:
@@ -448,11 +436,22 @@ def test_customize_copies_raises_what_the_first_failing_copy_raises(dn_bundle):
             outcomes.append(exc)
     failing = [k for k, o in enumerate(outcomes) if isinstance(o, Exception)]
     assert 0 < len(failing) < 8
-    streams = [_rng_for(cfg, 5, copy) for copy in range(8)]
+    assert str(outcomes[failing[0]]).startswith(f"host bus 5, copy {failing[0]}: DG allocation")
+
+    def host(copies):
+        return (5, 0.4, 1.0, [(k, _rng_for(cfg, 5, k)) for k in copies])
+
     with pytest.raises(SynthesisError) as err:
-        synth_mod.customize_copies(pre_dg, cfg, streams, 5, list(range(8)))
+        customize(dn_bundle.case, cfg, [host(range(8))])
     assert str(err.value) == str(outcomes[failing[0]])
     good = [k for k in range(8) if k not in failing]
-    batch = synth_mod.customize_copies(
-        pre_dg, cfg, [_rng_for(cfg, 5, k) for k in good], 5, good)
-    assert batch == [outcomes[k] for k in good]
+    assert customize(dn_bundle.case, cfg, [host(good)]) == [outcomes[k] for k in good]
+
+    # the first host in plan order supplies the error, whichever stage it
+    # failed in: this one diverges in the import match
+    diverging = (7, 40.0, 1.0, [(0, _rng_for(cfg, 7, 0))])
+    with pytest.raises(SynthesisError) as err:
+        customize(dn_bundle.case, cfg, [host(range(8)), diverging])
+    assert str(err.value) == str(outcomes[failing[0]])
+    with pytest.raises(SynthesisError, match="^host bus 7: power flow diverged"):
+        customize(dn_bundle.case, cfg, [diverging, host(range(8))])
