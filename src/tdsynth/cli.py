@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import caseio
-from .netmodel import GenKind, penetration_level, total_load, validate
+from .netmodel import DG_KINDS, penetration_level, total_load, validate
 from .oltc import RegulationError, regulate
 from .powerflow import PowerFlowError
 from .synth import (
@@ -201,9 +201,7 @@ def _cmd_inspect(args) -> int:
     print(f"voltage range: {sol.v_mag.min():.4f} .. {sol.v_mag.max():.4f} pu")
     p, q = total_load(case)
     print(f"total load: {p:.4f} pu / {q:.4f} pu ({p * case.base_mva:.1f} MW)")
-    has_dg = any(
-        g.kind in (GenKind.DN_CONTROLLABLE, GenKind.DN_PV) for g in case.generators
-    )
+    has_dg = any(g.kind in DG_KINDS for g in case.generators)
     if has_dg and p > 0:
         print(f"penetration level: {penetration_level(case):.4f}")
     if case.oltcs:

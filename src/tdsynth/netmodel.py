@@ -26,6 +26,10 @@ class GenKind(enum.Enum):
     DN_PV = "dn_pv"                      # aggregate rooftop PV, unity power factor
 
 
+# the distributed-generation classes: what penetration counts and replicas size
+DG_KINDS = (GenKind.DN_CONTROLLABLE, GenKind.DN_PV)
+
+
 @dataclass
 class Bus:
     id: int
@@ -268,9 +272,5 @@ def penetration_level(case: NetworkCase) -> float:
     p_load, _ = total_load(case)
     if p_load == 0.0:
         raise ValueError("undefined penetration: case has no active load")
-    p_dg = sum(
-        g.p
-        for g in case.generators
-        if g.kind in (GenKind.DN_CONTROLLABLE, GenKind.DN_PV)
-    )
+    p_dg = sum(g.p for g in case.generators if g.kind in DG_KINDS)
     return p_dg / p_load

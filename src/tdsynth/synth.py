@@ -8,7 +8,8 @@ Pipeline stages (mirrored by :func:`generate`):
    of probes per batch, replica count per bus by ceiling division,
 3. customize every replica against its host-bus voltage: load scaling once
    per host, then per copy DG sizing and allocation, optional demand growth
-   and per-replica randomization, all copies of a host solved as one batch,
+   and per-replica randomization, every copy of every host solved as one
+   batch per step,
 4. assemble, re-regulate the tap changers on the combined system, optionally
    optimize, and export.
 
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import caseio
-from .netmodel import BusKind, GenKind, NetworkCase, total_load, validate
+from .netmodel import DG_KINDS, BusKind, GenKind, NetworkCase, total_load, validate
 from .oltc import RegulationError, RegulationReport, regulate, regulate_batch
 from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve
 from .templates import load_bundle
@@ -145,7 +146,7 @@ class DnInstance:
     import_mismatch: float           # relative, after the import-matching loop
     # relative, after the constant-load loop; None when that loop did not run
     constant_load_mismatch: float | None
-    regulation: RegulationReport | None = None   # the closing regulation
+    regulation: RegulationReport | None = None   # the copy's last regulation
     constant_load_counts: SolveCounts | None = None  # None when that loop did not run
 
 
@@ -178,7 +179,7 @@ def _dn_generators(case: NetworkCase) -> tuple[list[int], list[int]]:
 
 def _zero_dg(case: NetworkCase) -> None:
     for g in case.generators:
-        if g.kind in (GenKind.DN_CONTROLLABLE, GenKind.DN_PV):
+        if g.kind in DG_KINDS:
             g.p = 0.0
             g.q = 0.0
 
@@ -403,8 +404,9 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
     demand, split between the controllable group and the unity-power-factor
     PV group (randomized per copy from its stream, in plan order), and, in
     the constant-load scenario, matched by extra demand until the boundary
-    import is back at its pre-DG value.  A closing regulation settles every
-    copy.
+    import is back at its pre-DG value.  Every copy is regulated once after
+    DG sizing, and a growing copy once per round of that loop; its last
+    regulation is its final state.
 
     The replicas only share solves, so each one is what it would be alone.
     If any fails, the error of the first failing one in plan order is
@@ -417,10 +419,13 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
     p_template, _ = total_load(template)
     if p_template <= 0:
         raise SynthesisError("template has no active load")
-    # (host position, -1 for the import match or the copy position) -> error
+    # keyed by (host position, -1 for the import match or the copy position)
+    cases: dict[tuple[int, int], NetworkCase] = {}
     errors: dict[tuple[int, int], Exception] = {}
 
-    def batch(keys: list, cases: dict):
+    def batch(keys: list):
+        """Regulate the cases of ``keys`` as one batch: yields each key with
+        its (solution, report), and files each failure under its key."""
         results = regulate_batch([cases[key] for key in keys], solver, max_rounds=cfg.oltc_max_rounds)
         for key, result in zip(keys, results):
             if isinstance(result, Exception):
@@ -429,7 +434,6 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
                 yield key, result
 
     # import match: up to 12 rounds over the hosts still off target
-    pre: dict[tuple[int, int], NetworkCase] = {}
     scales, targets, imports = {}, {}, {}
     for h, (_host, target_p, source_v, _copies) in enumerate(hosts):
         key = (h, -1)
@@ -437,21 +441,21 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
         if targets[key] <= 0:
             errors[key] = SynthesisError("replica demand target must be positive")
             continue
-        pre[key] = case = template.clone()
+        cases[key] = case = template.clone()
         if source_v is not None:
             _set_source_voltage(case, source_v)
         scales[key] = targets[key] / p_template
         _scale_loads(case, scales[key])
-    off = list(pre)
+    off = list(cases)
     for _ in range(12):
         still = []
-        for key, (sol, _) in batch(off, pre):
+        for key, (sol, _) in batch(off):
             imports[key] = boundary = float(sol.p_inj[slack_pos])
             target_import = targets[key]
             if abs(boundary - target_import) <= 1e-4 * target_import:
                 continue
             adjust = target_import / boundary
-            _scale_loads(pre[key], adjust)
+            _scale_loads(cases[key], adjust)
             scales[key] *= adjust
             still.append(key)
         off = still
@@ -459,35 +463,40 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
             break
 
     # DG sizing against each replica's own demand, in plan order
-    cases: dict[tuple[int, int], NetworkCase] = {}
     sizing = {}
     for h, (_host, _p, _v, copies) in enumerate(hosts):
         if (h, -1) in errors:
             continue
         for k, (_copy, rng) in enumerate(copies):
-            cases[(h, k)] = case = pre[(h, -1)].clone()
+            cases[(h, k)] = case = cases[(h, -1)].clone()
             try:
                 sizing[(h, k)] = _size_dg(case, cfg, rng)
             except SynthesisError as exc:
                 errors[(h, k)] = exc
 
-    # grow active demand until the boundary import is back where it was
-    # before the DGs came in; reactive demand stays untouched
+    # regulate every copy; in the constant-load scenario, grow active demand
+    # until the boundary import is back where it was before the DGs came in
+    # (reactive demand stays untouched).  A copy's last solve is its final
+    # state.
     growing = [key for key, sz in sizing.items() if cfg.constant_load and sz[2] > 0]
     counts = {key: SolveCounts() for key in growing}
     mismatch: dict[tuple[int, int], float] = {}
     base_p = {key: [b.p_load for b in cases[key].buses] for key in growing}
     base_total = {key: sum(p) for key, p in base_p.items()}
     addition = {key: sizing[key][2] for key in growing}
+    finals = {}
+    live = list(sizing)
     for _ in range(20):
-        if not growing:
-            break
-        for key in growing:
-            f = 1.0 + addition[key] / base_total[key]
-            for b, p0 in zip(cases[key].buses, base_p[key]):
-                b.p_load = p0 * f
+        for key in live:
+            if key in counts:
+                f = 1.0 + addition[key] / base_total[key]
+                for b, p0 in zip(cases[key].buses, base_p[key]):
+                    b.p_load = p0 * f
         still = []
-        for key, (sol, report) in batch(growing, cases):
+        for key, (sol, report) in batch(live):
+            finals[key] = sol, report
+            if key not in counts:
+                continue
             counts[key].add(report)
             pre_dg_import = imports[(key[0], -1)]
             boundary = float(sol.p_inj[slack_pos])
@@ -495,9 +504,10 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
             if abs(boundary - pre_dg_import) > 1e-3 * abs(pre_dg_import):
                 addition[key] += pre_dg_import - boundary
                 still.append(key)
-        growing = still
+        live = still
+        if not live:
+            break
 
-    finals = dict(batch([key for key in sizing if key not in errors], cases))
     if errors:
         h, k = min(errors)
         host_bus, _p, _v, copies = hosts[h]
@@ -814,8 +824,11 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "solve_counts": {
                 "constant_load": (asdict(inst.constant_load_counts)
                                   if inst.constant_load_counts is not None else None),
-                "closing": asdict(SolveCounts(
-                    inst.regulation.solves, inst.regulation.iterations, inst.regulation.rounds)),
+                # the post-DG regulation; None when the constant-load loop's
+                # last round closed the copy
+                "closing": (asdict(SolveCounts(inst.regulation.solves, inst.regulation.iterations,
+                                               inst.regulation.rounds))
+                            if inst.constant_load_counts is None else None),
             },
         }
         for inst in instances

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from tdsynth import residual
 from tdsynth import synth as synth_mod
 from tdsynth.netmodel import GenKind, penetration_level, total_load, validate
 from tdsynth.synth import (
-    DnInstance,
     PipelineError,
     SynthesisConfig,
     SynthesisError,
@@ -111,6 +110,19 @@ def test_capacity_zero_scale_bracket_is_feasible(dn_bundle):
     assert cap.max_scale > 0.5
     with pytest.raises(SynthesisError, match="zero load"):
         dn_max_capacity(dn_bundle.case, (1.2, 1.3))
+
+
+def test_capacity_is_searched_at_the_replicas_tap_setpoint(template_dir, dn_bundle):
+    # the replicas regulate at oltc_v_set, not at the template's own setpoint
+    cfg = SynthesisConfig(penetration_level=0.0, oltc_v_set=0.98)
+    result = generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg)
+    at_setpoint = dn_bundle.case.clone()
+    for t in at_setpoint.oltcs:
+        t.v_set = cfg.oltc_v_set
+    cap = dn_max_capacity(at_setpoint, cfg.dn_v_limits, tolerance=cfg.capacity_tolerance,
+                          ceiling=cfg.capacity_ceiling, max_rounds=cfg.oltc_max_rounds)
+    assert result.manifest["template_capacity"]["max_scale"] == cap.max_scale
+    assert cap.max_scale < dn_max_capacity(dn_bundle.case, cfg.dn_v_limits).max_scale
 
 
 def _cfg(**kw):
@@ -412,13 +424,22 @@ def test_manifest_solve_counts_equal_a_one_copy_customization(run_pipeline, dn_b
             source_v=float(result.tn_solution.v_mag[idx[host]]),
             host_bus=host, copy_index=inst.copy_index,
         )
-        closing = alone.regulation
+        # the constant-load loop's last round closed the copy: no closing solve
         assert rec["solve_counts"] == {
-            "constant_load": asdict(alone.constant_load_counts),
+            "constant_load": asdict(alone.constant_load_counts), "closing": None,
+        }
+        # the copy's regulation report is the loop's last round
+        assert 1 <= alone.regulation.solves <= alone.constant_load_counts.solves
+    # without the loop, the post-DG regulation is the closing one
+    plain = run_pipeline(replace(cfg, constant_load=False))
+    for rec, inst in zip(plain.manifest["instances"], plain.instances):
+        closing = inst.regulation
+        assert rec["solve_counts"] == {
+            "constant_load": None,
             "closing": {"solves": closing.solves, "iterations": closing.iterations,
                         "tap_rounds": closing.rounds},
         }
-        assert alone.constant_load_counts.solves >= 1 and closing.solves == 1
+        assert closing.solves >= 1
     capacity = result.manifest["template_capacity"]
     assert (capacity["probes"], capacity["unsettled_probes"]) == (
         result.capacity.probes, result.capacity.unsettled_probes)
