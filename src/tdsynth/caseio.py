@@ -7,6 +7,11 @@ rows ended by ``;`` or newline), an optional ``mpc.bus_name`` cell list,
 and ``%`` comments.  Anything executable is rejected.  Unknown
 ``mpc.<name>`` tables are kept so they survive a parse/emit round trip.
 
+A :class:`CaseDocument` holds each table as one 2-D float64 array (an
+empty table has shape (0, 0)), and the reader, the writer and the model
+conversion work on it one column at a time.  Tables assigned as lists of
+rows are accepted wherever a document is read.
+
 Tap-changer data has no home in the MATPOWER tables, so it travels in a
 sidecar CSV (``<case>.oltc.csv``) whose columns are the fields of
 :class:`~tdsynth.netmodel.OltcTransformer` in order:
@@ -18,12 +23,16 @@ the branch table.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
+import warnings
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NoReturn, get_type_hints
+
+import numpy as np
 
 from .netmodel import (
     Branch,
@@ -72,8 +81,27 @@ class ExporterError(KeyError):
 class CaseDocument:
     version: str = "2"
     base_mva: float = 100.0
-    matrices: dict[str, list[list[float]]] = field(default_factory=dict)
+    # each table as one (rows, columns) float64 array
+    matrices: dict[str, np.ndarray] = field(default_factory=dict)
     bus_name: list[str] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CaseDocument):
+            return NotImplemented
+        return (
+            (self.version, self.base_mva, self.bus_name)
+            == (other.version, other.base_mva, other.bus_name)
+            and self.matrices.keys() == other.matrices.keys()
+            and all(np.array_equal(_table(t), _table(other.matrices[name]))
+                    for name, t in self.matrices.items())
+        )
+
+
+def _table(rows, width: int = 0) -> np.ndarray:
+    """A table, given as an array or a list of rows, as a 2-D float64
+    array; an empty table has shape (0, ``width``)."""
+    table = np.asarray(rows, dtype=float)
+    return table if table.size else np.empty((0, width))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +120,8 @@ _STATEMENT_RE = re.compile(
     r"|\[(?P<matrix>[^\]]*)\]|\{(?P<cells>[^}']*(?:'[^'\n]*'[^}']*)*)\})"
     rf"{_BLANK};"
 )
-# a matrix body holds only these characters; float() rejects the
-# malformed cells they can spell, such as "1-2" or "1.5.5"
+# a matrix body holds only these characters; the converter rejects or
+# splits the malformed cells they can spell, such as "1-2" or "1.5.5"
 _NON_MATRIX_RE = re.compile(r"[^ \t\r\n;\deE+.\-]")
 _CELL_RE = re.compile(r"[^ \t\r]+")
 _NAME_OR_FAULT_RE = re.compile(r"'([^'\n]*)'|[^ \t\r\n;]")
@@ -110,18 +138,25 @@ def _fail(text: str, pos: int, message: str) -> NoReturn:
     raise CaseParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
-def _matrix(text: str, start: int, body: str, name: str) -> list[list[float]]:
-    """The rows of a matrix body found at ``text[start:]``; ``;`` or a
+def _matrix(text: str, start: int, body: str, name: str) -> np.ndarray:
+    """The table of a matrix body found at ``text[start:]``; ``;`` or a
     newline ends a row, and empty rows are dropped."""
     lines = body.replace(";", "\n").split("\n")
-    if _NON_MATRIX_RE.search(body) is None:
-        try:
-            rows = [list(map(float, cells)) for cells in map(str.split, lines) if cells]
-        except ValueError:
-            pass
-        else:
-            if all(len(row) == len(rows[0]) for row in rows):
-                return rows
+    widths = [w for w in map(len, map(str.split, lines)) if w]
+    if not widths:
+        return np.empty((0, 0))
+    if _NON_MATRIX_RE.search(body) is None and widths.count(widths[0]) == len(widths):
+        # fromstring can read a malformed cell partway ("1.5.5" as 1.5 and
+        # .5) and then warn or raise, so a warning, an error or a value
+        # count other than rows x width sends the body to the error walk
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = np.fromstring(body.replace(";", " "), sep=" ")
+            except (ValueError, DeprecationWarning):
+                values = ()
+        if len(values) == len(widths) * widths[0]:
+            return values.reshape(len(widths), widths[0])
     # the error path: walk the rows again to name and place the first fault
     width, pos = None, start
     for line in lines:
@@ -140,7 +175,8 @@ def _matrix(text: str, start: int, body: str, name: str) -> list[list[float]]:
 
 def parse_case(text: str) -> CaseDocument:
     """Read the document one ``mpc.<name> = <value>;`` statement at a time."""
-    text = _COMMENT_RE.sub(lambda m: " " * len(m[1]) if m[1] else m[0], text)
+    if "%" in text:
+        text = _COMMENT_RE.sub(lambda m: " " * len(m[1]) if m[1] else m[0], text)
     doc = CaseDocument()
     seen: set[str] = set()
     pos = 0
@@ -174,33 +210,32 @@ def parse_case(text: str) -> CaseDocument:
     return doc
 
 
-def _check_document(doc: CaseDocument) -> None:
+def _check_document(doc: CaseDocument) -> dict[str, np.ndarray]:
+    """Check the table contracts; returns the tables as arrays."""
     for table in ("bus", "gen", "branch"):
         if table not in doc.matrices:
             raise StructuralError(f"missing required table mpc.{table}")
+    tables = {name: _table(rows) for name, rows in doc.matrices.items()}
     minima = {"bus": BUS_COLS, "gen": GEN_COLS, "branch": BRANCH_COLS}
     for table, want in minima.items():
-        for i, row in enumerate(doc.matrices[table]):
-            if len(row) < want:
-                raise StructuralError(
-                    f"mpc.{table} row {i} has {len(row)} columns, needs at least {want}"
-                )
+        rows, width = tables[table].shape
+        if rows and width < want:
+            raise StructuralError(f"mpc.{table} row 0 has {width} columns, needs at least {want}")
     if not 0 < doc.base_mva < math.inf:
         raise StructuralError("baseMVA must be finite and positive")
-    for name, rows in doc.matrices.items():
-        for i, row in enumerate(rows):
-            for v in row:
-                if not math.isfinite(v):
-                    raise StructuralError(f"non-finite cell in mpc.{name} row {i}")
+    for name, table in tables.items():
+        finite = np.isfinite(table)
+        if not finite.all():
+            i = np.flatnonzero(~finite.all(axis=1))[0]
+            raise StructuralError(f"non-finite cell in mpc.{name} row {i}")
     if doc.bus_name is not None:
-        if len(doc.bus_name) != len(doc.matrices["bus"]):
+        if len(doc.bus_name) != len(tables["bus"]):
             raise StructuralError(
-                f"bus_name has {len(doc.bus_name)} entries for "
-                f"{len(doc.matrices['bus'])} buses"
-            )
+                f"bus_name has {len(doc.bus_name)} entries for {len(tables['bus'])} buses")
         for n in doc.bus_name:
             if "'" in n or "\n" in n:
                 raise StructuralError(f"bus name {n!r} contains a quote or newline")
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +250,52 @@ def _fmt(v: float) -> str:
     return repr(v)
 
 
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """:func:`_fmt` of every cell, as an object array of the same shape;
+    each distinct value is formatted once (``-0.0`` and ``0.0`` are one
+    value, and both are written ``0``)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = np.array([_fmt(v) for v in distinct.tolist()], dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
 def emit_case(doc: CaseDocument) -> str:
     """Deterministic text for a document; equal documents emit equal bytes."""
-    _check_document(doc)
-    out = io.StringIO()
-    out.write(f"mpc.version = '{doc.version}';\n")
-    out.write(f"mpc.baseMVA = {_fmt(doc.base_mva)};\n")
+    tables = _check_document(doc)
+    out = [f"mpc.version = '{doc.version}';\n", f"mpc.baseMVA = {_fmt(doc.base_mva)};\n"]
     known = ("bus", "gen", "branch", "gencost")
-    order = [t for t in known if t in doc.matrices]
-    order += sorted(t for t in doc.matrices if t not in known)
-    for table in order:
-        out.write(f"\nmpc.{table} = [\n")
-        for row in doc.matrices[table]:
-            out.write("\t" + "\t".join(_fmt(v) for v in row) + ";\n")
-        out.write("];\n")
+    order = [t for t in known if t in tables]
+    order += sorted(t for t in tables if t not in known)
+    for name in order:
+        out.append(f"\nmpc.{name} = [\n")
+        cells = _formatted(tables[name])
+        if cells.size:
+            # one join over the table: a row is "\t" + its cells + ";\n"
+            cells[:, -1] += ";\n"
+            out.append("\t" + "\t".join(cells.ravel().tolist()))
+        out.append("];\n")
     if doc.bus_name is not None:
-        out.write("\nmpc.bus_name = {\n")
-        for name in doc.bus_name:
-            out.write(f"\t'{name}';\n")
-        out.write("};\n")
-    return out.getvalue()
+        out.append("\nmpc.bus_name = {\n")
+        out.extend(f"\t'{name}';\n" for name in doc.bus_name)
+        out.append("};\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # document <-> network model
+
+
+def _ints(columns: np.ndarray) -> np.ndarray:
+    """Whole-number cells as int64, truncated toward zero as ``int`` does."""
+    if np.abs(columns).max(initial=0.0) >= 2.0**63:
+        raise StructuralError("an id, code or flag cell does not fit in 64 bits")
+    return columns.astype(np.int64)
+
+
+def _gather(records: list, names: list[str]) -> np.ndarray:
+    """The named attributes of each record, as a (records, names) float64 array."""
+    values = chain.from_iterable(map(attrgetter(*names), records))
+    return np.fromiter(values, float, len(records) * len(names)).reshape(len(records), len(names))
 
 
 def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) -> NetworkCase:
@@ -248,93 +305,74 @@ def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) ->
     kinds = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
     case = NetworkCase(base_mva=base)
 
-    names = doc.bus_name or [f"bus{int(row[BUS_I])}" for row in doc.matrices["bus"]]
-    for row, name in zip(doc.matrices["bus"], names):
-        code = int(row[BUS_TYPE])
-        if code not in kinds:
-            raise StructuralError(f"bus {int(row[BUS_I])}: unsupported type code {code}")
-        case.buses.append(
-            Bus(
-                id=int(row[BUS_I]),
-                kind=kinds[code],
-                p_load=row[PD] / base,
-                q_load=row[QD] / base,
-                g_shunt=row[GS] / base,
-                b_shunt=row[BS] / base,
-                v_mag=row[VM],
-                v_ang=math.radians(row[VA]),
-                base_kv=row[BASE_KV],
-                v_max=row[VMAX],
-                v_min=row[VMIN],
-                area=int(row[BUS_AREA]),
-                name=name,
-            )
-        )
+    bus = _table(doc.matrices["bus"], BUS_COLS).T
+    ids, codes, areas = _ints(bus[[BUS_I, BUS_TYPE, BUS_AREA]]).tolist()
+    bus_kinds = [kinds.get(code) for code in codes]
+    if None in bus_kinds:
+        i = bus_kinds.index(None)
+        raise StructuralError(f"bus {ids[i]}: unsupported type code {codes[i]}")
+    volts = bus[[VM, VA, BASE_KV, VMAX, VMIN]]
+    volts[1] = np.radians(volts[1])
+    case.buses = list(map(
+        Bus, ids, bus_kinds, *(bus[[PD, QD, GS, BS]] / base).tolist(), *volts.tolist(), areas,
+        doc.bus_name or [f"bus{i}" for i in ids],
+    ))
 
-    gencost = doc.matrices.get("gencost")
-    genkind = doc.matrices.get("gen_kind")
-    n_gen = len(doc.matrices["gen"])
+    gen = _table(doc.matrices["gen"], GEN_COLS).T
+    gen_bus, status = _ints(gen[[GEN_BUS, GEN_STATUS]])
+    gencost, genkind = (_table(doc.matrices[t]) if t in doc.matrices else None
+                        for t in ("gencost", "gen_kind"))
+    n_gen = gen.shape[1]
     if gencost is not None and len(gencost) < n_gen:
         raise StructuralError(f"mpc.gencost has {len(gencost)} rows for {n_gen} generators")
     if genkind is not None and len(genkind) != n_gen:
         raise StructuralError(f"mpc.gen_kind has {len(genkind)} rows for {n_gen} generators")
-    for i, row in enumerate(doc.matrices["gen"]):
-        if int(row[GEN_STATUS]) == 0:
-            # the model has no generator status, and a dropped unit would
-            # vanish from every bundle saved from this case
-            raise StructuralError(f"gen row {i}: out-of-service generators are not supported")
-        cost = (0.0, 0.0, 0.0)
-        if gencost is not None:
-            crow = gencost[i]
-            if len(crow) <= COST_C0 or int(crow[COST_MODEL]) != 2 or int(crow[NCOST]) != 3:
-                raise StructuralError(
-                    f"gencost row {i}: only 3-coefficient polynomial costs "
-                    f"({COST_C0 + 1} columns) are supported"
-                )
-            cost = (crow[COST_C2], crow[COST_C1], crow[COST_C0])
-        kind, controllable = GenKind.TN_UNIT, True
-        if genkind is not None:
-            krow = genkind[i]
-            if len(krow) < 2 or int(krow[0]) not in _CODE_KIND:
-                raise StructuralError(
-                    f"gen_kind row {i}: needs a kind code in {sorted(_CODE_KIND)} "
-                    "and a controllable flag"
-                )
-            kind = _CODE_KIND[int(krow[0])]
-            controllable = bool(int(krow[1]))
-        case.generators.append(
-            Generator(
-                bus_id=int(row[GEN_BUS]),
-                p=row[PG] / base,
-                q=row[QG] / base,
-                p_min=row[PMIN] / base,
-                p_max=row[PMAX] / base,
-                q_min=row[QMIN] / base,
-                q_max=row[QMAX] / base,
-                v_set=row[VG],
-                controllable=controllable,
-                kind=kind,
-                cost=cost,
-            )
-        )
+    cost, cost_bad = np.zeros((3, n_gen)), np.zeros(n_gen, bool)
+    if gencost is not None and n_gen:
+        crows = gencost[:n_gen].T
+        if len(crows) <= COST_C0:
+            cost_bad[:] = True
+        else:
+            model, ncost = _ints(crows[[COST_MODEL, NCOST]])
+            cost_bad = (model != 2) | (ncost != 3)
+            cost = crows[[COST_C2, COST_C1, COST_C0]]
+    gen_kinds, controllable = [GenKind.TN_UNIT] * n_gen, [True] * n_gen
+    if genkind is not None and n_gen:
+        if genkind.shape[1] < 2:
+            gen_kinds = [None] * n_gen
+        else:
+            codes, flags = _ints(genkind.T[:2]).tolist()
+            gen_kinds = [_CODE_KIND.get(code) for code in codes]
+            controllable = [flag != 0 for flag in flags]
+    faults = [
+        # the model has no generator status, and a dropped unit would
+        # vanish from every bundle saved from this case
+        (status == 0, "gen row {}: out-of-service generators are not supported"),
+        (cost_bad, f"gencost row {{}}: only 3-coefficient polynomial costs "
+                   f"({COST_C0 + 1} columns) are supported"),
+        (np.array([kind is None for kind in gen_kinds], dtype=bool),
+         f"gen_kind row {{}}: needs a kind code in {sorted(_CODE_KIND)} and a controllable flag"),
+    ]
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))
+    if bad.size:
+        i = int(bad[0])
+        raise StructuralError(next(message for mask, message in faults if mask[i]).format(i))
+    case.generators = list(map(
+        Generator, gen_bus.tolist(),
+        *(gen[[PG, QG, PMIN, PMAX, QMIN, QMAX]] / base).tolist(), gen[VG].tolist(),
+        controllable, gen_kinds, list(zip(*cost.tolist())),
+    ))
 
-    for row in doc.matrices["branch"]:
-        case.branches.append(
-            Branch(
-                from_bus=int(row[F_BUS]),
-                to_bus=int(row[T_BUS]),
-                r=row[BR_R],
-                x=row[BR_X],
-                b_charging=row[BR_B],
-                # MATPOWER convention: ratio 0 marks a plain line
-                ratio=row[TAP] if row[TAP] != 0.0 else 1.0,
-                phase_shift=math.radians(row[SHIFT]),
-                rate_a=row[RATE_A] / base,
-                status=bool(int(row[BR_STATUS])),
-            )
-        )
+    br = _table(doc.matrices["branch"], BRANCH_COLS).T
+    from_bus, to_bus, status = _ints(br[[F_BUS, T_BUS, BR_STATUS]])
+    case.branches = list(map(
+        Branch, from_bus.tolist(), to_bus.tolist(), *br[[BR_R, BR_X, BR_B]].tolist(),
+        # MATPOWER convention: ratio 0 marks a plain line
+        np.where(br[TAP] != 0.0, br[TAP], 1.0).tolist(),
+        np.radians(br[SHIFT]).tolist(), (br[RATE_A] / base).tolist(), (status != 0).tolist(),
+    ))
 
-    bus_ids = {b.id for b in case.buses}
+    bus_ids = set(ids)
     for spec in oltcs or []:
         if not 0 <= spec.branch_ref < len(case.branches):
             raise StructuralError(f"oltc references absent branch {spec.branch_ref}")
@@ -352,71 +390,37 @@ def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcTransformer]
     the tap changers are copies of ``case.oltcs``."""
     base = case.base_mva
     codes = {BusKind.PQ: 1, BusKind.PV: 2, BusKind.SLACK: 3}
-    doc = CaseDocument(version="2", base_mva=base, matrices={}, bus_name=None)
 
-    doc.matrices["bus"] = [
-        [
-            float(b.id),
-            float(codes[b.kind]),
-            b.p_load * base,
-            b.q_load * base,
-            b.g_shunt * base,
-            b.b_shunt * base,
-            float(b.area),
-            b.v_mag,
-            math.degrees(b.v_ang),
-            b.base_kv,
-            1.0,
-            b.v_max,
-            b.v_min,
-        ]
-        for b in case.buses
-    ]
-    doc.bus_name = [b.name or f"bus{b.id}" for b in case.buses]
+    bus = np.zeros((len(case.buses), BUS_COLS))
+    bus[:, [BUS_I, PD, QD, GS, BS, BUS_AREA, VM, VA, BASE_KV, VMAX, VMIN]] = _gather(
+        case.buses, ["id", "p_load", "q_load", "g_shunt", "b_shunt", "area",
+                     "v_mag", "v_ang", "base_kv", "v_max", "v_min"])
+    bus[:, [PD, QD, GS, BS]] *= base
+    bus[:, VA] = np.degrees(bus[:, VA])
+    bus[:, BUS_TYPE] = [codes[b.kind] for b in case.buses]
+    bus[:, ZONE] = 1.0
 
-    doc.matrices["gen"] = [
-        [
-            float(g.bus_id),
-            g.p * base,
-            g.q * base,
-            g.q_max * base,
-            g.q_min * base,
-            g.v_set,
-            base,
-            1.0,
-            g.p_max * base,
-            g.p_min * base,
-        ]
-        + [0.0] * 11
-        for g in case.generators
-    ]
-    doc.matrices["gencost"] = [
-        [2.0, 0.0, 0.0, 3.0, g.cost[0], g.cost[1], g.cost[2]] for g in case.generators
-    ]
-    doc.matrices["gen_kind"] = [
-        [float(_KIND_CODE[g.kind]), 1.0 if g.controllable else 0.0]
-        for g in case.generators
-    ]
+    gens = case.generators
+    gen = np.zeros((len(gens), GEN_COLS))
+    gen[:, [GEN_BUS, PG, QG, QMAX, QMIN, VG, PMAX, PMIN]] = _gather(
+        gens, ["bus_id", "p", "q", "q_max", "q_min", "v_set", "p_max", "p_min"])
+    gen[:, [PG, QG, QMAX, QMIN, PMAX, PMIN]] *= base
+    gen[:, [MBASE, GEN_STATUS]] = base, 1.0
+    # model 2 (polynomial), no start-up or shut-down cost, 3 coefficients
+    gencost = np.zeros((len(gens), COST_C0 + 1)) + [2.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]
+    gencost[:, COST_C2:] = np.reshape([g.cost for g in gens], (-1, 3))
+    gen_kind = np.array([(_KIND_CODE[g.kind], g.controllable) for g in gens], float).reshape(-1, 2)
 
-    doc.matrices["branch"] = [
-        [
-            float(br.from_bus),
-            float(br.to_bus),
-            br.r,
-            br.x,
-            br.b_charging,
-            br.rate_a * base,
-            0.0,
-            0.0,
-            br.ratio,
-            math.degrees(br.phase_shift),
-            1.0 if br.status else 0.0,
-            -360.0,
-            360.0,
-        ]
-        for br in case.branches
-    ]
+    branch = np.zeros((len(case.branches), BRANCH_COLS))
+    branch[:, [F_BUS, T_BUS, BR_R, BR_X, BR_B, TAP, SHIFT, RATE_A, BR_STATUS]] = _gather(
+        case.branches, ["from_bus", "to_bus", "r", "x", "b_charging",
+                        "ratio", "phase_shift", "rate_a", "status"])
+    branch[:, SHIFT] = np.degrees(branch[:, SHIFT])
+    branch[:, RATE_A] *= base
+    branch[:, [ANGMIN, ANGMAX]] = -360.0, 360.0
 
+    tables = {"bus": bus, "gen": gen, "gencost": gencost, "gen_kind": gen_kind, "branch": branch}
+    doc = CaseDocument("2", base, tables, [b.name or f"bus{b.id}" for b in case.buses])
     return doc, [replace(t) for t in case.oltcs]
 
 
@@ -424,11 +428,15 @@ def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcTransformer]
 # sidecar CSV
 
 
-def write_oltc_csv(path: Path, oltcs: list[OltcTransformer]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(OLTC_CSV_HEADER)
-        w.writerows([_fmt(getattr(t, name)) for name in _OLTC_FIELDS] for t in oltcs)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_oltc_csv(path: Path, oltcs: list[OltcTransformer]) -> None:
+    _write_csv(path, OLTC_CSV_HEADER, _formatted(_gather(oltcs, _OLTC_FIELDS)).tolist())
 
 
 def read_oltc_csv(path: Path) -> list[OltcTransformer]:
@@ -499,55 +507,43 @@ def export(case: NetworkCase, name: str, sink: Path | str) -> list[Path]:
 
 
 def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
-    """Four plain CSVs in SI units (MW, Mvar, kV); one row per element."""
-    base = case.base_mva
+    """Four plain CSVs in SI units (MW, Mvar, kV); one row per element.
+    The numbers are the columns of the MATPOWER tables."""
+    doc, oltcs = from_network(case)
+    bus, gen, branch = (doc.matrices[t] for t in ("bus", "gen", "branch"))
     written = []
 
-    def table(name: str, header: list[str], rows):
-        p = sink / name
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
-        written.append(p)
+    def table(name: str, header: list[str], numbers: np.ndarray, text=()):
+        # each (position, column) of ``text`` goes between the numbers as it is
+        columns = list(_formatted(numbers).T)
+        for pos, column in text:
+            columns.insert(pos, column)
+        _write_csv(sink / name, header, zip(*columns))
+        written.append(sink / name)
 
     table(
         "buses.csv",
         ["id", "name", "kind", "area", "base_kv", "p_load_mw", "q_load_mvar",
          "g_shunt_mw", "b_shunt_mvar", "v_mag_pu", "v_ang_deg", "v_min_pu", "v_max_pu"],
-        [
-            [b.id, b.name, b.kind.value, b.area, _fmt(b.base_kv),
-             _fmt(b.p_load * base), _fmt(b.q_load * base),
-             _fmt(b.g_shunt * base), _fmt(b.b_shunt * base),
-             _fmt(b.v_mag), _fmt(math.degrees(b.v_ang)), _fmt(b.v_min), _fmt(b.v_max)]
-            for b in case.buses
-        ],
+        bus[:, [BUS_I, BUS_AREA, BASE_KV, PD, QD, GS, BS, VM, VA, VMIN, VMAX]],
+        [(1, [b.name for b in case.buses]), (2, [b.kind.value for b in case.buses])],
     )
     table(
         "branches.csv",
         ["from_bus", "to_bus", "r_pu", "x_pu", "b_pu", "ratio",
          "phase_shift_deg", "rate_mva", "status"],
-        [
-            [br.from_bus, br.to_bus, _fmt(br.r), _fmt(br.x), _fmt(br.b_charging),
-             _fmt(br.ratio), _fmt(math.degrees(br.phase_shift)),
-             _fmt(br.rate_a * base), int(br.status)]
-            for br in case.branches
-        ],
+        branch[:, [F_BUS, T_BUS, BR_R, BR_X, BR_B, TAP, SHIFT, RATE_A, BR_STATUS]],
     )
     table(
         "generators.csv",
         ["bus", "kind", "controllable", "p_mw", "q_mvar", "p_min_mw", "p_max_mw",
          "q_min_mvar", "q_max_mvar", "v_set_pu", "cost_c2", "cost_c1", "cost_c0"],
-        [
-            [g.bus_id, g.kind.value, int(g.controllable),
-             _fmt(g.p * base), _fmt(g.q * base),
-             _fmt(g.p_min * base), _fmt(g.p_max * base),
-             _fmt(g.q_min * base), _fmt(g.q_max * base),
-             _fmt(g.v_set), _fmt(g.cost[0]), _fmt(g.cost[1]), _fmt(g.cost[2])]
-            for g in case.generators
-        ],
+        np.column_stack([gen[:, [GEN_BUS]], doc.matrices["gen_kind"][:, [1]],
+                         gen[:, [PG, QG, PMIN, PMAX, QMIN, QMAX, VG]],
+                         doc.matrices["gencost"][:, COST_C2:]]),
+        [(1, [g.kind.value for g in case.generators])],
     )
-    write_oltc_csv(sink / "oltc.csv", case.oltcs)
+    write_oltc_csv(sink / "oltc.csv", oltcs)
     written.append(sink / "oltc.csv")
     return written
 

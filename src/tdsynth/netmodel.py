@@ -245,8 +245,11 @@ def validate(case: NetworkCase) -> ValidationReport:
         comps = islands(case)
         if len(comps) > 1:
             out.append(f"network has {len(comps)} islands (expected a single one)")
-        for comp in comps:
-            slacks = [b for b in case.buses if b.id in comp and b.kind is BusKind.SLACK]
+        island_of = {bus_id: k for k, comp in enumerate(comps) for bus_id in comp}
+        slacks_of: list[list[Bus]] = [[] for _ in comps]
+        for b in case.slack_buses():
+            slacks_of[island_of[b.id]].append(b)
+        for comp, slacks in zip(comps, slacks_of):
             if not slacks:
                 out.append(f"missing slack bus in island containing bus {min(comp)}")
             elif len(slacks) > 1:

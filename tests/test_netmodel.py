@@ -1,4 +1,5 @@
 import copy
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ def test_validate_duplicate_ids_and_islands():
         "duplicate bus name 'a'",
         "duplicate bus name 'z'",
     ]
+
+
+def test_validate_reports_each_island_in_order():
+    case = NetworkCase()
+    slack = {1, 3, 4, 6}
+    case.buses = [Bus(id=i, kind=BusKind.SLACK if i in slack else BusKind.PQ)
+                  for i in (2, 1, 4, 3, 5, 6, 7)]
+    case.branches = [Branch(1, 2, x=0.1), Branch(3, 4, x=0.1), Branch(6, 7, x=0.1),
+                     Branch(5, 5, x=0.1, status=False)]
+    assert validate(case).entries == [
+        "network has 4 islands (expected a single one)",
+        "multiple slack buses in one island: 4, 3",
+        "missing slack bus in island containing bus 5",
+    ]
+
+
+def test_validate_is_linear_in_the_island_count():
+    # 20,000 isolated buses: one slack scan per island would take minutes
+    case = NetworkCase(buses=[Bus(id=i, kind=BusKind.SLACK if i == 1 else BusKind.PQ)
+                              for i in range(1, 20_001)])
+    start = time.perf_counter()
+    report = validate(case)
+    assert time.perf_counter() - start < 2.0
+    assert len(report.entries) == 20_000
+    assert report.entries[-1] == "missing slack bus in island containing bus 20000"
 
 
 def test_validate_oltc_ratio_out_of_sync():
