@@ -109,7 +109,8 @@ def _table(rows, width: int = 0) -> np.ndarray:
 
 _BLANK = r"[ \t\r\n]*"
 _BLANK_RE = re.compile(_BLANK)
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# ASCII digits only: \d would also take digits such as "\u0661"
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _NUMBER_RE = re.compile(_NUMBER)
 # a quoted string stays as it is; a % comment becomes blanks of its length,
 # so every offset still points at the same line and column
@@ -120,9 +121,9 @@ _STATEMENT_RE = re.compile(
     r"|\[(?P<matrix>[^\]]*)\]|\{(?P<cells>[^}']*(?:'[^'\n]*'[^}']*)*)\})"
     rf"{_BLANK};"
 )
-# a matrix body holds only these characters; the converter rejects or
-# splits the malformed cells they can spell, such as "1-2" or "1.5.5"
-_NON_MATRIX_RE = re.compile(r"[^ \t\r\n;\deE+.\-]")
+# a matrix body holds only these ASCII characters; the converter rejects
+# or splits the malformed cells they can spell, such as "1-2" or "1.5.5"
+_MATRIX_CHARS = b" \t\r\n;0123456789eE+.-"
 _CELL_RE = re.compile(r"[^ \t\r]+")
 _NAME_OR_FAULT_RE = re.compile(r"'([^'\n]*)'|[^ \t\r\n;]")
 # statements whose value is not a matrix: (value group, what it must be)
@@ -143,9 +144,12 @@ def _matrix(text: str, start: int, body: str, name: str) -> np.ndarray:
     newline ends a row, and empty rows are dropped."""
     lines = body.replace(";", "\n").split("\n")
     widths = [w for w in map(len, map(str.split, lines)) if w]
-    if not widths:
+    # str.split also splits at non-ASCII blanks; only a body of matrix
+    # characters is split as the error walk splits it
+    plain = body.isascii() and not body.encode().translate(None, _MATRIX_CHARS)
+    if plain and not widths:
         return np.empty((0, 0))
-    if _NON_MATRIX_RE.search(body) is None and widths.count(widths[0]) == len(widths):
+    if plain and widths.count(widths[0]) == len(widths):
         # fromstring can read a malformed cell partway ("1.5.5" as 1.5 and
         # .5) and then warn or raise, so a warning, an error or a value
         # count other than rows x width sends the body to the error walk

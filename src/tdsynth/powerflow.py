@@ -37,6 +37,7 @@ from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .netmodel import BusKind, NetworkCase, islands
@@ -220,19 +221,32 @@ def _place(vals, rows, cols, shape, dense: bool):
     return sp.csc_matrix((vals, (rows, cols)), shape=shape)
 
 
-def _solve_linear(A, b) -> np.ndarray | None:
-    """Solve A x = b: LAPACK for an ndarray, SuperLU for a sparse matrix;
-    None if A is singular or x is not finite."""
+def _factor(A):
+    """Factor A once: a function that solves A x = b for any b, or None if
+    A is singular.  An ndarray goes to LAPACK ``getrf``, which reports an
+    exact zero pivot in its ``info`` (``scipy.linalg.lu_factor`` only warns),
+    and is overwritten by its factors; a sparse matrix goes to SuperLU."""
     if isinstance(A, np.ndarray):
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
+        # A^T is A's memory in Fortran order, so getrf factors it without a
+        # copy, and getrs with trans=1 solves A x = b from its factors
+        lu, piv, info = lapack.dgetrf(A.T, overwrite_a=True)
+        if info != 0:
             return None
-    else:
-        try:
-            x = splu(A, permc_spec=SPARSE_LU_ORDERING, diag_pivot_thresh=SPARSE_LU_PIVOT).solve(b)
-        except RuntimeError:   # exactly singular
-            return None
+        return lambda b: lapack.dgetrs(lu, piv, b, trans=1)[0]
+    try:
+        lu = splu(A, permc_spec=SPARSE_LU_ORDERING, diag_pivot_thresh=SPARSE_LU_PIVOT)
+    except RuntimeError:   # exactly singular
+        return None
+    return lu.solve
+
+
+def _solve_linear(A, b) -> np.ndarray | None:
+    """Solve A x = b by :func:`_factor`; None if A is singular or x is not
+    finite."""
+    solve = _factor(A)
+    if solve is None:
+        return None
+    x = solve(b)
     return x if np.all(np.isfinite(x)) else None
 
 
@@ -292,9 +306,17 @@ def _newton_steps(J, F) -> tuple[np.ndarray, np.ndarray]:
             return dx, np.isfinite(dx).all(axis=1)
         except np.linalg.LinAlgError:
             # find the singular ones; each case gets the same LAPACK call
-            steps = [_solve_linear(J[k : k + 1], F[k : k + 1, :, None]) for k in range(len(F))]
-    else:
-        steps = [_solve_linear(Jk, Fk) for Jk, Fk in zip(J, F)]
+            dx, ok = np.zeros_like(F), np.zeros(len(F), dtype=bool)
+            for k in range(len(F)):
+                try:
+                    step = np.linalg.solve(J[k : k + 1], F[k : k + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    continue
+                ok[k] = np.all(np.isfinite(step))
+                if ok[k]:
+                    dx[k] = step
+            return dx, ok
+    steps = [_solve_linear(Jk, Fk) for Jk, Fk in zip(J, F)]
     ok = np.array([step is not None for step in steps])
     dx = np.zeros_like(F)
     for k, step in enumerate(steps):

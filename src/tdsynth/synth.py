@@ -864,6 +864,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "objective": opf_solution.objective,
             "feasible": opf_solution.feasible,
             "rounds": opf_solution.relaxation_rounds,
+            "settled": opf_solution.settled,
             "iterations": opf_solution.iterations,
             "round_iterations": [row["iterations"] for row in opf_solution.trace],
             "converged": opf_solution.converged,

@@ -221,18 +221,40 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     return float(max(gaps))
 
 
+def full_kkt(model, hess, jac, w) -> np.ndarray:
+    """The unreduced OPF Newton matrix [[H + diag(w), dg^T], [dg, 0]] over
+    x = (Va, Vm, Pg, Qg) and the balance multipliers, dense, placed entry by
+    entry from the model's index arrays: the voltage Hessian values
+    ``hess``, the cost curvature on the (Pg, Qg) diagonal, the voltage
+    Jacobian values ``jac`` and -Cg in the P and Q rows of each unit."""
+    nv, nx, n, nd = model.nv, model.nx, model.n, model.nd
+    K = np.zeros((nx + 2 * n, nx + 2 * n))
+    np.add.at(K, (model.hess_rows, model.hess_cols), hess)
+    K[nv:nx, nv:nx] += np.diag(model.cost_hess)
+    K[:nx, :nx] += np.diag(w)
+    np.add.at(K, (nx + model.jac_rows, model.jac_cols), jac)
+    np.add.at(K, (model.jac_cols, nx + model.jac_rows), jac)
+    Cg = np.zeros((n, nd))
+    Cg[model.gen_rows[:nd], np.arange(nd)] = 1.0
+    E = np.block([[Cg, np.zeros((n, nd))], [np.zeros((n, nd)), Cg]])
+    K[nx:, nv:nx] = -E
+    K[nv:nx, nx:] = -E.T
+    return K
+
+
 def opf_derivative_fd_gaps(problem, rng: np.random.Generator) -> tuple[float, float]:
     """Worst relative disagreement of the OPF's analytic constraint Jacobian
     and Lagrangian Hessian with central finite differences (of the balances,
     and of the analytic Lagrangian gradient), at a random state and random
-    multipliers.  The one set of derivative values is checked as the KKT
-    matrix places it, both dense and sparse: the Hessian in the upper-left
-    block (no barrier term), the Jacobian below it and its transpose to the
-    right."""
+    multipliers.  The derivative values are checked as :func:`full_kkt`
+    places them, over every x column, and the model's reduced KKT matrix,
+    dense and sparse, must hold the same voltage blocks: the Hessian in the
+    upper-left block (no barrier term), the Jacobian below it and its
+    transpose to the right."""
     from tdsynth.opf import _OpfModel
 
     model = _OpfModel(problem)
-    nx = model.nx
+    nx, nv = model.nx, model.nv
 
     x0 = np.concatenate([
         rng.uniform(-0.2, 0.2, size=model.na),
@@ -242,7 +264,7 @@ def opf_derivative_fd_gaps(problem, rng: np.random.Generator) -> tuple[float, fl
     lam = rng.normal(size=2 * model.n)
 
     def grad_lagrangian(x):
-        return model.cost_grad(x) + model.jacobian_t(model.jacobian(x), lam)
+        return model.cost_grad(x) + model.jacobian_t(model.jacobian(model.point(x)), lam)
 
     h = 6e-6
     J_fd = np.empty((2 * model.n, nx))
@@ -250,22 +272,28 @@ def opf_derivative_fd_gaps(problem, rng: np.random.Generator) -> tuple[float, fl
     for j in range(nx):
         e = np.zeros(nx)
         e[j] = h
-        J_fd[:, j] = (model.balance(x0 + e) - model.balance(x0 - e)) / (2 * h)
+        J_fd[:, j] = (model.balance(model.point(x0 + e)) - model.balance(model.point(x0 - e))) / (2 * h)
         H_fd[:, j] = (grad_lagrangian(x0 + e) - grad_lagrangian(x0 - e)) / (2 * h)
-    hess, jac = model.hessian(x0, lam), model.jacobian(x0)
+    pt = model.point(x0)
+    hess, jac = model.hessian(pt, lam), model.jacobian(pt)
+    full = full_kkt(model, hess, jac, np.zeros(nx))
     jac_gaps, hess_gaps = [], []
+    for analytic, fd, gaps in (
+        (full[nx:, :nx], J_fd, jac_gaps),
+        (full[:nx, nx:].T, J_fd, jac_gaps),
+        (full[:nx, :nx], H_fd, hess_gaps),
+    ):
+        gaps.append(float(np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())))
     for dense in (True, False):
         model.dense = dense
-        K = model.kkt(hess, np.zeros(nx), jac)
+        K = model.kkt(hess, np.zeros(nv), jac, np.zeros(2 * model.n), np.ones(nv + 2 * model.n))
         assert isinstance(K, np.ndarray) == dense
         K = K if dense else K.toarray()
-        assert not np.any(K[nx:, nx:])
-        for analytic, fd, gaps in (
-            (K[nx:, :nx], J_fd, jac_gaps),
-            (K[:nx, nx:].T, J_fd, jac_gaps),
-            (K[:nx, :nx], H_fd, hess_gaps),
-        ):
-            gaps.append(float(np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())))
+        assert not np.any(K[nv:, nv:])
+        # the same values, summed in CSC order when sparse
+        for got, want in ((K[:nv, :nv], full[:nv, :nv]), (K[nv:, :nv], full[nx:, :nv]),
+                          (K[:nv, nv:], full[:nv, nx:])):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(full).max()
     return max(jac_gaps), max(hess_gaps)
 
 

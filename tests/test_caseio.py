@@ -85,6 +85,28 @@ def test_parse_rejects_cells_that_run_together_or_are_not_plain_numbers(cell):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\u00b2"])
+def test_non_ascii_digit_in_a_bus_cell_is_placed(template_dir, tmp_path, capsys, digit):
+    # float() and the regex \d both take "\u0661" (ARABIC-INDIC ONE); a case file must not
+    import shutil
+
+    from tdsynth.cli import main
+
+    bundle = tmp_path / "mini-dn"
+    shutil.copytree(template_dir / "mini-dn", bundle)
+    text = (bundle / "case.m").read_text()
+    first_row = text.index("\n", text.index("mpc.bus = [")) + 1
+    at = first_row + text[first_row:].index("\t", 1) + 1   # the row's second cell
+    (bundle / "case.m").write_text(text[:at] + digit + text[at + 1 :])
+    line = text.count("\n", 0, at) + 1
+    column = at - text.rfind("\n", 0, at)
+    with pytest.raises(CaseParseError, match="non-numeric cell") as err:
+        load_case_dir(bundle)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert main(["inspect", str(bundle)]) == 1
+    assert f"line {line}, column {column}" in capsys.readouterr().err
+
+
 def test_parse_rejects_ragged_rows_and_duplicates():
     with pytest.raises(CaseParseError, match="ragged") as err:
         parse_case("mpc.bus = [\n\t1\t2;\n\t1;\n];\nmpc.gen = [];\nmpc.branch = [];\n")

@@ -16,7 +16,9 @@ from tdsynth.opf import (
 from tdsynth.powerflow import solve
 from tdsynth.synth import _scale_loads, _set_source_voltage
 
-from helpers import losses_from_flows, opf_derivative_fd_gaps, three_bus_opf_case
+from helpers import (
+    full_kkt, losses_from_flows, opf_derivative_fd_gaps, scaled_templates, three_bus_opf_case,
+)
 
 
 def _two_bus_opf(v_max=1.05):
@@ -110,6 +112,7 @@ def test_relaxation_fixed_point_terminates_in_one_round(dn_bundle):
     sol = solve_with_relaxation(problem, RelaxationSchedule(rounds=5, v_slack=0.0))
     assert sol.feasible
     assert sol.relaxation_rounds == 1
+    assert sol.settled is True
     assert sol.trace[0]["taps_moved"] == 0
     assert sol.taps == [t.tap for t in case.oltcs]
 
@@ -216,6 +219,7 @@ def test_relaxation_round_cap_ends_with_a_final_bound_solve(tmp_path):
     sol = solve_with_relaxation(problem, schedule, trace_path=tmp_path / "trace.csv")
     cap = schedule.rounds + EXTRA_ROUNDS
     assert sol.relaxation_rounds == cap
+    assert sol.settled is False
     assert [row["taps_moved"] for row in sol.trace] == [1] * cap + [0]
     assert sol.trace[-1]["v_slack"] == 0.0
     assert sol.taps == [cap]
@@ -238,6 +242,101 @@ def test_dense_and_sparse_kkt_kernels_agree(run_pipeline, monkeypatch):
     assert dense.objective == pytest.approx(sparse.objective, rel=1e-10)
     assert dense.converged and sparse.converged
     assert dense.feasible and sparse.feasible
+
+
+def _check_reduced_steps(problem, monkeypatch):
+    """Run a cold and a warm interior point on ``problem`` and solve every
+    Newton system also as the full KKT system: the reduced solve must agree
+    with the dense LAPACK full solve to 1e-10 relative where the full
+    matrix's condition number is below 1e15 (most steps), and have a
+    normwise backward error in the full system below 1e-14 at every step."""
+    from tdsynth.opf import _OpfModel
+
+    model = _OpfModel(problem)
+    assert model.dense == powerflow._dense(model.nv + 2 * model.n)
+    factor, gaps, backward = model.newton_solver, [], []
+
+    def checked(hess, jac, w):
+        step = factor(hess, jac, w)
+        full = full_kkt(model, hess, jac, w)
+        conditioned = np.linalg.cond(full) < 1e15
+
+        def solve(N, g):
+            dx, dlam = step(N, g)
+            b = -np.concatenate([N, g])
+            got = np.concatenate([dx, dlam])
+            backward.append(np.abs(full @ got - b).max()
+                            / (np.abs(full).max() * np.abs(got).max() + np.abs(b).max()))
+            if conditioned:
+                want = np.linalg.solve(full, b)
+                gaps.append(np.abs(got - want).max() / np.abs(want).max())
+            return dx, dlam
+
+        return solve
+
+    monkeypatch.setattr(model, "newton_solver", checked)
+    cold = solve_continuous(problem, model=model)
+    warm = solve_continuous(problem, x0=cold.raw_x, duals=cold.raw_duals, model=model)
+    assert cold.converged and warm.converged
+    assert len(backward) == 2 * (cold.iterations + warm.iterations)
+    assert len(gaps) >= len(backward) // 2
+    assert max(gaps) <= 1e-10
+    assert max(backward) <= 1e-14
+
+
+@pytest.mark.parametrize("dense_max", [powerflow.DENSE_MAX_ROWS, 0])  # LAPACK, then SuperLU
+def test_reduced_newton_step_equals_the_full_kkt_solve(run_pipeline, monkeypatch, dense_max):
+    """Every Newton system of a cold and a warm run on the congested case,
+    solved with Pg and Qg eliminated, gives the (dx, dlam) of the full KKT
+    system: to 1e-10 relative to its dense solve wherever that is well
+    conditioned, and with a backward error below 1e-14 at every step.  The
+    last steps of a run have condition numbers up to 1e21, where the full
+    solve itself is 1e-8 off a 60-digit solution, so only the backward
+    error is asserted there."""
+    from tdsynth.synth import SynthesisConfig
+
+    monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
+    combined = run_pipeline(SynthesisConfig(penetration_level=1.5)).case
+    _check_reduced_steps(OpfProblem.from_case(combined, v_limits=(0.95, 1.05)), monkeypatch)
+
+
+def test_reduced_newton_step_with_two_units_on_one_bus(monkeypatch):
+    # two units share the balance rows of bus 1, and so its dPg and dQg
+    case = three_bus_opf_case()
+    case.generators.append(
+        Generator(bus_id=1, p=0.1, v_set=1.02, p_min=0.0, p_max=0.5,
+                  q_min=-0.3, q_max=0.3, cost=(0.5, 1.0, 0.0)))
+    _check_reduced_steps(OpfProblem.from_case(case, v_limits=(0.95, 1.05)), monkeypatch)
+
+
+def test_shipped_mini_opf_takes_at_most_89_steps():
+    """The benchmark's mini-opf run (shipped templates, random, seed 1)
+    took 89 interior-point steps over its 15 rounds (143 with the MIPS step
+    on the full KKT system), and every round converged."""
+    from tdsynth.synth import SynthesisConfig, generate
+    from tdsynth.templates import bundled_template_dir
+
+    templates = bundled_template_dir()
+    result = generate(templates / "mini-tn", templates / "mini-dn",
+                      SynthesisConfig(run_opf=True, random=True, rng_seed=1))
+    opf = result.manifest["opf"]
+    assert sum(opf["round_iterations"]) <= 89
+    assert opf["converged"] is True and opf["feasible"] is True
+
+
+@pytest.mark.parametrize("scale, seed", [(10, 1), (10, 2), (50, 1)])
+def test_congested_scaled_case_converges_from_a_cold_start(tmp_path, scale, seed):
+    """On scaled templates at penetration 1.5, plain predictor-corrector
+    steps with MIPS's fixed fraction to the boundary drive slacks to 5e-5
+    in the first steps and then stall, and the cold round ends infeasible.
+    The fallback to a centered step carries the 10x cases; the 50x one
+    also needs IPOPT's fraction to the boundary."""
+    from tdsynth.synth import SynthesisConfig, generate
+
+    templates = scaled_templates(tmp_path, scale)
+    result = generate(templates / "mini-tn", templates / "mini-dn", SynthesisConfig(
+        run_opf=True, random=True, rng_seed=seed, penetration_level=1.5))
+    assert result.opf.feasible and result.opf.converged
 
 
 def test_warm_start_from_a_converged_point_takes_fewer_steps(run_pipeline):

@@ -303,6 +303,7 @@ def test_generate_with_opf_writes_trace_and_manifest(template_dir, tmp_path):
     assert result.opf is not None and result.opf.feasible
     assert result.manifest["opf"]["objective"] == pytest.approx(result.opf.objective)
     assert result.manifest["opf"]["converged"] is True
+    assert result.manifest["opf"]["settled"] is result.opf.settled
     assert result.manifest["opf"]["iterations"] == result.opf.iterations > 0
     # one step count per continuous solve, the closing one included
     per_round = result.manifest["opf"]["round_iterations"]
