@@ -23,26 +23,16 @@ the branch table.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
-import warnings
-from dataclasses import dataclass, field, fields, replace
-from itertools import chain
-from operator import attrgetter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NoReturn, get_type_hints
 
 import numpy as np
 
-from .netmodel import (
-    Branch,
-    Bus,
-    BusKind,
-    Generator,
-    GenKind,
-    NetworkCase,
-    OltcTransformer,
-)
+from .netmodel import BUS_CODES, GEN_CODES, BusKind, GenKind, NetworkCase, OltcTransformer, _lookup
 
 # MATPOWER v2 column positions.
 BUS_I, BUS_TYPE, PD, QD, GS, BS, BUS_AREA, VM, VA, BASE_KV, ZONE, VMAX, VMIN = range(13)
@@ -54,8 +44,9 @@ BUS_COLS = 13
 GEN_COLS = 21
 BRANCH_COLS = 13
 
-_KIND_CODE = {GenKind.TN_UNIT: 0, GenKind.DN_CONTROLLABLE: 1, GenKind.DN_PV: 2}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+# the flat export's text of each kind code
+_KIND_NAME = {kind: {c: m.value for m, c in codes.items()}
+              for kind, codes in ((BusKind, BUS_CODES), (GenKind, GEN_CODES))}
 
 _OLTC_FIELDS = [f.name for f in fields(OltcTransformer)]
 _OLTC_TYPES = [get_type_hints(OltcTransformer)[name] for name in _OLTC_FIELDS]
@@ -142,28 +133,19 @@ def _fail(text: str, pos: int, message: str) -> NoReturn:
 def _matrix(text: str, start: int, body: str, name: str) -> np.ndarray:
     """The table of a matrix body found at ``text[start:]``; ``;`` or a
     newline ends a row, and empty rows are dropped."""
-    lines = body.replace(";", "\n").split("\n")
-    widths = [w for w in map(len, map(str.split, lines)) if w]
-    # str.split also splits at non-ASCII blanks; only a body of matrix
-    # characters is split as the error walk splits it
-    plain = body.isascii() and not body.encode().translate(None, _MATRIX_CHARS)
-    if plain and not widths:
-        return np.empty((0, 0))
-    if plain and widths.count(widths[0]) == len(widths):
-        # fromstring can read a malformed cell partway ("1.5.5" as 1.5 and
-        # .5) and then warn or raise, so a warning, an error or a value
-        # count other than rows x width sends the body to the error walk
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                values = np.fromstring(body.replace(";", " "), sep=" ")
-            except (ValueError, DeprecationWarning):
-                values = ()
-        if len(values) == len(widths) * widths[0]:
-            return values.reshape(len(widths), widths[0])
+    # loadtxt splits at ASCII blanks and reads ASCII numbers only as the
+    # grammar does; a body of other characters goes to the error walk
+    if body.isascii() and not body.encode().translate(None, _MATRIX_CHARS):
+        if not body.strip(" \t\r\n;"):
+            return np.empty((0, 0))
+        try:
+            return np.loadtxt(io.StringIO(body.replace(";", "\n").replace("\r", " ")),
+                              ndmin=2, comments=None)
+        except ValueError:   # a malformed cell or a ragged row
+            pass
     # the error path: walk the rows again to name and place the first fault
     width, pos = None, start
-    for line in lines:
+    for line in body.replace(";", "\n").split("\n"):
         cells = list(_CELL_RE.finditer(line))
         for cell in cells:
             if not _NUMBER_RE.fullmatch(cell[0]):
@@ -296,33 +278,25 @@ def _ints(columns: np.ndarray) -> np.ndarray:
     return columns.astype(np.int64)
 
 
-def _gather(records: list, names: list[str]) -> np.ndarray:
-    """The named attributes of each record, as a (records, names) float64 array."""
-    values = chain.from_iterable(map(attrgetter(*names), records))
-    return np.fromiter(values, float, len(records) * len(names)).reshape(len(records), len(names))
-
-
 def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) -> NetworkCase:
-    """Build the per-unit model; MW quantities are divided by baseMVA here.
-    The case holds copies of ``oltcs``."""
+    """Build the per-unit model, one column at a time; MW quantities are
+    divided by baseMVA here.  The case holds copies of ``oltcs``."""
     base = doc.base_mva
-    kinds = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
     case = NetworkCase(base_mva=base)
 
-    bus = _table(doc.matrices["bus"], BUS_COLS).T
-    ids, codes, areas = _ints(bus[[BUS_I, BUS_TYPE, BUS_AREA]]).tolist()
-    bus_kinds = [kinds.get(code) for code in codes]
-    if None in bus_kinds:
-        i = bus_kinds.index(None)
-        raise StructuralError(f"bus {ids[i]}: unsupported type code {codes[i]}")
-    volts = bus[[VM, VA, BASE_KV, VMAX, VMIN]]
-    volts[1] = np.radians(volts[1])
-    case.buses = list(map(
-        Bus, ids, bus_kinds, *(bus[[PD, QD, GS, BS]] / base).tolist(), *volts.tolist(), areas,
-        doc.bus_name or [f"bus{i}" for i in ids],
-    ))
+    bus, buses = _table(doc.matrices["bus"], BUS_COLS).T, case.buses
+    buses.id, codes, buses.area = _ints(bus[[BUS_I, BUS_TYPE, BUS_AREA]])
+    bad = np.flatnonzero((codes[:, None] != list(BUS_CODES.values())).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise StructuralError(f"bus {buses.id[i]}: unsupported type code {codes[i]}")
+    buses.kind = codes.astype(np.int8)
+    buses.p_load, buses.q_load, buses.g_shunt, buses.b_shunt = bus[[PD, QD, GS, BS]] / base
+    buses.v_mag, buses.base_kv, buses.v_max, buses.v_min = bus[[VM, BASE_KV, VMAX, VMIN]]
+    buses.v_ang = np.radians(bus[VA])
+    buses.name = list(doc.bus_name or (f"bus{i}" for i in buses.id.tolist()))
 
-    gen = _table(doc.matrices["gen"], GEN_COLS).T
+    gen, gens = _table(doc.matrices["gen"], GEN_COLS).T, case.generators
     gen_bus, status = _ints(gen[[GEN_BUS, GEN_STATUS]])
     gencost, genkind = (_table(doc.matrices[t]) if t in doc.matrices else None
                         for t in ("gencost", "gen_kind"))
@@ -340,92 +314,86 @@ def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) ->
             model, ncost = _ints(crows[[COST_MODEL, NCOST]])
             cost_bad = (model != 2) | (ncost != 3)
             cost = crows[[COST_C2, COST_C1, COST_C0]]
-    gen_kinds, controllable = [GenKind.TN_UNIT] * n_gen, [True] * n_gen
+    kinds, flags, kind_bad = np.zeros(n_gen, np.int64), np.ones(n_gen), np.zeros(n_gen, bool)
     if genkind is not None and n_gen:
         if genkind.shape[1] < 2:
-            gen_kinds = [None] * n_gen
+            kind_bad[:] = True
         else:
-            codes, flags = _ints(genkind.T[:2]).tolist()
-            gen_kinds = [_CODE_KIND.get(code) for code in codes]
-            controllable = [flag != 0 for flag in flags]
+            kinds, flags = _ints(genkind.T[:2])
+            kind_bad = (kinds[:, None] != list(GEN_CODES.values())).all(axis=1)
     faults = [
         # the model has no generator status, and a dropped unit would
         # vanish from every bundle saved from this case
         (status == 0, "gen row {}: out-of-service generators are not supported"),
         (cost_bad, f"gencost row {{}}: only 3-coefficient polynomial costs "
                    f"({COST_C0 + 1} columns) are supported"),
-        (np.array([kind is None for kind in gen_kinds], dtype=bool),
-         f"gen_kind row {{}}: needs a kind code in {sorted(_CODE_KIND)} and a controllable flag"),
+        (kind_bad, f"gen_kind row {{}}: needs a kind code in {sorted(GEN_CODES.values())} "
+                   f"and a controllable flag"),
     ]
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))
     if bad.size:
         i = int(bad[0])
         raise StructuralError(next(message for mask, message in faults if mask[i]).format(i))
-    case.generators = list(map(
-        Generator, gen_bus.tolist(),
-        *(gen[[PG, QG, PMIN, PMAX, QMIN, QMAX]] / base).tolist(), gen[VG].tolist(),
-        controllable, gen_kinds, list(zip(*cost.tolist())),
-    ))
+    gens.bus_id, gens.kind, gens.controllable = gen_bus, kinds.astype(np.int8), flags != 0
+    gens.p, gens.q, gens.p_min, gens.p_max, gens.q_min, gens.q_max = (
+        gen[[PG, QG, PMIN, PMAX, QMIN, QMAX]] / base)
+    (gens.v_set,) = gen[[VG]]
+    gens.cost = np.ascontiguousarray(cost.T)
 
-    br = _table(doc.matrices["branch"], BRANCH_COLS).T
-    from_bus, to_bus, status = _ints(br[[F_BUS, T_BUS, BR_STATUS]])
-    case.branches = list(map(
-        Branch, from_bus.tolist(), to_bus.tolist(), *br[[BR_R, BR_X, BR_B]].tolist(),
-        # MATPOWER convention: ratio 0 marks a plain line
-        np.where(br[TAP] != 0.0, br[TAP], 1.0).tolist(),
-        np.radians(br[SHIFT]).tolist(), (br[RATE_A] / base).tolist(), (status != 0).tolist(),
-    ))
+    br, branches = _table(doc.matrices["branch"], BRANCH_COLS).T, case.branches
+    branches.from_bus, branches.to_bus, status = _ints(br[[F_BUS, T_BUS, BR_STATUS]])
+    branches.r, branches.x, branches.b_charging = br[[BR_R, BR_X, BR_B]]
+    # MATPOWER convention: ratio 0 marks a plain line
+    branches.ratio = np.where(br[TAP] != 0.0, br[TAP], 1.0)
+    branches.phase_shift = np.radians(br[SHIFT])
+    branches.rate_a = br[RATE_A] / base
+    branches.status = status != 0
 
-    bus_ids = set(ids)
-    for spec in oltcs or []:
-        if not 0 <= spec.branch_ref < len(case.branches):
-            raise StructuralError(f"oltc references absent branch {spec.branch_ref}")
-        if spec.controlled_bus not in bus_ids:
-            raise StructuralError(f"oltc controls absent bus {spec.controlled_bus}")
-        t = replace(spec)
-        t.sync_branch(case)  # the tap, not the file ratio, is authoritative
-        case.oltcs.append(t)
-
+    case.oltcs = oltcs or []
+    t = case.oltcs
+    absent_branch = ~((0 <= t.branch_ref) & (t.branch_ref < len(branches)))
+    bad = np.flatnonzero(absent_branch | ~_lookup(buses.id, t.controlled_bus)[1])
+    if bad.size:
+        i = bad[0]
+        if absent_branch[i]:
+            raise StructuralError(f"oltc references absent branch {t.branch_ref[i]}")
+        raise StructuralError(f"oltc controls absent bus {t.controlled_bus[i]}")
+    case.sync_ratios()   # the tap, not the file ratio, is authoritative
     return case
 
 
 def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcTransformer]]:
-    """Inverse of :func:`to_network` up to the column defaults listed below;
-    the tap changers are copies of ``case.oltcs``."""
+    """Inverse of :func:`to_network` up to the column defaults listed below,
+    one column at a time; the tap changers are copies of ``case.oltcs``."""
     base = case.base_mva
-    codes = {BusKind.PQ: 1, BusKind.PV: 2, BusKind.SLACK: 3}
+    buses, gens, branches = case.buses, case.generators, case.branches
+    zeros, ones = np.zeros(len(buses)), np.ones(len(buses))
+    bus = np.column_stack([
+        buses.id, buses.kind, buses.p_load * base, buses.q_load * base, buses.g_shunt * base,
+        buses.b_shunt * base, buses.area, buses.v_mag, np.degrees(buses.v_ang), buses.base_kv,
+        ones, buses.v_max, buses.v_min,
+    ])
 
-    bus = np.zeros((len(case.buses), BUS_COLS))
-    bus[:, [BUS_I, PD, QD, GS, BS, BUS_AREA, VM, VA, BASE_KV, VMAX, VMIN]] = _gather(
-        case.buses, ["id", "p_load", "q_load", "g_shunt", "b_shunt", "area",
-                     "v_mag", "v_ang", "base_kv", "v_max", "v_min"])
-    bus[:, [PD, QD, GS, BS]] *= base
-    bus[:, VA] = np.degrees(bus[:, VA])
-    bus[:, BUS_TYPE] = [codes[b.kind] for b in case.buses]
-    bus[:, ZONE] = 1.0
-
-    gens = case.generators
-    gen = np.zeros((len(gens), GEN_COLS))
-    gen[:, [GEN_BUS, PG, QG, QMAX, QMIN, VG, PMAX, PMIN]] = _gather(
-        gens, ["bus_id", "p", "q", "q_max", "q_min", "v_set", "p_max", "p_min"])
-    gen[:, [PG, QG, QMAX, QMIN, PMAX, PMIN]] *= base
-    gen[:, [MBASE, GEN_STATUS]] = base, 1.0
+    zeros, ones = np.zeros(len(gens)), np.ones(len(gens))
+    gen = np.column_stack([
+        gens.bus_id, gens.p * base, gens.q * base, gens.q_max * base, gens.q_min * base,
+        gens.v_set, base * ones, ones, gens.p_max * base, gens.p_min * base,
+        np.zeros((len(gens), GEN_COLS - PMIN - 1)),
+    ])
     # model 2 (polynomial), no start-up or shut-down cost, 3 coefficients
-    gencost = np.zeros((len(gens), COST_C0 + 1)) + [2.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]
-    gencost[:, COST_C2:] = np.reshape([g.cost for g in gens], (-1, 3))
-    gen_kind = np.array([(_KIND_CODE[g.kind], g.controllable) for g in gens], float).reshape(-1, 2)
+    gencost = np.column_stack([2.0 * ones, zeros, zeros, 3.0 * ones, gens.cost])
+    gen_kind = np.column_stack([gens.kind, gens.controllable]).astype(float)
 
-    branch = np.zeros((len(case.branches), BRANCH_COLS))
-    branch[:, [F_BUS, T_BUS, BR_R, BR_X, BR_B, TAP, SHIFT, RATE_A, BR_STATUS]] = _gather(
-        case.branches, ["from_bus", "to_bus", "r", "x", "b_charging",
-                        "ratio", "phase_shift", "rate_a", "status"])
-    branch[:, SHIFT] = np.degrees(branch[:, SHIFT])
-    branch[:, RATE_A] *= base
-    branch[:, [ANGMIN, ANGMAX]] = -360.0, 360.0
+    zeros, ones = np.zeros(len(branches)), np.ones(len(branches))
+    branch = np.column_stack([
+        branches.from_bus, branches.to_bus, branches.r, branches.x, branches.b_charging,
+        branches.rate_a * base, zeros, zeros, branches.ratio, np.degrees(branches.phase_shift),
+        branches.status, -360.0 * ones, 360.0 * ones,
+    ])
 
     tables = {"bus": bus, "gen": gen, "gencost": gencost, "gen_kind": gen_kind, "branch": branch}
-    doc = CaseDocument("2", base, tables, [b.name or f"bus{b.id}" for b in case.buses])
-    return doc, [replace(t) for t in case.oltcs]
+    names = [name or f"bus{i}" for name, i in zip(buses.name, buses.id.tolist())]
+    return CaseDocument("2", base, tables, names), [t._record() for t in case.oltcs]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +408,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_oltc_csv(path: Path, oltcs: list[OltcTransformer]) -> None:
-    _write_csv(path, OLTC_CSV_HEADER, _formatted(_gather(oltcs, _OLTC_FIELDS)).tolist())
+    values = np.array([[getattr(t, f) for f in _OLTC_FIELDS] for t in oltcs], dtype=float)
+    _write_csv(path, OLTC_CSV_HEADER, _formatted(values.reshape(-1, len(_OLTC_FIELDS))).tolist())
 
 
 def read_oltc_csv(path: Path) -> list[OltcTransformer]:
@@ -448,18 +417,21 @@ def read_oltc_csv(path: Path) -> list[OltcTransformer]:
         rows = [row for row in csv.reader(fh) if row]
     if not rows or rows[0] != OLTC_CSV_HEADER:
         raise StructuralError(f"{path.name}: header must be {','.join(OLTC_CSV_HEADER)}")
-    out = []
     for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(OLTC_CSV_HEADER):
             raise StructuralError(
                 f"{path.name} row {i} has {len(row)} cells, needs {len(OLTC_CSV_HEADER)}"
             )
-        values = [kind(cell) for kind, cell in zip(_OLTC_TYPES, row)]
-        bad = [n for n, v in zip(OLTC_CSV_HEADER, values) if not math.isfinite(v)]
-        if bad:
-            raise StructuralError(f"{path.name} row {i}: non-finite {', '.join(bad)}")
-        out.append(OltcTransformer(*values))
-    return out
+    if len(rows) == 1:
+        return []
+    # one field at a time, each cell read as its field's type
+    columns = [list(map(kind, cells)) for kind, cells in zip(_OLTC_TYPES, zip(*rows[1:]))]
+    finite = np.isfinite(np.array(columns, dtype=float))
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.all(axis=0))[0])
+        bad = [n for n, ok in zip(OLTC_CSV_HEADER, finite[:, i]) if not ok]
+        raise StructuralError(f"{path.name} row {i + 1}: non-finite {', '.join(bad)}")
+    return list(map(OltcTransformer, *columns))
 
 
 def load_case_dir(path: Path | str) -> NetworkCase:
@@ -530,7 +502,7 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
         ["id", "name", "kind", "area", "base_kv", "p_load_mw", "q_load_mvar",
          "g_shunt_mw", "b_shunt_mvar", "v_mag_pu", "v_ang_deg", "v_min_pu", "v_max_pu"],
         bus[:, [BUS_I, BUS_AREA, BASE_KV, PD, QD, GS, BS, VM, VA, VMIN, VMAX]],
-        [(1, [b.name for b in case.buses]), (2, [b.kind.value for b in case.buses])],
+        [(1, case.buses.name), (2, [_KIND_NAME[BusKind][c] for c in case.buses.kind.tolist()])],
     )
     table(
         "branches.csv",
@@ -545,7 +517,7 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
         np.column_stack([gen[:, [GEN_BUS]], doc.matrices["gen_kind"][:, [1]],
                          gen[:, [PG, QG, PMIN, PMAX, QMIN, QMAX, VG]],
                          doc.matrices["gencost"][:, COST_C2:]]),
-        [(1, [g.kind.value for g in case.generators])],
+        [(1, [_KIND_NAME[GenKind][c] for c in case.generators.kind.tolist()])],
     )
     write_oltc_csv(sink / "oltc.csv", oltcs)
     written.append(sink / "oltc.csv")

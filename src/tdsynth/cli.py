@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import caseio
-from .netmodel import DG_KINDS, penetration_level, total_load, validate
+from .netmodel import IS_DG, penetration_level, total_load, validate
 from .oltc import RegulationError, regulate
 from .powerflow import PowerFlowError
 from .synth import (
@@ -94,9 +94,10 @@ def _summary(result: GenerateResult) -> dict:
     case = result.case
     pens = [inst.realized_penetration for inst in result.instances]
     per_area: dict[str, int] = {}
-    host_area = {b.id: result.area_names.get(b.area, str(b.area)) for b in case.buses}
+    area_of = dict(zip(case.buses.id.tolist(), case.buses.area.tolist()))
     for inst in result.instances:
-        label = host_area.get(inst.host_tn_bus, str(inst.host_tn_bus))
+        area = area_of.get(inst.host_tn_bus)
+        label = str(inst.host_tn_bus) if area is None else result.area_names.get(area, str(area))
         per_area[label] = per_area.get(label, 0) + 1
     p_load, q_load = total_load(case)
     summary = {
@@ -201,17 +202,15 @@ def _cmd_inspect(args) -> int:
     print(f"voltage range: {sol.v_mag.min():.4f} .. {sol.v_mag.max():.4f} pu")
     p, q = total_load(case)
     print(f"total load: {p:.4f} pu / {q:.4f} pu ({p * case.base_mva:.1f} MW)")
-    has_dg = any(g.kind in DG_KINDS for g in case.generators)
-    if has_dg and p > 0:
+    if IS_DG[case.generators.kind].any() and p > 0:
         print(f"penetration level: {penetration_level(case):.4f}")
     if case.oltcs:
         print("boundary transfers (per tap-changing transformer, pu):")
-        for k, t in enumerate(case.oltcs):
-            br = case.branches[t.branch_ref]
-            print(
-                f"  oltc {k} (bus {br.from_bus} -> {br.to_bus}, tap {t.tap:+d}): "
-                f"{float(sol.p_from[t.branch_ref]):+.4f}"
-            )
+        refs, br = case.oltcs.branch_ref, case.branches
+        rows = zip(br.from_bus[refs].tolist(), br.to_bus[refs].tolist(),
+                   case.oltcs.tap.tolist(), sol.p_from[refs].tolist())
+        for k, (f, t, tap, p_from) in enumerate(rows):
+            print(f"  oltc {k} (bus {f} -> {t}, tap {tap:+d}): {p_from:+.4f}")
         totals = boundary_transfers(case, sol)
         for bus in sorted(totals):
             print(f"  bus {bus} total: {totals[bus]:+.4f}")

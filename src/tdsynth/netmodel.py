@@ -4,14 +4,26 @@ Every quantity is expressed in per-unit on the case MVA base (``base_mva``);
 angles are radians.  Conversion to MW/Mvar happens only at I/O boundaries.
 A case is mutable, but by convention it is never touched while a solver call
 is in flight: mutation happens between solves.
+
+The model is columnar, after pandapower's tables (Thurner et al., IEEE
+TPWRS 2018): each table of a case holds one numpy array per field of its
+record class, so ``case.buses.p_load`` is the demand of every bus; kinds are
+integer codes (``BUS_CODES``, ``GEN_CODES``), names one list and generator
+cost an (n, 3) array.  For convenience a table also reads as a list of
+write-through record views (``case.buses[0].p_load *= 2`` changes the
+column), and takes records in ``append`` and list assignment.  Library code
+works on the columns: a view is a Python object per access.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from typing import get_type_hints
+
+import numpy as np
 
 
 class BusKind(enum.Enum):
@@ -28,6 +40,15 @@ class GenKind(enum.Enum):
 
 # the distributed-generation classes: what penetration counts and replicas size
 DG_KINDS = (GenKind.DN_CONTROLLABLE, GenKind.DN_PV)
+
+# the codes kinds are stored as: MATPOWER's bus types and the gen_kind codes of case.m
+BUS_CODES = {BusKind.PQ: 1, BusKind.PV: 2, BusKind.SLACK: 3}
+GEN_CODES = {GenKind.TN_UNIT: 0, GenKind.DN_CONTROLLABLE: 1, GenKind.DN_PV: 2}
+PQ, PV, SLACK = (BUS_CODES[k] for k in (BusKind.PQ, BusKind.PV, BusKind.SLACK))
+DG_CODES = [GEN_CODES[k] for k in DG_KINDS]
+IS_DG = np.isin(np.arange(max(GEN_CODES.values()) + 1), DG_CODES)   # by kind code
+_CODES = {BusKind: BUS_CODES, GenKind: GEN_CODES}
+_MEMBERS = {kind: {c: m for m, c in codes.items()} for kind, codes in _CODES.items()}
 
 
 @dataclass
@@ -100,46 +121,188 @@ class OltcTransformer:
         case.branches[self.branch_ref].ratio = self.ratio()
 
 
+def _column(kind, values: list):
+    """The column of a field of type ``kind`` holding ``values``."""
+    if kind is str:
+        return list(values)
+    if kind in _CODES:
+        return np.array([_CODES[kind][v] for v in values], dtype=np.int8)
+    if kind in (int, float, bool):
+        return np.array(values, dtype=kind)
+    return np.array(values, dtype=float).reshape(-1, 3)   # the cost triple
+
+
+def _field(name: str, kind) -> property:
+    """A view's read and write of one field: a Python value from the column
+    (a member for a kind code, a tuple for the cost row)."""
+    codes, members = _CODES.get(kind), _MEMBERS.get(kind)
+
+    def get(self):
+        value = self._table.__dict__[name][self._i]
+        if kind is str:
+            return value
+        value = value.tolist()
+        return members[value] if members else tuple(value) if isinstance(value, list) else value
+
+    def put(self, value):
+        self._table.__dict__[name][self._i] = codes[value] if codes else value
+
+    return property(get, put)
+
+
+class _Row:
+    """Write-through view of one row of a table."""
+
+    __slots__ = ("_table", "_i")
+
+    def __init__(self, table: "_Table", i: int):
+        self._table, self._i = table, i
+
+    def _record(self):
+        return self._table.record(*(getattr(self, f) for f, _ in self._table.schema))
+
+    def __eq__(self, other):
+        return self._record() == (other._record() if isinstance(other, _Row) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._record())
+
+
+class _Table:
+    """One table of a case: a column per field of ``record`` (``schema``
+    lists them in order), read as a list of write-through ``view``s."""
+
+    def __init_subclass__(cls, record: type):
+        cls.record = record
+        cls.schema = list(get_type_hints(record).items())
+        cls._empty = {f: _column(kind, []) for f, kind in cls.schema}
+        methods = {k: v for k, v in vars(record).items() if callable(v) and not k.startswith("__")}
+        fields = {f: _field(f, kind) for f, kind in cls.schema}
+        cls.view = type(f"{record.__name__}View", (_Row,), {"__slots__": (), **fields, **methods})
+
+    def __init__(self, records=()):
+        records = list(records)
+        self.__dict__.update({f: _column(kind, [getattr(r, f) for r in records])
+                              for f, kind in self.schema} if records else
+                             {f: c.copy() for f, c in self._empty.items()})
+
+    def __len__(self) -> int:
+        return len(self.__dict__[self.schema[0][0]])
+
+    def __getitem__(self, i):
+        rows = range(len(self))
+        if isinstance(i, slice):
+            return [self.view(self, k) for k in rows[i]]
+        return self.view(self, rows[i])
+
+    def __iter__(self):
+        return map(self.view, [self] * len(self), range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((self.__dict__[f], other.__dict__[f]) for f, _ in self.schema)
+        return all(a == b if isinstance(a, list) else np.array_equal(a, b) for a, b in pairs)
+
+    def __add__(self, other) -> "_Table":
+        return self._concat([self, type(self)(other)])
+
+    def append(self, record) -> None:
+        self.extend([record])
+
+    def extend(self, records) -> None:
+        self.__dict__.update(self._concat([self, type(self)(records)]).__dict__)
+
+    def copy(self) -> "_Table":
+        new = object.__new__(type(self))
+        new.__dict__.update({f: c.copy() for f, c in self.__dict__.items()})
+        return new
+
+    def take(self, mask: np.ndarray) -> "_Table":
+        """A new table of the rows where ``mask`` holds."""
+        new = object.__new__(type(self))
+        new.__dict__.update({f: list(compress(c, mask)) if isinstance(c, list) else c[mask]
+                             for f, c in self.__dict__.items()})
+        return new
+
+    @classmethod
+    def _concat(cls, tables: list) -> "_Table":
+        if not tables:
+            return cls()
+        new = object.__new__(cls)
+        for f, kind in cls.schema:
+            columns = [t.__dict__[f] for t in tables]
+            new.__dict__[f] = (list(chain.from_iterable(columns)) if kind is str
+                               else np.concatenate(columns))
+        return new
+
+
+# a case's tables, each a subclass of _Table for its record class
+_TABLES = {name: type(f"{record.__name__}Table", (_Table,), {}, record=record)
+           for name, record in (("buses", Bus), ("generators", Generator),
+                                ("branches", Branch), ("oltcs", OltcTransformer))}
+
+
 @dataclass
 class NetworkCase:
+    """A case: ``base_mva`` and its four tables.  Assigning a list of
+    records (or views) to a table attribute builds the table from it."""
+
     base_mva: float = 100.0
-    buses: list[Bus] = field(default_factory=list)
-    generators: list[Generator] = field(default_factory=list)
-    branches: list[Branch] = field(default_factory=list)
-    oltcs: list[OltcTransformer] = field(default_factory=list)
+    buses: _Table = ()
+    generators: _Table = ()
+    branches: _Table = ()
+    oltcs: _Table = ()
+
+    def __setattr__(self, name, value):
+        table = _TABLES.get(name)
+        if table is not None and type(value) is not table:
+            value = table(value)
+        object.__setattr__(self, name, value)
 
     def bus_index(self) -> dict[int, int]:
         """Map bus id -> position in ``buses``."""
-        return {b.id: i for i, b in enumerate(self.buses)}
+        return dict(zip(self.buses.id.tolist(), range(len(self.buses))))
 
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(f"no bus with id {bus_id}")
+    def bus(self, bus_id: int):
+        at = np.flatnonzero(self.buses.id == bus_id)
+        if not at.size:
+            raise KeyError(f"no bus with id {bus_id}")
+        return self.buses[at[0]]
 
-    def slack_buses(self) -> list[Bus]:
-        return [b for b in self.buses if b.kind is BusKind.SLACK]
+    def slack_buses(self) -> list:
+        return [self.buses[i] for i in np.flatnonzero(self.buses.kind == SLACK).tolist()]
+
+    def sync_ratios(self) -> None:
+        """Push every tap changer's ratio, ``1 + tap * tap_step``, onto its branch."""
+        self.branches.ratio[self.oltcs.branch_ref] = 1.0 + self.oltcs.tap * self.oltcs.tap_step
 
     def clone(self) -> "NetworkCase":
-        """Independent copy.  Every record field is immutable (scalars, enums,
-        strings, the ``cost`` tuple), so a shallow copy of each record is a
-        full copy."""
-        return NetworkCase(
-            base_mva=self.base_mva,
-            buses=[_shallow(b) for b in self.buses],
-            generators=[_shallow(g) for g in self.generators],
-            branches=[_shallow(br) for br in self.branches],
-            oltcs=[_shallow(t) for t in self.oltcs],
-        )
+        """Independent copy: every column is copied."""
+        new = object.__new__(NetworkCase)
+        new.__dict__.update(base_mva=self.base_mva,
+                            **{name: getattr(self, name).copy() for name in _TABLES})
+        return new
 
 
-def _shallow(record):
-    """A copy of one record's fields: ``copy.copy`` without its protocol
-    lookups, which cost more than the copy for these small records."""
-    new = object.__new__(type(record))
-    new.__dict__.update(record.__dict__)
-    return new
+def _lookup(keys: np.ndarray, wanted) -> tuple[np.ndarray, np.ndarray]:
+    """The position in ``keys`` of each of ``wanted`` (the last one where a
+    key repeats), and whether it is there at all."""
+    if not len(keys):
+        return np.zeros(np.shape(wanted), dtype=int), np.zeros(np.shape(wanted), dtype=bool)
+    order = np.argsort(keys, kind="stable")
+    at = np.searchsorted(keys[order], wanted, side="right") - 1
+    pos = order[at]
+    return pos, (at >= 0) & (keys[pos] == wanted)
+
+
+def _find(keys: np.ndarray, wanted) -> np.ndarray:
+    """:func:`_lookup` of keys that must be there, such as the bus ids a
+    case refers to: raises KeyError for one that is absent."""
+    pos, found = _lookup(keys, wanted)
+    if not found.all():
+        raise KeyError(f"no bus with id {np.asarray(wanted)[~found][0]}")
+    return pos
 
 
 @dataclass
@@ -151,30 +314,51 @@ class ValidationReport:
         return not self.entries
 
 
+def _island_of(case: NetworkCase) -> np.ndarray:
+    """The island of every bus over in-service branches between known
+    buses, islands numbered in order of first appearance; buses that share
+    an id are one node.  Min-label propagation with pointer jumping: each
+    round gives every bus the lowest label of its branches' ends, then
+    jumps twice; once no branch joins two labels, each bus holds the first
+    bus of its island."""
+    ids, br = case.buses.id, case.branches
+    n, m = len(ids), len(br)
+    # the ends of every branch, and the last bus of each bus's id
+    at, found = _lookup(ids, np.concatenate([br.from_bus, br.to_bus, ids]))
+    on = br.status & found[:m] & found[m : 2 * m]
+    same = np.flatnonzero(at[2 * m :] != np.arange(n))
+    f = np.concatenate([at[:m][on], same])
+    t = np.concatenate([at[m : 2 * m][on], at[2 * m :][same]])
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[f], label[t])
+        np.minimum.at(label, f, low)
+        np.minimum.at(label, t, low)
+        label = label[label]
+        label = label[label]
+        if (label[f] == label[t]).all():
+            return (np.cumsum(label == np.arange(n)) - 1)[label]
+
+
 def islands(case: NetworkCase) -> list[set[int]]:
     """Connected components (sets of bus ids) over in-service branches."""
-    adj: dict[int, list[int]] = {b.id: [] for b in case.buses}
-    for br in case.branches:
-        if br.status and br.from_bus in adj and br.to_bus in adj:
-            adj[br.from_bus].append(br.to_bus)
-            adj[br.to_bus].append(br.from_bus)
-    seen: set[int] = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps
+    if not len(case.buses):
+        return []
+    island = _island_of(case)
+    if not island.any():
+        return [set(case.buses.id.tolist())]
+    order = np.argsort(island, kind="stable")
+    cuts = np.flatnonzero(np.diff(island[order])) + 1
+    return [set(part.tolist()) for part in np.split(case.buses.id[order], cuts)]
+
+
+def _report(out: list[str], table: _Table, checks, **columns) -> None:
+    """The messages of the (mask, message) checks, row by row and each
+    row's in check order; a message is formatted with the row's view ``r``,
+    its position ``i`` and its value of each of ``columns``."""
+    for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks])).tolist():
+        row = {name: values[i] for name, values in columns.items()}
+        out.extend(message.format(r=table[i], i=i, **row) for mask, message in checks if mask[i])
 
 
 def validate(case: NetworkCase) -> ValidationReport:
@@ -183,87 +367,80 @@ def validate(case: NetworkCase) -> ValidationReport:
     if case.base_mva <= 0:
         out.append(f"base_mva must be positive, got {case.base_mva}")
 
-    ids = [b.id for b in case.buses]
-    known = set(ids)
-    seen_ids: set[int] = set()
-    for b in case.buses:
-        if b.id in seen_ids:
-            out.append(f"duplicate bus id {b.id}")
-        seen_ids.add(b.id)
-        if b.id <= 0:
-            out.append(f"bus id {b.id} is not a positive integer")
-        if not b.v_min < b.v_max:
-            out.append(f"bus {b.id}: v_min {b.v_min} not below v_max {b.v_max}")
-        if b.base_kv <= 0:
-            out.append(f"bus {b.id}: base_kv must be positive, got {b.base_kv}")
+    buses, branches, gens, oltcs = case.buses, case.branches, case.generators, case.oltcs
+    repeat = np.ones(len(buses), dtype=bool)
+    repeat[np.unique(buses.id, return_index=True)[1]] = False
+    # every bus reference at once: branch ends, generator buses, controlled buses
+    m, g = len(branches), len(gens)
+    found = _lookup(buses.id, np.concatenate(
+        [branches.from_bus, branches.to_bus, gens.bus_id, oltcs.controlled_bus]))[1]
+    from_ok, to_ok = found[:m], found[m : 2 * m]
+    gen_ok, ctrl_ok = found[2 * m : 2 * m + g], found[2 * m + g :]
+    _report(out, buses, [
+        (repeat, "duplicate bus id {r.id}"),
+        (buses.id <= 0, "bus id {r.id} is not a positive integer"),
+        (~(buses.v_min < buses.v_max), "bus {r.id}: v_min {r.v_min} not below v_max {r.v_max}"),
+        (buses.base_kv <= 0, "bus {r.id}: base_kv must be positive, got {r.base_kv}"),
+    ])
 
-    name_counts = Counter(b.name for b in case.buses if b.name)
-    for n in sorted(n for n, c in name_counts.items() if c > 1):
+    for n in sorted(n for n, c in Counter(filter(None, buses.name)).items() if c > 1):
         out.append(f"duplicate bus name {n!r}")
 
-    for i, br in enumerate(case.branches):
-        for end, bus_id in (("from", br.from_bus), ("to", br.to_bus)):
-            if bus_id not in known:
-                out.append(f"branch {i}: dangling {end}-bus reference {bus_id}")
-        if br.status and br.x == 0.0 and br.r == 0.0:
-            out.append(f"branch {i}: in-service branch with zero impedance")
-        elif br.status and br.x == 0.0:
-            out.append(f"branch {i}: in-service branch with zero reactance")
-        if br.ratio <= 0:
-            out.append(f"branch {i}: ratio must be positive, got {br.ratio}")
+    no_x = branches.status & (branches.x == 0.0)
+    _report(out, branches, [
+        (~from_ok, "branch {i}: dangling from-bus reference {r.from_bus}"),
+        (~to_ok, "branch {i}: dangling to-bus reference {r.to_bus}"),
+        (no_x & (branches.r == 0.0), "branch {i}: in-service branch with zero impedance"),
+        (no_x & (branches.r != 0.0), "branch {i}: in-service branch with zero reactance"),
+        (branches.ratio <= 0, "branch {i}: ratio must be positive, got {r.ratio}"),
+    ])
 
-    for i, g in enumerate(case.generators):
-        if g.bus_id not in known:
-            out.append(f"generator {i}: dangling bus reference {g.bus_id}")
-        if g.p_min > g.p_max:
-            out.append(f"generator {i}: p_min {g.p_min} above p_max {g.p_max}")
-        if g.q_min > g.q_max:
-            out.append(f"generator {i}: q_min {g.q_min} above q_max {g.q_max}")
-        if g.kind is GenKind.DN_PV and (g.q != 0.0 or g.controllable):
-            out.append(f"generator {i}: PV-kind unit must be uncontrollable with q = 0")
+    _report(out, gens, [
+        (~gen_ok, "generator {i}: dangling bus reference {r.bus_id}"),
+        (gens.p_min > gens.p_max, "generator {i}: p_min {r.p_min} above p_max {r.p_max}"),
+        (gens.q_min > gens.q_max, "generator {i}: q_min {r.q_min} above q_max {r.q_max}"),
+        ((gens.kind == GEN_CODES[GenKind.DN_PV]) & ((gens.q != 0.0) | gens.controllable),
+         "generator {i}: PV-kind unit must be uncontrollable with q = 0"),
+    ])
 
-    for i, t in enumerate(case.oltcs):
-        if not 0 <= t.branch_ref < len(case.branches):
-            out.append(f"oltc {i}: dangling branch reference {t.branch_ref}")
-        if t.controlled_bus not in known:
-            out.append(f"oltc {i}: dangling controlled-bus reference {t.controlled_bus}")
-        if not math.isfinite(t.v_set):
-            out.append(f"oltc {i}: v_set must be finite, got {t.v_set}")
-        if not t.deadband > 0:
-            out.append(f"oltc {i}: deadband must be positive, got {t.deadband}")
-        if not t.tap_step > 0:
-            out.append(f"oltc {i}: tap_step must be positive, got {t.tap_step}")
-        if not t.tap_min <= t.tap <= t.tap_max:
-            out.append(f"oltc {i}: tap {t.tap} outside [{t.tap_min}, {t.tap_max}]")
-        if 0 <= t.branch_ref < len(case.branches):
-            want = t.ratio()
-            have = case.branches[t.branch_ref].ratio
-            if abs(have - want) > 1e-12:
-                out.append(f"oltc {i}: branch ratio {have} out of sync with tap (expected {want})")
+    ref = oltcs.branch_ref
+    on = (0 <= ref) & (ref < len(branches))
+    have = np.append(branches.ratio, np.nan)[np.where(on, ref, -1)]
+    want = 1.0 + oltcs.tap * oltcs.tap_step
+    _report(out, oltcs, [
+        (~on, "oltc {i}: dangling branch reference {r.branch_ref}"),
+        (~ctrl_ok, "oltc {i}: dangling controlled-bus reference {r.controlled_bus}"),
+        (~np.isfinite(oltcs.v_set), "oltc {i}: v_set must be finite, got {r.v_set}"),
+        (~(oltcs.deadband > 0), "oltc {i}: deadband must be positive, got {r.deadband}"),
+        (~(oltcs.tap_step > 0), "oltc {i}: tap_step must be positive, got {r.tap_step}"),
+        (~((oltcs.tap_min <= oltcs.tap) & (oltcs.tap <= oltcs.tap_max)),
+         "oltc {i}: tap {r.tap} outside [{r.tap_min}, {r.tap_max}]"),
+        (on & (np.abs(have - want) > 1e-12),
+         "oltc {i}: branch ratio {have} out of sync with tap (expected {want})"),
+    ], have=have.tolist(), want=want.tolist())
 
-    if case.buses:
-        comps = islands(case)
-        if len(comps) > 1:
-            out.append(f"network has {len(comps)} islands (expected a single one)")
-        island_of = {bus_id: k for k, comp in enumerate(comps) for bus_id in comp}
-        slacks_of: list[list[Bus]] = [[] for _ in comps]
-        for b in case.slack_buses():
-            slacks_of[island_of[b.id]].append(b)
-        for comp, slacks in zip(comps, slacks_of):
-            if not slacks:
-                out.append(f"missing slack bus in island containing bus {min(comp)}")
-            elif len(slacks) > 1:
-                extra = ", ".join(str(b.id) for b in slacks)
+    if len(buses):
+        island = _island_of(case)
+        count = int(island.max()) + 1
+        if count > 1:
+            out.append(f"network has {count} islands (expected a single one)")
+        slack = np.flatnonzero(buses.kind == SLACK)
+        slacks = np.bincount(island[slack], minlength=count).tolist()
+        lowest = np.full(count, buses.id.max())
+        np.minimum.at(lowest, island, buses.id)
+        for k in [k for k, n in enumerate(slacks) if n != 1]:
+            if not slacks[k]:
+                out.append(f"missing slack bus in island containing bus {lowest[k]}")
+            else:
+                extra = ", ".join(map(str, buses.id[slack[island[slack] == k]].tolist()))
                 out.append(f"multiple slack buses in one island: {extra}")
 
     return ValidationReport(out)
 
 
 def total_load(case: NetworkCase) -> tuple[float, float]:
-    """Component-wise sum of bus demand (p, q)."""
-    p = sum(b.p_load for b in case.buses)
-    q = sum(b.q_load for b in case.buses)
-    return p, q
+    """Component-wise sum of bus demand (p, q), added left to right."""
+    return sum(case.buses.p_load.tolist()), sum(case.buses.q_load.tolist())
 
 
 def penetration_level(case: NetworkCase) -> float:
@@ -275,5 +452,5 @@ def penetration_level(case: NetworkCase) -> float:
     p_load, _ = total_load(case)
     if p_load == 0.0:
         raise ValueError("undefined penetration: case has no active load")
-    p_dg = sum(g.p for g in case.generators if g.kind in DG_KINDS)
-    return p_dg / p_load
+    gens = case.generators
+    return sum(gens.p[IS_DG[gens.kind]].tolist()) / p_load

@@ -15,9 +15,12 @@ call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import powerflow
-from .netmodel import NetworkCase, OltcTransformer
+from .netmodel import NetworkCase, OltcTransformer, _find
 # ``solve`` is bound here too: perfbench/selftest.py checks that the tracer
 # rebinds it in this module
 from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve  # noqa: F401
@@ -53,47 +56,55 @@ def tap_update(xfmr: OltcTransformer, v_controlled: float) -> int:
 
     Raising the tap raises the turns ratio on the high-voltage side, which
     pulls the controlled low-side voltage down; saturated taps stay put.
+    Given a case's ``oltcs`` table and an array of controlled voltages, it
+    returns the array of steps.
     """
-    if v_controlled > xfmr.v_set + xfmr.deadband / 2 and xfmr.tap < xfmr.tap_max:
-        return 1
-    if v_controlled < xfmr.v_set - xfmr.deadband / 2 and xfmr.tap > xfmr.tap_min:
-        return -1
-    return 0
+    up = (v_controlled > xfmr.v_set + xfmr.deadband / 2) & (xfmr.tap < xfmr.tap_max)
+    down = (v_controlled < xfmr.v_set - xfmr.deadband / 2) & (xfmr.tap > xfmr.tap_min)
+    return up * 1 - (down > up)    # up wins where both hold
 
 
 class TapStepper:
-    """The one-step tap rule shared by :func:`regulate` and the OPF relaxation
-    loop.  Each transformer freezes for the rest of the run the moment its
-    proposed step reverses the last step it took (anti-cycling)."""
+    """The one-step tap rule shared by :func:`regulate_batch` and the OPF
+    relaxation loop, for cases of one structure at once: row k of each
+    array is case k, one column per transformer.  Each transformer freezes
+    for the rest of the run the moment its proposed step reverses the last
+    step it took (anti-cycling)."""
 
-    def __init__(self, case: NetworkCase):
-        self.case = case
-        self.frozen = [False] * len(case.oltcs)
-        self._last = [0] * len(case.oltcs)
-        self._idx = case.bus_index()
+    def __init__(self, cases: list[NetworkCase]):
+        self.cases = cases
+        self.oltcs = SimpleNamespace(**{   # the tap rule's columns, stacked
+            f: np.array([getattr(c.oltcs, f) for c in cases])
+            for f in ("v_set", "deadband", "tap", "tap_min", "tap_max", "tap_step")})
+        self.frozen = np.zeros(self.oltcs.tap.shape, dtype=bool)
+        self._last = np.zeros(self.oltcs.tap.shape, dtype=int)
+        # the controlled buses' positions; the cases share their bus ids
+        self.at = _find(cases[0].buses.id, np.array([c.oltcs.controlled_bus for c in cases]))
+        self._row = np.arange(len(cases))[:, None]
 
-    def propose(self, v_mag) -> list[int]:
-        """One delta (-1, 0 or +1) per transformer from a solved voltage
-        profile; a reversal freezes its transformer and proposes 0."""
-        deltas = []
-        for i, t in enumerate(self.case.oltcs):
-            if self.frozen[i]:
-                deltas.append(0)
-                continue
-            d = tap_update(t, float(v_mag[self._idx[t.controlled_bus]]))
-            if d != 0 and d == -self._last[i]:
-                self.frozen[i] = True  # oscillation: park it for the run
-                d = 0
-            deltas.append(d)
+    def propose(self, v_mag: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+        """One delta (-1, 0 or +1) per transformer from each case's solved
+        voltage profile (a row of ``v_mag``); a reversal freezes its
+        transformer and proposes 0, and so does every case not ``live``."""
+        deltas = tap_update(self.oltcs, v_mag[self._row, self.at])
+        deltas[self.frozen] = 0
+        if live is not None:
+            deltas[~live] = 0
+        reverse = deltas * self._last < 0
+        self.frozen |= reverse   # oscillation: park it for the run
+        deltas[reverse] = 0
         return deltas
 
-    def apply(self, deltas: list[int]) -> None:
+    def apply(self, deltas: np.ndarray) -> None:
         """Move every tap by its delta and refresh its branch ratio."""
-        for i, (t, d) in enumerate(zip(self.case.oltcs, deltas)):
-            if d:
-                t.tap += d
-                t.sync_branch(self.case)
-                self._last[i] = d
+        t = self.oltcs
+        t.tap += deltas
+        self._last = np.where(deltas != 0, deltas, self._last)
+        ratio = 1.0 + t.tap * t.tap_step
+        for k in deltas.any(axis=1).nonzero()[0].tolist():
+            case = self.cases[k]
+            case.oltcs.tap[:] = t.tap[k]
+            case.branches.ratio[case.oltcs.branch_ref] = ratio[k]
 
 
 def regulate_batch(
@@ -117,8 +128,7 @@ def regulate_batch(
         return []
     opts = opts or SolverOptions()
     for case in cases:
-        for t in case.oltcs:
-            t.sync_branch(case)
+        case.sync_ratios()
     structure = powerflow._structure(cases)
     reports = [RegulationReport() for _ in cases]
     sols: list[PowerFlowSolution | None] = [None] * len(cases)
@@ -147,34 +157,35 @@ def regulate_batch(
         return going
 
     active = settle(list(range(len(cases))))
-    steppers = {k: TapStepper(cases[k]) for k in active}
-    for k, stepper in steppers.items():
-        reports[k].frozen = stepper.frozen
+    stepper = TapStepper(cases)
     for _ in range(max_rounds):
-        moved = []
-        for k in active:
-            deltas = steppers[k].propose(sols[k].v_mag)
-            if any(deltas):
-                steppers[k].apply(deltas)
-                reports[k].rounds += 1
-                reports[k].tap_trace.append([t.tap for t in cases[k].oltcs])
-                moved.append(k)
+        if not active:
+            break
+        live = np.zeros(len(cases), dtype=bool)
+        live[active] = True
+        v_mag = np.zeros((len(cases), structure.adm.n))
+        v_mag[active] = [sols[k].v_mag for k in active]
+        deltas = stepper.propose(v_mag, live)
+        moved = np.flatnonzero(deltas.any(axis=1)).tolist()
         if not moved:
             break
+        stepper.apply(deltas)
+        for k in moved:
+            reports[k].rounds += 1
+            reports[k].tap_trace.append(cases[k].oltcs.tap.tolist())
         active = settle(moved)
 
     out: list[tuple[PowerFlowSolution, RegulationReport] | Exception] = []
-    for case, sol, report, error in zip(cases, sols, reports, errors):
+    for k, (case, sol, report, error) in enumerate(zip(cases, sols, reports, errors)):
         if error is not None:
             out.append(error)
             continue
-        idx = case.bus_index()
-        report.final_taps = [t.tap for t in case.oltcs]
-        report.saturated = [t.tap in (t.tap_min, t.tap_max) for t in case.oltcs]
-        report.in_band = [
-            abs(float(sol.v_mag[idx[t.controlled_bus]]) - t.v_set) <= t.deadband / 2
-            for t in case.oltcs
-        ]
+        t = case.oltcs
+        report.final_taps = t.tap.tolist()
+        report.frozen = stepper.frozen[k].tolist()
+        report.saturated = ((t.tap == t.tap_min) | (t.tap == t.tap_max)).tolist()
+        v = sol.v_mag[stepper.at[k]]
+        report.in_band = (np.abs(v - t.v_set) <= t.deadband / 2).tolist()
         out.append((sol, report))
     return out
 

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import powerflow
-from .netmodel import BusKind, GenKind, NetworkCase
+from .netmodel import GEN_CODES, SLACK, GenKind, NetworkCase, _find
 from .oltc import TapStepper
 
 
@@ -67,32 +67,25 @@ class OpfProblem:
         case: NetworkCase,
         v_limits: tuple[float, float] | None = None,
     ) -> "OpfProblem":
-        n = len(case.buses)
+        n, gens = len(case.buses), case.generators
         if v_limits is None:
-            v_min = np.array([b.v_min for b in case.buses])
-            v_max = np.array([b.v_max for b in case.buses])
+            v_min, v_max = case.buses.v_min.copy(), case.buses.v_max.copy()
         else:
             v_min = np.full(n, v_limits[0])
             v_max = np.full(n, v_limits[1])
-        dispatchable = [
-            i
-            for i, g in enumerate(case.generators)
-            if g.controllable and g.kind in (GenKind.TN_UNIT, GenKind.DN_CONTROLLABLE)
-        ]
+        free = [GEN_CODES[GenKind.TN_UNIT], GEN_CODES[GenKind.DN_CONTROLLABLE]]
+        dispatchable = np.flatnonzero(gens.controllable & np.isin(gens.kind, free)).tolist()
         problem = cls(case=case, v_min=v_min, v_max=v_max, dispatchable=dispatchable)
         problem.check()
         return problem
 
     def check(self) -> None:
+        gens = self.case.generators
         for i in self.dispatchable:
-            g = self.case.generators[i]
-            for name, v in (
-                ("p_min", g.p_min), ("p_max", g.p_max),
-                ("q_min", g.q_min), ("q_max", g.q_max),
-            ):
-                if not math.isfinite(v):
+            for name in ("p_min", "p_max", "q_min", "q_max"):
+                if not math.isfinite(getattr(gens, name)[i]):
                     raise ValueError(f"generator {i}: {name} must be finite for dispatch")
-            if g.cost[0] < 0:
+            if gens.cost[i, 0] < 0:
                 raise ValueError(f"generator {i}: quadratic cost must be convex (c2 >= 0)")
 
 
@@ -130,35 +123,29 @@ EXTRA_ROUNDS = 10
 
 def dispatch_cost(problem: OpfProblem, p_by_gen: dict[int, float]) -> float:
     """Total cost (money) of a dispatch given in per-unit active outputs."""
-    base = problem.case.base_mva
-    total = 0.0
-    for i in problem.dispatchable:
-        c2, c1, c0 = problem.case.generators[i].cost
-        p_mw = p_by_gen[i] * base
-        total += c2 * p_mw * p_mw + c1 * p_mw + c0
-    return total
+    d = problem.dispatchable
+    c2, c1, c0 = problem.case.generators.cost[d].T
+    p_mw = np.array([p_by_gen[i] for i in d], dtype=float) * problem.case.base_mva
+    return sum((c2 * p_mw * p_mw + c1 * p_mw + c0).tolist(), 0.0)   # left to right
 
 
 def _pack_structure(problem: OpfProblem):
     case = problem.case
-    n = len(case.buses)
-    idx = case.bus_index()
-    slack = [i for i, b in enumerate(case.buses) if b.kind is BusKind.SLACK]
+    buses, gens = case.buses, case.generators
+    n = len(buses)
+    slack = np.flatnonzero(buses.kind == SLACK).tolist()
     if len(slack) != 1:
         raise ValueError(f"need exactly one slack bus, found {len(slack)}")
     slack_pos = slack[0]
-    nonslack = np.array([i for i in range(n) if i != slack_pos], dtype=int)
-    gen_pos = np.array(
-        [idx[case.generators[gi].bus_id] for gi in problem.dispatchable], dtype=int
-    )
+    nonslack = np.flatnonzero(np.arange(n) != slack_pos)
+    gen_pos = _find(case.buses.id, gens.bus_id)
+    fixed = np.ones(len(gens), dtype=bool)
+    fixed[problem.dispatchable] = False
 
-    s_fixed = np.array([-complex(b.p_load, b.q_load) for b in case.buses])
-    dispatch_set = set(problem.dispatchable)
-    for i, g in enumerate(case.generators):
-        if i not in dispatch_set:
-            s_fixed[idx[g.bus_id]] += complex(g.p, g.q)
-
-    return n, slack_pos, nonslack, gen_pos, s_fixed
+    s_fixed = -powerflow._complex(buses.p_load, buses.q_load)
+    # unit by unit, in generator order
+    np.add.at(s_fixed, gen_pos[fixed], powerflow._complex(gens.p[fixed], gens.q[fixed]))
+    return n, slack_pos, nonslack, gen_pos[problem.dispatchable], s_fixed
 
 
 @dataclass
@@ -192,8 +179,8 @@ class _OpfModel:
         self.nv = self.na + n
         self.nx = self.nv + 2 * nd
         self.slack_ang = case.buses[self.slack_pos].v_ang
-        self._adm = powerflow._Admittance(case, case.bus_index())
-        self._taps = sorted({t.branch_ref for t in case.oltcs})
+        self._adm = powerflow._Admittance(case)
+        self._taps = sorted(set(case.oltcs.branch_ref.tolist()))
         self.Ybus = self._adm.ybus(self._adm.ratio)
         self.YbusT = self.Ybus.T    # a view on Ybus's arrays, so retap reaches it
         self.gen_rows = rows = np.concatenate([gen_pos, n + gen_pos])
@@ -256,10 +243,7 @@ class _OpfModel:
             [self.hess_cols, np.arange(nk), self.jac_cols, nv + self.jac_rows])
         self.dense = powerflow._dense(nk)
 
-        gens = [case.generators[i] for i in problem.dispatchable]
-        self.c2 = np.array([g.cost[0] for g in gens])
-        self.c1 = np.array([g.cost[1] for g in gens])
-        self.c0 = np.array([g.cost[2] for g in gens])
+        self.c2, self.c1, self.c0 = case.generators.cost[problem.dispatchable].T
         # cost scale keeps the stationarity tolerance unit-free
         self.grad_scale = float(max(1.0, np.max(np.abs(self.c1) * base, initial=0.0),
                                     np.max(np.abs(self.c2) * base * base, initial=0.0)))
@@ -273,7 +257,7 @@ class _OpfModel:
         read, and Ybus, its transpose and y (views on one array of values)
         change in place; every index array and the KKT placement stay."""
         ratio = self._adm.ratio.copy()
-        ratio[self._taps] = [case.branches[k].ratio for k in self._taps]
+        ratio[self._taps] = case.branches.ratio[self._taps]
         self.Ybus.data[:] = self._adm.ybus(ratio).data
 
     def split(self, x):
@@ -567,20 +551,14 @@ def solve_continuous(
     n, na = model.n, model.na
     v_lo = v_limits[0] if v_limits is not None else problem.v_min
     v_hi = v_limits[1] if v_limits is not None else problem.v_max
-    gens = [case.generators[i] for i in problem.dispatchable]
-    p_lb = np.array([g.p_min for g in gens])
-    p_ub = np.array([g.p_max for g in gens])
-    q_lb = np.array([g.q_min for g in gens])
-    q_ub = np.array([g.q_max for g in gens])
+    gens, d = case.generators, problem.dispatchable
+    p_lb, p_ub, q_lb, q_ub = gens.p_min[d], gens.p_max[d], gens.q_min[d], gens.q_max[d]
     lb = np.concatenate([np.full(na, -np.inf), v_lo, p_lb, q_lb])
     ub = np.concatenate([np.full(na, np.inf), v_hi, p_ub, q_ub])
 
     if x0 is None:
-        va0 = np.array([b.v_ang for b in case.buses])
-        vm0 = np.array([b.v_mag for b in case.buses])
-        pg0 = np.array([g.p for g in gens])
-        qg0 = np.array([g.q for g in gens])
-        x0 = np.concatenate([va0[model.nonslack], vm0, pg0, qg0])
+        buses = case.buses
+        x0 = np.concatenate([buses.v_ang[model.nonslack], buses.v_mag, gens.p[d], gens.q[d]])
     x0 = np.clip(x0, lb, ub)
 
     ipm = _interior_point(model, x0, lb, ub, max_iterations, duals)
@@ -603,7 +581,7 @@ def solve_continuous(
         q=q,
         v_mag=vm.copy(),
         v_ang=va.copy(),
-        taps=[t.tap for t in case.oltcs],
+        taps=case.oltcs.tap.tolist(),
         objective=dispatch_cost(problem, p),
         feasible=max_violation <= FEASIBILITY_TOL,
         kkt_residual=kkt,
@@ -635,14 +613,13 @@ def solve_with_relaxation(
     if schedule.rounds < 1:
         raise ValueError("schedule needs at least one round")
     work = problem.case.clone()
-    for t in work.oltcs:
-        t.sync_branch(work)
+    work.sync_ratios()
     sub = OpfProblem(
         case=work, v_min=problem.v_min, v_max=problem.v_max,
         dispatchable=problem.dispatchable,
     )
 
-    stepper = TapStepper(work)
+    stepper = TapStepper([work])
     model = _OpfModel(sub)
     trace: list[dict] = []
     warm, duals = None, None
@@ -654,11 +631,14 @@ def solve_with_relaxation(
             slack = schedule.v_slack * (1.0 - step / (schedule.rounds - 1))
         else:
             slack = 0.0
-        sol = solve_continuous(
-            sub, v_limits=(problem.v_min - slack, problem.v_max + slack),
-            x0=warm, duals=duals, model=model,
-        )
-        iterations += sol.iterations
+        limits = (problem.v_min - slack, problem.v_max + slack)
+        sol = solve_continuous(sub, v_limits=limits, x0=warm, duals=duals, model=model)
+        steps = sol.iterations
+        if duals is not None and (not sol.converged or sol.max_violation > 1e-4):
+            # a warm start that stalled: the round once more from a cold start
+            sol = solve_continuous(sub, v_limits=limits, x0=warm, model=model)
+            steps += sol.iterations
+        iterations += steps
         converged = converged and sol.converged
         # round `cap` only re-solves at the final bounds: it neither raises
         # on its violation nor moves a tap
@@ -669,17 +649,18 @@ def solve_with_relaxation(
         v_gap = float(np.max(np.maximum(problem.v_min - sol.v_mag,
                                         sol.v_mag - problem.v_max), initial=0.0))
         final_viol = max(sol.max_violation, v_gap)
-        deltas = stepper.propose(sol.v_mag) if k < cap else [0] * len(work.oltcs)
-        moved = sum(1 for d in deltas if d)
+        deltas = (stepper.propose(sol.v_mag[None]) if k < cap
+                  else np.zeros((1, len(work.oltcs)), dtype=int))
+        moved = int(np.count_nonzero(deltas))
         trace.append(
             {
                 "round": k,
                 "objective": sol.objective,
                 "max_violation": final_viol,
                 "taps_moved": moved,
-                "taps": [t.tap for t in work.oltcs],
+                "taps": work.oltcs.tap.tolist(),
                 "v_slack": slack,
-                "iterations": sol.iterations,
+                "iterations": steps,
             }
         )
         if moved == 0 and (slack == 0.0 or v_gap <= FEASIBILITY_TOL):
@@ -688,13 +669,14 @@ def solve_with_relaxation(
         if moved:
             model.retap(work)
 
-    taps_ok = all(t.tap_min <= t.tap <= t.tap_max for t in work.oltcs)
+    t = work.oltcs
+    taps_ok = bool(np.all((t.tap_min <= t.tap) & (t.tap <= t.tap_max)))
     result = OpfSolution(
         p=sol.p,
         q=sol.q,
         v_mag=sol.v_mag,
         v_ang=sol.v_ang,
-        taps=[t.tap for t in work.oltcs],
+        taps=t.tap.tolist(),
         objective=sol.objective,
         feasible=bool(final_viol <= FEASIBILITY_TOL and taps_ok),
         kkt_residual=sol.kkt_residual,
@@ -726,17 +708,10 @@ def apply_opf_solution(
 ) -> None:
     """Write dispatch, voltages and tap positions back onto a case so that a
     plain power flow reproduces the optimized operating point."""
-    idx = case.bus_index()
-    for b, vm, va in zip(case.buses, sol.v_mag, sol.v_ang):
-        b.v_mag = float(vm)
-        b.v_ang = float(va)
-    for gi in problem.dispatchable:
-        g = case.generators[gi]
-        g.p = sol.p[gi]
-        g.q = sol.q[gi]
-    for g in case.generators:
-        if g.controllable:
-            g.v_set = float(sol.v_mag[idx[g.bus_id]])
-    for t, tap in zip(case.oltcs, sol.taps):
-        t.tap = tap
-        t.sync_branch(case)
+    gens = case.generators
+    case.buses.v_mag[:], case.buses.v_ang[:] = sol.v_mag, sol.v_ang
+    gens.p[problem.dispatchable] = [sol.p[i] for i in problem.dispatchable]
+    gens.q[problem.dispatchable] = [sol.q[i] for i in problem.dispatchable]
+    gens.v_set[gens.controllable] = sol.v_mag[_find(case.buses.id, gens.bus_id[gens.controllable])]
+    case.oltcs.tap[:] = sol.taps
+    case.sync_ratios()

@@ -32,15 +32,13 @@ fast-decoupled shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .netmodel import BusKind, NetworkCase, islands
+from .netmodel import PQ, PV, SLACK, NetworkCase, _find, _lookup, islands
 
 # Largest matrix, in rows, that a Newton step solves dense.  Measured per
 # Newton step on random networks (2-core VM, one BLAS thread), dense costs as
@@ -107,21 +105,11 @@ class PowerFlowSolution:
 # in a batch as alone; a case that large alone is solved one at a time.
 _ELIDE_BYTES = 256 * 1024
 
-_BRANCH_PARAMS = attrgetter("status", "r", "x", "b_charging", "phase_shift", "ratio")
-_BUS_STATE = attrgetter("p_load", "q_load", "v_mag", "v_ang")
-_GEN_OUTPUT = attrgetter("p", "q")
-_SHUNT = attrgetter("g_shunt", "b_shunt")
-
-
-def _values(values, rows: int, width: int) -> np.ndarray:
-    """A (rows, width) float array of ``values``, given row by row."""
-    return np.fromiter(values, dtype=float, count=rows * width).reshape(rows, width)
-
-
-def _gather(records, fields: attrgetter, width: int) -> np.ndarray:
-    """The ``fields`` of every record as a (records, width) float array,
-    without a list of per-record tuples."""
-    return _values(chain.from_iterable(map(fields, records)), len(records), width)
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + j im, exactly (without the products of ``re + 1j * im``)."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 class _Admittance:
@@ -134,25 +122,23 @@ class _Admittance:
     term's entry.  Only branch ratios are read per evaluation, as a
     (B, branches) array, so one instance serves every tap position."""
 
-    def __init__(self, case: NetworkCase, idx: dict[int, int]):
-        brs = case.branches
-        m, n = len(brs), len(case.buses)
+    def __init__(self, case: NetworkCase):
+        br = case.branches
+        m, n = len(br), len(case.buses)
         self.n = n
-        ends = chain.from_iterable((idx[br.from_bus], idx[br.to_bus]) for br in brs)
-        self.f, self.t = np.fromiter(ends, dtype=int, count=2 * m).reshape(m, 2).T
-        par = _gather(brs, _BRANCH_PARAMS, 6)
-        on = par[:, 0] != 0
-        zero = on & (par[:, 1] == 0.0) & (par[:, 2] == 0.0)
+        self.f, self.t = _find(case.buses.id, np.concatenate([br.from_bus, br.to_bus])).reshape(2, m)
+        on = br.status
+        zero = on & (br.r == 0.0) & (br.x == 0.0)
         if zero.any():
             raise PowerFlowError(f"branch {zero.argmax()} is in service with zero impedance")
         y = np.zeros(m, dtype=complex)
-        y[on] = 1.0 / (par[on, 1] + 1j * par[on, 2])
+        y[on] = 1.0 / (br.r[on] + 1j * br.x[on])
         self.neg_y = -y
-        self.ytt = np.where(on, y + 0.5j * par[:, 3], 0.0)
-        self.rot = np.exp(1j * par[:, 4])
-        self.ratio = par[:, 5].copy()
+        self.ytt = np.where(on, y + 0.5j * br.b_charging, 0.0)
+        self.rot = np.exp(1j * br.phase_shift)
+        self.ratio = br.ratio.copy()
 
-        shunt = _gather(case.buses, _SHUNT, 2).view(complex)[:, 0]   # g + jb
+        shunt = _complex(case.buses.g_shunt, case.buses.b_shunt)
         has = np.flatnonzero(shunt)
         self.shunt = shunt[has]
         # per in-service branch its yff, ytt, yft, ytf (see ``entry_values``), then the shunts
@@ -202,7 +188,7 @@ class _Admittance:
 
 def build_ybus(case: NetworkCase) -> sp.csr_matrix:
     """N x N complex admittance matrix over the case's bus ordering."""
-    adm = _Admittance(case, case.bus_index())
+    adm = _Admittance(case)
     return adm.ybus(adm.ratio)
 
 
@@ -342,19 +328,18 @@ def _worst(F) -> np.ndarray:
     return np.abs(F).max(axis=1) if F.shape[1] else np.zeros(len(F))
 
 
-_BUS_KEY = attrgetter("id", "kind", "g_shunt", "b_shunt")
-_BRANCH_KEY = attrgetter("from_bus", "to_bus", "status", "r", "x", "b_charging", "phase_shift")
-
-
-def _key(case: NetworkCase, taps: list[int]) -> tuple:
-    """Everything a batch shares; the tap branches' ratios may differ."""
-    ratios = [br.ratio for br in case.branches]
-    for k in taps:
-        ratios[k] = None
-    return (
-        list(map(_BUS_KEY, case.buses)), list(map(_BRANCH_KEY, case.branches)), ratios,
-        [g.bus_id for g in case.generators], [t.branch_ref for t in case.oltcs],
-    )
+def _key(case: NetworkCase, taps: list[int]) -> list[np.ndarray]:
+    """Everything a batch shares, as arrays to compare: its integer columns,
+    then its real ones; the tap branches' ratios may differ."""
+    buses, br = case.buses, case.branches
+    ratio = br.ratio.copy()
+    ratio[taps] = 0.0
+    return [
+        np.concatenate([buses.id, buses.kind, br.from_bus, br.to_bus, br.status,
+                        case.generators.bus_id, case.oltcs.branch_ref]),
+        np.concatenate([buses.g_shunt, buses.b_shunt, br.r, br.x, br.b_charging,
+                        br.phase_shift, ratio]),
+    ]
 
 
 @dataclass
@@ -366,7 +351,7 @@ class _Structure:
     pq: np.ndarray
     gen_pos: np.ndarray      # bus position of each generator
     set_pos: np.ndarray      # slack/PV bus positions ...
-    set_gen: list[int]       # ... and the generator whose v_set each holds
+    set_gen: np.ndarray      # ... and the generator whose v_set each holds
     tap_br: list[int]        # branches whose ratio may differ per case
     dense: bool
     chunk: int               # cases solved together, at most
@@ -377,39 +362,33 @@ def _structure(cases: list[NetworkCase]) -> _Structure:
     """Check the first case and index it; raise ValueError if another case
     does not share its structure."""
     case = cases[0]
-    kinds = [b.kind for b in case.buses]
-    slacks = kinds.count(BusKind.SLACK)
+    kinds = case.buses.kind
+    slacks = int(np.count_nonzero(kinds == SLACK))
     if slacks != 1:
         raise PowerFlowError(f"need exactly one slack bus, found {slacks}")
     if len(islands(case)) != 1:
         raise PowerFlowError("network is not connected")
-    tap_br = sorted({t.branch_ref for t in case.oltcs})
+    tap_br = sorted(set(case.oltcs.branch_ref.tolist()))
     if len(cases) > 1:
         key = _key(case, tap_br)
         for k, other in enumerate(cases[1:], 1):
-            if _key(other, tap_br) != key:
+            if not all(map(np.array_equal, _key(other, tap_br), key)):
                 raise ValueError(f"case {k} of the batch differs in structure from case 0")
 
-    idx = case.bus_index()
-    adm = _Admittance(case, idx)
-    gen_pos = np.fromiter((idx[g.bus_id] for g in case.generators), dtype=int,
-                          count=len(case.generators))
+    adm = _Admittance(case)
+    gen_pos = _find(case.buses.id, case.generators.bus_id)
     # the |V| setpoint of a slack/PV bus comes from its first generator
-    first: dict[int, int] = {}
-    for j, i in enumerate(gen_pos.tolist()):
-        first.setdefault(i, j)
-    is_pq = np.fromiter((kind is BusKind.PQ for kind in kinds), dtype=bool, count=len(kinds))
-    is_pv = np.fromiter((kind is BusKind.PV for kind in kinds), dtype=bool, count=len(kinds))
-    set_pos = np.flatnonzero(~is_pq)
-    for i in set_pos.tolist():
-        if i not in first:
-            b = case.buses[i]
-            raise PowerFlowError(f"{b.kind.value} bus {b.id} has no generator")
-    pq = np.flatnonzero(is_pq)
-    pvpq = np.concatenate([np.flatnonzero(is_pv), pq])
+    held, first = np.unique(gen_pos, return_index=True)
+    set_pos = np.flatnonzero(kinds != PQ)
+    at, found = _lookup(held, set_pos)
+    if not found.all():
+        b = case.buses[set_pos[~found][0]]
+        raise PowerFlowError(f"{b.kind.value} bus {b.id} has no generator")
+    pq = np.flatnonzero(kinds == PQ)
+    pvpq = np.concatenate([np.flatnonzero(kinds == PV), pq])
     return _Structure(
         adm=adm, pvpq=pvpq, pq=pq, gen_pos=gen_pos,
-        set_pos=set_pos, set_gen=[first[i] for i in set_pos.tolist()], tap_br=tap_br,
+        set_pos=set_pos, set_gen=first[at], tap_br=tap_br,
         dense=_dense(len(pvpq) + len(pq)),
         # the widest elementwise array of a case, dS/dV, holds fewer than
         # 2 (terms + buses) complex values
@@ -422,20 +401,18 @@ def _inputs(st: _Structure, cases: list[NetworkCase]):
     generation - load, and the starting |V| and angle, with every slack/PV
     bus at its setpoint."""
     B, n = len(cases), st.adm.n
+    buses = [c.buses for c in cases]
+    gens = [c.generators for c in cases]
     ratio = np.repeat(st.adm.ratio[None], B, axis=0)
     if st.tap_br:
-        ratio[:, st.tap_br] = _values((c.branches[k].ratio for c in cases for k in st.tap_br),
-                                      B, len(st.tap_br))
-    # per bus (p_load + j q_load, v_mag + j v_ang)
-    bus = _gather([b for c in cases for b in c.buses], _BUS_STATE, 4).view(complex).reshape(B, n, 2)
-    Sbus = -bus[..., 0]
+        ratio[:, st.tap_br] = [c.branches.ratio[st.tap_br] for c in cases]
+    Sbus = -_complex(np.array([b.p_load for b in buses]), np.array([b.q_load for b in buses]))
     if len(st.gen_pos):
-        gen = _gather([g for c in cases for g in c.generators], _GEN_OUTPUT, 2).view(complex)
+        gen = _complex(np.array([g.p for g in gens]), np.array([g.q for g in gens]))
         # generator by generator, in case order
         np.add.at(Sbus.reshape(-1), (st.gen_pos + n * np.arange(B)[:, None]).ravel(), gen.ravel())
-    vm, va = bus[..., 1].real.copy(), bus[..., 1].imag.copy()
-    vm[:, st.set_pos] = _values((c.generators[j].v_set for c in cases for j in st.set_gen),
-                                B, len(st.set_gen))
+    vm, va = np.array([b.v_mag for b in buses]), np.array([b.v_ang for b in buses])
+    vm[:, st.set_pos] = [g.v_set[st.set_gen] for g in gens]
     return ratio, Sbus, vm, va
 
 
@@ -507,19 +484,11 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
         if singular[k]:
             out.append(SingularJacobianError("singular Jacobian"))
             continue
-        out.append(PowerFlowSolution(
-            v_mag=v_mag[k],
-            v_ang=v_ang[k],
-            p_inj=P[k],
-            q_inj=Q[k],
-            p_from=Pf[k],
-            q_from=Qf[k],
-            p_to=Pt[k],
-            q_to=Qt[k],
-            converged=bool(converged[k]),
-            iterations=int(iterations[k]),
+        out.append(PowerFlowSolution(  # v_mag, v_ang, p_inj, q_inj, p/q_from, p/q_to
+            v_mag[k], v_ang[k], P[k], Q[k], Pf[k], Qf[k], Pt[k], Qt[k],
+            converged=bool(converged[k]), iterations=int(iterations[k]),
             max_mismatch=max_mismatch[k] if F.shape[1] else 0.0,
-            mismatch_bus=case.buses[worst_pos[k]].id if F.shape[1] else None,
+            mismatch_bus=case.buses.id.item(worst_pos[k]) if F.shape[1] else None,
         ))
     return out
 
@@ -550,30 +519,18 @@ def apply_solution(case: NetworkCase, sol: PowerFlowSolution) -> None:
     """Write a solution back onto the case: every bus voltage, and at each
     slack/PV bus its Q (at the slack also its P) spread over the bus's
     controllable generators."""
-    regulated = []
-    for i, (b, vm, va) in enumerate(zip(case.buses, sol.v_mag.tolist(), sol.v_ang.tolist())):
-        b.v_mag = vm
-        b.v_ang = va
-        if b.kind is not BusKind.PQ:
-            regulated.append((i, b))
-    if not regulated:
-        return
-    gens_by_bus: dict[int, list] = {}
-    for g in case.generators:
-        gens_by_bus.setdefault(g.bus_id, []).append(g)
-    for i, b in regulated:
-        at_bus = gens_by_bus.get(b.id, [])
-        gens = [g for g in at_bus if g.controllable]
-        if not gens:
+    buses, gens = case.buses, case.generators
+    buses.v_mag[:], buses.v_ang[:] = sol.v_mag, sol.v_ang
+    for i in (buses.kind != PQ).nonzero()[0].tolist():
+        at_bus = gens.bus_id == buses.id[i]
+        share = at_bus & gens.controllable
+        count = np.count_nonzero(share)
+        if not count:
             continue
-        q_total = float(sol.q_inj[i]) + b.q_load
-        fixed_q = sum(g.q for g in at_bus if not g.controllable)
-        share_q = (q_total - fixed_q) / len(gens)
-        for g in gens:
-            g.q = share_q
-        if b.kind is BusKind.SLACK:
-            p_total = float(sol.p_inj[i]) + b.p_load
-            fixed_p = sum(g.p for g in at_bus if not g.controllable)
-            share_p = (p_total - fixed_p) / len(gens)
-            for g in gens:
-                g.p = share_p
+        fixed = at_bus & ~gens.controllable
+        # the injection less the uncontrollable units' output, added left to right
+        gens.q[share] = (float(sol.q_inj[i]) + buses.q_load.item(i)
+                         - sum(gens.q[fixed].tolist())) / count
+        if buses.kind[i] == SLACK:
+            gens.p[share] = (float(sol.p_inj[i]) + buses.p_load.item(i)
+                             - sum(gens.p[fixed].tolist())) / count

@@ -23,13 +23,14 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import caseio
-from .netmodel import DG_KINDS, BusKind, GenKind, NetworkCase, total_load, validate
+from .netmodel import (GEN_CODES, IS_DG, PQ, SLACK, GenKind, NetworkCase, _find,
+                       total_load, validate)
 from .oltc import RegulationError, RegulationReport, regulate, regulate_batch
 from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve
 from .templates import load_bundle
@@ -159,10 +160,10 @@ def _slack_generator(case: NetworkCase):
     slack = case.slack_buses()
     if len(slack) != 1:
         raise SynthesisError(f"template needs exactly one slack bus, found {len(slack)}")
-    gen = next((g for g in case.generators if g.bus_id == slack[0].id), None)
-    if gen is None:
+    at = np.flatnonzero(case.generators.bus_id == slack[0].id)
+    if not at.size:
         raise SynthesisError("template slack bus carries no source generator")
-    return slack[0], gen
+    return slack[0], case.generators[at[0]]
 
 
 def _set_source_voltage(case: NetworkCase, v: float) -> None:
@@ -171,24 +172,17 @@ def _set_source_voltage(case: NetworkCase, v: float) -> None:
     gen.v_set = v
 
 
-def _dn_generators(case: NetworkCase) -> tuple[list[int], list[int]]:
-    ctrl = [i for i, g in enumerate(case.generators) if g.kind is GenKind.DN_CONTROLLABLE]
-    pv = [i for i, g in enumerate(case.generators) if g.kind is GenKind.DN_PV]
-    return ctrl, pv
-
-
 def _zero_dg(case: NetworkCase) -> None:
-    for g in case.generators:
-        if g.kind in DG_KINDS:
-            g.p = 0.0
-            g.q = 0.0
+    gens = case.generators
+    dg = IS_DG[gens.kind]
+    gens.p[dg] = 0.0
+    gens.q[dg] = 0.0
 
 
 def _scale_loads(case: NetworkCase, factor: float) -> None:
     # constant power factor: P and Q move together
-    for b in case.buses:
-        b.p_load *= factor
-        b.q_load *= factor
+    case.buses.p_load *= factor
+    case.buses.q_load *= factor
 
 
 def select_replaceable_loads(
@@ -201,18 +195,10 @@ def select_replaceable_loads(
     ``large_system`` keeps every load outside the external-equivalent zone;
     otherwise only the central zone is replaced.
     """
-    names = area_names or DEFAULT_AREA_NAMES
-    picked = []
-    for b in tn.buses:
-        if b.p_load <= 0:
-            continue
-        label = names.get(b.area, "")
-        if large_system:
-            if label == "Equiv":
-                continue
-        elif label != "Central":
-            continue
-        picked.append((b.id, b.p_load, b.q_load))
+    names, buses = area_names or DEFAULT_AREA_NAMES, tn.buses
+    labels = np.array([names.get(area, "") for area in buses.area.tolist()], dtype=object)
+    keep = (buses.p_load > 0) & ((labels != "Equiv") if large_system else (labels == "Central"))
+    picked = list(zip(*(col[keep].tolist() for col in (buses.id, buses.p_load, buses.q_load))))
     if not picked:
         raise SynthesisError("no replaceable loads found for this selection")
     return picked
@@ -289,15 +275,11 @@ def dn_max_capacity(
                 outcomes.append(result)
                 continue
             sol, report = result
-            idx = trial.bus_index()
-            worst_bus, worst = None, 0.0
-            for b in trial.buses:
-                if b.id == slack_id:
-                    continue
-                v = float(sol.v_mag[idx[b.id]])
-                gap = max(lo_v - v, v - hi_v)
-                if gap > worst:
-                    worst, worst_bus = gap, b.id
+            ids = trial.buses.id
+            gap = np.maximum(lo_v - sol.v_mag, sol.v_mag - hi_v)
+            gap[~(gap > 0.0) | (ids == slack_id)] = 0.0
+            k = int(gap.argmax())   # the first bus of the largest gap
+            worst_bus = ids.item(k) if gap[k] > 0.0 else None
             outcomes.append((worst_bus is None, worst_bus, report.settled))
         return outcomes
 
@@ -366,8 +348,7 @@ def _replica_template(dn: NetworkCase, cfg: SynthesisConfig) -> NetworkCase:
     """The case every replica starts from, and the capacity search probes:
     the template with its taps regulating at ``oltc_v_set`` and DGs zeroed."""
     case = dn.clone()
-    for t in case.oltcs:
-        t.v_set = cfg.oltc_v_set
+    case.oltcs.v_set[:] = cfg.oltc_v_set
     _zero_dg(case)
     return case
 
@@ -481,17 +462,15 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
     growing = [key for key, sz in sizing.items() if cfg.constant_load and sz[2] > 0]
     counts = {key: SolveCounts() for key in growing}
     mismatch: dict[tuple[int, int], float] = {}
-    base_p = {key: [b.p_load for b in cases[key].buses] for key in growing}
-    base_total = {key: sum(p) for key, p in base_p.items()}
+    base_p = {key: cases[key].buses.p_load.copy() for key in growing}
+    base_total = {key: sum(p.tolist()) for key, p in base_p.items()}
     addition = {key: sizing[key][2] for key in growing}
     finals = {}
     live = list(sizing)
     for _ in range(20):
         for key in live:
             if key in counts:
-                f = 1.0 + addition[key] / base_total[key]
-                for b, p0 in zip(cases[key].buses, base_p[key]):
-                    b.p_load = p0 * f
+                cases[key].buses.p_load[:] = base_p[key] * (1.0 + addition[key] / base_total[key])
         still = []
         for key, (sol, report) in batch(live):
             finals[key] = sol, report
@@ -549,7 +528,8 @@ def _size_dg(case: NetworkCase, cfg: SynthesisConfig, rng: np.random.Generator |
     p_loads, _ = total_load(case)
     dg_total = pl * p_loads
 
-    ctrl, pv = _dn_generators(case)
+    ctrl, pv = (np.flatnonzero(case.generators.kind == GEN_CODES[k]).tolist()
+                for k in (GenKind.DN_CONTROLLABLE, GenKind.DN_PV))
     allocation: dict[int, float] = {}
     if dg_total > 0:
         if gs > 0 and not ctrl:
@@ -560,15 +540,16 @@ def _size_dg(case: NetworkCase, cfg: SynthesisConfig, rng: np.random.Generator |
             allocation[i] = gs * dg_total / len(ctrl)
         for i in pv:
             allocation[i] = (1.0 - gs) * dg_total / len(pv)
-        for i, p in allocation.items():
-            g = case.generators[i]
-            if p > g.p_max + 1e-12:
-                raise SynthesisError(
-                    f"DG allocation {p:.4f} pu exceeds p_max {g.p_max:.4f} pu of "
-                    f"generator {i} at bus {g.bus_id}"
-                )
-            g.p = p
-            g.q = 0.0
+        gens, at, p = case.generators, list(allocation), np.array(list(allocation.values()))
+        over = np.flatnonzero(p > gens.p_max[at] + 1e-12)
+        if over.size:
+            i, g = at[over[0]], case.generators[at[over[0]]]
+            raise SynthesisError(
+                f"DG allocation {allocation[i]:.4f} pu exceeds p_max {g.p_max:.4f} pu of "
+                f"generator {i} at bus {g.bus_id}"
+            )
+        gens.p[at] = p
+        gens.q[at] = 0.0
     else:
         allocation = {i: 0.0 for i in ctrl + pv}
     return pl, gs, dg_total, allocation
@@ -577,55 +558,67 @@ def _size_dg(case: NetworkCase, cfg: SynthesisConfig, rng: np.random.Generator |
 def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
     """Graft every replica onto its host bus.
 
-    The replica's boundary (slack) bus is identified with the host bus: the
-    root branch is re-terminated there, the boundary bus and its source
-    generator are dropped, and every other replica bus gets a fresh id, a
-    structured ``dn:<host>:<copy>:<local>`` name, and an angle shifted by the
-    host angle so the boundary state is continuous.  The host's aggregated
-    load is removed.
+    The replica's boundary (first slack) bus is identified with the host
+    bus: the root branch is re-terminated there, the boundary bus and its
+    source generator are dropped, and every other replica bus gets a fresh
+    id, a structured ``dn:<host>:<copy>:<local>`` name, and an angle shifted
+    by the host angle so the boundary state is continuous.  The host's
+    aggregated load is removed.  The replicas' tables are concatenated
+    once, and ids and branch references are remapped on whole columns.
     """
     combined = tn.clone()
-    next_id = max((b.id for b in combined.buses), default=0) + 1
-    # replica buses are only appended, so the TN buses keep these positions
+    host = combined.buses
+    next_id = max(host.id.tolist(), default=0) + 1
     tn_idx = combined.bus_index()
-
     for inst in instances:
         if inst.host_tn_bus not in tn_idx:
             raise SynthesisError(f"host bus {inst.host_tn_bus} is not a transmission bus")
-        host = combined.buses[tn_idx[inst.host_tn_bus]]
-        host.p_load = 0.0
-        host.q_load = 0.0
+    at = np.array([tn_idx[inst.host_tn_bus] for inst in instances], dtype=int)   # per replica
+    host.p_load[at] = 0.0
+    host.q_load[at] = 0.0
 
-        src = inst.case
-        slack_bus = src.slack_buses()[0]
-        shift = host.v_ang - slack_bus.v_ang
+    # every replica's tables as one, and the replica of each row
+    names = ("buses", "branches", "generators", "oltcs")
+    parts = {name: [getattr(inst.case, name) for inst in instances] for name in names}
+    of = {name: np.repeat(np.arange(len(instances)), [len(t) for t in parts[name]])
+          for name in names}
+    buses, branches, gens, oltcs = (type(getattr(tn, name))._concat(parts[name]) for name in names)
+    # each replica's first slack bus is its boundary; a row is found by (replica, local id)
+    slack = np.flatnonzero(buses.kind == SLACK)
+    boundary = slack[np.unique(of["buses"][slack], return_index=True)[1]]
+    if len(boundary) != len(instances):
+        raise SynthesisError("a replica has no slack bus")
+    span = int(buses.id.max(initial=0) - buses.id.min(initial=0)) + 1
+    keys = of["buses"] * span + buses.id
 
-        id_map: dict[int, int] = {slack_bus.id: host.id}
-        for b in src.buses:
-            if b.id == slack_bus.id:
-                continue
-            id_map[b.id] = next_id
-            combined.buses.append(replace(
-                b, id=next_id, kind=BusKind.PQ, v_ang=b.v_ang + shift, area=host.area,
-                name=f"dn:{host.id}:{inst.copy_index}:{b.id}",
-            ))
-            next_id += 1
+    def new_ids(replica: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        return new_id[_find(keys, replica * span + ids)]
 
-        branch_offset = len(combined.branches)
-        combined.branches += [
-            replace(br, from_bus=id_map[br.from_bus], to_bus=id_map[br.to_bus])
-            for br in src.branches
-        ]
-        # the boundary source dies with the boundary bus
-        combined.generators += [
-            replace(g, bus_id=id_map[g.bus_id])
-            for g in src.generators if g.bus_id != slack_bus.id
-        ]
-        for t in src.oltcs:
-            nt = replace(t, branch_ref=t.branch_ref + branch_offset,
-                         controlled_bus=id_map[t.controlled_bus])
-            combined.oltcs.append(nt)
-            nt.sync_branch(combined)
+    keep = np.ones(len(buses), dtype=bool)
+    keep[boundary] = False
+    new_id = np.empty(len(buses), dtype=np.int64)
+    new_id[keep] = next_id + np.arange(np.count_nonzero(keep))
+    new_id[boundary] = host.id[at]
+    shift = host.v_ang[at] - buses.v_ang[boundary]
+    added, replica = buses.take(keep), of["buses"][keep]
+    copies = np.array([inst.copy_index for inst in instances], dtype=int)
+    added.name = [f"dn:{h}:{c}:{b}" for h, c, b in zip(
+        host.id[at][replica].tolist(), copies[replica].tolist(), added.id.tolist())]
+    added.id, added.kind[:], added.area = new_id[keep], PQ, host.area[at][replica]
+    added.v_ang = added.v_ang + shift[replica]
+
+    branches.from_bus = new_ids(of["branches"], branches.from_bus)
+    branches.to_bus = new_ids(of["branches"], branches.to_bus)
+    # the boundary source dies with the boundary bus
+    alive = gens.bus_id != buses.id[boundary][of["generators"]]
+    gens = gens.take(alive)
+    gens.bus_id = new_ids(of["generators"][alive], gens.bus_id)
+    start = len(combined.branches) + np.cumsum([0] + [len(t) for t in parts["branches"]])
+    oltcs.branch_ref = oltcs.branch_ref + start[of["oltcs"]]
+    oltcs.controlled_bus = new_ids(of["oltcs"], oltcs.controlled_bus)
+    for name, table in zip(names, (added, branches, gens, oltcs)):
+        setattr(combined, name, type(table)._concat([getattr(combined, name), table]))
+    combined.branches.ratio[oltcs.branch_ref] = 1.0 + oltcs.tap * oltcs.tap_step
 
     report = validate(combined)
     if not report.ok:
@@ -641,9 +634,9 @@ def boundary_transfers(
     """Active power flowing from each host bus into its attached replicas,
     summed over the tap-changer root branches."""
     out: dict[int, float] = {}
-    for t in case.oltcs:
-        br = case.branches[t.branch_ref]
-        out[br.from_bus] = out.get(br.from_bus, 0.0) + float(sol.p_from[t.branch_ref])
+    refs = case.oltcs.branch_ref
+    for bus, p in zip(case.branches.from_bus[refs].tolist(), sol.p_from[refs].tolist()):
+        out[bus] = out.get(bus, 0.0) + p
     return out
 
 
@@ -817,7 +810,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "penetration": inst.realized_penetration,
             "generation_split": inst.realized_split,
             "boundary_import_pu": inst.boundary_p,
-            "final_taps": [t.tap for t in inst.case.oltcs],
+            "final_taps": inst.case.oltcs.tap.tolist(),
             "import_mismatch": inst.import_mismatch,
             "constant_load_mismatch": inst.constant_load_mismatch,
             "regulation_settled": inst.regulation.settled,

@@ -10,6 +10,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import enum
+
 import pytest
 
 import tdsynth
@@ -62,8 +64,12 @@ def _program_references(tree: ast.Module) -> set[str]:
 
 
 def _load_tracer():
+    return _load("tracer")
+
+
+def _load(name: str):
     # read-only: no bytecode cache is written under perfbench/
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", PERFBENCH / "tracer.py")
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # its dataclasses look their module up
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -124,3 +130,76 @@ def test_the_benchmark_calls_bind_the_program_signatures():
     # the tracer reads these arguments of customize_dn by name
     parameters = inspect.signature(tdsynth.customize_dn).parameters
     assert {"target_p", "source_v", "host_bus"} <= set(parameters)
+
+
+TABLES = ("buses", "branches", "generators", "oltcs")
+# the record attributes perfbench/ reads or writes, at the time of writing
+USED = {
+    "buses": {"id", "name", "v_mag", "v_ang", "p_load", "q_load"},
+    "branches": {"r", "x", "ratio", "phase_shift", "b_charging", "from_bus", "to_bus"},
+    "generators": {"kind", "bus_id", "p"},
+    "oltcs": {"branch_ref"},
+}
+
+
+def _record_attributes() -> dict[str, set[str]]:
+    """Per case table, every attribute the benchmark takes from one of its
+    records: from a name bound by a loop over ``<case>.<table>`` or by
+    ``name = <case>.<table>[...]``, anywhere in the same file."""
+    used = {table: set() for table in TABLES}
+    for path in SOURCES:
+        tree = _tree(path)
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                target, source = node.target, node.iter
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript):
+                target, source = node.targets[0], node.value.value
+            else:
+                continue
+            if (isinstance(target, ast.Name) and isinstance(source, ast.Attribute)
+                    and source.attr in TABLES):
+                bound[target.id] = source.attr
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound):
+                used[bound[node.value.id]].add(node.attr)
+    return used
+
+
+def _other(value):
+    """A value of the same type that differs from ``value``."""
+    if isinstance(value, enum.Enum):
+        return next(member for member in type(value) if member is not value)
+    if isinstance(value, bool):
+        return not value
+    return value + ("x" if isinstance(value, str) else 1)
+
+
+def test_every_record_attribute_the_benchmark_uses_writes_through():
+    used = _record_attributes()
+    for table, names in USED.items():
+        assert names <= used[table], (table, names - used[table])
+    case = tdsynth.load_case_dir(tdsynth.bundled_template_dir() / "mini-dn")
+    for table, names in used.items():
+        for name in sorted(names):
+            view = getattr(case, table)[-1]
+            new = _other(getattr(view, name))
+            setattr(view, name, new)
+            # a fresh view reads the column the first one wrote
+            assert getattr(getattr(case, table)[-1], name) == new, (table, name)
+
+
+def test_the_benchmark_rescaling_reaches_the_saved_template(tmp_path):
+    workloads = _load("workloads")
+    got = workloads.build_templates(tmp_path / "got", 7) / "mini-dn"
+    want = tdsynth.load_case_dir(tdsynth.bundled_template_dir() / "mini-dn")
+    want.branches.r *= 7
+    want.branches.x *= 7
+    want.buses.p_load /= 7
+    want.buses.q_load /= 7
+    tdsynth.save_case_dir(want, tmp_path / "want")
+    for name in ("case.m", "case.oltc.csv"):
+        assert (got / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    shipped = tdsynth.bundled_template_dir() / "mini-dn" / "case.m"
+    assert (got / "case.m").read_bytes() != shipped.read_bytes()

@@ -3,8 +3,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdsynth.netmodel import (
+    DG_KINDS,
     Branch,
     Bus,
     BusKind,
@@ -15,6 +18,9 @@ from tdsynth.netmodel import (
     total_load,
     validate,
 )
+from tdsynth.synth import _zero_dg, dn_max_capacity
+from tdsynth.templates import bundled_template_dir
+from tdsynth.caseio import load_case_dir
 
 from helpers import radial_oltc_case, raw_bus_load_sums, two_bus_case
 
@@ -185,3 +191,66 @@ def test_clone_is_equal_and_independent():
     twin.buses.append(Bus(id=9))
     assert twin != case
     assert case == before
+
+
+def test_mutating_a_clone_column_by_column_leaves_its_source_unchanged():
+    case = radial_oltc_case()
+    case.buses[1].name = "sub"
+    before = copy.deepcopy(case)
+    twin = case.clone()
+    twin.buses.p_load *= 2.0
+    twin.buses.kind[0] = 1
+    twin.buses.name[1] = "other"
+    twin.branches.ratio[:] = 0.9
+    twin.generators.cost[0, 1] = 7.0
+    twin.oltcs.tap += 1
+    twin.generators.append(Generator(bus_id=2))
+    assert case == before
+    assert twin != case
+
+
+def test_case_equality_compares_values():
+    case = radial_oltc_case()
+    twin = radial_oltc_case()      # built apart from case: no array is shared
+    assert twin == case and twin is not case
+    assert NetworkCase(buses=[Bus(id=1, name="a")]) == NetworkCase(buses=[Bus(id=1, name="a")])
+    for change in (lambda c: setattr(c.buses[2], "name", "x"),
+                   lambda c: setattr(c.generators[0], "cost", (1.0, 0.0, 0.0)),
+                   lambda c: setattr(c.branches[1], "status", False),
+                   lambda c: setattr(c, "base_mva", 10.0)):
+        other = case.clone()
+        change(other)
+        assert other != case
+    assert case.buses[2] == Bus(id=3, p_load=0.3, q_load=0.1, base_kv=11.0)
+
+
+# values of widely spread magnitude, so that summing in another order shows
+_SPREAD = st.builds(lambda m, e: m * 10.0 ** e, st.floats(0.1, 1.0), st.integers(-8, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_SPREAD, _SPREAD), min_size=9, max_size=40),
+       st.lists(st.tuples(st.sampled_from(list(GenKind)), _SPREAD), min_size=9, max_size=30))
+def test_load_and_penetration_are_sums_left_to_right_over_the_views(loads, units):
+    case = NetworkCase(
+        buses=[Bus(id=i, p_load=p, q_load=q) for i, (p, q) in enumerate(loads, 1)],
+        generators=[Generator(bus_id=1, kind=kind, p=p) for kind, p in units])
+    p_load = sum(b.p_load for b in case.buses)
+    q_load = sum(b.q_load for b in case.buses)
+    assert [x.hex() for x in total_load(case)] == [p_load.hex(), q_load.hex()]
+    p_dg = sum(g.p for g in case.generators if g.kind in DG_KINDS)
+    assert penetration_level(case).hex() == (p_dg / p_load).hex()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_SPREAD, min_size=12, max_size=12))
+def test_capacity_template_demand_is_a_sum_left_to_right_over_the_views(factors):
+    dn = load_case_dir(bundled_template_dir() / "mini-dn")
+    assert len(dn.buses) > 8
+    for b, f in zip(dn.buses, factors):
+        b.p_load = (b.p_load or 0.01) * f
+    cap = dn_max_capacity(dn, (0.9, 1.1))
+    base = dn.clone()
+    _zero_dg(base)
+    p_template = sum(b.p_load for b in base.buses)
+    assert cap.p_capacity.hex() == (p_template * cap.max_scale).hex()

@@ -339,6 +339,24 @@ def test_congested_scaled_case_converges_from_a_cold_start(tmp_path, scale, seed
     assert result.opf.feasible and result.opf.converged
 
 
+@pytest.mark.parametrize("scale, penetration, seed", [(10, 1.0, 2), (50, 1.0, 2), (50, 1.5, 1),
+                                                     (10, 1.0, 1)])
+def test_a_stalled_warm_round_is_solved_again_from_a_cold_start(
+        tmp_path, monkeypatch, scale, penetration, seed):
+    """With warm starts floored at 1e-5 instead of 1e-3, a warm round of
+    each of these runs stalls: without a cold re-solve the first three end
+    unconverged and the last raises in relaxation round 14."""
+    from tdsynth import opf
+    from tdsynth.synth import SynthesisConfig, generate
+
+    monkeypatch.setattr(opf, "_WARM_FLOOR", 1e-5)
+    templates = scaled_templates(tmp_path, scale)
+    result = generate(templates / "mini-tn", templates / "mini-dn", SynthesisConfig(
+        run_opf=True, random=True, rng_seed=seed, penetration_level=penetration))
+    assert result.opf.feasible and result.opf.converged
+    assert sum(row["iterations"] for row in result.opf.trace) == result.opf.iterations
+
+
 def test_warm_start_from_a_converged_point_takes_fewer_steps(run_pipeline):
     from tdsynth.synth import SynthesisConfig
 
