@@ -5,7 +5,9 @@
 repeated run with the same config and seed lands on byte-identical files.
 ``tdsynth inspect <dir>`` loads a previously written bundle and prints its
 health: validation findings, solved voltage range, total load, penetration
-and the boundary transfers.
+and the boundary transfers.  ``--profile PATH`` also writes, as JSON at
+PATH, the wall time of each inspect stage, the NR iteration count and the
+linear-solve path of every Newton step.
 
 Exit codes: 0 success, 1 pipeline failure (message carries the stage tag),
 2 configuration problem (message names the field).
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -113,6 +116,8 @@ def _summary(result: GenerateResult) -> dict:
         },
         "total_load_pu": {"p": p_load, "q": q_load},
         "oltc_rounds": result.regulation.rounds,
+        "replica_buses_outside_v_limits":
+            result.manifest["combined"]["replica_buses_outside_v_limits"],
     }
     if result.opf is not None:
         summary["opf_objective"] = result.opf.objective
@@ -133,6 +138,7 @@ def _print_summary(summary: dict, out_dir: Path | None) -> None:
         f"min {pen['min']:.4f} / mean {pen['mean']:.4f} / max {pen['max']:.4f}"
     )
     print(f"OLTC rounds on combined system: {summary['oltc_rounds']}")
+    print(f"replica buses outside dn_v_limits: {summary['replica_buses_outside_v_limits']}")
     if "opf_objective" in summary:
         print(
             f"OPF objective: {summary['opf_objective']:.2f} "
@@ -177,12 +183,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    marks = [args.started, time.perf_counter()]   # the start, then the end of each stage
     path = Path(args.case_dir)
     try:
         case = caseio.load_case_dir(path)
     except (OSError, ValueError) as exc:
         print(f"cannot load case bundle: {exc}", file=sys.stderr)
         return 1
+    marks.append(time.perf_counter())
 
     report = validate(case)
     if report.ok:
@@ -192,11 +200,13 @@ def _cmd_inspect(args) -> int:
         for entry in report.entries:
             print(f"  - {entry}")
 
+    marks.append(time.perf_counter())
     try:
-        sol, _ = regulate(case)
+        sol, regulation = regulate(case)
     except (RegulationError, PowerFlowError) as exc:
         print(f"power flow failed: {exc}", file=sys.stderr)
         return 1
+    marks.append(time.perf_counter())
     print(f"power flow: converged in {sol.iterations} iterations "
           f"(mismatch {sol.max_mismatch:.2e})")
     print(f"voltage range: {sol.v_mag.min():.4f} .. {sol.v_mag.max():.4f} pu")
@@ -214,10 +224,22 @@ def _cmd_inspect(args) -> int:
         totals = boundary_transfers(case, sol)
         for bus in sorted(totals):
             print(f"  bus {bus} total: {totals[bus]:+.4f}")
+    marks.append(time.perf_counter())
+    if args.profile:
+        profile = {
+            "stages_s": dict(zip(("args", "load", "validate", "regulate", "print"),
+                                 (b - a for a, b in zip(marks, marks[1:])))),
+            "nr_iterations": regulation.iterations,
+            "solves": regulation.solves,
+            "tap_rounds": regulation.rounds,
+            "linear_solves": regulation.steps,
+        }
+        Path(args.profile).write_text(json.dumps(profile, indent=2) + "\n")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = time.perf_counter()
     parser = argparse.ArgumentParser(
         prog="tdsynth",
         description="Synthesize combined transmission-and-distribution test networks.",
@@ -233,9 +255,12 @@ def main(argv: list[str] | None = None) -> int:
 
     ins = sub.add_parser("inspect", help="load a case bundle and print its state")
     ins.add_argument("case_dir", help="directory holding case.m (+ case.oltc.csv)")
+    ins.add_argument("--profile", metavar="PATH",
+                     help="write stage times and solver counters as JSON to PATH")
     ins.set_defaults(func=_cmd_inspect)
 
     args = parser.parse_args(argv)
+    args.started = started
     return args.func(args)
 
 

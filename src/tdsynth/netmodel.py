@@ -102,7 +102,7 @@ class OltcTransformer:
     """Discrete tap changer riding on an existing branch.
 
     The branch ratio is derived state: ``1 + tap * tap_step``, pushed onto the
-    branch through :meth:`sync_branch` whenever the tap moves.
+    branch by :meth:`NetworkCase.sync_ratios` whenever the tap moves.
     """
 
     branch_ref: int      # index into NetworkCase.branches
@@ -113,12 +113,6 @@ class OltcTransformer:
     tap_min: int = -16
     tap_max: int = 16
     tap_step: float = 0.00625
-
-    def ratio(self) -> float:
-        return 1.0 + self.tap * self.tap_step
-
-    def sync_branch(self, case: "NetworkCase") -> None:
-        case.branches[self.branch_ref].ratio = self.ratio()
 
 
 def _column(kind, values: list):
@@ -314,21 +308,25 @@ class ValidationReport:
         return not self.entries
 
 
-def _island_of(case: NetworkCase) -> np.ndarray:
-    """The island of every bus over in-service branches between known
-    buses, islands numbered in order of first appearance; buses that share
-    an id are one node.  Min-label propagation with pointer jumping: each
-    round gives every bus the lowest label of its branches' ends, then
-    jumps twice; once no branch joins two labels, each bus holds the first
-    bus of its island."""
+def _edges(case: NetworkCase) -> tuple[int, np.ndarray, np.ndarray]:
+    """The bus count and the edges (from, to positions) that join buses
+    into islands: in-service branches between known buses, and each bus to
+    the last bus of its id, so buses that share an id are one node."""
     ids, br = case.buses.id, case.branches
     n, m = len(ids), len(br)
-    # the ends of every branch, and the last bus of each bus's id
     at, found = _lookup(ids, np.concatenate([br.from_bus, br.to_bus, ids]))
     on = br.status & found[:m] & found[m : 2 * m]
     same = np.flatnonzero(at[2 * m :] != np.arange(n))
-    f = np.concatenate([at[:m][on], same])
-    t = np.concatenate([at[m : 2 * m][on], at[2 * m :][same]])
+    return (n, np.concatenate([at[:m][on], same]),
+            np.concatenate([at[m : 2 * m][on], at[2 * m :][same]]))
+
+
+def _island_of(n: int, f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The island of each of n nodes joined by the edges (f, t), islands
+    numbered in order of first appearance.  Min-label propagation with
+    pointer jumping: each round gives every node the lowest label of its
+    edges' ends, then jumps twice; once no edge joins two labels, each node
+    holds the first node of its island."""
     label = np.arange(n)
     while True:
         low = np.minimum(label[f], label[t])
@@ -344,7 +342,7 @@ def islands(case: NetworkCase) -> list[set[int]]:
     """Connected components (sets of bus ids) over in-service branches."""
     if not len(case.buses):
         return []
-    island = _island_of(case)
+    island = _island_of(*_edges(case))
     if not island.any():
         return [set(case.buses.id.tolist())]
     order = np.argsort(island, kind="stable")
@@ -420,7 +418,7 @@ def validate(case: NetworkCase) -> ValidationReport:
     ], have=have.tolist(), want=want.tolist())
 
     if len(buses):
-        island = _island_of(case)
+        island = _island_of(*_edges(case))
         count = int(island.max()) + 1
         if count > 1:
             out.append(f"network has {count} islands (expected a single one)")

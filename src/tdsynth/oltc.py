@@ -40,6 +40,7 @@ class RegulationReport:
     rounds: int = 0
     solves: int = 0
     iterations: int = 0          # NR iterations over all solves
+    steps: list[str] = field(default_factory=list)   # each one's linear-solve path
     final_taps: list[int] = field(default_factory=list)
     frozen: list[bool] = field(default_factory=list)
     saturated: list[bool] = field(default_factory=list)
@@ -145,6 +146,7 @@ def regulate_batch(
                 errors[k] = res
                 continue
             report.iterations += res.iterations
+            report.steps += res.steps
             if not res.converged:
                 last = sols[k]
                 errors[k] = RegulationError(

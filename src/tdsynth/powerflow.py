@@ -13,32 +13,41 @@ elementwise operations and the same LAPACK call whatever the batch size and
 its position (a large batch is cut into chunks for that, see
 ``_ELIDE_BYTES``).  :func:`solve` is the one-item call.
 
-Both placements share one Ybus and one Jacobian evaluation: the admittance
+Every placement shares one Ybus and one Jacobian evaluation: the admittance
 terms are added up once per Ybus entry (:class:`_Admittance`), and each
 Newton step evaluates one entry-wise dS/dV over the batch (:func:`_dS_dV`,
-which the OPF shares).  Matrix size decides only where those values go and
-how the step is solved, by one rule (:func:`_dense`) that the OPF's KKT step
-follows too: up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the
-feeder copies, into stacked (B, m, m) arrays solved with LAPACK, since at
-that size scipy.sparse objects cost more than the arithmetic; above it, such
-as the combined T&D case, into one CSC matrix per case factorized with
-SuperLU.  The combined case repeats one feeder's block many times, so SuperLU
-pivots by a threshold (``SPARSE_LU_PIVOT``) that keeps its fill from hanging
-on how ties between those equal entries round.  The formulation is polar
-full Newton, because distribution feeders with high R/X ratios defeat the
-fast-decoupled shortcuts.
+which the OPF shares).  One size rule (:func:`_dense`), which the OPF's KKT
+step follows too, decides only where those values go and how the step is
+solved:
+
+- up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the feeder
+  copies: stacked (B, m, m) arrays solved with LAPACK, since at that size
+  scipy.sparse objects cost more than the arithmetic;
+- above it, when every replica block is within it, such as the combined
+  T&D case: replica blocks (:class:`_Blocks`).  The blocks come from the
+  network graph, once per structure; all blocks of one size are solved in
+  one stacked LAPACK call, then the Schur complement on the transmission
+  border, placed by the same rule, then the blocks by back-substitution;
+- any other large matrix, or one with a singular block: one CSC matrix per
+  case factorized with SuperLU.  It pivots by a threshold
+  (``SPARSE_LU_PIVOT``) that keeps its fill from hanging on how ties
+  between repeated feeder blocks round.
+
+Each solution lists the path of every Newton step (``steps``).  The
+formulation is polar full Newton, because distribution feeders with high
+R/X ratios defeat the fast-decoupled shortcuts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .netmodel import PQ, PV, SLACK, NetworkCase, _find, _lookup, islands
+from .netmodel import PQ, PV, SLACK, NetworkCase, _find, _island_of, _lookup, islands
 
 # Largest matrix, in rows, that a Newton step solves dense.  Measured per
 # Newton step on random networks (2-core VM, one BLAS thread), dense costs as
@@ -96,6 +105,8 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     mismatch_bus: int | None = None  # bus id holding max_mismatch; None if no unknowns
+    # the linear-solve path of each Newton step: "dense", "blocks" or "superlu"
+    steps: list[str] = field(default_factory=list)
 
 
 # numpy computes ``a * b`` in the buffer of b, with the operands swapped,
@@ -268,12 +279,18 @@ def _placement(adm: _Admittance, pvpq, pq):
     return take_view, rows[take], cols[take]
 
 
+def _jacobian_values(adm: _Admittance, take, V, Ibus, y) -> np.ndarray:
+    """The NR Jacobian's values of every case (B, len(take)), in the order
+    :func:`_placement` places them."""
+    return np.concatenate(_dS_dV(V, Ibus, adm.r, adm.c, y), axis=-1).view(float)[:, take]
+
+
 def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int, dense: bool):
     """The m x m NR Jacobian of every case at V (B, n) and Ybus entry values
     y (B, entries), from one dS/dV over the batch: placed into one (B, m, m)
     array if ``dense``, else into a CSC matrix per case."""
     take, rows, cols = place
-    vals = np.concatenate(_dS_dV(V, Ibus, adm.r, adm.c, y), axis=-1).view(float)[:, take]
+    vals = _jacobian_values(adm, take, V, Ibus, y)
     if not dense:
         return [_place(v, rows, cols, (m, m), False) for v in vals]
     B = len(vals)
@@ -283,13 +300,143 @@ def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int, dense: bool):
     return np.bincount(at, weights=vals.ravel(), minlength=B * m * m).reshape(B, m, m)
 
 
-def _newton_steps(J, F) -> tuple[np.ndarray, np.ndarray]:
-    """Solve J dx = F for every case: the steps (B, m) and which of them
-    exist (a singular J or a non-finite step has none)."""
-    if isinstance(J, np.ndarray):
+class _Blocks:
+    """A sparse Newton matrix split by replica (Sun et al., master-slave
+    splitting, IEEE Trans. Smart Grid 2015).  With the unknowns ordered as
+    blocks, then border, the matrix is bordered block-diagonal [A B; C D],
+    with A one small dense block per replica.  A step solves the blocks of
+    one size in one stacked LAPACK call against F and their few coupling
+    columns of B, then the Schur complement S = D - C A^-1 B on the border
+    by :func:`_factor` (S keeps D's pattern when each block hangs off one
+    border bus), then the blocks by back-substitution.  Every index array
+    is built once, from the structure alone."""
+
+    def __init__(self, rows, cols, block, size):
+        """``rows``/``cols``: the placement of the matrix values; ``block``:
+        each unknown's block, numbered by size, or -1 on the border;
+        ``size``: each block's unknown count."""
+        K, m = len(size), len(block)
+        self.border = np.flatnonzero(block < 0)
+        nb = len(self.border)
+        self.size, self.u0 = size, np.concatenate([[0], np.cumsum(size)])
+        # the block unknowns by block; pos: each unknown's place in its block or the border
+        self.units = np.argsort(np.where(block < 0, K, block), kind="stable")[: m - nb]
+        pos = np.empty(m, dtype=int)
+        pos[self.units] = np.arange(m - nb) - self.u0[block[self.units]]
+        pos[self.border] = np.arange(nb)
+        # the few values off the blocks: the coupling B and C, and the border D
+        inb = block >= 0
+        off = np.flatnonzero(~(inb[rows] & inb[cols]))
+        r, c = rows[off], cols[off]
+        rb, cb = block[r], block[c]
+        ab, ca, dd = rb >= 0, cb >= 0, (rb < 0) & (cb < 0)
+
+        def slots(owner, other):
+            """Each (block, border unknown) pair's slot among its block's, and
+            per block its border unknowns by slot, padded with nb."""
+            pairs, inv = np.unique(owner * (nb + 1) + other, return_inverse=True)
+            po, pb = np.divmod(pairs, nb + 1)
+            s = np.arange(len(pairs)) - np.searchsorted(po, po)
+            table = np.full((K, s.max(initial=-1) + 1), nb)
+            table[po, s] = pb
+            return s[inv], table
+
+        col_slot, self.cols_of = slots(rb[ab], pos[c[ab]])   # B's columns
+        row_slot, self.rows_of = slots(cb[ca], pos[r[ca]])   # C's rows
+        w, wr = self.cols_of.shape[1], self.rows_of.shape[1]
+        # one buffer: each block in column-major order, then each block's
+        # right-hand sides [F, B's columns] column-major, then each one's C,
+        # then D's values in placement order
+        self.a0 = np.concatenate([[0], np.cumsum(size * size)])
+        self.r0 = self.a0[-1] + np.concatenate([[0], np.cumsum((1 + w) * size)])
+        self.c0 = self.r0[-1] + np.concatenate([[0], np.cumsum(wr * size)])
+        column = np.zeros(m, dtype=int)   # where each block unknown's column starts
+        column[self.units] = self.a0[block[self.units]] + pos[self.units] * size[block[self.units]]
+        self.dest = column[cols] + pos[rows]
+        self.dest[off[ab]] = self.r0[rb[ab]] + (1 + col_slot) * size[rb[ab]] + pos[r[ab]]
+        self.dest[off[ca]] = self.c0[cb[ca]] + row_slot * size[cb[ca]] + pos[c[ca]]
+        self.dest[off[dd]] = self.c0[-1] + np.arange(np.count_nonzero(dd))
+        self.dd_rows, self.dd_cols = pos[r[dd]], pos[c[dd]]
+        r, c = np.broadcast_arrays(self.rows_of[:, :, None], self.cols_of[:, None, :])
+        self.upd = np.flatnonzero((r < nb) & (c < nb))   # where C A^-1 B reaches S
+        self.upd_rows, self.upd_cols = r.ravel()[self.upd], c.ravel()[self.upd]
+        self.fix = np.flatnonzero(self.rows_of < nb)     # where C A^-1 F reaches F
+        self.groups = np.flatnonzero(np.diff(size, prepend=-1, append=-1))   # bounds of one size
+
+    def step(self, vals, F) -> np.ndarray | None:
+        """Solve J dx = F for one case from J's values at the placement;
+        None if a block or S is singular or dx is not finite."""
+        buf = np.bincount(self.dest, weights=vals, minlength=self.c0[-1] + len(self.dd_rows))
+        nb, w, wr = len(self.border), self.cols_of.shape[1], self.rows_of.shape[1]
+        solved, CX = [], []
+        for k0, k1 in zip(self.groups[:-1], self.groups[1:]):
+            nk, b = k1 - k0, self.size[k0]
+            units = self.units[self.u0[k0] : self.u0[k1]].reshape(nk, b)
+            R = buf[self.r0[k0] : self.r0[k1]].reshape(nk, 1 + w, b)
+            R[:, 0] = F[units]
+            try:   # both operands in LAPACK's column-major order
+                X = np.linalg.solve(buf[self.a0[k0] : self.a0[k1]].reshape(nk, b, b).transpose(0, 2, 1),
+                                    R.transpose(0, 2, 1))
+            except np.linalg.LinAlgError:
+                return None
+            CX.append(buf[self.c0[k0] : self.c0[k1]].reshape(nk, wr, b) @ X)
+            solved.append((units, X, self.cols_of[k0:k1]))
+        CX = np.concatenate(CX)
+        Fb = F[self.border] - np.bincount(self.rows_of.ravel()[self.fix],
+                                          CX[..., 0].ravel()[self.fix], minlength=nb)
+        S = _place(np.concatenate([buf[self.c0[-1]:], -CX[..., 1:].ravel()[self.upd]]),
+                   np.concatenate([self.dd_rows, self.upd_rows]),
+                   np.concatenate([self.dd_cols, self.upd_cols]), (nb, nb), _dense(nb))
+        xb = _solve_linear(S, Fb)
+        if xb is None:
+            return None
+        dx = np.empty(len(F))
+        dx[self.border] = xb
+        xb = np.append(xb, 0.0)   # the padding slot
+        for units, X, cols in solved:
+            dx[units] = X[..., 0] - (X[..., 1:] @ xb[cols][..., None])[..., 0]
+        return dx if np.isfinite(dx).all() else None
+
+
+def _partition(st: _Structure) -> _Blocks | None:
+    """The replica blocks of a structure's Newton matrix.  The border is the
+    slack's component once the tap-changer branches are cut (in a combined
+    case the transmission network); each other component of the remaining
+    buses is a block (a distribution replica).  None unless there are
+    blocks and border unknowns, and every block is small enough to be
+    placed dense."""
+    adm, n = st.adm, st.adm.n
+    tap = np.zeros(len(adm.f), dtype=bool)
+    tap[st.tap_br] = True
+    comp = _island_of(n, adm.f[~tap], adm.t[~tap])
+    slack = np.ones(n, dtype=bool)
+    slack[st.pvpq] = False   # the one bus without unknowns
+    border = comp == comp[slack.argmax()]
+    # the components joined by tap changers away from the border are one block
+    tie = tap & ~(border[adm.f] | border[adm.t])
+    of = np.where(border, -1, _island_of(comp.max() + 1, comp[adm.f[tie]], comp[adm.t[tie]])[comp])
+    of = of[np.concatenate([st.pvpq, st.pq])]   # per unknown
+    size = np.bincount(of + 1)   # the border's unknowns, then each block's
+    ids = np.flatnonzero(size[1:])
+    size = size[1:][ids]
+    if not len(size) or not (of < 0).any() or not _dense(size.max()):
+        return None
+    order = np.argsort(size, kind="stable")   # by size, then by first appearance
+    number = np.full(n + 1, -1)   # the blocks by size; of = -1 reads the last
+    number[ids[order]] = np.arange(len(order))
+    _, rows, cols = st.place
+    return _Blocks(rows, cols, number[of], size[order])
+
+
+def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray, list | None]:
+    """Solve J dx = F for every case: the steps (B, m), which of them exist
+    (a singular J or a non-finite step has none), and, if J is not dense,
+    the path each took: "blocks" (:class:`_Blocks`) or "superlu"."""
+    if st.dense:
+        J = _jacobians(st.adm, st.place, V, Ibus, y, F.shape[1], True)
         try:
             dx = np.linalg.solve(J, F[..., None])[..., 0]
-            return dx, np.isfinite(dx).all(axis=1)
+            return dx, np.isfinite(dx).all(axis=1), None
         except np.linalg.LinAlgError:
             # find the singular ones; each case gets the same LAPACK call
             dx, ok = np.zeros_like(F), np.zeros(len(F), dtype=bool)
@@ -301,14 +448,19 @@ def _newton_steps(J, F) -> tuple[np.ndarray, np.ndarray]:
                 ok[k] = np.all(np.isfinite(step))
                 if ok[k]:
                     dx[k] = step
-            return dx, ok
-    steps = [_solve_linear(Jk, Fk) for Jk, Fk in zip(J, F)]
-    ok = np.array([step is not None for step in steps])
-    dx = np.zeros_like(F)
-    for k, step in enumerate(steps):
+            return dx, ok, None
+    if st.blocks is None:
+        st.blocks = _partition(st) or False
+    take, rows, cols = st.place
+    dx, ok, paths = np.zeros_like(F), np.zeros(len(F), dtype=bool), []
+    for k, (vals, Fk) in enumerate(zip(_jacobian_values(st.adm, take, V, Ibus, y), F)):
+        step = st.blocks.step(vals, Fk) if st.blocks else None
+        paths.append("superlu" if step is None else "blocks")
+        if step is None:
+            step = _solve_linear(_place(vals, rows, cols, (len(Fk), len(Fk)), False), Fk)
         if step is not None:
-            dx[k] = step.ravel()
-    return dx, ok
+            dx[k], ok[k] = step, True
+    return dx, ok, paths
 
 
 def _currents(Y, V) -> np.ndarray:
@@ -356,6 +508,7 @@ class _Structure:
     dense: bool
     chunk: int               # cases solved together, at most
     place: tuple | None = None
+    blocks: _Blocks | bool | None = None   # False: the matrix has no replica blocks
 
 
 def _structure(cases: list[NetworkCase]) -> _Structure:
@@ -433,6 +586,7 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
     F = _mismatch(V, Ibus, Sbus, pvpq, pq)
     iterations = np.zeros(B, dtype=int)
     singular = np.zeros(B, dtype=bool)
+    paths: list[list[str]] = [[] for _ in range(B)]
 
     # the unconverged cases: row j of the working arrays (w*) is case act[j]
     act = np.flatnonzero(~(_worst(F) < opts.tolerance))
@@ -446,7 +600,10 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
             wY = Y[act] if dense else [Y[k] for k in act]
     it = 0
     while act.size and it < opts.max_iterations:
-        dx, ok = _newton_steps(_jacobians(adm, st.place, wV, wI, wy, F.shape[1], dense), wF)
+        dx, ok, path = _newton_steps(st, wV, wI, wy, wF)
+        if not dense:
+            for k, p in zip(act.tolist(), path):
+                paths[k].append(p)
         wva[:, pvpq] -= dx[:, :npvpq]
         wvm[:, pq] -= dx[:, npvpq:]
         wV = wvm * np.exp(1j * wva)
@@ -489,6 +646,7 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
             converged=bool(converged[k]), iterations=int(iterations[k]),
             max_mismatch=max_mismatch[k] if F.shape[1] else 0.0,
             mismatch_bus=case.buses.id.item(worst_pos[k]) if F.shape[1] else None,
+            steps=["dense"] * int(iterations[k]) if dense else paths[k],
         ))
     return out
 

@@ -801,7 +801,20 @@ def _worst_bus(case: NetworkCase, sol: PowerFlowSolution) -> str:
     return f"TN bus {bus.id}"
 
 
+def _replica_voltages(combined: NetworkCase, instances: list[DnInstance]) -> list[np.ndarray]:
+    """Each replica's non-boundary bus voltages in the combined case, which
+    :func:`assemble` appends after the TN's buses, replica by replica."""
+    counts = [len(inst.case.buses) - 1 for inst in instances]
+    v = combined.buses.v_mag[len(combined.buses) - sum(counts):]
+    return np.split(v, np.cumsum(counts)[:-1]) if instances else []
+
+
 def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solution) -> dict:
+    lo, hi = cfg.dn_v_limits
+    volts = _replica_voltages(combined, instances)
+    # how far each replica's worst bus lies outside the limits (negative: inside)
+    excess = [max(lo - v.min(), v.max() - hi) for v in volts]
+    worst = int(np.argmax(excess)) if instances else None
     per_instance = [
         {
             "host_bus": inst.host_tn_bus,
@@ -814,6 +827,8 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "import_mismatch": inst.import_mismatch,
             "constant_load_mismatch": inst.constant_load_mismatch,
             "regulation_settled": inst.regulation.settled,
+            "combined_v_min": float(v.min()),
+            "combined_v_max": float(v.max()),
             "solve_counts": {
                 "constant_load": (asdict(inst.constant_load_counts)
                                   if inst.constant_load_counts is not None else None),
@@ -824,7 +839,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
                             if inst.constant_load_counts is None else None),
             },
         }
-        for inst in instances
+        for inst, v in zip(instances, volts)
     ]
     cfg_dict = asdict(cfg)
     cfg_dict["dn_v_limits"] = list(cfg.dn_v_limits)
@@ -850,6 +865,10 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "oltcs": len(combined.oltcs),
             "regulation_rounds": regulation.rounds,
             "regulation_settled": regulation.settled,
+            "replica_buses_outside_v_limits": sum(
+                int(np.count_nonzero((v < lo) | (v > hi))) for v in volts),
+            "worst_replica": None if worst is None else {
+                "host_bus": instances[worst].host_tn_bus, "copy": instances[worst].copy_index},
         },
     }
     if opf_solution is not None:

@@ -56,7 +56,7 @@ def radial_oltc_case(source_v=1.0, load_p=0.3, load_q=0.1) -> NetworkCase:
     case.oltcs.append(
         OltcTransformer(branch_ref=0, controlled_bus=2, v_set=1.03, deadband=0.02)
     )
-    case.oltcs[0].sync_branch(case)
+    case.sync_ratios()
     return case
 
 

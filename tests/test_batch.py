@@ -51,7 +51,7 @@ def _feeder_copy(base, load_scale: float, dg_share: float, tap: int, source_v: f
     for g in dgs:
         g.p = dg_share * total_load(case)[0] / len(dgs)
     case.oltcs[0].tap = tap
-    case.oltcs[0].sync_branch(case)
+    case.sync_ratios()
     return case
 
 
@@ -93,7 +93,7 @@ def test_batch_rejects_cases_of_another_structure():
         solve_batch([DN.clone(), other])
     moved = DN.clone()
     moved.oltcs[0].tap = 3
-    moved.oltcs[0].sync_branch(moved)
+    moved.sync_ratios()
     assert len(solve_batch([DN.clone(), moved])) == 2   # a tap position may differ
 
 

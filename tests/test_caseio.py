@@ -224,7 +224,7 @@ def test_oltc_tap_emits_synced_ratio():
     case.oltcs.append(
         OltcTransformer(branch_ref=0, controlled_bus=2, tap=3, tap_step=0.01)
     )
-    case.oltcs[0].sync_branch(case)
+    case.sync_ratios()
     doc, annotations = from_network(case)
     assert doc.matrices["branch"][0][caseio.TAP] == pytest.approx(1.03)
     assert annotations[0].tap == 3

@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from tdsynth.powerflow import SingularJacobianError
 from tdsynth.synth import PipelineError, SynthesisConfig
 from tdsynth.templates import bundled_template_dir
 
-from helpers import MALFORMED_BUNDLES, write_malformed_bundle
+from helpers import MALFORMED_BUNDLES, scaled_templates, write_malformed_bundle
 
 CONF_ROOT = Path(__file__).resolve().parent.parent / "configs" / "default.conf"
 
@@ -213,3 +214,39 @@ def test_inspect_rejects_malformed_bundles_with_exit_code_1(dn_bundle, tmp_path,
         capsys.readouterr()
         assert main(["inspect", str(bundle)]) == 1, name
         assert "cannot load case bundle" in capsys.readouterr().err, name
+
+
+def test_summary_prints_replica_buses_outside_the_voltage_limits(tmp_path, capsys):
+    conf = _write(tmp_path, "oltc_v_set = 0.98\npenetration_level = 0.0\n")
+    assert main(["generate", str(conf), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    manifest = json.loads(next((tmp_path / "out").iterdir()).joinpath("manifest.json").read_text())
+    count = manifest["combined"]["replica_buses_outside_v_limits"]
+    assert count > 0
+    assert f"replica buses outside dn_v_limits: {count}\n" in out
+
+
+def test_inspect_profile_accounts_for_the_wall_time(tmp_path, capsys):
+    from tdsynth import apply_solution, load_case_dir, save_case_dir
+    from tdsynth.synth import assemble, generate
+
+    # an assembled, unsolved 200x combined case: the profile's own writing
+    # is noise next to its inspect
+    templates = scaled_templates(tmp_path, 200)
+    result = generate(templates / "mini-tn", templates / "mini-dn",
+                      SynthesisConfig(constant_load=True))
+    tn = load_case_dir(templates / "mini-tn")
+    apply_solution(tn, result.tn_solution)
+    bundle = tmp_path / "bundle"
+    save_case_dir(assemble(tn, result.instances), bundle)
+    files = sorted(p.name for p in bundle.iterdir())
+    profile = tmp_path / "profile.json"
+    start = time.perf_counter()
+    assert main(["inspect", str(bundle), "--profile", str(profile)]) == 0
+    wall = time.perf_counter() - start
+    data = json.loads(profile.read_text())
+    assert list(data["stages_s"]) == ["args", "load", "validate", "regulate", "print"]
+    assert abs(sum(data["stages_s"].values()) - wall) <= 0.05 * wall
+    assert data["nr_iterations"] == len(data["linear_solves"]) > 0
+    assert set(data["linear_solves"]) == {"blocks"}
+    assert sorted(p.name for p in bundle.iterdir()) == files   # the bundle is untouched

@@ -33,6 +33,8 @@ def test_large_lu_fill_does_not_hang_on_last_bits(tmp_path, monkeypatch):
         return real(A, b)
 
     monkeypatch.setattr(powerflow, "_solve_linear", keep)
+    # the combined case solves by replica blocks; no blocks: the whole Jacobian to SuperLU
+    monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", 0)
     solve(case)
     J = jacobians[0]
     assert not isinstance(J, np.ndarray)

@@ -102,7 +102,7 @@ def test_validate_oltc_ratio_out_of_sync():
     case.oltcs.append(OltcTransformer(branch_ref=0, controlled_bus=2, tap=3))
     report = validate(case)
     assert any("out of sync" in e for e in report.entries)
-    case.oltcs[0].sync_branch(case)
+    case.sync_ratios()
     assert validate(case).ok
     case.oltcs[0].deadband = float("nan")
     case.oltcs[0].v_set = float("inf")

@@ -213,7 +213,7 @@ def test_relaxation_round_cap_ends_with_a_final_bound_solve(tmp_path):
     # the round cap ends the loop
     case = three_bus_opf_case()
     case.oltcs.append(OltcTransformer(branch_ref=1, controlled_bus=3, v_set=0.5))
-    case.oltcs[0].sync_branch(case)
+    case.sync_ratios()
     problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
     schedule = RelaxationSchedule(rounds=3, v_slack=0.05)
     sol = solve_with_relaxation(problem, schedule, trace_path=tmp_path / "trace.csv")
@@ -381,7 +381,7 @@ def test_model_refreshed_after_tap_moves_equals_a_fresh_one(run_pipeline):
     model = _OpfModel(problem)
     for t, step in zip(case.oltcs, (2, -1, 0)):
         t.tap += step
-        t.sync_branch(case)
+    case.sync_ratios()
     model.retap(case)
     fresh = _OpfModel(problem)
     assert vars(model).keys() == vars(fresh).keys()

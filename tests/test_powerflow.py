@@ -242,3 +242,109 @@ def test_dense_and_sparse_kernels_agree_on_random_cases(monkeypatch):
         out_flows += [sol.p_from[-1], sol.q_from[-1], sol.p_to[-1], sol.q_to[-1]]
     assert BusKind.PV in kinds and {(True, False), (False, True)} <= taps
     assert not any(out_flows)
+
+
+@pytest.fixture(scope="module")
+def combined_cases(tmp_path_factory):
+    """The 10x and 50x combined cases (239 and 1,141 buses), in the state
+    the combined solve starts from."""
+    from tdsynth.synth import SynthesisConfig, assemble, generate
+    from tdsynth.templates import load_bundle
+
+    from helpers import scaled_templates
+
+    cases = {}
+    for k in (10, 50):
+        templates = scaled_templates(tmp_path_factory.mktemp(f"templates-{k}x"), k)
+        result = generate(templates / "mini-tn", templates / "mini-dn",
+                          SynthesisConfig(constant_load=True))
+        tn = load_bundle(templates / "mini-tn").case
+        apply_solution(tn, result.tn_solution)
+        cases[k] = assemble(tn, result.instances)
+    assert {k: len(c.buses) for k, c in cases.items()} == {10: 239, 50: 1141}
+    return cases
+
+
+@pytest.mark.parametrize("k", [10, 50])
+def test_replica_blocks_agree_with_superlu(combined_cases, monkeypatch, k):
+    for case in (combined_cases[k], _flat(combined_cases[k])):
+        sol = _assert_kernels_agree(case, monkeypatch)
+        assert sol.converged and sol.iterations > 0
+        assert sol.steps == ["blocks"] * sol.iterations
+
+
+def _loads_scaled(case, factor):
+    case = case.clone()
+    case.buses.p_load *= factor
+    case.buses.q_load *= factor
+    return case
+
+
+def test_replica_block_batch_items_equal_one_item_runs(combined_cases):
+    cases = [_loads_scaled(combined_cases[10], f) for f in (1.0, 0.8, 1.1)]
+    batch = powerflow.solve_batch(cases)
+    for case, sol in zip(cases, batch):
+        alone = solve(case)
+        assert sol.steps == alone.steps == ["blocks"] * alone.iterations
+        for name in ("v_mag", "v_ang", "p_from", "q_to"):
+            assert np.array_equal(getattr(sol, name), getattr(alone, name))
+
+
+def test_blocks_larger_than_the_dense_bound_fall_back_to_superlu(combined_cases, monkeypatch):
+    case = combined_cases[10]
+    blocks = solve(case)
+    solutions = []
+    for dense_max in (21, 0):   # below the 22-row replica block, then no dense at all
+        monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
+        solutions.append(solve(case))
+    for sol in solutions:
+        assert sol.steps == ["superlu"] * sol.iterations
+        assert sol.iterations == blocks.iterations
+        assert np.array_equal(sol.v_mag, solutions[1].v_mag)
+        assert np.array_equal(sol.v_ang, solutions[1].v_ang)
+        assert np.max(np.abs(sol.v_mag - blocks.v_mag)) <= 1e-12
+
+
+def test_floating_replica_bus_is_singular_on_both_paths(combined_cases, monkeypatch):
+    case = combined_cases[10].clone()
+    br = case.branches
+    ends = np.concatenate([br.from_bus, br.to_bus])
+    ids, degree = np.unique(ends, return_counts=True)
+    leaves = set(ids[degree == 1].tolist())
+    k = next(i for i, t in enumerate(br.to_bus.tolist())
+             if t in leaves and case.bus(t).name.startswith("dn:"))
+    # an antiparallel twin cancels the leaf's only branch exactly
+    case.branches.append(Branch(from_bus=br.from_bus.item(k), to_bus=br.to_bus.item(k),
+                                r=-br.r.item(k), x=-br.x.item(k),
+                                b_charging=-br.b_charging.item(k)))
+    for dense_max in (powerflow.DENSE_MAX_ROWS, 0):   # replica blocks, then SuperLU
+        monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
+        with pytest.raises(SingularJacobianError):
+            solve(case)
+
+
+def test_replica_blocks_ignore_bus_order_and_ids(combined_cases):
+    case = combined_cases[10]
+    rng = np.random.default_rng(3)
+    moved = case.clone()
+    moved.buses = [case.buses[i] for i in rng.permutation(len(case.buses)).tolist()]
+    old = case.buses.id
+    new = 10_000 + rng.permutation(len(old))
+    rename = dict(zip(old.tolist(), new.tolist()))
+
+    def renamed(ids):
+        return np.array([rename[i] for i in ids.tolist()], dtype=ids.dtype)
+
+    moved.buses.id = renamed(moved.buses.id)
+    moved.buses.name = [f"bus {i}" for i in moved.buses.id.tolist()]
+    moved.branches.from_bus = renamed(moved.branches.from_bus)
+    moved.branches.to_bus = renamed(moved.branches.to_bus)
+    moved.generators.bus_id = renamed(moved.generators.bus_id)
+    moved.oltcs.controlled_bus = renamed(moved.oltcs.controlled_bus)
+
+    sol, other = solve(case), solve(moved)
+    assert other.steps == ["blocks"] * other.iterations
+    at = moved.bus_index()
+    pos = [at[rename[i]] for i in old.tolist()]
+    V = sol.v_mag * np.exp(1j * sol.v_ang)
+    assert np.max(np.abs(other.v_mag[pos] * np.exp(1j * other.v_ang[pos]) - V)) <= 1e-12

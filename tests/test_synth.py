@@ -477,3 +477,30 @@ def test_customize_raises_what_the_first_failing_replica_raises(dn_bundle):
     assert str(err.value) == str(outcomes[failing[0]])
     with pytest.raises(SynthesisError, match="^host bus 7: power flow diverged"):
         customize(dn_bundle.case, cfg, [diverging, host(range(8))])
+
+
+def test_manifest_reports_replica_voltages_against_the_limits():
+    from tdsynth.templates import bundled_template_dir
+
+    templates = bundled_template_dir()
+    cfg = SynthesisConfig(oltc_v_set=0.98, penetration_level=0.0)
+    result = generate(templates / "mini-tn", templates / "mini-dn", cfg)
+    case, manifest = result.case, result.manifest
+    lo, hi = cfg.dn_v_limits
+    # each replica's buses by their assembled names, voltages as solved
+    volts: dict[tuple[int, int], list[float]] = {}
+    for name, v in zip(case.buses.name, case.buses.v_mag.tolist()):
+        if name.startswith("dn:"):
+            host, copy = map(int, name.split(":")[1:3])
+            volts.setdefault((host, copy), []).append(v)
+    assert [(m["host_bus"], m["copy"]) for m in manifest["instances"]] == list(volts)
+    for m in manifest["instances"]:
+        v = volts[m["host_bus"], m["copy"]]
+        assert (m["combined_v_min"], m["combined_v_max"]) == (min(v), max(v))
+    outside = sum(v < lo or v > hi for vs in volts.values() for v in vs)
+    combined = manifest["combined"]
+    assert combined["replica_buses_outside_v_limits"] == outside > 0
+    lowest = min(min(vs) for vs in volts.values())
+    assert lowest == pytest.approx(0.9425, abs=5e-5)   # below dn_v_min = 0.95
+    worst = combined["worst_replica"]
+    assert min(volts[worst["host_bus"], worst["copy"]]) == pytest.approx(lowest, abs=1e-12)
