@@ -348,3 +348,27 @@ def test_replica_blocks_ignore_bus_order_and_ids(combined_cases):
     pos = [at[rename[i]] for i in old.tolist()]
     V = sol.v_mag * np.exp(1j * sol.v_ang)
     assert np.max(np.abs(other.v_mag[pos] * np.exp(1j * other.v_ang[pos]) - V)) <= 1e-12
+
+
+def test_replica_blocks_of_two_sizes_and_narrow_couplings(combined_cases, monkeypatch):
+    """Blocks of 22 and 24 rows, replicas hanging off a PV host (one
+    coupling column and row) and off the slack (none): the padded slots."""
+    case = _flat(combined_cases[10])
+    refs = case.oltcs.branch_ref
+    leaf = next(b for b in case.buses if b.name.startswith("dn:"))
+    extra = int(case.buses.id.max()) + 1
+    case.buses.append(Bus(id=extra, p_load=0.001, q_load=0.0005, base_kv=leaf.base_kv))
+    case.branches.append(Branch(from_bus=leaf.id, to_bus=extra, r=0.01, x=0.01))
+    host = case.bus(case.branches.from_bus.item(refs[0]))
+    host.kind = BusKind.PV
+    case.generators.append(Generator(bus_id=host.id, v_set=1.0, p_min=-5, p_max=5,
+                                     q_min=-5, q_max=5))
+    case.branches.from_bus[refs[-1]] = case.slack_buses()[0].id
+
+    st = powerflow._structure([case])
+    st.place = powerflow._placement(st.adm, st.pvpq, st.pq)
+    blocks = powerflow._partition(st)
+    assert sorted(set(blocks.size.tolist())) == [22, 24]
+    assert (blocks.cols_of == len(blocks.border)).any() and (blocks.rows_of == len(blocks.border)).any()
+    sol = _assert_kernels_agree(case, monkeypatch)
+    assert sol.converged and sol.steps == ["blocks"] * sol.iterations
