@@ -6,8 +6,10 @@ repeated run with the same config and seed lands on byte-identical files.
 ``tdsynth inspect <dir>`` loads a previously written bundle and prints its
 health: validation findings, solved voltage range, total load, penetration
 and the boundary transfers.  ``--profile PATH`` also writes, as JSON at
-PATH, the wall time of each inspect stage, the NR iteration count and the
-linear-solve path of every Newton step.
+PATH and outside the bundle, the wall time of each stage and the solver's
+work: for inspect the NR iteration count and the linear-solve path of every
+Newton step, for generate per stage the batched kernel calls, case solves,
+NR iterations and tap rounds.
 
 Exit codes: 0 success, 1 pipeline failure (message carries the stage tag),
 2 configuration problem (message names the field).
@@ -19,13 +21,14 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
 from . import caseio
 from .netmodel import IS_DG, penetration_level, total_load, validate
 from .oltc import RegulationError, regulate
-from .powerflow import PowerFlowError
+from .powerflow import Meter, PowerFlowError
 from .synth import (
     GenerateResult,
     PipelineError,
@@ -163,13 +166,16 @@ def _cmd_generate(args) -> int:
     templates = Path(args.templates) if args.templates else bundled_template_dir()
     out_root = Path(args.out)
     run_dir = out_root / config_digest(cfg)
+    meter = Meter()
+    meter.mark("args")
     try:
-        result = generate(
-            templates / "mini-tn",
-            templates / "mini-dn",
-            cfg,
-            out_dir=run_dir,
-        )
+        with meter.active() if args.profile else nullcontext():
+            result = generate(
+                templates / "mini-tn",
+                templates / "mini-dn",
+                cfg,
+                out_dir=run_dir,
+            )
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -179,7 +185,33 @@ def _cmd_generate(args) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     _print_summary(summary, run_dir)
+    if args.profile:
+        meter.mark("summary")
+        profile = _generate_profile(args.started, meter)
+        Path(args.profile).write_text(json.dumps(profile, indent=2) + "\n")
     return 0
+
+
+# the stages of a generate profile; a stage's time runs from the end of the
+# one before, so the work between two stages counts to the later one
+GENERATE_STAGES = ("args", "load-tn", "tn-solve", "select-loads", "load-dn", "capacity",
+                   "customize", "assemble", "combined-solve", "opf", "export", "summary")
+_COUNTERS = ("batches", "solves", "iterations", "tap_rounds")
+
+
+def _generate_profile(started: float, meter: Meter) -> dict:
+    """Each stage's wall time and solver work from the meter's marks; a
+    stage that did not run (``opf`` unless configured) reads 0."""
+    stages_s = dict.fromkeys(GENERATE_STAGES, 0.0)
+    counts = {name: dict.fromkeys(_COUNTERS, 0) for name in GENERATE_STAGES}
+    t0, c0 = started, dict.fromkeys(_COUNTERS, 0)
+    for name, t, c in meter.marks:
+        stages_s[name] = t - t0
+        counts[name] = {k: c[k] - c0[k] for k in _COUNTERS}
+        t0, c0 = t, c
+    return {"stages_s": stages_s, "stage_counts": counts,
+            "nr_iterations": meter.iterations, "solves": meter.solves,
+            "batches": meter.batches, "tap_rounds": meter.tap_rounds}
 
 
 def _cmd_inspect(args) -> int:
@@ -251,6 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     gen.add_argument("--templates", help="directory with mini-tn/ and mini-dn/ bundles")
     gen.add_argument("--out", default="output", help="output root (default: ./output)")
     gen.add_argument("--seed", type=int, help="override rng_seed from the config")
+    gen.add_argument("--profile", metavar="PATH",
+                     help="write stage times and solver counters as JSON to PATH")
     gen.set_defaults(func=_cmd_generate)
 
     ins = sub.add_parser("inspect", help="load a case bundle and print its state")

@@ -21,6 +21,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
@@ -277,6 +278,83 @@ class NetworkCase:
         new.__dict__.update(base_mva=self.base_mva,
                             **{name: getattr(self, name).copy() for name in _TABLES})
         return new
+
+
+# the columns a stack holds per copy: what the copies of one feeder may differ in
+STACKED = {"buses": ("p_load", "q_load", "v_mag", "v_ang"), "generators": ("p", "q", "v_set"),
+           "branches": ("ratio",),
+           "oltcs": ("v_set", "deadband", "tap", "tap_min", "tap_max", "tap_step")}
+
+
+class CaseStack:
+    """B copies of one case as one table, such as the probes of a capacity
+    search or the replicas of a feeder: ``template`` holds what the copies
+    share, and each column of ``STACKED`` is one (B, rows) array, a row per
+    copy, under its table's name (``stack.buses.p_load``).  The power flow
+    and the tap changers read and write these arrays; a copy becomes a
+    :class:`NetworkCase` only when asked (:meth:`cases`)."""
+
+    def __init__(self, template: NetworkCase, columns: dict[str, dict[str, np.ndarray]]):
+        self.template = template
+        for name, cols in columns.items():
+            setattr(self, name, SimpleNamespace(**cols))
+
+    @classmethod
+    def of(cls, cases: list[NetworkCase]) -> "CaseStack":
+        """The stack of ``cases``, which share a structure; the first is the template."""
+        return cls(cases[0], {name: {f: np.array([getattr(getattr(c, name), f) for c in cases])
+                                     for f in fields} for name, fields in STACKED.items()})
+
+    def __len__(self) -> int:
+        return len(self.buses.p_load)
+
+    def _columns(self):
+        return ((name, f, getattr(getattr(self, name), f)) for name, fields in STACKED.items()
+                for f in fields)
+
+    def take(self, rows) -> "CaseStack":
+        """A new stack of the copies ``rows`` (repeats make new copies)."""
+        columns: dict[str, dict] = {name: {} for name in STACKED}
+        for name, f, a in self._columns():
+            columns[name][f] = a[rows]
+        return CaseStack(self.template, columns)
+
+    def put(self, rows, other: "CaseStack") -> None:
+        """Write ``other``'s copies over the copies ``rows``."""
+        for (_, _, a), (_, _, b) in zip(self._columns(), other._columns()):
+            a[rows] = b
+
+    def write(self, cases: list[NetworkCase], columns: dict[str, tuple[str, ...]]) -> None:
+        """Write the ``columns`` (table -> fields) of each copy onto its case."""
+        for name, fields in columns.items():
+            for f in fields:
+                for case, row in zip(cases, getattr(getattr(self, name), f)):
+                    getattr(getattr(case, name), f)[:] = row
+
+    def cases(self) -> list[NetworkCase]:
+        """One independent case per copy: the template's other columns
+        repeated, each copy's own columns copied out of the stack."""
+        B = len(self)
+        tables = {}
+        for name, cls in _TABLES.items():
+            own = vars(getattr(self, name))
+            columns = {f: [list(c) for _ in range(B)] if isinstance(c, list)
+                       else own[f].copy() if f in own else np.repeat(c[None], B, axis=0)
+                       for f, c in vars(getattr(self.template, name)).items()}
+            tables[name] = [_table(cls, dict(zip(columns, row))) for row in zip(*columns.values())]
+        out = []
+        for buses, generators, branches, oltcs in zip(*tables.values()):
+            case = object.__new__(NetworkCase)
+            case.__dict__.update(base_mva=self.template.base_mva, buses=buses,
+                                 generators=generators, branches=branches, oltcs=oltcs)
+            out.append(case)
+        return out
+
+
+def _table(cls, columns: dict) -> _Table:
+    new = object.__new__(cls)
+    new.__dict__.update(columns)
+    return new
 
 
 def _lookup(keys: np.ndarray, wanted) -> tuple[np.ndarray, np.ndarray]:

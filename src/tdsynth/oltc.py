@@ -4,26 +4,27 @@ A tap moves by at most one position per round.  All transformers of a case
 are updated simultaneously from the same solved voltage profile (Jacobi
 style), which keeps the result independent of transformer ordering.
 
-:func:`regulate_batch` regulates cases of one structure (the power flow's
-batch, :func:`powerflow.solve_batch`) together: each round solves the cases
-whose taps moved as one batch, and each case keeps its own
-:class:`TapStepper`, so one tap rule decides every case, and a case's result
-does not depend on the batch around it.  :func:`regulate` is the one-item
-call.
+:func:`_regulate` regulates the copies of a stacked table (the power
+flow's batch, :class:`netmodel.CaseStack`) together: each round solves the
+copies whose taps moved as one batch, and one :class:`TapStepper` moves
+every copy's (B, taps) positions in place and hands their ratios to the
+next solve, so one tap rule decides every copy, and a copy's result does
+not depend on the batch around it.  :func:`regulate_batch` is the API
+edge: it stacks a list of cases and writes the result back onto them once
+at the end; :func:`regulate` is its one-case call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import powerflow
-from .netmodel import NetworkCase, OltcTransformer, _find
+from .netmodel import CaseStack, NetworkCase, OltcTransformer, _find
 # ``solve`` is bound here too: perfbench/selftest.py checks that the tracer
 # rebinds it in this module
-from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve  # noqa: F401
+from .powerflow import PowerFlowSolution, SolverOptions, solve  # noqa: F401
 
 
 class RegulationError(RuntimeError):
@@ -72,22 +73,19 @@ class TapStepper:
     for the rest of the run the moment its proposed step reverses the last
     step it took (anti-cycling)."""
 
-    def __init__(self, cases: list[NetworkCase]):
-        self.cases = cases
-        self.oltcs = SimpleNamespace(**{   # the tap rule's columns, stacked
-            f: np.array([getattr(c.oltcs, f) for c in cases])
-            for f in ("v_set", "deadband", "tap", "tap_min", "tap_max", "tap_step")})
-        self.frozen = np.zeros(self.oltcs.tap.shape, dtype=bool)
-        self._last = np.zeros(self.oltcs.tap.shape, dtype=int)
-        # the controlled buses' positions; the cases share their bus ids
-        self.at = _find(cases[0].buses.id, np.array([c.oltcs.controlled_bus for c in cases]))
-        self._row = np.arange(len(cases))[:, None]
+    def __init__(self, oltcs, at: np.ndarray):
+        """``oltcs``: the tap rule's columns as (B, transformers) arrays, a
+        :class:`CaseStack`'s ``oltcs``, whose taps :meth:`apply` moves in
+        place; ``at``: each transformer's controlled bus position."""
+        self.oltcs, self.at = oltcs, at
+        self.frozen = np.zeros(oltcs.tap.shape, dtype=bool)
+        self._last = np.zeros(oltcs.tap.shape, dtype=int)
 
     def propose(self, v_mag: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """One delta (-1, 0 or +1) per transformer from each case's solved
         voltage profile (a row of ``v_mag``); a reversal freezes its
         transformer and proposes 0, and so does every case not ``live``."""
-        deltas = tap_update(self.oltcs, v_mag[self._row, self.at])
+        deltas = tap_update(self.oltcs, v_mag[:, self.at])
         deltas[self.frozen] = 0
         if live is not None:
             deltas[~live] = 0
@@ -96,16 +94,87 @@ class TapStepper:
         deltas[reverse] = 0
         return deltas
 
-    def apply(self, deltas: np.ndarray) -> None:
-        """Move every tap by its delta and refresh its branch ratio."""
+    def apply(self, deltas: np.ndarray) -> np.ndarray:
+        """Move every tap by its delta; returns every tap's ratio."""
         t = self.oltcs
         t.tap += deltas
         self._last = np.where(deltas != 0, deltas, self._last)
-        ratio = 1.0 + t.tap * t.tap_step
-        for k in deltas.any(axis=1).nonzero()[0].tolist():
-            case = self.cases[k]
-            case.oltcs.tap[:] = t.tap[k]
-            case.branches.ratio[case.oltcs.branch_ref] = ratio[k]
+        return 1.0 + t.tap * t.tap_step
+
+
+def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, max_rounds: int):
+    """:func:`regulate_batch` of the copies of a stack, which it moves in
+    place: taps, branch ratios, voltages and generator outputs, these last
+    two from each copy's last convergent solve.  Returns per copy that
+    solve, as (:class:`powerflow._Solved`, row) or None, and its report or
+    its error."""
+    B, t = len(stack), stack.oltcs
+    ref = stack.template.oltcs.branch_ref
+    stack.branches.ratio[:, ref] = 1.0 + t.tap * t.tap_step
+    stepper = TapStepper(t, _find(st.ids, stack.template.oltcs.controlled_bus))
+    solves, iterations, rounds = (np.zeros(B, dtype=int) for _ in range(3))
+    paths: list[list[str]] = [[] for _ in range(B)]   # of a matrix not placed dense
+    traces: list[list[list[int]]] = [[] for _ in range(B)]
+    errors: list[Exception | None] = [None] * B
+    last: list[tuple | None] = [None] * B
+    meter = powerflow._METER.get()
+
+    def settle(items: np.ndarray) -> np.ndarray:
+        """Solve the copies ``items`` as one batch; the ones still going."""
+        sol = powerflow._solve(st, stack, items, opts)
+        solves[items] += 1
+        iterations[items] += np.where(sol.singular, 0, sol.iterations)
+        if not st.dense:
+            for k, p, singular in zip(items.tolist(), sol.paths, sol.singular.tolist()):
+                paths[k] += [] if singular else p
+        ok = sol.converged & ~sol.singular
+        for j in np.flatnonzero(~ok).tolist():
+            k = items[j]
+            errors[k] = sol.solution(j, st) if sol.singular[j] else RegulationError(
+                "power flow diverged before any tap adjustment" if last[k] is None
+                else f"power flow diverged in regulation round {rounds[k]}",
+                None if last[k] is None else last[k][0].solution(last[k][1], st))
+        good = np.flatnonzero(ok)
+        powerflow._store(st, stack, items[good], sol, good)
+        for j, k in zip(good.tolist(), items[good].tolist()):
+            last[k] = sol, j
+        return items[good]
+
+    active = settle(np.arange(B))
+    for _ in range(max_rounds):
+        if not active.size:
+            break
+        live = np.zeros(B, dtype=bool)
+        live[active] = True
+        deltas = stepper.propose(stack.buses.v_mag, live)
+        moved = np.flatnonzero(deltas.any(axis=1))
+        if not moved.size:
+            break
+        stack.branches.ratio[:, ref] = stepper.apply(deltas)
+        rounds[moved] += 1
+        if meter is not None:
+            meter.tap_rounds += len(moved)
+        for k, taps in zip(moved.tolist(), t.tap[moved].tolist()):
+            traces[k].append(taps)
+        active = settle(moved)
+
+    v = stack.buses.v_mag[:, stepper.at]
+    in_band = (np.abs(v - t.v_set) <= t.deadband / 2).tolist()
+    saturated = ((t.tap == t.tap_min) | (t.tap == t.tap_max)).tolist()
+    frozen, taps = stepper.frozen.tolist(), t.tap.tolist()
+    out: list[RegulationReport | Exception] = []
+    for k in range(B):
+        out.append(errors[k] if errors[k] is not None else RegulationReport(
+            rounds=int(rounds[k]), solves=int(solves[k]), iterations=int(iterations[k]),
+            steps=["dense"] * int(iterations[k]) if st.dense else paths[k],
+            final_taps=taps[k], frozen=frozen[k],
+            saturated=saturated[k], in_band=in_band[k], tap_trace=traces[k]))
+    return last, out
+
+
+# what a regulation moves, written back onto the cases of :func:`regulate_batch`
+_MOVED = {"buses": ("v_mag", "v_ang"), "generators": ("p", "q"), "branches": ("ratio",),
+          "oltcs": ("tap",)}
 
 
 def regulate_batch(
@@ -127,69 +196,12 @@ def regulate_batch(
     """
     if not cases:
         return []
-    opts = opts or SolverOptions()
-    for case in cases:
-        case.sync_ratios()
-    structure = powerflow._structure(cases)
-    reports = [RegulationReport() for _ in cases]
-    sols: list[PowerFlowSolution | None] = [None] * len(cases)
-    errors: list[Exception | None] = [None] * len(cases)
-
-    def settle(items: list[int]) -> list[int]:
-        """Solve the cases ``items`` as one batch; the ones still going."""
-        results = powerflow._solve(structure, [cases[k] for k in items], opts)
-        going = []
-        for k, res in zip(items, results):
-            report = reports[k]
-            report.solves += 1
-            if isinstance(res, Exception):
-                errors[k] = res
-                continue
-            report.iterations += res.iterations
-            report.steps += res.steps
-            if not res.converged:
-                last = sols[k]
-                errors[k] = RegulationError(
-                    "power flow diverged before any tap adjustment" if last is None
-                    else f"power flow diverged in regulation round {report.rounds}", last)
-                continue
-            sols[k] = res
-            apply_solution(cases[k], res)
-            going.append(k)
-        return going
-
-    active = settle(list(range(len(cases))))
-    stepper = TapStepper(cases)
-    for _ in range(max_rounds):
-        if not active:
-            break
-        live = np.zeros(len(cases), dtype=bool)
-        live[active] = True
-        v_mag = np.zeros((len(cases), structure.adm.n))
-        v_mag[active] = [sols[k].v_mag for k in active]
-        deltas = stepper.propose(v_mag, live)
-        moved = np.flatnonzero(deltas.any(axis=1)).tolist()
-        if not moved:
-            break
-        stepper.apply(deltas)
-        for k in moved:
-            reports[k].rounds += 1
-            reports[k].tap_trace.append(cases[k].oltcs.tap.tolist())
-        active = settle(moved)
-
-    out: list[tuple[PowerFlowSolution, RegulationReport] | Exception] = []
-    for k, (case, sol, report, error) in enumerate(zip(cases, sols, reports, errors)):
-        if error is not None:
-            out.append(error)
-            continue
-        t = case.oltcs
-        report.final_taps = t.tap.tolist()
-        report.frozen = stepper.frozen[k].tolist()
-        report.saturated = ((t.tap == t.tap_min) | (t.tap == t.tap_max)).tolist()
-        v = sol.v_mag[stepper.at[k]]
-        report.in_band = (np.abs(v - t.v_set) <= t.deadband / 2).tolist()
-        out.append((sol, report))
-    return out
+    st = powerflow._structure(cases)
+    stack = CaseStack.of(cases)
+    last, results = _regulate(st, stack, opts or SolverOptions(), max_rounds)
+    stack.write(cases, _MOVED)
+    return [r if isinstance(r, Exception) else (last[k][0].solution(last[k][1], st), r)
+            for k, r in enumerate(results)]
 
 
 def regulate(

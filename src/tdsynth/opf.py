@@ -36,11 +36,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import powerflow
-from .netmodel import GEN_CODES, SLACK, GenKind, NetworkCase, _find
+from .netmodel import GEN_CODES, SLACK, STACKED, GenKind, NetworkCase, _find
 from .oltc import TapStepper
 
 
@@ -619,7 +620,9 @@ def solve_with_relaxation(
         dispatchable=problem.dispatchable,
     )
 
-    stepper = TapStepper([work])
+    # the tap rule's columns as one-row views of the case's: steps move its taps
+    rule = SimpleNamespace(**{f: getattr(work.oltcs, f)[None] for f in STACKED["oltcs"]})
+    stepper = TapStepper(rule, _find(work.buses.id, work.oltcs.controlled_bus))
     model = _OpfModel(sub)
     trace: list[dict] = []
     warm, duals = None, None
@@ -667,6 +670,7 @@ def solve_with_relaxation(
             break
         stepper.apply(deltas)
         if moved:
+            work.sync_ratios()
             model.retap(work)
 
     t = work.oltcs

@@ -1,17 +1,20 @@
 """Full Newton-Raphson AC power flow in polar coordinates, over a batch.
 
-The kernel (:func:`solve_batch`) solves a list of cases of one structure:
-the same buses and bus kinds, branches, generator buses and tap changers.
-The cases, typically the copies of one distribution feeder, may differ only
-in loads, generator outputs, tap positions and stored voltages.  The
-structure is checked and indexed once per call.  Each case becomes one row
-of (B, n) voltage and injection arrays; its tap branches get their own
-admittances.  Every Newton step works on all unconverged rows at once, and
-a row that converges is masked out and never updated again.  A row's numbers
-do not depend on the batch around it: it passes through the same
-elementwise operations and the same LAPACK call whatever the batch size and
-its position (a large batch is cut into chunks for that, see
-``_ELIDE_BYTES``).  :func:`solve` is the one-item call.
+The kernel (:func:`_solve`) solves the rows of a stacked table
+(:class:`netmodel.CaseStack`): copies of one structure, the same buses and
+bus kinds, branches, generators and tap changers, checked and indexed once
+(:class:`_Structure`, which keeps its Jacobian placement and replica
+blocks).  The copies, typically of one distribution feeder, differ only in
+the stack's (B, ...) columns: loads, generator outputs and setpoints,
+branch ratios and stored voltages.  Every Newton step works on all
+unconverged rows at once, and a row that converges is masked out and never
+updated again; :func:`_store` writes the solved rows back into the stack.
+A row's numbers do not depend on the batch around it: it passes through the
+same elementwise operations and the same LAPACK call whatever the batch
+size and its position (a large batch is cut into chunks for that, see
+``_ELIDE_BYTES``).  :func:`solve_batch` is the API edge: it checks and
+stacks a list of cases and returns a :class:`PowerFlowSolution` per case;
+:func:`solve` is its one-case call.
 
 Every placement shares one Ybus and one Jacobian evaluation: the admittance
 terms are added up once per Ybus entry (:class:`_Admittance`), and each
@@ -40,6 +43,9 @@ R/X ratios defeat the fast-decoupled shortcuts.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +53,8 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .netmodel import PQ, PV, SLACK, NetworkCase, _find, _island_of, _lookup, islands
+from .netmodel import (PQ, PV, SLACK, CaseStack, NetworkCase, _edges, _find, _island_of,
+                       _lookup)
 
 # Largest matrix, in rows, that a Newton step solves dense.  Measured per
 # Newton step on random networks (2-core VM, one BLAS thread), dense costs as
@@ -161,23 +168,32 @@ class _Admittance:
         pos, self.slot = np.unique(rows * n + cols, return_inverse=True)
         self.r, self.c = np.divmod(pos, n)
         self.indptr = np.searchsorted(self.r, np.arange(n + 1))
+        # by batch size B: ``slot`` of B cases, and where B stacked NR
+        # Jacobians take their values (see :func:`_jacobians`)
+        self._slots: dict[int, np.ndarray] = {1: self.slot}
+        self._places: dict[int, np.ndarray] = {}
 
     def terms(self, ratio: np.ndarray):
         """(yff, yft, ytf, ytt) per case and branch for ratios (B, branches);
-        out-of-service branches have all four zero."""
+        out-of-service branches have all four zero.  ytt is the same for
+        every case: one row."""
         tap = ratio * self.rot
         yff = self.ytt / (tap * np.conj(tap))
-        return yff, self.neg_y / np.conj(tap), self.neg_y / tap, np.broadcast_to(self.ytt, yff.shape)
+        return yff, self.neg_y / np.conj(tap), self.neg_y / tap, self.ytt
 
     def entry_values(self, terms) -> np.ndarray:
         """Ybus at its entries per case (B, entries): every admittance term
         added to its entry, in term order."""
         yff, yft, ytf, ytt = terms
-        B, ne = len(yff), len(self.r)
-        shunt = np.broadcast_to(self.shunt, (B, len(self.shunt)))
-        vals = np.concatenate([yff, ytt, yft, ytf, shunt], axis=1)[:, self.pick]
+        (B, m), ne = yff.shape, len(self.r)
+        vals = np.empty((B, 4 * m + len(self.shunt)), dtype=complex)
+        for j, term in enumerate((yff, ytt, yft, ytf, self.shunt)):
+            vals[:, j * m : (j + 1) * m if j < 4 else None] = term
+        slots = self._slots.get(B)
+        if slots is None:
+            slots = self._slots[B] = (self.slot + ne * np.arange(B)[:, None]).ravel()
         y = np.zeros(B * ne, dtype=complex)
-        np.add.at(y, (self.slot + ne * np.arange(B)[:, None]).ravel(), vals.ravel())
+        np.add.at(y, slots, vals[:, self.pick].ravel())
         return y.reshape(B, ne)
 
     def matrices(self, y: np.ndarray, dense: bool):
@@ -252,9 +268,9 @@ def _dS_dV(V, Ibus, r, c, y) -> tuple[np.ndarray, np.ndarray]:
     entry by entry (MATPOWER's ``dSbus_dV``): the values at the Ybus entries
     (r, c, y), then at the diagonal (i, i) of every bus; values at one
     position add up.  A leading batch axis on V, Ibus and y carries over."""
-    Vnorm = V / np.abs(V)
-    dSa = 1j * np.concatenate([-V[..., r] * np.conj(y * V[..., c]), V * np.conj(Ibus)], axis=-1)
-    dSm = np.concatenate([V[..., r] * np.conj(y * Vnorm[..., c]), np.conj(Ibus) * Vnorm], axis=-1)
+    Vnorm, Vr, Ic = V / np.abs(V), V[..., r], np.conj(Ibus)
+    dSa = 1j * np.concatenate([-Vr * np.conj(y * V[..., c]), V * Ic], axis=-1)
+    dSm = np.concatenate([Vr * np.conj(y * Vnorm[..., c]), Ic * Vnorm], axis=-1)
     return dSa, dSm
 
 
@@ -294,9 +310,9 @@ def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int, dense: bool):
     if not dense:
         return [_place(v, rows, cols, (m, m), False) for v in vals]
     B = len(vals)
-    at = rows * m + cols
-    if B > 1:
-        at = (at + (m * m) * np.arange(B)[:, None]).ravel()
+    at = adm._places.get(B)
+    if at is None:
+        at = adm._places[B] = (rows * m + cols + (m * m) * np.arange(B)[:, None]).ravel()
     return np.bincount(at, weights=vals.ravel(), minlength=B * m * m).reshape(B, m, m)
 
 
@@ -470,9 +486,10 @@ def _currents(Y, V) -> np.ndarray:
     return np.array([Yk @ Vk for Yk, Vk in zip(Y, V)]).reshape(V.shape)
 
 
-def _mismatch(V, Ibus, Sbus, pvpq, pq) -> np.ndarray:
-    mis = V * np.conj(Ibus) - Sbus
-    return np.concatenate([mis[..., pvpq].real, mis[..., pq].imag], axis=-1)
+def _mismatch(V, Ibus, Sbus, at) -> np.ndarray:
+    """The mismatch V conj(Ibus) - Sbus per case at ``at``, positions in its
+    float view: P at pvpq, then Q at pq (``_Structure.f_at``)."""
+    return (V * np.conj(Ibus) - Sbus).view(float)[..., at]
 
 
 def _worst(F) -> np.ndarray:
@@ -483,15 +500,47 @@ def _worst(F) -> np.ndarray:
 def _key(case: NetworkCase, taps: list[int]) -> list[np.ndarray]:
     """Everything a batch shares, as arrays to compare: its integer columns,
     then its real ones; the tap branches' ratios may differ."""
-    buses, br = case.buses, case.branches
+    buses, br, gens, oltcs = case.buses, case.branches, case.generators, case.oltcs
     ratio = br.ratio.copy()
     ratio[taps] = 0.0
     return [
-        np.concatenate([buses.id, buses.kind, br.from_bus, br.to_bus, br.status,
-                        case.generators.bus_id, case.oltcs.branch_ref]),
+        np.concatenate([buses.id, buses.kind, br.from_bus, br.to_bus, br.status, gens.bus_id,
+                        gens.controllable, oltcs.branch_ref, oltcs.controlled_bus]),
         np.concatenate([buses.g_shunt, buses.b_shunt, br.r, br.x, br.b_charging,
                         br.phase_shift, ratio]),
     ]
+
+
+def _shares(case: NetworkCase) -> tuple:
+    """Where :func:`_spread` puts the injection of each slack/PV bus: per
+    kind of injection, Q then P, (the controllable generators at such a
+    bus, the slack for P; their bus positions; how many share that bus),
+    then the uncontrollable generators there and their bus positions."""
+    buses, gens = case.buses, case.generators
+    pos, found = _lookup(buses.id, gens.bus_id)
+    on_set = found & (buses.kind[pos] != PQ)
+    share = np.flatnonzero(on_set & gens.controllable)
+    fixed = np.flatnonzero(on_set & ~gens.controllable)
+    at = pos[share]
+    count = np.bincount(at, minlength=len(buses))[at]
+    slack = buses.kind[at] == SLACK
+    return (share, at, count), (share[slack], at[slack], count[slack]), fixed, pos[fixed]
+
+
+def _spread(shares: tuple, p_load, q_load, p, q, p_inj, q_inj) -> None:
+    """Spread each slack/PV bus's solved injection over its controllable
+    generators, in place, in equal shares of the injection plus the bus
+    load less its uncontrollable units' output (added left to right): Q at
+    every such bus, P at the slack.  Bus columns are (B, buses), generator
+    columns (B, generators)."""
+    q_at, p_at, fixed, fixed_at = shares
+    for inj, load, out, (share, at, count) in ((q_inj, q_load, q, q_at), (p_inj, p_load, p, p_at)):
+        value = inj[:, at] + load[:, at]
+        if len(fixed):
+            rest = np.zeros(inj.shape)
+            np.add.at(rest, (slice(None), fixed_at), out[:, fixed])
+            value -= rest[:, at]
+        out[:, share] = value / count
 
 
 @dataclass
@@ -499,11 +548,14 @@ class _Structure:
     """What every case of one batch shares, checked and indexed once."""
 
     adm: _Admittance
+    ids: np.ndarray          # bus ids
     pvpq: np.ndarray
     pq: np.ndarray
     gen_pos: np.ndarray      # bus position of each generator
     set_pos: np.ndarray      # slack/PV bus positions ...
     set_gen: np.ndarray      # ... and the generator whose v_set each holds
+    f_at: np.ndarray         # the mismatch's P and Q in its float view (see :func:`_mismatch`)
+    shares: tuple            # see :func:`_shares`
     tap_br: list[int]        # branches whose ratio may differ per case
     dense: bool
     chunk: int               # cases solved together, at most
@@ -519,7 +571,7 @@ def _structure(cases: list[NetworkCase]) -> _Structure:
     slacks = int(np.count_nonzero(kinds == SLACK))
     if slacks != 1:
         raise PowerFlowError(f"need exactly one slack bus, found {slacks}")
-    if len(islands(case)) != 1:
+    if _island_of(*_edges(case)).any():
         raise PowerFlowError("network is not connected")
     tap_br = sorted(set(case.oltcs.branch_ref.tolist()))
     if len(cases) > 1:
@@ -540,8 +592,9 @@ def _structure(cases: list[NetworkCase]) -> _Structure:
     pq = np.flatnonzero(kinds == PQ)
     pvpq = np.concatenate([np.flatnonzero(kinds == PV), pq])
     return _Structure(
-        adm=adm, pvpq=pvpq, pq=pq, gen_pos=gen_pos,
-        set_pos=set_pos, set_gen=first[at], tap_br=tap_br,
+        adm=adm, ids=case.buses.id.copy(), pvpq=pvpq, pq=pq, gen_pos=gen_pos,
+        set_pos=set_pos, set_gen=first[at], f_at=np.concatenate([2 * pvpq, 2 * pq + 1]),
+        shares=_shares(case), tap_br=tap_br,
         dense=_dense(len(pvpq) + len(pq)),
         # the widest elementwise array of a case, dS/dV, holds fewer than
         # 2 (terms + buses) complex values
@@ -549,41 +602,117 @@ def _structure(cases: list[NetworkCase]) -> _Structure:
     )
 
 
-def _inputs(st: _Structure, cases: list[NetworkCase]):
-    """Per case (one row each): branch ratios, specified injections S =
-    generation - load, and the starting |V| and angle, with every slack/PV
-    bus at its setpoint."""
-    B, n = len(cases), st.adm.n
-    buses = [c.buses for c in cases]
-    gens = [c.generators for c in cases]
-    ratio = np.repeat(st.adm.ratio[None], B, axis=0)
-    if st.tap_br:
-        ratio[:, st.tap_br] = [c.branches.ratio[st.tap_br] for c in cases]
-    Sbus = -_complex(np.array([b.p_load for b in buses]), np.array([b.q_load for b in buses]))
+def _inputs(st: _Structure, stack: CaseStack, rows: np.ndarray):
+    """The copies ``rows`` of a stack, one row each: branch ratios,
+    specified injections S = generation - load, and the starting |V| and
+    angle, with every slack/PV bus at its setpoint."""
+    B, n = len(rows), st.adm.n
+    buses, gens = stack.buses, stack.generators
+    Sbus = -_complex(buses.p_load[rows], buses.q_load[rows])
     if len(st.gen_pos):
-        gen = _complex(np.array([g.p for g in gens]), np.array([g.q for g in gens]))
+        gen = _complex(gens.p[rows], gens.q[rows])
         # generator by generator, in case order
         np.add.at(Sbus.reshape(-1), (st.gen_pos + n * np.arange(B)[:, None]).ravel(), gen.ravel())
-    vm, va = np.array([b.v_mag for b in buses]), np.array([b.v_ang for b in buses])
-    vm[:, st.set_pos] = [g.v_set[st.set_gen] for g in gens]
-    return ratio, Sbus, vm, va
+    vm, va = buses.v_mag[rows], buses.v_ang[rows]
+    vm[:, st.set_pos] = gens.v_set[rows][:, st.set_gen]
+    return stack.branches.ratio[rows], Sbus, vm, va
 
 
-def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> list:
-    """Newton-Raphson on every case of one structure; per case its
-    :class:`PowerFlowSolution` or its :class:`SingularJacobianError`."""
-    B, adm, dense = len(cases), st.adm, st.dense
+# the arrays of :class:`_Solved`
+_SOLVED = ("V", "S", "ratio", "converged", "singular", "iterations", "max_mismatch", "worst")
+
+
+@dataclass
+class _Solved:
+    """The solutions of a batch, a row per case (B, ...): complex voltages
+    V and injections S, the branch ratios solved at, and the scalars of
+    :class:`PowerFlowSolution`.  Branch flows are worked out only for the
+    :class:`PowerFlowSolution` of a case."""
+
+    V: np.ndarray
+    S: np.ndarray
+    ratio: np.ndarray
+    converged: np.ndarray
+    singular: np.ndarray     # no solution: the Jacobian was singular
+    iterations: np.ndarray
+    max_mismatch: np.ndarray
+    worst: np.ndarray        # bus position of max_mismatch; -1 without unknowns
+    paths: list | None       # each case's linear-solve paths; None: every step dense
+
+    def solution(self, k: int, st: _Structure) -> PowerFlowSolution | SingularJacobianError:
+        """Case k's :class:`PowerFlowSolution`, or its error."""
+        if self.singular[k]:
+            return SingularJacobianError("singular Jacobian")
+        adm, V, S = st.adm, self.V[k : k + 1], self.S[k]
+        yff, yft, ytf, ytt = adm.terms(self.ratio[k : k + 1])
+        Vf, Vt = V[:, adm.f], V[:, adm.t]
+        Sf = (Vf * np.conj(yff * Vf + yft * Vt))[0]
+        St = (Vt * np.conj(ytf * Vf + ytt * Vt))[0]
+        return PowerFlowSolution(
+            np.abs(V[0]), np.angle(V[0]), S.real, S.imag, Sf.real, Sf.imag, St.real, St.imag,
+            converged=bool(self.converged[k]), iterations=int(self.iterations[k]),
+            max_mismatch=float(self.max_mismatch[k]),
+            mismatch_bus=None if self.worst[k] < 0 else st.ids.item(self.worst[k]),
+            steps=["dense"] * int(self.iterations[k]) if self.paths is None else self.paths[k],
+        )
+
+
+@dataclass
+class Meter:
+    """The solver's work while it is :meth:`active`: batched kernel calls,
+    case solves, NR iterations and tap rounds, and ``marks``, each a
+    (name, time, counts so far) a caller recorded with :meth:`mark`."""
+
+    batches: int = 0
+    solves: int = 0
+    iterations: int = 0
+    tap_rounds: int = 0
+    marks: list = field(default_factory=list)
+
+    @contextmanager
+    def active(self):
+        token = _METER.set(self)
+        try:
+            yield self
+        finally:
+            _METER.reset(token)
+
+    def mark(self, name: str) -> None:
+        counts = {f: getattr(self, f) for f in ("batches", "solves", "iterations", "tap_rounds")}
+        self.marks.append((name, time.perf_counter(), counts))
+
+
+_METER: ContextVar[Meter | None] = ContextVar("tdsynth_meter", default=None)
+
+
+def _solve(st: _Structure, stack: CaseStack, rows: np.ndarray, opts: SolverOptions) -> _Solved:
+    """Newton-Raphson on the copies ``rows`` of a stack of one structure,
+    at most ``st.chunk`` of them together."""
+    parts = [_solve_chunk(st, stack, rows[k : k + st.chunk], opts)
+             for k in range(0, len(rows), st.chunk)]
+    sol = parts[0] if len(parts) == 1 else _Solved(
+        *(np.concatenate([getattr(p, f) for p in parts]) for f in _SOLVED),
+        None if st.dense else [path for p in parts for path in p.paths])
+    meter = _METER.get()
+    if meter is not None:
+        meter.batches += 1
+        meter.solves += len(rows)
+        meter.iterations += int(sol.iterations.sum())
+    return sol
+
+
+def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
+                 opts: SolverOptions) -> _Solved:
+    """:func:`_solve` of at most ``st.chunk`` copies."""
+    B, adm, dense = len(rows), st.adm, st.dense
     pvpq, pq, npvpq = st.pvpq, st.pq, len(st.pvpq)
-    if B > st.chunk:
-        return [result for k in range(0, B, st.chunk)
-                for result in _solve(st, cases[k : k + st.chunk], opts)]
-    ratio, Sbus, vm, va = _inputs(st, cases)
+    ratio, Sbus, vm, va = _inputs(st, stack, rows)
     terms = adm.terms(ratio)
     y = adm.entry_values(terms)
     Y = adm.matrices(y, dense)
     V = vm * np.exp(1j * va)
     Ibus = _currents(Y, V)
-    F = _mismatch(V, Ibus, Sbus, pvpq, pq)
+    F = _mismatch(V, Ibus, Sbus, st.f_at)
     iterations = np.zeros(B, dtype=int)
     singular = np.zeros(B, dtype=bool)
     paths: list[list[str]] = [[] for _ in range(B)]
@@ -608,7 +737,7 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
         wvm[:, pq] -= dx[:, npvpq:]
         wV = wvm * np.exp(1j * wva)
         wI = _currents(wY, wV)
-        wF = _mismatch(wV, wI, wS, pvpq, pq)
+        wF = _mismatch(wV, wI, wS, st.f_at)
         it += 1
         done = ~ok | (np.abs(wF).max(axis=1) < opts.tolerance) | (it == opts.max_iterations)
         if done.any():
@@ -623,32 +752,16 @@ def _solve(st: _Structure, cases: list[NetworkCase], opts: SolverOptions) -> lis
                 wY = wY[keep] if dense else [Yk for Yk, k in zip(wY, keep) if k]
     converged = _worst(F) < opts.tolerance
 
-    S = V * np.conj(Ibus)
-    yff, yft, ytf, ytt = terms
-    Vf, Vt = V[:, adm.f], V[:, adm.t]
-    Sf = Vf * np.conj(yff * Vf + yft * Vt)
-    St = Vt * np.conj(ytf * Vf + ytt * Vt)
-    v_mag, v_ang = np.abs(V), np.angle(V)
-    P, Q, Pf, Qf, Pt, Qt = S.real, S.imag, Sf.real, Sf.imag, St.real, St.imag
     if F.shape[1]:
         absF = np.abs(F)
         worst = absF.argmax(axis=1)
-        max_mismatch = absF[np.arange(B), worst].tolist()
+        max_mismatch = absF[np.arange(B), worst]
         # F holds P at pvpq, then Q at pq
-        worst_pos = np.concatenate([pvpq, pq])[worst].tolist()
-    out: list = []
-    for k, case in enumerate(cases):
-        if singular[k]:
-            out.append(SingularJacobianError("singular Jacobian"))
-            continue
-        out.append(PowerFlowSolution(  # v_mag, v_ang, p_inj, q_inj, p/q_from, p/q_to
-            v_mag[k], v_ang[k], P[k], Q[k], Pf[k], Qf[k], Pt[k], Qt[k],
-            converged=bool(converged[k]), iterations=int(iterations[k]),
-            max_mismatch=max_mismatch[k] if F.shape[1] else 0.0,
-            mismatch_bus=case.buses.id.item(worst_pos[k]) if F.shape[1] else None,
-            steps=["dense"] * int(iterations[k]) if dense else paths[k],
-        ))
-    return out
+        worst = np.concatenate([pvpq, pq])[worst]
+    else:
+        max_mismatch, worst = np.zeros(B), np.full(B, -1)
+    return _Solved(V, V * np.conj(Ibus), ratio, converged, singular, iterations, max_mismatch,
+                   worst, None if dense else paths)
 
 
 def solve_batch(
@@ -662,7 +775,9 @@ def solve_batch(
     :func:`apply_solution` to store a result between solver calls."""
     if not cases:
         return []
-    return _solve(_structure(cases), cases, opts or SolverOptions())
+    st = _structure(cases)
+    sol = _solve(st, CaseStack.of(cases), np.arange(len(cases)), opts or SolverOptions())
+    return [sol.solution(k, st) for k in range(len(cases))]
 
 
 def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolution:
@@ -673,22 +788,22 @@ def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolu
     return result
 
 
+def _store(st: _Structure, stack: CaseStack, rows: np.ndarray, sol: _Solved, solved) -> None:
+    """Write the solutions ``solved`` (rows of ``sol``) onto the copies
+    ``rows`` of the stack, as :func:`apply_solution` does onto a case."""
+    buses, gens = stack.buses, stack.generators
+    V, S = sol.V[solved], sol.S[solved]
+    buses.v_mag[rows], buses.v_ang[rows] = np.abs(V), np.angle(V)
+    p, q = gens.p[rows], gens.q[rows]
+    _spread(st.shares, buses.p_load[rows], buses.q_load[rows], p, q, S.real, S.imag)
+    gens.p[rows], gens.q[rows] = p, q
+
+
 def apply_solution(case: NetworkCase, sol: PowerFlowSolution) -> None:
     """Write a solution back onto the case: every bus voltage, and at each
     slack/PV bus its Q (at the slack also its P) spread over the bus's
     controllable generators."""
     buses, gens = case.buses, case.generators
     buses.v_mag[:], buses.v_ang[:] = sol.v_mag, sol.v_ang
-    for i in (buses.kind != PQ).nonzero()[0].tolist():
-        at_bus = gens.bus_id == buses.id[i]
-        share = at_bus & gens.controllable
-        count = np.count_nonzero(share)
-        if not count:
-            continue
-        fixed = at_bus & ~gens.controllable
-        # the injection less the uncontrollable units' output, added left to right
-        gens.q[share] = (float(sol.q_inj[i]) + buses.q_load.item(i)
-                         - sum(gens.q[fixed].tolist())) / count
-        if buses.kind[i] == SLACK:
-            gens.p[share] = (float(sol.p_inj[i]) + buses.p_load.item(i)
-                             - sum(gens.p[fixed].tolist())) / count
+    _spread(_shares(case), buses.p_load[None], buses.q_load[None], gens.p[None], gens.q[None],
+            sol.p_inj[None], sol.q_inj[None])

@@ -13,8 +13,13 @@ Pipeline stages (mirrored by :func:`generate`):
 4. assemble, re-regulate the tap changers on the combined system, optionally
    optimize, and export.
 
-Randomized draws come from a dedicated stream per (host bus, copy index), so
-adding or removing one replica never reshuffles the others.
+Stages 2 and 3 work on stacked tables (:class:`netmodel.CaseStack`): the
+capacity probes, the hosts and the copies are rows of template copies on
+one power-flow structure of the template, which :func:`generate` builds
+once; a copy becomes a :class:`NetworkCase` (``DnInstance.case``) only at
+the end of stage 3.  Randomized draws come from a dedicated stream per
+(host bus, copy index), so adding or removing one replica never reshuffles
+the others.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import caseio
-from .netmodel import (GEN_CODES, IS_DG, PQ, SLACK, GenKind, NetworkCase, _find,
+from . import caseio, powerflow
+from .netmodel import (GEN_CODES, IS_DG, PQ, SLACK, CaseStack, GenKind, NetworkCase, _find,
                        total_load, validate)
-from .oltc import RegulationError, RegulationReport, regulate, regulate_batch
+from .oltc import RegulationError, RegulationReport, _regulate, regulate
 from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve
 from .templates import load_bundle
 
@@ -156,20 +161,21 @@ def _rng_for(cfg: SynthesisConfig, host_bus: int, copy_index: int) -> np.random.
     return np.random.default_rng([cfg.rng_seed, host_bus, copy_index])
 
 
-def _slack_generator(case: NetworkCase):
-    slack = case.slack_buses()
+def _slack_generator(case: NetworkCase) -> tuple[int, int]:
+    """The positions of the template's slack bus and of its source generator."""
+    slack = np.flatnonzero(case.buses.kind == SLACK)
     if len(slack) != 1:
         raise SynthesisError(f"template needs exactly one slack bus, found {len(slack)}")
-    at = np.flatnonzero(case.generators.bus_id == slack[0].id)
+    at = np.flatnonzero(case.generators.bus_id == case.buses.id[slack[0]])
     if not at.size:
         raise SynthesisError("template slack bus carries no source generator")
-    return slack[0], case.generators[at[0]]
+    return int(slack[0]), int(at[0])
 
 
 def _set_source_voltage(case: NetworkCase, v: float) -> None:
     bus, gen = _slack_generator(case)
-    bus.v_mag = v
-    gen.v_set = v
+    case.buses.v_mag[bus] = v
+    case.generators.v_set[gen] = v
 
 
 def _zero_dg(case: NetworkCase) -> None:
@@ -179,8 +185,8 @@ def _zero_dg(case: NetworkCase) -> None:
     gens.q[dg] = 0.0
 
 
-def _scale_loads(case: NetworkCase, factor: float) -> None:
-    # constant power factor: P and Q move together
+def _scale_loads(case: NetworkCase | CaseStack, factor) -> None:
+    # constant power factor: P and Q move together; a stack takes a (B, 1) factor
     case.buses.p_load *= factor
     case.buses.q_load *= factor
 
@@ -205,12 +211,13 @@ def select_replaceable_loads(
 
 
 # Bisection levels decided per batch of probes: 2**d - 1 midpoints solved
-# together.  Measured on the mini-dn capacity search (16 probes on the path;
-# 2-core VM, medians of 15 runs, shipped and 50x-rescaled template): d = 2,
-# 3, 4 take 48/42, 43/40 and 54/42 ms; d = 1 (one probe at a time) takes
-# 77/64 ms, and d = 5 or 6 take 61-100 ms, because the speculative probes
-# (2**d - 1 per d levels) outgrow the batched rounds they save.  At d = 3 the
-# search makes 46 batched solves (217 case solves) instead of 117 single ones.
+# together.  Measured on the stacked kernel on the mini-dn capacity search
+# (16 probes on the path; 2-core VM, one BLAS thread, 15 interleaved runs,
+# minimum/median, shipped then 50x-rescaled template): d = 2 takes
+# 36/52 and 29/43 ms, d = 3 29/40 and 23/37 ms, d = 4 31/43 and 24/37 ms,
+# d = 5 37/47 and 28/44 ms.  Deeper trees save few batched solves (46 at
+# d = 3, 39 at d = 4, 33 at d = 5) but solve many more probes (217, 318,
+# 499 case solves), each of whose Newton steps costs one LAPACK call.
 CAPACITY_LEVELS = 3
 
 
@@ -231,6 +238,7 @@ def dn_max_capacity(
     ceiling: float = 10.0,
     solver: SolverOptions | None = None,
     max_rounds: int = 30,
+    structure: powerflow._Structure | None = None,
 ) -> CapacityResult:
     """Largest uniform load scale the template can carry with zeroed DGs
     while regulation keeps every non-boundary voltage inside ``v_limits``.
@@ -242,8 +250,10 @@ def dn_max_capacity(
     loadability nose instead of the ceiling.
 
     The probes of the next ``CAPACITY_LEVELS`` bisection steps are solved
-    as one batch, every midpoint either outcome could lead to; the search
-    then walks down the tree with the outcomes, so the result is the serial
+    as one batch, every midpoint either outcome could lead to: the rows of
+    one stack of template copies, on the template's power-flow
+    ``structure`` (built here unless the caller has it).  The search then
+    walks down the tree with the outcomes, so the result is the serial
     bisection's, and a probe off the walked path is discarded, failure and
     all.  ``probes`` counts the probes on the path, ``unsettled_probes``
     those whose regulation ran out of rounds with a tap still wanting to
@@ -253,34 +263,34 @@ def dn_max_capacity(
     solver = solver or SolverOptions()
     base = dn_template.clone()
     _zero_dg(base)
-    slack_id = base.slack_buses()[0].id
     p_template, _ = total_load(base)
     if p_template <= 0:
         raise SynthesisError("template has no active load to scale")
+    slack, _ = _slack_generator(base)
+    st = structure if structure is not None else powerflow._structure([base])
+    stack, ids = CaseStack.of([base]), base.buses.id
 
     def probe_all(scales: list[float]) -> list:
         """Per scale: (feasible, worst bus, settled), or the error of a
         solve that failed other than by diverging."""
-        trials = []
-        for scale in scales:
-            trial = base.clone()
-            _scale_loads(trial, scale)
-            trials.append(trial)
+        trials = stack.take(np.zeros(len(scales), dtype=int))
+        _scale_loads(trials, np.array(scales)[:, None])
+        _, results = _regulate(st, trials, solver, max_rounds)
+        v = trials.buses.v_mag   # each probe's last solve
+        gap = np.maximum(lo_v - v, v - hi_v)
+        gap[~(gap > 0.0)] = 0.0
+        gap[:, slack] = 0.0
+        worst = gap.argmax(axis=1)   # the first bus of the largest gap
+        outside = gap[np.arange(len(scales)), worst] > 0.0
         outcomes = []
-        for trial, result in zip(trials, regulate_batch(trials, solver, max_rounds=max_rounds)):
+        for k, result in enumerate(results):
             if isinstance(result, RegulationError):
                 outcomes.append((False, None, True))
-                continue
-            if isinstance(result, Exception):
+            elif isinstance(result, Exception):
                 outcomes.append(result)
-                continue
-            sol, report = result
-            ids = trial.buses.id
-            gap = np.maximum(lo_v - sol.v_mag, sol.v_mag - hi_v)
-            gap[~(gap > 0.0) | (ids == slack_id)] = 0.0
-            k = int(gap.argmax())   # the first bus of the largest gap
-            worst_bus = ids.item(k) if gap[k] > 0.0 else None
-            outcomes.append((worst_bus is None, worst_bus, report.settled))
+            else:
+                outcomes.append((not outside[k], ids.item(worst[k]) if outside[k] else None,
+                                 result.settled))
         return outcomes
 
     probes = unsettled = 0
@@ -373,7 +383,8 @@ def customize_dn(
     return inst
 
 
-def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[DnInstance]:
+def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
+              structure: powerflow._Structure | None = None) -> list[DnInstance]:
     """Build every copy of every host, each stage solved as one batch.
 
     Import match: per host, the template's loads are scaled (constant power
@@ -389,102 +400,111 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
     DG sizing, and a growing copy once per round of that loop; its last
     regulation is its final state.
 
-    The replicas only share solves, so each one is what it would be alone.
-    If any fails, the error of the first failing one in plan order is
-    raised, naming its host bus (and copy).
+    The hosts, then the copies, are the rows of one stack of template
+    copies, solved on the template's power-flow ``structure`` (built here
+    unless the caller has it); each copy becomes a case of its own only at
+    the end.  The replicas only share solves, so each one is what it would
+    be alone.  If any fails, the error of the first failing one in plan
+    order is raised, naming its host bus (and copy).
     """
     solver = cfg.solver_options()
     template = _replica_template(dn, cfg)
-    slack_bus, _ = _slack_generator(template)
-    slack_pos = template.bus_index()[slack_bus.id]
+    slack_pos, slack_gen = _slack_generator(template)
     p_template, _ = total_load(template)
     if p_template <= 0:
         raise SynthesisError("template has no active load")
+    st = structure if structure is not None else powerflow._structure([template])
     # keyed by (host position, -1 for the import match or the copy position)
-    cases: dict[tuple[int, int], NetworkCase] = {}
     errors: dict[tuple[int, int], Exception] = {}
 
-    def batch(keys: list):
-        """Regulate the cases of ``keys`` as one batch: yields each key with
-        its (solution, report), and files each failure under its key."""
-        results = regulate_batch([cases[key] for key in keys], solver, max_rounds=cfg.oltc_max_rounds)
-        for key, result in zip(keys, results):
+    def regulate_rows(stack: CaseStack, rows: np.ndarray, keys: list):
+        """Regulate the copies ``rows`` of ``stack`` as one batch, in place,
+        filing each error under its key: which copies settled, the boundary
+        import of each that did, and every copy's report or error."""
+        batch = stack.take(rows)
+        last, results = _regulate(st, batch, solver, cfg.oltc_max_rounds)
+        stack.put(rows, batch)
+        ok = np.ones(len(rows), dtype=bool)
+        for j, (key, result) in enumerate(zip(keys, results)):
             if isinstance(result, Exception):
-                errors[key] = result
-            else:
-                yield key, result
+                errors[key], ok[j] = result, False
+        # the boundary import of each copy that settled
+        boundary = np.array([last[j][0].S.real[last[j][1], slack_pos] for j in np.flatnonzero(ok)])
+        return ok, boundary, results
 
     # import match: up to 12 rounds over the hosts still off target
-    scales, targets, imports = {}, {}, {}
-    for h, (_host, target_p, source_v, _copies) in enumerate(hosts):
-        key = (h, -1)
-        targets[key] = target_p * cfg.oversize
-        if targets[key] <= 0:
-            errors[key] = SynthesisError("replica demand target must be positive")
-            continue
-        cases[key] = case = template.clone()
-        if source_v is not None:
-            _set_source_voltage(case, source_v)
-        scales[key] = targets[key] / p_template
-        _scale_loads(case, scales[key])
-    off = list(cases)
-    for _ in range(12):
-        still = []
-        for key, (sol, _) in batch(off):
-            imports[key] = boundary = float(sol.p_inj[slack_pos])
-            target_import = targets[key]
-            if abs(boundary - target_import) <= 1e-4 * target_import:
-                continue
-            adjust = target_import / boundary
-            _scale_loads(cases[key], adjust)
-            scales[key] *= adjust
-            still.append(key)
-        off = still
-        if not off:
+    targets = np.array([target_p * cfg.oversize for _, target_p, _, _ in hosts])
+    for h in np.flatnonzero(~(targets > 0)).tolist():
+        errors[(h, -1)] = SynthesisError("replica demand target must be positive")
+    matched = np.flatnonzero(targets > 0)   # the hosts, a row each
+    H = CaseStack.of([template]).take(np.zeros(len(matched), dtype=int))
+    source = [(row, hosts[h][2]) for row, h in enumerate(matched.tolist())
+              if hosts[h][2] is not None]
+    if source:
+        rows, volts = (list(c) for c in zip(*source))
+        H.buses.v_mag[rows, slack_pos] = H.generators.v_set[rows, slack_gen] = volts
+    scales = targets[matched] / p_template
+    _scale_loads(H, scales[:, None])
+    imports = np.zeros(len(matched))
+    off = np.arange(len(matched))
+    for _ in range(12 if off.size else 0):
+        ok, boundary, _ = regulate_rows(H, off, [(h, -1) for h in matched[off].tolist()])
+        off = off[ok]
+        imports[off] = boundary
+        target = targets[matched[off]]
+        still = ~(np.abs(boundary - target) <= 1e-4 * target)
+        off, adjust = off[still], target[still] / boundary[still]
+        H.buses.p_load[off] *= adjust[:, None]
+        H.buses.q_load[off] *= adjust[:, None]
+        scales[off] *= adjust
+        if not off.size:
             break
 
     # DG sizing against each replica's own demand, in plan order
-    sizing = {}
-    for h, (_host, _p, _v, copies) in enumerate(hosts):
-        if (h, -1) in errors:
-            continue
-        for k, (_copy, rng) in enumerate(copies):
-            cases[(h, k)] = case = cases[(h, -1)].clone()
-            try:
-                sizing[(h, k)] = _size_dg(case, cfg, rng)
-            except SynthesisError as exc:
-                errors[(h, k)] = exc
+    plan = [(row, h, k) for row, h in enumerate(matched.tolist()) if (h, -1) not in errors
+            for k in range(len(hosts[h][3]))]
+    C = H.take(np.array([row for row, _, _ in plan], dtype=int))
+    p_loads = np.array([sum(p) for p in C.buses.p_load.tolist()])
+    pl, gs, dg_total, dg, output, failed = _size_dg(
+        template, p_loads, cfg, [hosts[h][3][k][1] for _, h, k in plan])
+    for (_, h, k), exc in zip(plan, failed):
+        if exc is not None:
+            errors[(h, k)] = exc
+    # a copy without DG output keeps the zeros of the template
+    C.generators.p[:, dg], C.generators.q[:, dg] = output, 0.0
 
     # regulate every copy; in the constant-load scenario, grow active demand
     # until the boundary import is back where it was before the DGs came in
     # (reactive demand stays untouched).  A copy's last solve is its final
     # state.
-    growing = [key for key, sz in sizing.items() if cfg.constant_load and sz[2] > 0]
-    counts = {key: SolveCounts() for key in growing}
-    mismatch: dict[tuple[int, int], float] = {}
-    base_p = {key: cases[key].buses.p_load.copy() for key in growing}
-    base_total = {key: sum(p.tolist()) for key, p in base_p.items()}
-    addition = {key: sizing[key][2] for key in growing}
-    finals = {}
-    live = list(sizing)
-    for _ in range(20):
-        for key in live:
-            if key in counts:
-                cases[key].buses.p_load[:] = base_p[key] * (1.0 + addition[key] / base_total[key])
-        still = []
-        for key, (sol, report) in batch(live):
-            finals[key] = sol, report
-            if key not in counts:
-                continue
-            counts[key].add(report)
-            pre_dg_import = imports[(key[0], -1)]
-            boundary = float(sol.p_inj[slack_pos])
-            mismatch[key] = abs(boundary - pre_dg_import) / abs(pre_dg_import)
-            if abs(boundary - pre_dg_import) > 1e-3 * abs(pre_dg_import):
-                addition[key] += pre_dg_import - boundary
-                still.append(key)
-        live = still
-        if not live:
+    live = np.array([j for j, exc in enumerate(failed) if exc is None], dtype=int)
+    grow = (dg_total > 0) & cfg.constant_load
+    addition = dg_total.copy()
+    base_p = C.buses.p_load.copy()
+    base_total = p_loads
+    pre_dg = imports[[row for row, _, _ in plan]]
+    counts = {j: SolveCounts() for j in live[grow[live]].tolist()}
+    mismatch = np.full(len(plan), np.nan)
+    reports: dict[int, RegulationReport] = {}
+    boundary_p = np.zeros(len(plan))
+    for _ in range(20 if live.size else 0):
+        g = live[grow[live]]
+        C.buses.p_load[g] = base_p[g] * (1.0 + addition[g] / base_total[g])[:, None]
+        ok, boundary, results = regulate_rows(C, live, [plan[j][1:] for j in live.tolist()])
+        live = live[ok]
+        for j, result in zip(live.tolist(), (r for r, o in zip(results, ok) if o)):
+            reports[j] = result
+            if j in counts:
+                counts[j].add(result)
+        boundary_p[live] = boundary
+        g = grow[live]
+        rows, boundary = live[g], boundary[g]
+        pre = pre_dg[rows]
+        mismatch[rows] = np.abs(boundary - pre) / np.abs(pre)
+        off_target = np.abs(boundary - pre) > 1e-3 * np.abs(pre)
+        addition[rows[off_target]] += pre[off_target] - boundary[off_target]
+        live = rows[off_target]
+        if not live.size:
             break
 
     if errors:
@@ -494,65 +514,68 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host]) -> list[
         raise SynthesisError(f"{where}: {errors[h, k]}") from errors[h, k]
 
     instances = []
-    for (h, k), (sol, report) in finals.items():
+    dg = dg.tolist()
+    for j, ((row, h, k), case, out) in enumerate(zip(plan, C.cases(), output.tolist())):
         host_bus, _p, _v, copies = hosts[h]
-        pl, gs, _, allocation = sizing[(h, k)]
-        target_import = targets[(h, -1)]
+        target_import = targets[h]
         instances.append(DnInstance(
-            case=cases[(h, k)],
+            case=case,
             host_tn_bus=host_bus,
             copy_index=copies[k][0],
-            load_scale=scales[(h, -1)],
-            realized_penetration=pl,
-            realized_split=gs,
-            dg_allocation=allocation,
-            boundary_p=float(sol.p_inj[slack_pos]),
-            import_mismatch=abs(imports[(h, -1)] - target_import) / target_import,
-            constant_load_mismatch=mismatch.get((h, k)),
-            regulation=report,
-            constant_load_counts=counts.get((h, k)),
+            load_scale=float(scales[row]),
+            realized_penetration=float(pl[j]),
+            realized_split=float(gs[j]),
+            dg_allocation=dict(zip(dg, out)),
+            boundary_p=float(boundary_p[j]),
+            import_mismatch=float(abs(imports[row] - target_import) / target_import),
+            constant_load_mismatch=None if j not in counts else float(mismatch[j]),
+            regulation=reports[j],
+            constant_load_counts=counts.get(j),
         ))
     return instances
 
 
-def _size_dg(case: NetworkCase, cfg: SynthesisConfig, rng: np.random.Generator | None):
-    """Draw the copy's penetration and split (when randomized), then size
-    and allocate its DG output in place: (penetration, split, DG total,
-    allocation by generator index)."""
-    pl = cfg.penetration_level
-    gs = cfg.generation_split
+def _size_dg(template: NetworkCase, p_loads: np.ndarray, cfg: SynthesisConfig,
+             rngs: list[np.random.Generator | None]):
+    """Draw each copy's penetration and split (when randomized, from its
+    stream), then size its DG output against its demand ``p_loads``,
+    split between the controllable units and the PV units, each group
+    evenly.  Returns per copy the penetration, split and DG total, the DG
+    units, each copy's output of each (copies, units; all 0 without DG
+    output), and per copy None or the error that rules it out."""
+    B = len(p_loads)
+    pl = np.full(B, cfg.penetration_level)
+    gs = np.full(B, cfg.generation_split)
     if cfg.random:
-        pl *= 1.0 + rng.uniform(-0.05, 0.05)
-        gs *= 1.0 + rng.uniform(-0.05, 0.05)
-        gs = min(max(gs, 0.0), 1.0)
-    p_loads, _ = total_load(case)
+        draws = np.array([[rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)] for rng in rngs])
+        pl = pl * (1.0 + draws[:, 0])
+        gs = np.minimum(np.maximum(gs * (1.0 + draws[:, 1]), 0.0), 1.0)
     dg_total = pl * p_loads
 
-    ctrl, pv = (np.flatnonzero(case.generators.kind == GEN_CODES[k]).tolist()
+    gens = template.generators
+    ctrl, pv = (np.flatnonzero(gens.kind == GEN_CODES[k])
                 for k in (GenKind.DN_CONTROLLABLE, GenKind.DN_PV))
-    allocation: dict[int, float] = {}
-    if dg_total > 0:
-        if gs > 0 and not ctrl:
-            raise SynthesisError("template has no controllable DG units to carry the split")
-        if gs < 1 and not pv:
-            raise SynthesisError("template has no PV units to carry the split")
-        for i in ctrl:
-            allocation[i] = gs * dg_total / len(ctrl)
-        for i in pv:
-            allocation[i] = (1.0 - gs) * dg_total / len(pv)
-        gens, at, p = case.generators, list(allocation), np.array(list(allocation.values()))
-        over = np.flatnonzero(p > gens.p_max[at] + 1e-12)
-        if over.size:
-            i, g = at[over[0]], case.generators[at[over[0]]]
-            raise SynthesisError(
-                f"DG allocation {allocation[i]:.4f} pu exceeds p_max {g.p_max:.4f} pu of "
+    units = np.concatenate([ctrl, pv])
+    output = np.zeros((B, len(units)))
+    on = dg_total > 0
+    output[on] = np.repeat(np.stack([gs * dg_total / max(len(ctrl), 1),
+                                     (1.0 - gs) * dg_total / max(len(pv), 1)], axis=1)[on],
+                           [len(ctrl), len(pv)], axis=1)
+    over = output > gens.p_max[units] + 1e-12
+    failed: list[SynthesisError | None] = [None] * B
+    for j in np.flatnonzero(on).tolist():
+        if gs[j] > 0 and not len(ctrl):
+            failed[j] = SynthesisError("template has no controllable DG units to carry the split")
+        elif gs[j] < 1 and not len(pv):
+            failed[j] = SynthesisError("template has no PV units to carry the split")
+        elif over[j].any():
+            u = over[j].argmax()
+            i, g = int(units[u]), gens[units[u]]
+            failed[j] = SynthesisError(
+                f"DG allocation {output[j, u]:.4f} pu exceeds p_max {g.p_max:.4f} pu of "
                 f"generator {i} at bus {g.bus_id}"
             )
-        gens.p[at] = p
-        gens.q[at] = 0.0
-    else:
-        allocation = {i: 0.0 for i in ctrl + pv}
-    return pl, gs, dg_total, allocation
+    return pl, gs, dg_total, units, output, failed
 
 
 def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
@@ -665,13 +688,17 @@ def config_digest(cfg: SynthesisConfig) -> str:
 @contextmanager
 def _stage(name: str):
     """Tags any failure inside the block with pipeline stage ``name``; a
-    failure that already carries a stage keeps it."""
+    failure that already carries a stage keeps it.  Under an active
+    :class:`powerflow.Meter` the stage's end is marked."""
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
+    meter = powerflow._METER.get()
+    if meter is not None:
+        meter.mark(name)
 
 
 def generate(
@@ -706,6 +733,8 @@ def generate(
         dn_bundle = load_bundle(dn_path)
     template = _replica_template(dn_bundle.case, cfg)
     with _stage("capacity"):
+        # one structure for the capacity search, the import match and every copy
+        structure = powerflow._structure([template])
         capacity = dn_max_capacity(
             template,
             cfg.dn_v_limits,
@@ -713,6 +742,7 @@ def generate(
             ceiling=cfg.capacity_ceiling,
             solver=solver,
             max_rounds=cfg.oltc_max_rounds,
+            structure=structure,
         )
 
     tn_idx = tn.bus_index()
@@ -722,7 +752,7 @@ def generate(
         hosts.append((bus_id, p_load / count, float(tn_solution.v_mag[tn_idx[bus_id]]),
                       [(k, _rng_for(cfg, bus_id, k)) for k in range(count)]))
     with _stage("customize"):
-        instances = customize(template, cfg, hosts)
+        instances = customize(template, cfg, hosts, structure)
 
     with _stage("assemble"):
         combined = assemble(tn, instances)

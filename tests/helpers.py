@@ -178,6 +178,7 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     central finite difference of the mismatch function, at a random state.
     The one dS/dV is checked as both kernels place it: into a dense array
     (dense Ybus) and into a sparse matrix (sparse Ybus)."""
+    from tdsynth.netmodel import CaseStack
     from tdsynth.powerflow import (
         _currents,
         _inputs,
@@ -189,7 +190,7 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
 
     st = _structure([case])
     adm, pvpq, pq = st.adm, st.pvpq, st.pq
-    ratio, Sbus, _, _ = _inputs(st, [case])
+    ratio, Sbus, _, _ = _inputs(st, CaseStack.of([case]), np.arange(1))
     y = adm.entry_values(adm.terms(ratio))
     Ysparse, Ydense = adm.matrices(y, dense=False), adm.matrices(y, dense=True)
     vm = rng.uniform(0.95, 1.05, size=len(case.buses))
@@ -200,7 +201,7 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         va_l[pvpq] = x[: len(pvpq)]
         vm_l[pq] = x[len(pvpq):]
         V = (vm_l * np.exp(1j * va_l))[None]
-        return _mismatch(V, _currents(Ysparse, V), Sbus, pvpq, pq)[0]
+        return _mismatch(V, _currents(Ysparse, V), Sbus, st.f_at)[0]
 
     x0 = np.concatenate([va[pvpq], vm[pq]])
     V0 = (vm * np.exp(1j * va))[None]

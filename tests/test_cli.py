@@ -250,3 +250,36 @@ def test_inspect_profile_accounts_for_the_wall_time(tmp_path, capsys):
     assert data["nr_iterations"] == len(data["linear_solves"]) > 0
     assert set(data["linear_solves"]) == {"blocks"}
     assert sorted(p.name for p in bundle.iterdir()) == files   # the bundle is untouched
+
+
+def test_generate_profile_accounts_for_the_wall_time(tmp_path, capsys):
+    from tdsynth.cli import GENERATE_STAGES
+
+    templates = scaled_templates(tmp_path, 10)
+    conf = _write(tmp_path, "constant_load = true\nrandom = true\nrng_seed = 4\n")
+    argv = ["generate", str(conf), "--templates", str(templates), "--out"]
+    assert main(argv + [str(tmp_path / "a")]) == 0
+    profile = tmp_path / "profile.json"
+    start = time.perf_counter()
+    assert main(argv + [str(tmp_path / "b"), "--profile", str(profile)]) == 0
+    wall = time.perf_counter() - start
+    run_a, run_b = (next((tmp_path / side).iterdir()) for side in "ab")
+    assert sorted(p.name for p in run_a.iterdir()) == sorted(p.name for p in run_b.iterdir())
+    for f in run_a.iterdir():   # the profile stays outside the bundle and changes nothing in it
+        assert f.read_bytes() == (run_b / f.name).read_bytes()
+
+    data = json.loads(profile.read_text())
+    assert tuple(data["stages_s"]) == GENERATE_STAGES
+    assert abs(sum(data["stages_s"].values()) - wall) <= 0.05 * wall
+    counts = data["stage_counts"]
+    for name in ("batches", "solves", "tap_rounds"):
+        assert sum(c[name] for c in counts.values()) == data[name]
+    assert sum(c["iterations"] for c in counts.values()) == data["nr_iterations"]
+    assert counts["tn-solve"]["solves"] == counts["combined-solve"]["solves"] == 1
+    assert counts["opf"] == dict.fromkeys(("batches", "solves", "iterations", "tap_rounds"), 0)
+    manifest = json.loads((run_b / "manifest.json").read_text())
+    assert counts["combined-solve"]["tap_rounds"] == manifest["combined"]["regulation_rounds"]
+    # customize solves each copy at least as often as its manifest says
+    per_copy = [c for rec in manifest["instances"] for c in rec["solve_counts"].values() if c]
+    assert counts["customize"]["solves"] >= sum(c["solves"] for c in per_copy)
+    assert counts["capacity"]["solves"] > counts["capacity"]["batches"] > 0

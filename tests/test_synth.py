@@ -368,18 +368,18 @@ def test_generate_random_streams_survive_selection_change(template_dir):
 
 def test_generate_matches_each_host_import_once(tmp_path, monkeypatch):
     templates = scaled_templates(tmp_path, 10)
-    real_batch, real_customize = synth_mod.regulate_batch, synth_mod.customize
+    real_batch, real_customize = synth_mod._regulate, synth_mod.customize
     sizes, start = [], []
 
-    def recording_batch(cases, *args, **kwargs):
-        sizes.append(len(cases))
-        return real_batch(cases, *args, **kwargs)
+    def recording_batch(structure, stack, *args, **kwargs):
+        sizes.append(len(stack))
+        return real_batch(structure, stack, *args, **kwargs)
 
     def marking_customize(*args, **kwargs):
         start.append(len(sizes))
         return real_customize(*args, **kwargs)
 
-    monkeypatch.setattr(synth_mod, "regulate_batch", recording_batch)
+    monkeypatch.setattr(synth_mod, "_regulate", recording_batch)
     monkeypatch.setattr(synth_mod, "customize", marking_customize)
     cfg = SynthesisConfig(random=True, constant_load=True, rng_seed=6)
     result = generate(templates / "mini-tn", templates / "mini-dn", cfg)
@@ -504,3 +504,57 @@ def test_manifest_reports_replica_voltages_against_the_limits():
     assert lowest == pytest.approx(0.9425, abs=5e-5)   # below dn_v_min = 0.95
     worst = combined["worst_replica"]
     assert min(volts[worst["host_bus"], worst["copy"]]) == pytest.approx(lowest, abs=1e-12)
+
+
+def test_generate_builds_one_structure_per_network(template_dir, monkeypatch):
+    from tdsynth import powerflow
+
+    built, placed = [], []
+    real_structure, real_placement = powerflow._structure, powerflow._placement
+
+    def counting_structure(cases):
+        built.append(len(cases[0].buses))
+        return real_structure(cases)
+
+    def counting_placement(adm, pvpq, pq):
+        placed.append(id(adm))
+        return real_placement(adm, pvpq, pq)
+
+    monkeypatch.setattr(powerflow, "_structure", counting_structure)
+    monkeypatch.setattr(powerflow, "_placement", counting_placement)
+    result = generate(template_dir / "mini-tn", template_dir / "mini-dn",
+                      SynthesisConfig(constant_load=True, random=True))
+    # the TN, the replica template (capacity search, import match and every
+    # copy) and the combined case
+    tn, dn = (len(load_bundle(template_dir / name).case.buses) for name in ("mini-tn", "mini-dn"))
+    assert built == [tn, dn, len(result.case.buses)]
+    assert len(set(placed)) == len(placed) <= len(built)
+
+
+def test_replicas_do_not_alias(dn_bundle, tn_bundle):
+    dn = dn_bundle.case.clone()
+    tn = tn_bundle.case.clone()
+    host, p_load, _q = select_replaceable_loads(tn, True)[0]
+    cfg = SynthesisConfig(random=True, constant_load=True)
+    plan = [(host, p_load / 3, 1.0, [(k, _rng_for(cfg, host, k)) for k in range(3)])]
+    instances = customize(dn, cfg, plan)
+    assert dn == dn_bundle.case   # the template is read, never written
+    before = [inst.case.clone() for inst in instances]
+    combined = assemble(tn, instances)
+
+    first = instances[0].case
+    first.buses.p_load[:] *= 2.0
+    first.oltcs.tap[0] += 1
+    first.sync_ratios()
+    assert [inst.case for inst in instances[1:]] == before[1:]
+    assert dn == dn_bundle.case
+    regrown = assemble(tn, instances)
+    added = total_load(regrown)[0] - total_load(combined)[0]
+    assert added == pytest.approx(total_load(before[0])[0])
+    assert regrown.oltcs.tap.tolist() == [first.oltcs.tap[0]] + combined.oltcs.tap[1:].tolist()
+
+    # a copy made the way perfbench/workloads.py makes its replicas is its own
+    twin = replace(instances[1], case=instances[1].case.clone())
+    twin.case.buses.p_load[:] = 0.0
+    twin.case.oltcs.tap[:] = 0
+    assert instances[1].case == before[1]
