@@ -547,7 +547,8 @@ def _size_dg(template: NetworkCase, p_loads: np.ndarray, cfg: SynthesisConfig,
     pl = np.full(B, cfg.penetration_level)
     gs = np.full(B, cfg.generation_split)
     if cfg.random:
-        draws = np.array([[rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)] for rng in rngs])
+        draws = np.array([[rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)]
+                          for rng in rngs]).reshape(B, 2)
         pl = pl * (1.0 + draws[:, 0])
         gs = np.minimum(np.maximum(gs * (1.0 + draws[:, 1]), 0.0), 1.0)
     dg_total = pl * p_loads

@@ -558,3 +558,9 @@ def test_replicas_do_not_alias(dn_bundle, tn_bundle):
     twin.case.buses.p_load[:] = 0.0
     twin.case.oltcs.tap[:] = 0
     assert instances[1].case == before[1]
+
+
+def test_customize_without_copies_builds_nothing(dn_bundle):
+    cfg = SynthesisConfig(random=True, constant_load=True)
+    assert customize(dn_bundle.case, cfg, []) == []
+    assert customize(dn_bundle.case, cfg, [(5, 0.3, None, [])]) == []
