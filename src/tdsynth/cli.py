@@ -7,9 +7,8 @@ repeated run with the same config and seed lands on byte-identical files.
 health: validation findings, solved voltage range, total load, penetration
 and the boundary transfers.  ``--profile PATH`` also writes, as JSON at
 PATH and outside the bundle, the wall time of each stage and the solver's
-work: for inspect the NR iteration count and the linear-solve path of every
-Newton step, for generate per stage the batched kernel calls, case solves,
-NR iterations and tap rounds.
+work per stage: batched kernel calls, case solves, NR iterations and tap
+rounds; for inspect also the linear-solve path of every Newton step.
 
 Exit codes: 0 success, 1 pipeline failure (message carries the stage tag),
 2 configuration problem (message names the field).
@@ -187,23 +186,24 @@ def _cmd_generate(args) -> int:
     _print_summary(summary, run_dir)
     if args.profile:
         meter.mark("summary")
-        profile = _generate_profile(args.started, meter)
+        profile = _profile(args.started, meter, GENERATE_STAGES)
         Path(args.profile).write_text(json.dumps(profile, indent=2) + "\n")
     return 0
 
 
-# the stages of a generate profile; a stage's time runs from the end of the
-# one before, so the work between two stages counts to the later one
+# the stages of each profile; a stage's time runs from the end of the one
+# before, so the work between two stages counts to the later one
 GENERATE_STAGES = ("args", "load-tn", "tn-solve", "select-loads", "load-dn", "capacity",
                    "customize", "assemble", "combined-solve", "opf", "export", "summary")
+INSPECT_STAGES = ("args", "load", "validate", "regulate", "print")
 _COUNTERS = ("batches", "solves", "iterations", "tap_rounds")
 
 
-def _generate_profile(started: float, meter: Meter) -> dict:
+def _profile(started: float, meter: Meter, stages: tuple[str, ...]) -> dict:
     """Each stage's wall time and solver work from the meter's marks; a
-    stage that did not run (``opf`` unless configured) reads 0."""
-    stages_s = dict.fromkeys(GENERATE_STAGES, 0.0)
-    counts = {name: dict.fromkeys(_COUNTERS, 0) for name in GENERATE_STAGES}
+    stage that did not run (``opf`` of generate unless configured) reads 0."""
+    stages_s = dict.fromkeys(stages, 0.0)
+    counts = {name: dict.fromkeys(_COUNTERS, 0) for name in stages}
     t0, c0 = started, dict.fromkeys(_COUNTERS, 0)
     for name, t, c in meter.marks:
         stages_s[name] = t - t0
@@ -215,14 +215,15 @@ def _generate_profile(started: float, meter: Meter) -> dict:
 
 
 def _cmd_inspect(args) -> int:
-    marks = [args.started, time.perf_counter()]   # the start, then the end of each stage
+    meter = Meter()
+    meter.mark("args")
     path = Path(args.case_dir)
     try:
         case = caseio.load_case_dir(path)
     except (OSError, ValueError) as exc:
         print(f"cannot load case bundle: {exc}", file=sys.stderr)
         return 1
-    marks.append(time.perf_counter())
+    meter.mark("load")
 
     report = validate(case)
     if report.ok:
@@ -231,14 +232,14 @@ def _cmd_inspect(args) -> int:
         print("validation:")
         for entry in report.entries:
             print(f"  - {entry}")
-
-    marks.append(time.perf_counter())
+    meter.mark("validate")
     try:
-        sol, regulation = regulate(case)
+        with meter.active() if args.profile else nullcontext():
+            sol, regulation = regulate(case)
     except (RegulationError, PowerFlowError) as exc:
         print(f"power flow failed: {exc}", file=sys.stderr)
         return 1
-    marks.append(time.perf_counter())
+    meter.mark("regulate")
     print(f"power flow: converged in {sol.iterations} iterations "
           f"(mismatch {sol.max_mismatch:.2e})")
     print(f"voltage range: {sol.v_mag.min():.4f} .. {sol.v_mag.max():.4f} pu")
@@ -256,16 +257,10 @@ def _cmd_inspect(args) -> int:
         totals = boundary_transfers(case, sol)
         for bus in sorted(totals):
             print(f"  bus {bus} total: {totals[bus]:+.4f}")
-    marks.append(time.perf_counter())
     if args.profile:
-        profile = {
-            "stages_s": dict(zip(("args", "load", "validate", "regulate", "print"),
-                                 (b - a for a, b in zip(marks, marks[1:])))),
-            "nr_iterations": regulation.iterations,
-            "solves": regulation.solves,
-            "tap_rounds": regulation.rounds,
-            "linear_solves": regulation.steps,
-        }
+        meter.mark("print")
+        profile = _profile(args.started, meter, INSPECT_STAGES)
+        profile["linear_solves"] = regulation.steps
         Path(args.profile).write_text(json.dumps(profile, indent=2) + "\n")
     return 0
 

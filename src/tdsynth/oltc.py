@@ -9,9 +9,9 @@ flow's batch, :class:`netmodel.CaseStack`) together: each round solves the
 copies whose taps moved as one batch, and one :class:`TapStepper` moves
 every copy's (B, taps) positions in place and hands their ratios to the
 next solve, so one tap rule decides every copy, and a copy's result does
-not depend on the batch around it.  :func:`regulate_batch` is the API
-edge: it stacks a list of cases and writes the result back onto them once
-at the end; :func:`regulate` is its one-case call.
+not depend on the batch around it.  :func:`regulate` is the API edge for
+one case: it regulates it as a one-row stack and writes the result back
+onto it once at the end; batches enter only as stacks.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def tap_update(xfmr: OltcTransformer, v_controlled: float) -> int:
 
 
 class TapStepper:
-    """The one-step tap rule shared by :func:`regulate_batch` and the OPF
+    """The one-step tap rule shared by :func:`_regulate` and the OPF
     relaxation loop, for cases of one structure at once: row k of each
     array is case k, one column per transformer.  Each transformer freezes
     for the rest of the run the moment its proposed step reverses the last
@@ -103,7 +103,7 @@ class TapStepper:
 
 
 def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, max_rounds: int):
-    """:func:`regulate_batch` of the copies of a stack, which it moves in
+    """:func:`regulate` of the copies of a stack, which it moves in
     place: taps, branch ratios, voltages and generator outputs, these last
     two from each copy's last convergent solve.  Returns per copy that
     solve, as (:class:`powerflow._Solved`, row) or None, and its report or
@@ -172,36 +172,9 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
     return last, out
 
 
-# what a regulation moves, written back onto the cases of :func:`regulate_batch`
+# what a regulation moves, written back onto the case of :func:`regulate`
 _MOVED = {"buses": ("v_mag", "v_ang"), "generators": ("p", "q"), "branches": ("ratio",),
           "oltcs": ("tap",)}
-
-
-def regulate_batch(
-    cases: list[NetworkCase],
-    opts: SolverOptions | None = None,
-    max_rounds: int = 30,
-) -> list[tuple[PowerFlowSolution, RegulationReport] | Exception]:
-    """Alternate power-flow solves with simultaneous one-step tap updates until
-    every controlled voltage is in band or its transformer is saturated, for
-    every case of one structure at once.
-
-    Two anti-cycling safeguards are always active: the hard ``max_rounds``
-    cap, and per-transformer freezing the moment a tap reverses its previous
-    direction.  Each case is mutated in place (taps, ratios, stored
-    voltages) so later calls warm-start from the settled state.  Returns,
-    per case, its last solution and report, or its error: a
-    :class:`RegulationError` when a solve diverges, the power flow's error
-    when a Jacobian is singular.
-    """
-    if not cases:
-        return []
-    st = powerflow._structure(cases)
-    stack = CaseStack.of(cases)
-    last, results = _regulate(st, stack, opts or SolverOptions(), max_rounds)
-    stack.write(cases, _MOVED)
-    return [r if isinstance(r, Exception) else (last[k][0].solution(last[k][1], st), r)
-            for k, r in enumerate(results)]
 
 
 def regulate(
@@ -209,8 +182,22 @@ def regulate(
     opts: SolverOptions | None = None,
     max_rounds: int = 30,
 ) -> tuple[PowerFlowSolution, RegulationReport]:
-    """:func:`regulate_batch` of one case; raises its error."""
-    (result,) = regulate_batch([case], opts, max_rounds)
+    """Alternate power-flow solves with simultaneous one-step tap updates until
+    every controlled voltage is in band or its transformer is saturated.
+
+    Two anti-cycling safeguards are always active: the hard ``max_rounds``
+    cap, and per-transformer freezing the moment a tap reverses its previous
+    direction.  The case is mutated in place (taps, ratios, stored voltages
+    and generator outputs) so later calls warm-start from the settled state.
+    Returns the last solution and the report; raises a
+    :class:`RegulationError` when a solve diverges, the power flow's error
+    when a Jacobian is singular.
+    """
+    st = powerflow._structure(case)
+    stack = CaseStack.of([case])
+    last, (result,) = _regulate(st, stack, opts or SolverOptions(), max_rounds)
+    stack.write([case], _MOVED)
     if isinstance(result, Exception):
         raise result
-    return result
+    sol, row = last[0]
+    return sol.solution(row, st), result

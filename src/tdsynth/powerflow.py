@@ -12,9 +12,9 @@ updated again; :func:`_store` writes the solved rows back into the stack.
 A row's numbers do not depend on the batch around it: it passes through the
 same elementwise operations and the same LAPACK call whatever the batch
 size and its position (a large batch is cut into chunks for that, see
-``_ELIDE_BYTES``).  :func:`solve_batch` is the API edge: it checks and
-stacks a list of cases and returns a :class:`PowerFlowSolution` per case;
-:func:`solve` is its one-case call.
+``_ELIDE_BYTES``).  :func:`solve` is the API edge for one case: it checks
+it, solves it as a one-row stack and returns its
+:class:`PowerFlowSolution`; batches enter only as stacks.
 
 Every placement shares one Ybus and one Jacobian evaluation: the admittance
 terms are added up once per Ybus entry (:class:`_Admittance`), and each
@@ -497,20 +497,6 @@ def _worst(F) -> np.ndarray:
     return np.abs(F).max(axis=1) if F.shape[1] else np.zeros(len(F))
 
 
-def _key(case: NetworkCase, taps: list[int]) -> list[np.ndarray]:
-    """Everything a batch shares, as arrays to compare: its integer columns,
-    then its real ones; the tap branches' ratios may differ."""
-    buses, br, gens, oltcs = case.buses, case.branches, case.generators, case.oltcs
-    ratio = br.ratio.copy()
-    ratio[taps] = 0.0
-    return [
-        np.concatenate([buses.id, buses.kind, br.from_bus, br.to_bus, br.status, gens.bus_id,
-                        gens.controllable, oltcs.branch_ref, oltcs.controlled_bus]),
-        np.concatenate([buses.g_shunt, buses.b_shunt, br.r, br.x, br.b_charging,
-                        br.phase_shift, ratio]),
-    ]
-
-
 def _shares(case: NetworkCase) -> tuple:
     """Where :func:`_spread` puts the injection of each slack/PV bus: per
     kind of injection, Q then P, (the controllable generators at such a
@@ -563,23 +549,14 @@ class _Structure:
     blocks: _Blocks | bool | None = None   # False: the matrix has no replica blocks
 
 
-def _structure(cases: list[NetworkCase]) -> _Structure:
-    """Check the first case and index it; raise ValueError if another case
-    does not share its structure."""
-    case = cases[0]
+def _structure(case: NetworkCase) -> _Structure:
+    """Check a case and index it."""
     kinds = case.buses.kind
     slacks = int(np.count_nonzero(kinds == SLACK))
     if slacks != 1:
         raise PowerFlowError(f"need exactly one slack bus, found {slacks}")
     if _island_of(*_edges(case)).any():
         raise PowerFlowError("network is not connected")
-    tap_br = sorted(set(case.oltcs.branch_ref.tolist()))
-    if len(cases) > 1:
-        key = _key(case, tap_br)
-        for k, other in enumerate(cases[1:], 1):
-            if not all(map(np.array_equal, _key(other, tap_br), key)):
-                raise ValueError(f"case {k} of the batch differs in structure from case 0")
-
     adm = _Admittance(case)
     gen_pos = _find(case.buses.id, case.generators.bus_id)
     # the |V| setpoint of a slack/PV bus comes from its first generator
@@ -594,7 +571,7 @@ def _structure(cases: list[NetworkCase]) -> _Structure:
     return _Structure(
         adm=adm, ids=case.buses.id.copy(), pvpq=pvpq, pq=pq, gen_pos=gen_pos,
         set_pos=set_pos, set_gen=first[at], f_at=np.concatenate([2 * pvpq, 2 * pq + 1]),
-        shares=_shares(case), tap_br=tap_br,
+        shares=_shares(case), tap_br=sorted(set(case.oltcs.branch_ref.tolist())),
         dense=_dense(len(pvpq) + len(pq)),
         # the widest elementwise array of a case, dS/dV, holds fewer than
         # 2 (terms + buses) complex values
@@ -764,25 +741,15 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
                    worst, None if dense else paths)
 
 
-def solve_batch(
-    cases: list[NetworkCase], opts: SolverOptions | None = None
-) -> list[PowerFlowSolution | PowerFlowError]:
-    """Newton-Raphson solve of cases of one structure (see the module
-    docstring), with fixed bus types: a PV bus holds its voltage setpoint
-    whatever reactive output that takes.  Returns, per case, its solution
-    or its :class:`SingularJacobianError`; a structural problem (no single
-    slack, islands) raises for the whole batch.  No case is mutated; use
-    :func:`apply_solution` to store a result between solver calls."""
-    if not cases:
-        return []
-    st = _structure(cases)
-    sol = _solve(st, CaseStack.of(cases), np.arange(len(cases)), opts or SolverOptions())
-    return [sol.solution(k, st) for k in range(len(cases))]
-
-
 def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolution:
-    """:func:`solve_batch` of one case; raises its error."""
-    (result,) = solve_batch([case], opts)
+    """Newton-Raphson solve of one case (see the module docstring), with
+    fixed bus types: a PV bus holds its voltage setpoint whatever reactive
+    output that takes.  Raises :class:`SingularJacobianError` for a
+    singular Jacobian and :class:`PowerFlowError` for a structural problem
+    (no single slack, islands).  The case is not mutated; use
+    :func:`apply_solution` to store a result between solver calls."""
+    st = _structure(case)
+    result = _solve(st, CaseStack.of([case]), np.arange(1), opts or SolverOptions()).solution(0, st)
     if isinstance(result, PowerFlowError):
         raise result
     return result

@@ -172,12 +172,6 @@ def _slack_generator(case: NetworkCase) -> tuple[int, int]:
     return int(slack[0]), int(at[0])
 
 
-def _set_source_voltage(case: NetworkCase, v: float) -> None:
-    bus, gen = _slack_generator(case)
-    case.buses.v_mag[bus] = v
-    case.generators.v_set[gen] = v
-
-
 def _zero_dg(case: NetworkCase) -> None:
     gens = case.generators
     dg = IS_DG[gens.kind]
@@ -267,7 +261,7 @@ def dn_max_capacity(
     if p_template <= 0:
         raise SynthesisError("template has no active load to scale")
     slack, _ = _slack_generator(base)
-    st = structure if structure is not None else powerflow._structure([base])
+    st = structure if structure is not None else powerflow._structure(base)
     stack, ids = CaseStack.of([base]), base.buses.id
 
     def probe_all(scales: list[float]) -> list:
@@ -413,7 +407,7 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
     p_template, _ = total_load(template)
     if p_template <= 0:
         raise SynthesisError("template has no active load")
-    st = structure if structure is not None else powerflow._structure([template])
+    st = structure if structure is not None else powerflow._structure(template)
     # keyed by (host position, -1 for the import match or the copy position)
     errors: dict[tuple[int, int], Exception] = {}
 
@@ -735,7 +729,7 @@ def generate(
     template = _replica_template(dn_bundle.case, cfg)
     with _stage("capacity"):
         # one structure for the capacity search, the import match and every copy
-        structure = powerflow._structure([template])
+        structure = powerflow._structure(template)
         capacity = dn_max_capacity(
             template,
             cfg.dn_v_limits,
@@ -751,7 +745,8 @@ def generate(
     for bus_id, p_load, _q in selected:
         count = dn_count(p_load, capacity.p_capacity * cfg.oversize)
         hosts.append((bus_id, p_load / count, float(tn_solution.v_mag[tn_idx[bus_id]]),
-                      [(k, _rng_for(cfg, bus_id, k)) for k in range(count)]))
+                      [(k, _rng_for(cfg, bus_id, k) if cfg.random else None)
+                       for k in range(count)]))
     with _stage("customize"):
         instances = customize(template, cfg, hosts, structure)
 
@@ -765,7 +760,6 @@ def generate(
             "combined power flow did not converge "
             f"(worst mismatch near {_worst_bus(combined, solution)})",
         )
-    apply_solution(combined, solution)
 
     opf_solution = None
     if cfg.run_opf:
@@ -861,12 +855,12 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "combined_v_min": float(v.min()),
             "combined_v_max": float(v.max()),
             "solve_counts": {
-                "constant_load": (asdict(inst.constant_load_counts)
+                "constant_load": (dict(vars(inst.constant_load_counts))
                                   if inst.constant_load_counts is not None else None),
                 # the post-DG regulation; None when the constant-load loop's
                 # last round closed the copy
-                "closing": (asdict(SolveCounts(inst.regulation.solves, inst.regulation.iterations,
-                                               inst.regulation.rounds))
+                "closing": (vars(SolveCounts(inst.regulation.solves, inst.regulation.iterations,
+                                             inst.regulation.rounds))
                             if inst.constant_load_counts is None else None),
             },
         }

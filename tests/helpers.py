@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import shutil
+from dataclasses import fields
 
 import numpy as np
 
@@ -12,12 +13,14 @@ from tdsynth.netmodel import (
     Branch,
     Bus,
     BusKind,
+    CaseStack,
     Generator,
     NetworkCase,
     OltcTransformer,
 )
 from tdsynth.caseio import CaseDocument, emit_case, load_case_dir, parse_case, save_case_dir
-from tdsynth.powerflow import SolverOptions, solve_batch
+from tdsynth.powerflow import PowerFlowSolution, SolverOptions, _solve, _structure
+from tdsynth.synth import _slack_generator
 from tdsynth.templates import bundled_template_dir
 
 
@@ -40,6 +43,23 @@ def two_bus_analytic(p_load=0.1, x=0.1):
     v2 = math.sqrt(u)
     d2 = -math.asin(px / v2)
     return v2, d2
+
+
+def set_source_voltage(case: NetworkCase, v: float) -> None:
+    """Hold the case's slack bus, and the setpoint of its source, at ``v``."""
+    bus, gen = _slack_generator(case)
+    case.buses.v_mag[bus] = v
+    case.generators.v_set[gen] = v
+
+
+def assert_same_solution(a: PowerFlowSolution, b: PowerFlowSolution) -> None:
+    """Every field of two solutions alike, arrays bit for bit."""
+    for f in fields(PowerFlowSolution):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
 
 
 def radial_oltc_case(source_v=1.0, load_p=0.3, load_q=0.1) -> NetworkCase:
@@ -185,10 +205,9 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         _jacobians,
         _mismatch,
         _placement,
-        _structure,
     )
 
-    st = _structure([case])
+    st = _structure(case)
     adm, pvpq, pq = st.adm, st.pvpq, st.pq
     ratio, Sbus, _, _ = _inputs(st, CaseStack.of([case]), np.arange(1))
     y = adm.entry_values(adm.terms(ratio))
@@ -329,28 +348,29 @@ def grid_search_dispatch_cost(
     """Brute-force oracle for the 3-bus case: enumerate the PV unit's output
     on a fixed grid and both setpoint voltages on a coarse one, solve an
     ordinary power flow for each point, keep the cheapest feasible cost.
-    The points of one setpoint pair are solved as one batch, whose items
-    are each what a solve of that point alone gives."""
+    The points of one setpoint pair are the rows of one stack of copies of
+    the case, solved as one batch, whose rows are each what a solve of that
+    point alone gives."""
     base = case.base_mva
     load = case.buses[2].p_load
     best = math.inf
     opts = SolverOptions(tolerance=1e-10)
     g_a, g_b = case.generators
+    st = _structure(case)
+    p_grid = np.arange(0.0, load + 5 * p_step, p_step)
     for v_a in v_grid:
         for v_b in v_grid:
-            points = []
-            for p_b in np.arange(0.0, load + 5 * p_step, p_step):
-                work = case.clone()
-                work.generators[0].v_set = v_a
-                work.generators[1].v_set = v_b
-                work.generators[1].p = float(p_b)
-                points.append(work)
-            for work, sol in zip(points, solve_batch(points, opts)):
+            points = CaseStack.of([case]).take(np.zeros(len(p_grid), dtype=int))
+            points.generators.v_set[:, 0] = v_a
+            points.generators.v_set[:, 1] = v_b
+            points.generators.p[:, 1] = p_grid
+            solved = _solve(st, points, np.arange(len(p_grid)), opts)
+            for k, p_b in enumerate(p_grid.tolist()):
+                sol = solved.solution(k, st)
                 if isinstance(sol, Exception):
                     raise sol
                 if not sol.converged:
                     continue
-                p_b = work.generators[1].p
                 vm = sol.v_mag
                 if vm.min() < v_limits[0] - 1e-9 or vm.max() > v_limits[1] + 1e-9:
                     continue

@@ -24,7 +24,6 @@ from tdsynth.powerflow import SolverOptions, solve
 from tdsynth.synth import (
     SynthesisConfig,
     _scale_loads,
-    _set_source_voltage,
     _zero_dg,
     boundary_transfers,
     dn_max_capacity,
@@ -36,6 +35,7 @@ from helpers import (
     jacobian_fd_relative_gap,
     random_document,
     random_network,
+    set_source_voltage,
     three_bus_opf_case,
     two_bus_analytic,
     two_bus_case,
@@ -98,7 +98,7 @@ def test_criterion_3_penetration_audit(run_pipeline):
 def test_criterion_4_oltc_regulation(dn_bundle, run_pipeline):
     # stepping fixture: lightly loaded replica under a stiff high source
     stepping = dn_bundle.case.clone()
-    _set_source_voltage(stepping, 1.06)
+    set_source_voltage(stepping, 1.06)
     _scale_loads(stepping, 0.3)
     combined = run_pipeline(SynthesisConfig(penetration_level=1.0)).case.clone()
 

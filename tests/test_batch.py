@@ -1,26 +1,25 @@
-"""The batched Newton/tap kernel against its one-item calls, and the batched
-capacity search against a serial bisection kept here as the reference."""
-
-from dataclasses import fields
+"""The batched Newton/tap kernel on stacked copies against the one-case
+calls, and the batched capacity search against a serial bisection kept here
+as the reference."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tdsynth.netmodel import GenKind, total_load
-from tdsynth.oltc import RegulationError, regulate, regulate_batch
-from tdsynth.powerflow import PowerFlowSolution, SolverOptions, _structure, solve, solve_batch
+from tdsynth.netmodel import IS_DG, CaseStack
+from tdsynth.oltc import RegulationError, _regulate, regulate
+from tdsynth.powerflow import SolverOptions, _solve, _structure, solve
 from tdsynth.synth import (
     SynthesisError,
     _scale_loads,
-    _set_source_voltage,
+    _slack_generator,
     _zero_dg,
     dn_max_capacity,
 )
 from tdsynth.templates import bundled_template_dir, load_bundle
 
-from helpers import rescaled_dn
+from helpers import assert_same_solution, rescaled_dn
 
 DN = load_bundle(bundled_template_dir() / "mini-dn").case
 TEMPLATES = {1: DN, 10: rescaled_dn(DN, 10)}
@@ -28,31 +27,21 @@ PROPERTY = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def _bits(a) -> bytes:
-    return np.asarray(a).tobytes()
-
-
-def _assert_same_solution(a: PowerFlowSolution, b: PowerFlowSolution) -> None:
-    for f in fields(PowerFlowSolution):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            assert _bits(x) == _bits(y), f.name
-        else:
-            assert x == y, f.name
-
-
-def _feeder_copy(base, load_scale: float, dg_share: float, tap: int, source_v: float):
-    """A copy of ``base`` with its own loads, DG output, start tap and source
-    voltage: what the copies of one host differ in."""
-    case = base.clone()
-    _set_source_voltage(case, source_v)
-    _scale_loads(case, load_scale)
-    dgs = [g for g in case.generators if g.kind in (GenKind.DN_CONTROLLABLE, GenKind.DN_PV)]
-    for g in dgs:
-        g.p = dg_share * total_load(case)[0] / len(dgs)
-    case.oltcs[0].tap = tap
-    case.sync_ratios()
-    return case
+def _feeder_copies(base, source_v: float, load_scale, dg_share, tap) -> CaseStack:
+    """Copies of ``base`` stacked as ``synth`` stacks them, a row per item
+    of the per-copy arrays: each with its own loads, DG output and start
+    tap, all at source voltage ``source_v``."""
+    stack = CaseStack.of([base]).take(np.zeros(len(load_scale), dtype=int))
+    bus, gen = _slack_generator(base)
+    stack.buses.v_mag[:, bus] = stack.generators.v_set[:, gen] = source_v
+    _scale_loads(stack, np.asarray(load_scale)[:, None])
+    dgs = np.flatnonzero(IS_DG[base.generators.kind])
+    p_load = stack.buses.p_load.sum(axis=1)
+    stack.generators.p[:, dgs] = (np.asarray(dg_share) * p_load / len(dgs))[:, None]
+    t = stack.oltcs
+    t.tap[:, 0] = tap
+    stack.branches.ratio[:, base.oltcs.branch_ref] = 1.0 + t.tap * t.tap_step
+    return stack
 
 
 copies = st.tuples(
@@ -67,34 +56,26 @@ copies = st.tuples(
        items=st.lists(copies, min_size=1, max_size=6))
 def test_batch_items_equal_their_one_item_runs(k, source_v, items):
     base = TEMPLATES[k]
-    batch = [_feeder_copy(base, *item, source_v) for item in items]
-    alone = [_feeder_copy(base, *item, source_v) for item in items]
+    stack = _feeder_copies(base, source_v, *zip(*items))
+    alone = stack.cases()
+    structure = _structure(base)
 
-    for got, case in zip(solve_batch(batch), alone):
-        _assert_same_solution(got, solve(case))
+    solved = _solve(structure, stack, np.arange(len(items)), SolverOptions())
+    for j, case in enumerate(alone):
+        assert_same_solution(solved.solution(j, structure), solve(case))
 
-    for got, case in zip(regulate_batch(batch, max_rounds=8), alone):
+    last, results = _regulate(structure, stack, SolverOptions(), 8)
+    for j, (got, case) in enumerate(zip(results, alone)):
         try:
             sol, report = regulate(case, max_rounds=8)
         except RegulationError as exc:
             assert isinstance(got, RegulationError) and str(got) == str(exc)
             continue
         assert not isinstance(got, Exception), got
-        _assert_same_solution(got[0], sol)
-        assert got[1] == report
-    # taps, ratios, voltages and generator outputs were written back alike
-    assert batch == alone
-
-
-def test_batch_rejects_cases_of_another_structure():
-    other = DN.clone()
-    other.branches[3].r *= 2.0
-    with pytest.raises(ValueError, match="case 1 .* differs in structure"):
-        solve_batch([DN.clone(), other])
-    moved = DN.clone()
-    moved.oltcs[0].tap = 3
-    moved.sync_ratios()
-    assert len(solve_batch([DN.clone(), moved])) == 2   # a tap position may differ
+        assert_same_solution(last[j][0].solution(last[j][1], structure), sol)
+        assert got == report
+    # taps, ratios, voltages and generator outputs were moved alike
+    assert stack.cases() == alone
 
 
 def _serial_capacity(dn, v_limits, tolerance, ceiling, max_rounds):
@@ -172,9 +153,11 @@ def test_capacity_counts_probes_judged_before_regulation_settled():
 def test_a_batch_of_many_chunks_equals_its_one_item_runs():
     # numpy reuses large temporaries in place, which moves last bits of
     # complex products; a large batch is solved in chunks below that size
-    chunk = _structure([DN]).chunk
-    batch = [_feeder_copy(DN, scale, 0.3, 0, 1.0)
-             for scale in np.linspace(0.1, 1.5, 4 * chunk + 1)]
-    results = solve_batch(batch)
-    for k in range(0, len(batch), 97):
-        _assert_same_solution(results[k], solve(batch[k]))
+    structure = _structure(DN)
+    B = 4 * structure.chunk + 1
+    stack = _feeder_copies(DN, 1.0, np.linspace(0.1, 1.5, B), np.full(B, 0.3),
+                           np.zeros(B, dtype=int))
+    solved = _solve(structure, stack, np.arange(B), SolverOptions())
+    for k in range(0, B, 97):
+        (case,) = stack.take([k]).cases()
+        assert_same_solution(solved.solution(k, structure), solve(case))

@@ -247,6 +247,11 @@ def test_inspect_profile_accounts_for_the_wall_time(tmp_path, capsys):
     data = json.loads(profile.read_text())
     assert list(data["stages_s"]) == ["args", "load", "validate", "regulate", "print"]
     assert abs(sum(data["stages_s"].values()) - wall) <= 0.05 * wall
+    counts = data["stage_counts"]
+    for name in ("batches", "solves", "tap_rounds"):
+        assert sum(c[name] for c in counts.values()) == data[name]
+    assert sum(c["iterations"] for c in counts.values()) == data["nr_iterations"]
+    assert counts["regulate"]["solves"] == data["solves"] > 0
     assert data["nr_iterations"] == len(data["linear_solves"]) > 0
     assert set(data["linear_solves"]) == {"blocks"}
     assert sorted(p.name for p in bundle.iterdir()) == files   # the bundle is untouched

@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 
 from tdsynth.netmodel import OltcTransformer
 from tdsynth.oltc import RegulationError, regulate, tap_update
-from tdsynth.powerflow import SolverOptions, solve
-from tdsynth.synth import _scale_loads, _set_source_voltage
+from tdsynth.powerflow import SolverOptions, apply_solution, solve
+from tdsynth.synth import SynthesisConfig, _scale_loads
 
-from helpers import radial_oltc_case
+from helpers import radial_oltc_case, set_source_voltage
 
 
 def _xfmr(tap=0, tap_min=-16, tap_max=16):
@@ -39,7 +40,7 @@ def test_regulate_traced_monotone_approach(dn_bundle):
     # golden trace: lightly loaded template under a stiff 1.06 source steps
     # the tap up three times, one step per round, and lands in band
     case = dn_bundle.case.clone()
-    _set_source_voltage(case, 1.06)
+    set_source_voltage(case, 1.06)
     _scale_loads(case, 0.3)
     sol, report = regulate(case)
     assert report.tap_trace == [[1], [2], [3]]
@@ -52,7 +53,7 @@ def test_regulate_traced_monotone_approach(dn_bundle):
 
 def test_regulate_saturation_terminates(dn_bundle):
     case = dn_bundle.case.clone()
-    _set_source_voltage(case, 0.85)  # band unreachable even at tap_min
+    set_source_voltage(case, 0.85)  # band unreachable even at tap_min
     sol, report = regulate(case)
     assert report.final_taps == [case.oltcs[0].tap_min]
     assert report.saturated == [True]
@@ -62,7 +63,7 @@ def test_regulate_saturation_terminates(dn_bundle):
 
 def test_regulate_is_idempotent(dn_bundle):
     case = dn_bundle.case.clone()
-    _set_source_voltage(case, 1.06)
+    set_source_voltage(case, 1.06)
     _scale_loads(case, 0.3)
     regulate(case)
     taps_first = [t.tap for t in case.oltcs]
@@ -92,8 +93,26 @@ def test_regulate_divergence_carries_last_state():
 
 def test_max_rounds_is_a_hard_cap(dn_bundle):
     case = dn_bundle.case.clone()
-    _set_source_voltage(case, 1.06)
+    set_source_voltage(case, 1.06)
     _scale_loads(case, 0.3)
     sol, report = regulate(case, SolverOptions(), max_rounds=1)
     assert report.rounds == 1
     assert report.final_taps == [1]
+
+
+def test_regulate_writes_back_what_apply_solution_would(run_pipeline):
+    # so nothing needs storing after a regulation: on a combined case, with
+    # PV hosts, driven through several tap rounds
+    case = run_pipeline(SynthesisConfig()).case.clone()
+    t = case.oltcs
+    t.tap[:] = np.maximum(t.tap - 4, t.tap_min)
+    case.sync_ratios()
+    sol, report = regulate(case)
+    assert report.rounds > 1 and sol.converged
+    written = case.clone()
+    apply_solution(written, sol)
+    for name in ("buses", "generators", "branches", "oltcs"):
+        for f, col in vars(getattr(case, name)).items():
+            other = vars(getattr(written, name))[f]
+            same = col.tobytes() == other.tobytes() if isinstance(col, np.ndarray) else col == other
+            assert same, (name, f)

@@ -14,10 +14,11 @@ from tdsynth.opf import (
     solve_with_relaxation,
 )
 from tdsynth.powerflow import solve
-from tdsynth.synth import _scale_loads, _set_source_voltage
+from tdsynth.synth import _scale_loads
 
 from helpers import (
-    full_kkt, losses_from_flows, opf_derivative_fd_gaps, scaled_templates, three_bus_opf_case,
+    full_kkt, losses_from_flows, opf_derivative_fd_gaps, scaled_templates, set_source_voltage,
+    three_bus_opf_case,
 )
 
 
@@ -94,7 +95,7 @@ def _band_aligned_problem(dn_bundle):
     """Problem whose optimum keeps the controlled bus inside its deadband, so
     the tap rule and the optimizer agree from the start."""
     case = dn_bundle.case.clone()
-    _set_source_voltage(case, 1.0)
+    set_source_voltage(case, 1.0)
     _scale_loads(case, 0.5)
     from tdsynth.oltc import regulate
 

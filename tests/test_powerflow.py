@@ -3,7 +3,7 @@ import pytest
 
 from tdsynth import powerflow, residual
 from tdsynth.caseio import from_network, to_network
-from tdsynth.netmodel import Branch, Bus, BusKind, Generator, NetworkCase
+from tdsynth.netmodel import Branch, Bus, BusKind, CaseStack, Generator, NetworkCase
 from tdsynth.powerflow import (
     PowerFlowError,
     SingularJacobianError,
@@ -12,8 +12,10 @@ from tdsynth.powerflow import (
     build_ybus,
     solve,
 )
+from tdsynth.synth import _scale_loads
 
 from helpers import (
+    assert_same_solution,
     jacobian_fd_relative_gap,
     losses_from_flows,
     random_network,
@@ -273,21 +275,16 @@ def test_replica_blocks_agree_with_superlu(combined_cases, monkeypatch, k):
         assert sol.steps == ["blocks"] * sol.iterations
 
 
-def _loads_scaled(case, factor):
-    case = case.clone()
-    case.buses.p_load *= factor
-    case.buses.q_load *= factor
-    return case
-
-
 def test_replica_block_batch_items_equal_one_item_runs(combined_cases):
-    cases = [_loads_scaled(combined_cases[10], f) for f in (1.0, 0.8, 1.1)]
-    batch = powerflow.solve_batch(cases)
-    for case, sol in zip(cases, batch):
-        alone = solve(case)
+    case = combined_cases[10]
+    stack = CaseStack.of([case]).take(np.zeros(3, dtype=int))
+    _scale_loads(stack, np.array([[1.0], [0.8], [1.1]]))
+    st = powerflow._structure(case)
+    batch = powerflow._solve(st, stack, np.arange(3), SolverOptions())
+    for k, one in enumerate(stack.cases()):
+        sol, alone = batch.solution(k, st), solve(one)
         assert sol.steps == alone.steps == ["blocks"] * alone.iterations
-        for name in ("v_mag", "v_ang", "p_from", "q_to"):
-            assert np.array_equal(getattr(sol, name), getattr(alone, name))
+        assert_same_solution(sol, alone)
 
 
 def test_blocks_larger_than_the_dense_bound_fall_back_to_superlu(combined_cases, monkeypatch):
@@ -365,7 +362,7 @@ def test_replica_blocks_of_two_sizes_and_narrow_couplings(combined_cases, monkey
                                      q_min=-5, q_max=5))
     case.branches.from_bus[refs[-1]] = case.slack_buses()[0].id
 
-    st = powerflow._structure([case])
+    st = powerflow._structure(case)
     st.place = powerflow._placement(st.adm, st.pvpq, st.pq)
     blocks = powerflow._partition(st)
     assert sorted(set(blocks.size.tolist())) == [22, 24]

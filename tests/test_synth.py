@@ -512,9 +512,9 @@ def test_generate_builds_one_structure_per_network(template_dir, monkeypatch):
     built, placed = [], []
     real_structure, real_placement = powerflow._structure, powerflow._placement
 
-    def counting_structure(cases):
-        built.append(len(cases[0].buses))
-        return real_structure(cases)
+    def counting_structure(case):
+        built.append(len(case.buses))
+        return real_structure(case)
 
     def counting_placement(adm, pvpq, pq):
         placed.append(id(adm))
