@@ -235,7 +235,7 @@ def _cmd_inspect(args) -> int:
     meter.mark("validate")
     try:
         with meter.active() if args.profile else nullcontext():
-            sol, regulation = regulate(case)
+            sol, _ = regulate(case)
     except (RegulationError, PowerFlowError) as exc:
         print(f"power flow failed: {exc}", file=sys.stderr)
         return 1
@@ -260,7 +260,7 @@ def _cmd_inspect(args) -> int:
     if args.profile:
         meter.mark("print")
         profile = _profile(args.started, meter, INSPECT_STAGES)
-        profile["linear_solves"] = regulation.steps
+        profile["linear_solves"] = meter.linear_solves
         Path(args.profile).write_text(json.dumps(profile, indent=2) + "\n")
     return 0
 

@@ -102,7 +102,7 @@ class Branch:
 class OltcTransformer:
     """Discrete tap changer riding on an existing branch.
 
-    The branch ratio is derived state: ``1 + tap * tap_step``, pushed onto the
+    The branch ratio is derived state, :func:`tap_ratios`, pushed onto the
     branch by :meth:`NetworkCase.sync_ratios` whenever the tap moves.
     """
 
@@ -114,6 +114,12 @@ class OltcTransformer:
     tap_min: int = -16
     tap_max: int = 16
     tap_step: float = 0.00625
+
+
+def tap_ratios(oltcs) -> np.ndarray:
+    """The branch ratio of every tap changer, ``1 + tap * tap_step``: of a
+    case's ``oltcs`` table, or of a stack's (B, taps) columns."""
+    return 1.0 + oltcs.tap * oltcs.tap_step
 
 
 def _column(kind, values: list):
@@ -171,9 +177,8 @@ class _Table:
         cls.record = record
         cls.schema = list(get_type_hints(record).items())
         cls._empty = {f: _column(kind, []) for f, kind in cls.schema}
-        methods = {k: v for k, v in vars(record).items() if callable(v) and not k.startswith("__")}
         fields = {f: _field(f, kind) for f, kind in cls.schema}
-        cls.view = type(f"{record.__name__}View", (_Row,), {"__slots__": (), **fields, **methods})
+        cls.view = type(f"{record.__name__}View", (_Row,), {"__slots__": (), **fields})
 
     def __init__(self, records=()):
         records = list(records)
@@ -269,8 +274,8 @@ class NetworkCase:
         return [self.buses[i] for i in np.flatnonzero(self.buses.kind == SLACK).tolist()]
 
     def sync_ratios(self) -> None:
-        """Push every tap changer's ratio, ``1 + tap * tap_step``, onto its branch."""
-        self.branches.ratio[self.oltcs.branch_ref] = 1.0 + self.oltcs.tap * self.oltcs.tap_step
+        """Push every tap changer's ratio (:func:`tap_ratios`) onto its branch."""
+        self.branches.ratio[self.oltcs.branch_ref] = tap_ratios(self.oltcs)
 
     def clone(self) -> "NetworkCase":
         """Independent copy: every column is copied."""
@@ -482,7 +487,7 @@ def validate(case: NetworkCase) -> ValidationReport:
     ref = oltcs.branch_ref
     on = (0 <= ref) & (ref < len(branches))
     have = np.append(branches.ratio, np.nan)[np.where(on, ref, -1)]
-    want = 1.0 + oltcs.tap * oltcs.tap_step
+    want = tap_ratios(oltcs)
     _report(out, oltcs, [
         (~on, "oltc {i}: dangling branch reference {r.branch_ref}"),
         (~ctrl_ok, "oltc {i}: dangling controlled-bus reference {r.controlled_bus}"),

@@ -7,11 +7,13 @@ style), which keeps the result independent of transformer ordering.
 :func:`_regulate` regulates the copies of a stacked table (the power
 flow's batch, :class:`netmodel.CaseStack`) together: each round solves the
 copies whose taps moved as one batch, and one :class:`TapStepper` moves
-every copy's (B, taps) positions in place and hands their ratios to the
-next solve, so one tap rule decides every copy, and a copy's result does
-not depend on the batch around it.  :func:`regulate` is the API edge for
-one case: it regulates it as a one-row stack and writes the result back
-onto it once at the end; batches enter only as stacks.
+every copy's (B, taps) positions in place and hands their ratios
+(:func:`netmodel.tap_ratios`) to the next solve, so one tap rule decides
+every copy, and a copy's result does not depend on the batch around it.
+A diverging solve's :class:`RegulationError` names the bus of its largest
+mismatch.  :func:`regulate` is the API edge for one case: it regulates it
+as a one-row stack and writes the result back onto it once at the end;
+batches enter only as stacks.
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import powerflow
-from .netmodel import CaseStack, NetworkCase, OltcTransformer, _find
+from .netmodel import CaseStack, NetworkCase, OltcTransformer, _find, tap_ratios
 # ``solve`` is bound here too: perfbench/selftest.py checks that the tracer
 # rebinds it in this module
 from .powerflow import PowerFlowSolution, SolverOptions, solve  # noqa: F401
 
 
 class RegulationError(RuntimeError):
-    """Power flow diverged inside the regulation loop; carries the last
-    convergent state (None if the very first solve failed)."""
+    """Power flow diverged inside the regulation loop; the message ends with
+    the id of the bus holding the largest mismatch, and the error carries
+    the last convergent state (None if the very first solve failed)."""
 
     def __init__(self, message: str, last_solution: PowerFlowSolution | None):
         super().__init__(message)
@@ -41,7 +44,6 @@ class RegulationReport:
     rounds: int = 0
     solves: int = 0
     iterations: int = 0          # NR iterations over all solves
-    steps: list[str] = field(default_factory=list)   # each one's linear-solve path
     final_taps: list[int] = field(default_factory=list)
     frozen: list[bool] = field(default_factory=list)
     saturated: list[bool] = field(default_factory=list)
@@ -96,10 +98,9 @@ class TapStepper:
 
     def apply(self, deltas: np.ndarray) -> np.ndarray:
         """Move every tap by its delta; returns every tap's ratio."""
-        t = self.oltcs
-        t.tap += deltas
+        self.oltcs.tap += deltas
         self._last = np.where(deltas != 0, deltas, self._last)
-        return 1.0 + t.tap * t.tap_step
+        return tap_ratios(self.oltcs)
 
 
 def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, max_rounds: int):
@@ -110,10 +111,9 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
     its error."""
     B, t = len(stack), stack.oltcs
     ref = stack.template.oltcs.branch_ref
-    stack.branches.ratio[:, ref] = 1.0 + t.tap * t.tap_step
+    stack.branches.ratio[:, ref] = tap_ratios(t)
     stepper = TapStepper(t, _find(st.ids, stack.template.oltcs.controlled_bus))
     solves, iterations, rounds = (np.zeros(B, dtype=int) for _ in range(3))
-    paths: list[list[str]] = [[] for _ in range(B)]   # of a matrix not placed dense
     traces: list[list[list[int]]] = [[] for _ in range(B)]
     errors: list[Exception | None] = [None] * B
     last: list[tuple | None] = [None] * B
@@ -124,15 +124,13 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
         sol = powerflow._solve(st, stack, items, opts)
         solves[items] += 1
         iterations[items] += np.where(sol.singular, 0, sol.iterations)
-        if not st.dense:
-            for k, p, singular in zip(items.tolist(), sol.paths, sol.singular.tolist()):
-                paths[k] += [] if singular else p
         ok = sol.converged & ~sol.singular
         for j in np.flatnonzero(~ok).tolist():
             k = items[j]
             errors[k] = sol.solution(j, st) if sol.singular[j] else RegulationError(
-                "power flow diverged before any tap adjustment" if last[k] is None
-                else f"power flow diverged in regulation round {rounds[k]}",
+                ("power flow diverged before any tap adjustment" if last[k] is None
+                 else f"power flow diverged in regulation round {rounds[k]}")
+                + f"; largest mismatch at bus {st.ids.item(sol.worst[j])}",
                 None if last[k] is None else last[k][0].solution(last[k][1], st))
         good = np.flatnonzero(ok)
         powerflow._store(st, stack, items[good], sol, good)
@@ -166,7 +164,6 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
     for k in range(B):
         out.append(errors[k] if errors[k] is not None else RegulationReport(
             rounds=int(rounds[k]), solves=int(solves[k]), iterations=int(iterations[k]),
-            steps=["dense"] * int(iterations[k]) if st.dense else paths[k],
             final_taps=taps[k], frozen=frozen[k],
             saturated=saturated[k], in_band=in_band[k], tap_trace=traces[k]))
     return last, out

@@ -36,7 +36,7 @@ solved:
   (``SPARSE_LU_PIVOT``) that keeps its fill from hanging on how ties
   between repeated feeder blocks round.
 
-Each solution lists the path of every Newton step (``steps``).  The
+A :class:`Meter` lists each Newton step's path (``linear_solves``).  The
 formulation is polar full Newton, because distribution feeders with high
 R/X ratios defeat the fast-decoupled shortcuts.
 """
@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,8 +112,6 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     mismatch_bus: int | None = None  # bus id holding max_mismatch; None if no unknowns
-    # the linear-solve path of each Newton step: "dense", "blocks" or "superlu"
-    steps: list[str] = field(default_factory=list)
 
 
 # numpy computes ``a * b`` in the buffer of b, with the operands swapped,
@@ -425,9 +423,7 @@ def _partition(st: _Structure) -> _Blocks | None:
     tap = np.zeros(len(adm.f), dtype=bool)
     tap[st.tap_br] = True
     comp = _island_of(n, adm.f[~tap], adm.t[~tap])
-    slack = np.ones(n, dtype=bool)
-    slack[st.pvpq] = False   # the one bus without unknowns
-    border = comp == comp[slack.argmax()]
+    border = comp == comp[st.slack]
     # the components joined by tap changers away from the border are one block
     tie = tap & ~(border[adm.f] | border[adm.t])
     of = np.where(border, -1, _island_of(comp.max() + 1, comp[adm.f[tie]], comp[adm.t[tie]])[comp])
@@ -444,15 +440,19 @@ def _partition(st: _Structure) -> _Blocks | None:
     return _Blocks(rows, cols, number[of], size[order])
 
 
-def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray, list | None]:
-    """Solve J dx = F for every case: the steps (B, m), which of them exist
-    (a singular J or a non-finite step has none), and, if J is not dense,
-    the path each took: "blocks" (:class:`_Blocks`) or "superlu"."""
+def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray]:
+    """Solve J dx = F for every case: the steps (B, m), and which of them
+    exist (a singular J or a non-finite step has none).  An active
+    :class:`Meter` gets the path of each: "dense", "blocks"
+    (:class:`_Blocks`) or "superlu"."""
+    meter = _METER.get()
     if st.dense:
+        if meter is not None:
+            meter.linear_solves += ["dense"] * len(F)
         J = _jacobians(st.adm, st.place, V, Ibus, y, F.shape[1], True)
         try:
             dx = np.linalg.solve(J, F[..., None])[..., 0]
-            return dx, np.isfinite(dx).all(axis=1), None
+            return dx, np.isfinite(dx).all(axis=1)
         except np.linalg.LinAlgError:
             # find the singular ones; each case gets the same LAPACK call
             dx, ok = np.zeros_like(F), np.zeros(len(F), dtype=bool)
@@ -464,19 +464,20 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
                 ok[k] = np.all(np.isfinite(step))
                 if ok[k]:
                     dx[k] = step
-            return dx, ok, None
+            return dx, ok
     if st.blocks is None:
         st.blocks = _partition(st) or False
     take, rows, cols = st.place
-    dx, ok, paths = np.zeros_like(F), np.zeros(len(F), dtype=bool), []
+    dx, ok = np.zeros_like(F), np.zeros(len(F), dtype=bool)
     for k, (vals, Fk) in enumerate(zip(_jacobian_values(st.adm, take, V, Ibus, y), F)):
         step = st.blocks.step(vals, Fk) if st.blocks else None
-        paths.append("superlu" if step is None else "blocks")
+        if meter is not None:
+            meter.linear_solves.append("superlu" if step is None else "blocks")
         if step is None:
             step = _solve_linear(_place(vals, rows, cols, (len(Fk), len(Fk)), False), Fk)
         if step is not None:
             dx[k], ok[k] = step, True
-    return dx, ok, paths
+    return dx, ok
 
 
 def _currents(Y, V) -> np.ndarray:
@@ -535,6 +536,8 @@ class _Structure:
 
     adm: _Admittance
     ids: np.ndarray          # bus ids
+    slack: int               # the slack bus position ...
+    slack_gen: int           # ... and its first generator, the source
     pvpq: np.ndarray
     pq: np.ndarray
     gen_pos: np.ndarray      # bus position of each generator
@@ -552,9 +555,9 @@ class _Structure:
 def _structure(case: NetworkCase) -> _Structure:
     """Check a case and index it."""
     kinds = case.buses.kind
-    slacks = int(np.count_nonzero(kinds == SLACK))
-    if slacks != 1:
-        raise PowerFlowError(f"need exactly one slack bus, found {slacks}")
+    slack = np.flatnonzero(kinds == SLACK)
+    if len(slack) != 1:
+        raise PowerFlowError(f"need exactly one slack bus, found {len(slack)}")
     if _island_of(*_edges(case)).any():
         raise PowerFlowError("network is not connected")
     adm = _Admittance(case)
@@ -569,7 +572,8 @@ def _structure(case: NetworkCase) -> _Structure:
     pq = np.flatnonzero(kinds == PQ)
     pvpq = np.concatenate([np.flatnonzero(kinds == PV), pq])
     return _Structure(
-        adm=adm, ids=case.buses.id.copy(), pvpq=pvpq, pq=pq, gen_pos=gen_pos,
+        adm=adm, ids=case.buses.id.copy(), slack=slack.item(),
+        slack_gen=first[held.searchsorted(slack)].item(), pvpq=pvpq, pq=pq, gen_pos=gen_pos,
         set_pos=set_pos, set_gen=first[at], f_at=np.concatenate([2 * pvpq, 2 * pq + 1]),
         shares=_shares(case), tap_br=sorted(set(case.oltcs.branch_ref.tolist())),
         dense=_dense(len(pvpq) + len(pq)),
@@ -586,17 +590,12 @@ def _inputs(st: _Structure, stack: CaseStack, rows: np.ndarray):
     B, n = len(rows), st.adm.n
     buses, gens = stack.buses, stack.generators
     Sbus = -_complex(buses.p_load[rows], buses.q_load[rows])
-    if len(st.gen_pos):
-        gen = _complex(gens.p[rows], gens.q[rows])
-        # generator by generator, in case order
-        np.add.at(Sbus.reshape(-1), (st.gen_pos + n * np.arange(B)[:, None]).ravel(), gen.ravel())
+    gen = _complex(gens.p[rows], gens.q[rows])
+    # generator by generator, in case order
+    np.add.at(Sbus.reshape(-1), (st.gen_pos + n * np.arange(B)[:, None]).ravel(), gen.ravel())
     vm, va = buses.v_mag[rows], buses.v_ang[rows]
     vm[:, st.set_pos] = gens.v_set[rows][:, st.set_gen]
     return stack.branches.ratio[rows], Sbus, vm, va
-
-
-# the arrays of :class:`_Solved`
-_SOLVED = ("V", "S", "ratio", "converged", "singular", "iterations", "max_mismatch", "worst")
 
 
 @dataclass
@@ -614,7 +613,6 @@ class _Solved:
     iterations: np.ndarray
     max_mismatch: np.ndarray
     worst: np.ndarray        # bus position of max_mismatch; -1 without unknowns
-    paths: list | None       # each case's linear-solve paths; None: every step dense
 
     def solution(self, k: int, st: _Structure) -> PowerFlowSolution | SingularJacobianError:
         """Case k's :class:`PowerFlowSolution`, or its error."""
@@ -630,20 +628,22 @@ class _Solved:
             converged=bool(self.converged[k]), iterations=int(self.iterations[k]),
             max_mismatch=float(self.max_mismatch[k]),
             mismatch_bus=None if self.worst[k] < 0 else st.ids.item(self.worst[k]),
-            steps=["dense"] * int(self.iterations[k]) if self.paths is None else self.paths[k],
         )
 
 
 @dataclass
 class Meter:
     """The solver's work while it is :meth:`active`: batched kernel calls,
-    case solves, NR iterations and tap rounds, and ``marks``, each a
-    (name, time, counts so far) a caller recorded with :meth:`mark`."""
+    case solves, NR iterations and tap rounds, the linear-solve path of each
+    case's every Newton step, in step order ("dense", "blocks" or
+    "superlu"), and ``marks``, each a (name, time, counts so far) a caller
+    recorded with :meth:`mark`."""
 
     batches: int = 0
     solves: int = 0
     iterations: int = 0
     tap_rounds: int = 0
+    linear_solves: list[str] = field(default_factory=list)
     marks: list = field(default_factory=list)
 
     @contextmanager
@@ -668,8 +668,7 @@ def _solve(st: _Structure, stack: CaseStack, rows: np.ndarray, opts: SolverOptio
     parts = [_solve_chunk(st, stack, rows[k : k + st.chunk], opts)
              for k in range(0, len(rows), st.chunk)]
     sol = parts[0] if len(parts) == 1 else _Solved(
-        *(np.concatenate([getattr(p, f) for p in parts]) for f in _SOLVED),
-        None if st.dense else [path for p in parts for path in p.paths])
+        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(_Solved)))
     meter = _METER.get()
     if meter is not None:
         meter.batches += 1
@@ -692,7 +691,6 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
     F = _mismatch(V, Ibus, Sbus, st.f_at)
     iterations = np.zeros(B, dtype=int)
     singular = np.zeros(B, dtype=bool)
-    paths: list[list[str]] = [[] for _ in range(B)]
 
     # the unconverged cases: row j of the working arrays (w*) is case act[j]
     act = np.flatnonzero(~(_worst(F) < opts.tolerance))
@@ -706,10 +704,7 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
             wY = Y[act] if dense else [Y[k] for k in act]
     it = 0
     while act.size and it < opts.max_iterations:
-        dx, ok, path = _newton_steps(st, wV, wI, wy, wF)
-        if not dense:
-            for k, p in zip(act.tolist(), path):
-                paths[k].append(p)
+        dx, ok = _newton_steps(st, wV, wI, wy, wF)
         wva[:, pvpq] -= dx[:, :npvpq]
         wvm[:, pq] -= dx[:, npvpq:]
         wV = wvm * np.exp(1j * wva)
@@ -737,8 +732,7 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
         worst = np.concatenate([pvpq, pq])[worst]
     else:
         max_mismatch, worst = np.zeros(B), np.full(B, -1)
-    return _Solved(V, V * np.conj(Ibus), ratio, converged, singular, iterations, max_mismatch,
-                   worst, None if dense else paths)
+    return _Solved(V, V * np.conj(Ibus), ratio, converged, singular, iterations, max_mismatch, worst)
 
 
 def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolution:

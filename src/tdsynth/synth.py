@@ -161,17 +161,6 @@ def _rng_for(cfg: SynthesisConfig, host_bus: int, copy_index: int) -> np.random.
     return np.random.default_rng([cfg.rng_seed, host_bus, copy_index])
 
 
-def _slack_generator(case: NetworkCase) -> tuple[int, int]:
-    """The positions of the template's slack bus and of its source generator."""
-    slack = np.flatnonzero(case.buses.kind == SLACK)
-    if len(slack) != 1:
-        raise SynthesisError(f"template needs exactly one slack bus, found {len(slack)}")
-    at = np.flatnonzero(case.generators.bus_id == case.buses.id[slack[0]])
-    if not at.size:
-        raise SynthesisError("template slack bus carries no source generator")
-    return int(slack[0]), int(at[0])
-
-
 def _zero_dg(case: NetworkCase) -> None:
     gens = case.generators
     dg = IS_DG[gens.kind]
@@ -260,7 +249,6 @@ def dn_max_capacity(
     p_template, _ = total_load(base)
     if p_template <= 0:
         raise SynthesisError("template has no active load to scale")
-    slack, _ = _slack_generator(base)
     st = structure if structure is not None else powerflow._structure(base)
     stack, ids = CaseStack.of([base]), base.buses.id
 
@@ -273,7 +261,7 @@ def dn_max_capacity(
         v = trials.buses.v_mag   # each probe's last solve
         gap = np.maximum(lo_v - v, v - hi_v)
         gap[~(gap > 0.0)] = 0.0
-        gap[:, slack] = 0.0
+        gap[:, st.slack] = 0.0
         worst = gap.argmax(axis=1)   # the first bus of the largest gap
         outside = gap[np.arange(len(scales)), worst] > 0.0
         outcomes = []
@@ -403,7 +391,6 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
     """
     solver = cfg.solver_options()
     template = _replica_template(dn, cfg)
-    slack_pos, slack_gen = _slack_generator(template)
     p_template, _ = total_load(template)
     if p_template <= 0:
         raise SynthesisError("template has no active load")
@@ -423,7 +410,7 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
             if isinstance(result, Exception):
                 errors[key], ok[j] = result, False
         # the boundary import of each copy that settled
-        boundary = np.array([last[j][0].S.real[last[j][1], slack_pos] for j in np.flatnonzero(ok)])
+        boundary = np.array([last[j][0].S.real[last[j][1], st.slack] for j in np.flatnonzero(ok)])
         return ok, boundary, results
 
     # import match: up to 12 rounds over the hosts still off target
@@ -436,7 +423,7 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
               if hosts[h][2] is not None]
     if source:
         rows, volts = (list(c) for c in zip(*source))
-        H.buses.v_mag[rows, slack_pos] = H.generators.v_set[rows, slack_gen] = volts
+        H.buses.v_mag[rows, st.slack] = H.generators.v_set[rows, st.slack_gen] = volts
     scales = targets[matched] / p_template
     _scale_loads(H, scales[:, None])
     imports = np.zeros(len(matched))
@@ -636,7 +623,7 @@ def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
     oltcs.controlled_bus = new_ids(of["oltcs"], oltcs.controlled_bus)
     for name, table in zip(names, (added, branches, gens, oltcs)):
         setattr(combined, name, type(table)._concat([getattr(combined, name), table]))
-    combined.branches.ratio[oltcs.branch_ref] = 1.0 + oltcs.tap * oltcs.tap_step
+    combined.sync_ratios()
 
     report = validate(combined)
     if not report.ok:
@@ -713,7 +700,7 @@ def generate(
 
     with _stage("load-tn"):
         tn_bundle = load_bundle(tn_path)
-    tn = tn_bundle.case.clone()
+    tn = tn_bundle.case
     with _stage("tn-solve"):
         tn_solution = solve(tn, solver)
     if not tn_solution.converged:
@@ -754,12 +741,6 @@ def generate(
         combined = assemble(tn, instances)
     with _stage("combined-solve"):
         solution, regulation = regulate(combined, solver, max_rounds=cfg.oltc_max_rounds)
-    if not solution.converged:
-        raise PipelineError(
-            "combined-solve",
-            "combined power flow did not converge "
-            f"(worst mismatch near {_worst_bus(combined, solution)})",
-        )
 
     opf_solution = None
     if cfg.run_opf:

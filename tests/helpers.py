@@ -20,7 +20,6 @@ from tdsynth.netmodel import (
 )
 from tdsynth.caseio import CaseDocument, emit_case, load_case_dir, parse_case, save_case_dir
 from tdsynth.powerflow import PowerFlowSolution, SolverOptions, _solve, _structure
-from tdsynth.synth import _slack_generator
 from tdsynth.templates import bundled_template_dir
 
 
@@ -47,9 +46,9 @@ def two_bus_analytic(p_load=0.1, x=0.1):
 
 def set_source_voltage(case: NetworkCase, v: float) -> None:
     """Hold the case's slack bus, and the setpoint of its source, at ``v``."""
-    bus, gen = _slack_generator(case)
-    case.buses.v_mag[bus] = v
-    case.generators.v_set[gen] = v
+    st = _structure(case)
+    case.buses.v_mag[st.slack] = v
+    case.generators.v_set[st.slack_gen] = v
 
 
 def assert_same_solution(a: PowerFlowSolution, b: PowerFlowSolution) -> None:

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tdsynth.netmodel import IS_DG, CaseStack
+from tdsynth.netmodel import IS_DG, CaseStack, tap_ratios
 from tdsynth.oltc import RegulationError, _regulate, regulate
 from tdsynth.powerflow import SolverOptions, _solve, _structure, solve
 from tdsynth.synth import (
     SynthesisError,
     _scale_loads,
-    _slack_generator,
     _zero_dg,
     dn_max_capacity,
 )
@@ -32,15 +31,14 @@ def _feeder_copies(base, source_v: float, load_scale, dg_share, tap) -> CaseStac
     of the per-copy arrays: each with its own loads, DG output and start
     tap, all at source voltage ``source_v``."""
     stack = CaseStack.of([base]).take(np.zeros(len(load_scale), dtype=int))
-    bus, gen = _slack_generator(base)
-    stack.buses.v_mag[:, bus] = stack.generators.v_set[:, gen] = source_v
+    st = _structure(base)
+    stack.buses.v_mag[:, st.slack] = stack.generators.v_set[:, st.slack_gen] = source_v
     _scale_loads(stack, np.asarray(load_scale)[:, None])
     dgs = np.flatnonzero(IS_DG[base.generators.kind])
     p_load = stack.buses.p_load.sum(axis=1)
     stack.generators.p[:, dgs] = (np.asarray(dg_share) * p_load / len(dgs))[:, None]
-    t = stack.oltcs
-    t.tap[:, 0] = tap
-    stack.branches.ratio[:, base.oltcs.branch_ref] = 1.0 + t.tap * t.tap_step
+    stack.oltcs.tap[:, 0] = tap
+    stack.branches.ratio[:, base.oltcs.branch_ref] = tap_ratios(stack.oltcs)
     return stack
 
 

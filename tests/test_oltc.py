@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ def test_regulate_divergence_carries_last_state():
     with pytest.raises(RegulationError) as err:
         regulate(case)
     assert err.value.last_solution is None
+
+
+def test_a_divergence_names_the_bus_of_its_largest_mismatch(run_pipeline):
+    case = run_pipeline(SynthesisConfig()).case.clone()
+    _scale_loads(case, 3.0)
+    opts = SolverOptions(max_iterations=1)
+    worst = solve(case, opts).mismatch_bus
+    with pytest.raises(RegulationError, match="diverged before any tap adjustment") as err:
+        regulate(case, opts)
+    bus = re.search(r"largest mismatch at bus (\d+)$", str(err.value))
+    assert bus and int(bus[1]) == worst and worst in case.buses.id.tolist()
 
 
 def test_max_rounds_is_a_hard_cap(dn_bundle):

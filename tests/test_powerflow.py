@@ -93,6 +93,42 @@ def test_solver_requires_single_slack_and_connectivity():
         solve(case)
 
 
+def test_the_slack_source_is_the_first_generator_at_the_slack():
+    case = two_bus_case()
+    first = case.generators[0]
+    case.generators = [Generator(bus_id=2, p=0.05), first,
+                       Generator(bus_id=1, v_set=1.05, p_min=0.0, p_max=5.0)]
+    st = powerflow._structure(case)
+    assert (st.slack, st.slack_gen) == (0, 1)
+    assert solve(case).v_mag[0] == first.v_set
+
+
+def test_a_slack_without_a_generator_is_rejected():
+    case = two_bus_case()
+    case.generators = []
+    with pytest.raises(PowerFlowError, match="^slack bus 1 has no generator$"):
+        solve(case)
+
+
+def test_the_meter_records_one_path_per_newton_step_of_each_row(dn_bundle):
+    case = dn_bundle.case
+    stack = CaseStack.of([case]).take(np.zeros(4, dtype=int))
+    _scale_loads(stack, np.array([[0.0], [0.2], [1.0], [2.0]]))
+    st = powerflow._structure(case)
+    sol, paths = _metered(powerflow._solve, st, stack, np.arange(4), SolverOptions())
+    assert len(set(sol.iterations.tolist())) > 1
+    assert paths == ["dense"] * sol.iterations.sum()
+
+
+def test_no_meter_no_record():
+    meter = powerflow.Meter()
+    solve(two_bus_case())
+    with meter.active():
+        pass
+    solve(two_bus_case())
+    assert meter.linear_solves == [] and meter.iterations == 0
+
+
 def test_singular_jacobian_is_reported(monkeypatch):
     # two antiparallel reactances cancel: bus 2 is electrically floating
     case = two_bus_case()
@@ -213,6 +249,14 @@ def _assert_kernels_agree(case, monkeypatch):
     return dense
 
 
+def _metered(fn, *args):
+    """``fn(*args)`` under an active meter: its result, and the
+    linear-solve path of every Newton step it took."""
+    meter = powerflow.Meter()
+    with meter.active():
+        return fn(*args), meter.linear_solves
+
+
 def _flat(case):
     case = case.clone()
     for b in case.buses:
@@ -270,9 +314,10 @@ def combined_cases(tmp_path_factory):
 @pytest.mark.parametrize("k", [10, 50])
 def test_replica_blocks_agree_with_superlu(combined_cases, monkeypatch, k):
     for case in (combined_cases[k], _flat(combined_cases[k])):
-        sol = _assert_kernels_agree(case, monkeypatch)
+        sol, paths = _metered(_assert_kernels_agree, case, monkeypatch)
         assert sol.converged and sol.iterations > 0
-        assert sol.steps == ["blocks"] * sol.iterations
+        # the replica blocks, then SuperLU forced
+        assert paths == ["blocks"] * sol.iterations + ["superlu"] * sol.iterations
 
 
 def test_replica_block_batch_items_equal_one_item_runs(combined_cases):
@@ -280,11 +325,12 @@ def test_replica_block_batch_items_equal_one_item_runs(combined_cases):
     stack = CaseStack.of([case]).take(np.zeros(3, dtype=int))
     _scale_loads(stack, np.array([[1.0], [0.8], [1.1]]))
     st = powerflow._structure(case)
-    batch = powerflow._solve(st, stack, np.arange(3), SolverOptions())
+    batch, paths = _metered(powerflow._solve, st, stack, np.arange(3), SolverOptions())
+    assert paths == ["blocks"] * batch.iterations.sum()
     for k, one in enumerate(stack.cases()):
-        sol, alone = batch.solution(k, st), solve(one)
-        assert sol.steps == alone.steps == ["blocks"] * alone.iterations
-        assert_same_solution(sol, alone)
+        alone, paths = _metered(solve, one)
+        assert paths == ["blocks"] * alone.iterations
+        assert_same_solution(batch.solution(k, st), alone)
 
 
 def test_blocks_larger_than_the_dense_bound_fall_back_to_superlu(combined_cases, monkeypatch):
@@ -293,12 +339,12 @@ def test_blocks_larger_than_the_dense_bound_fall_back_to_superlu(combined_cases,
     solutions = []
     for dense_max in (21, 0):   # below the 22-row replica block, then no dense at all
         monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
-        solutions.append(solve(case))
-    for sol in solutions:
-        assert sol.steps == ["superlu"] * sol.iterations
+        solutions.append(_metered(solve, case))
+    for sol, paths in solutions:
+        assert paths == ["superlu"] * sol.iterations
         assert sol.iterations == blocks.iterations
-        assert np.array_equal(sol.v_mag, solutions[1].v_mag)
-        assert np.array_equal(sol.v_ang, solutions[1].v_ang)
+        assert np.array_equal(sol.v_mag, solutions[1][0].v_mag)
+        assert np.array_equal(sol.v_ang, solutions[1][0].v_ang)
         assert np.max(np.abs(sol.v_mag - blocks.v_mag)) <= 1e-12
 
 
@@ -339,8 +385,8 @@ def test_replica_blocks_ignore_bus_order_and_ids(combined_cases):
     moved.generators.bus_id = renamed(moved.generators.bus_id)
     moved.oltcs.controlled_bus = renamed(moved.oltcs.controlled_bus)
 
-    sol, other = solve(case), solve(moved)
-    assert other.steps == ["blocks"] * other.iterations
+    sol, (other, paths) = solve(case), _metered(solve, moved)
+    assert paths == ["blocks"] * other.iterations
     at = moved.bus_index()
     pos = [at[rename[i]] for i in old.tolist()]
     V = sol.v_mag * np.exp(1j * sol.v_ang)
@@ -367,5 +413,5 @@ def test_replica_blocks_of_two_sizes_and_narrow_couplings(combined_cases, monkey
     blocks = powerflow._partition(st)
     assert sorted(set(blocks.size.tolist())) == [22, 24]
     assert (blocks.cols_of == len(blocks.border)).any() and (blocks.rows_of == len(blocks.border)).any()
-    sol = _assert_kernels_agree(case, monkeypatch)
-    assert sol.converged and sol.steps == ["blocks"] * sol.iterations
+    sol, paths = _metered(_assert_kernels_agree, case, monkeypatch)
+    assert sol.converged and paths == ["blocks"] * sol.iterations + ["superlu"] * sol.iterations
