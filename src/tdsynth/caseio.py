@@ -425,7 +425,17 @@ def read_oltc_csv(path: Path) -> list[OltcTransformer]:
     if len(rows) == 1:
         return []
     # one field at a time, each cell read as its field's type
-    columns = [list(map(kind, cells)) for kind, cells in zip(_OLTC_TYPES, zip(*rows[1:]))]
+    try:
+        columns = [list(map(kind, cells)) for kind, cells in zip(_OLTC_TYPES, zip(*rows[1:]))]
+    except ValueError:   # the error path: walk the rows again to name the first bad cell
+        for i, row in enumerate(rows[1:], start=1):
+            for name, kind, cell in zip(OLTC_CSV_HEADER, _OLTC_TYPES, row):
+                try:
+                    kind(cell)
+                except ValueError:
+                    raise StructuralError(f"{path.name} row {i}: {name} {cell!r} is not "
+                                          + ("an integer" if kind is int else "a number")) from None
+        raise
     finite = np.isfinite(np.array(columns, dtype=float))
     if not finite.all():
         i = int(np.flatnonzero(~finite.all(axis=0))[0])

@@ -270,9 +270,6 @@ class NetworkCase:
             raise KeyError(f"no bus with id {bus_id}")
         return self.buses[at[0]]
 
-    def slack_buses(self) -> list:
-        return [self.buses[i] for i in np.flatnonzero(self.buses.kind == SLACK).tolist()]
-
     def sync_ratios(self) -> None:
         """Push every tap changer's ratio (:func:`tap_ratios`) onto its branch."""
         self.branches.ratio[self.oltcs.branch_ref] = tap_ratios(self.oltcs)
@@ -297,7 +294,8 @@ class CaseStack:
     share, and each column of ``STACKED`` is one (B, rows) array, a row per
     copy, under its table's name (``stack.buses.p_load``).  The power flow
     and the tap changers read and write these arrays; a copy becomes a
-    :class:`NetworkCase` only when asked (:meth:`cases`)."""
+    :class:`NetworkCase` only when asked (:meth:`cases`), and a case's
+    one-copy stack (:meth:`of`) is a view of it; :meth:`take` copies."""
 
     def __init__(self, template: NetworkCase, columns: dict[str, dict[str, np.ndarray]]):
         self.template = template
@@ -305,10 +303,11 @@ class CaseStack:
             setattr(self, name, SimpleNamespace(**cols))
 
     @classmethod
-    def of(cls, cases: list[NetworkCase]) -> "CaseStack":
-        """The stack of ``cases``, which share a structure; the first is the template."""
-        return cls(cases[0], {name: {f: np.array([getattr(getattr(c, name), f) for c in cases])
-                                     for f in fields} for name, fields in STACKED.items()})
+    def of(cls, case: NetworkCase) -> "CaseStack":
+        """The one-copy stack of ``case``, its template: each column is a
+        (1, rows) view of the case's own, so what moves the copy moves the case."""
+        return cls(case, {name: {f: getattr(getattr(case, name), f)[None] for f in fields}
+                          for name, fields in STACKED.items()})
 
     def __len__(self) -> int:
         return len(self.buses.p_load)
@@ -328,13 +327,6 @@ class CaseStack:
         """Write ``other``'s copies over the copies ``rows``."""
         for (_, _, a), (_, _, b) in zip(self._columns(), other._columns()):
             a[rows] = b
-
-    def write(self, cases: list[NetworkCase], columns: dict[str, tuple[str, ...]]) -> None:
-        """Write the ``columns`` (table -> fields) of each copy onto its case."""
-        for name, fields in columns.items():
-            for f in fields:
-                for case, row in zip(cases, getattr(getattr(self, name), f)):
-                    getattr(getattr(case, name), f)[:] = row
 
     def cases(self) -> list[NetworkCase]:
         """One independent case per copy: the template's other columns

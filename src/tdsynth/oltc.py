@@ -11,9 +11,9 @@ every copy's (B, taps) positions in place and hands their ratios
 (:func:`netmodel.tap_ratios`) to the next solve, so one tap rule decides
 every copy, and a copy's result does not depend on the batch around it.
 A diverging solve's :class:`RegulationError` names the bus of its largest
-mismatch.  :func:`regulate` is the API edge for one case: it regulates it
-as a one-row stack and writes the result back onto it once at the end;
-batches enter only as stacks.
+mismatch.  :func:`regulate` is the API edge for one case: it regulates the
+case's one-copy stack, a view of it (:meth:`CaseStack.of`), so it moves the
+case itself; batches enter only as stacks.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
                 + f"; largest mismatch at bus {st.ids.item(sol.worst[j])}",
                 None if last[k] is None else last[k][0].solution(last[k][1], st))
         good = np.flatnonzero(ok)
-        powerflow._store(st, stack, items[good], sol, good)
+        V, S = sol.V[good], sol.S[good]
+        powerflow._store(st.shares, stack, items[good], np.abs(V), np.angle(V), S.real, S.imag)
         for j, k in zip(good.tolist(), items[good].tolist()):
             last[k] = sol, j
         return items[good]
@@ -169,11 +170,6 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
     return last, out
 
 
-# what a regulation moves, written back onto the case of :func:`regulate`
-_MOVED = {"buses": ("v_mag", "v_ang"), "generators": ("p", "q"), "branches": ("ratio",),
-          "oltcs": ("tap",)}
-
-
 def regulate(
     case: NetworkCase,
     opts: SolverOptions | None = None,
@@ -191,9 +187,7 @@ def regulate(
     when a Jacobian is singular.
     """
     st = powerflow._structure(case)
-    stack = CaseStack.of([case])
-    last, (result,) = _regulate(st, stack, opts or SolverOptions(), max_rounds)
-    stack.write([case], _MOVED)
+    last, (result,) = _regulate(st, CaseStack.of(case), opts or SolverOptions(), max_rounds)
     if isinstance(result, Exception):
         raise result
     sol, row = last[0]

@@ -36,12 +36,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import powerflow
-from .netmodel import GEN_CODES, SLACK, STACKED, GenKind, NetworkCase, _find
+from .netmodel import GEN_CODES, SLACK, CaseStack, GenKind, NetworkCase, _find
 from .oltc import TapStepper
 
 
@@ -181,7 +180,6 @@ class _OpfModel:
         self.nx = self.nv + 2 * nd
         self.slack_ang = case.buses[self.slack_pos].v_ang
         self._adm = powerflow._Admittance(case)
-        self._taps = sorted(set(case.oltcs.branch_ref.tolist()))
         self.Ybus = self._adm.ybus(self._adm.ratio)
         self.YbusT = self.Ybus.T    # a view on Ybus's arrays, so retap reaches it
         self.gen_rows = rows = np.concatenate([gen_pos, n + gen_pos])
@@ -252,13 +250,11 @@ class _OpfModel:
         self.cost_hess = np.concatenate([2.0 * self.c2 * base * base / self.grad_scale,
                                          np.zeros(nd)])
 
-    def retap(self, case: NetworkCase) -> None:
-        """Bring the admittances up to the tap ratios now on ``case``, the
-        case the model was built from: only the tap branches' ratios are
-        read, and Ybus, its transpose and y (views on one array of values)
-        change in place; every index array and the KKT placement stay."""
-        ratio = self._adm.ratio.copy()
-        ratio[self._taps] = case.branches.ratio[self._taps]
+    def retap(self, ratio: np.ndarray) -> None:
+        """Bring the admittances up to the branch ratios ``ratio``, the
+        column of the case the model was built from once its taps moved:
+        Ybus, its transpose and y (views on one array of values) change in
+        place; every index array and the KKT placement stay."""
         self.Ybus.data[:] = self._adm.ybus(ratio).data
 
     def split(self, x):
@@ -620,9 +616,9 @@ def solve_with_relaxation(
         dispatchable=problem.dispatchable,
     )
 
-    # the tap rule's columns as one-row views of the case's: steps move its taps
-    rule = SimpleNamespace(**{f: getattr(work.oltcs, f)[None] for f in STACKED["oltcs"]})
-    stepper = TapStepper(rule, _find(work.buses.id, work.oltcs.controlled_bus))
+    # the case's one-copy stack, a view of it: steps move its taps
+    stack = CaseStack.of(work)
+    stepper = TapStepper(stack.oltcs, _find(work.buses.id, work.oltcs.controlled_bus))
     model = _OpfModel(sub)
     trace: list[dict] = []
     warm, duals = None, None
@@ -668,10 +664,9 @@ def solve_with_relaxation(
         )
         if moved == 0 and (slack == 0.0 or v_gap <= FEASIBILITY_TOL):
             break
-        stepper.apply(deltas)
+        stack.branches.ratio[:, work.oltcs.branch_ref] = stepper.apply(deltas)
         if moved:
-            work.sync_ratios()
-            model.retap(work)
+            model.retap(work.branches.ratio)
 
     t = work.oltcs
     taps_ok = bool(np.all((t.tap_min <= t.tap) & (t.tap <= t.tap_max)))

@@ -13,8 +13,8 @@ A row's numbers do not depend on the batch around it: it passes through the
 same elementwise operations and the same LAPACK call whatever the batch
 size and its position (a large batch is cut into chunks for that, see
 ``_ELIDE_BYTES``).  :func:`solve` is the API edge for one case: it checks
-it, solves it as a one-row stack and returns its
-:class:`PowerFlowSolution`; batches enter only as stacks.
+it, solves its one-copy stack, a view of it (:meth:`CaseStack.of`), and
+returns its :class:`PowerFlowSolution`; batches enter only as stacks.
 
 Every placement shares one Ybus and one Jacobian evaluation: the admittance
 terms are added up once per Ybus entry (:class:`_Admittance`), and each
@@ -299,14 +299,12 @@ def _jacobian_values(adm: _Admittance, take, V, Ibus, y) -> np.ndarray:
     return np.concatenate(_dS_dV(V, Ibus, adm.r, adm.c, y), axis=-1).view(float)[:, take]
 
 
-def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int, dense: bool):
+def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int) -> np.ndarray:
     """The m x m NR Jacobian of every case at V (B, n) and Ybus entry values
-    y (B, entries), from one dS/dV over the batch: placed into one (B, m, m)
-    array if ``dense``, else into a CSC matrix per case."""
+    y (B, entries), from one dS/dV over the batch, placed into one (B, m, m)
+    array."""
     take, rows, cols = place
     vals = _jacobian_values(adm, take, V, Ibus, y)
-    if not dense:
-        return [_place(v, rows, cols, (m, m), False) for v in vals]
     B = len(vals)
     at = adm._places.get(B)
     if at is None:
@@ -449,7 +447,7 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
     if st.dense:
         if meter is not None:
             meter.linear_solves += ["dense"] * len(F)
-        J = _jacobians(st.adm, st.place, V, Ibus, y, F.shape[1], True)
+        J = _jacobians(st.adm, st.place, V, Ibus, y, F.shape[1])
         try:
             dx = np.linalg.solve(J, F[..., None])[..., 0]
             return dx, np.isfinite(dx).all(axis=1)
@@ -743,28 +741,25 @@ def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolu
     (no single slack, islands).  The case is not mutated; use
     :func:`apply_solution` to store a result between solver calls."""
     st = _structure(case)
-    result = _solve(st, CaseStack.of([case]), np.arange(1), opts or SolverOptions()).solution(0, st)
+    result = _solve(st, CaseStack.of(case), np.arange(1), opts or SolverOptions()).solution(0, st)
     if isinstance(result, PowerFlowError):
         raise result
     return result
 
 
-def _store(st: _Structure, stack: CaseStack, rows: np.ndarray, sol: _Solved, solved) -> None:
-    """Write the solutions ``solved`` (rows of ``sol``) onto the copies
-    ``rows`` of the stack, as :func:`apply_solution` does onto a case."""
+def _store(shares: tuple, stack: CaseStack, rows, v_mag, v_ang, p_inj, q_inj) -> None:
+    """Write solved states, a row each (bus voltages and injections), onto
+    the copies ``rows`` of a stack: every bus voltage, and at each slack/PV
+    bus its Q (at the slack also its P) spread over the bus's controllable
+    generators (:func:`_spread` by ``shares``, see :func:`_shares`)."""
     buses, gens = stack.buses, stack.generators
-    V, S = sol.V[solved], sol.S[solved]
-    buses.v_mag[rows], buses.v_ang[rows] = np.abs(V), np.angle(V)
+    buses.v_mag[rows], buses.v_ang[rows] = v_mag, v_ang
     p, q = gens.p[rows], gens.q[rows]
-    _spread(st.shares, buses.p_load[rows], buses.q_load[rows], p, q, S.real, S.imag)
+    _spread(shares, buses.p_load[rows], buses.q_load[rows], p, q, p_inj, q_inj)
     gens.p[rows], gens.q[rows] = p, q
 
 
 def apply_solution(case: NetworkCase, sol: PowerFlowSolution) -> None:
-    """Write a solution back onto the case: every bus voltage, and at each
-    slack/PV bus its Q (at the slack also its P) spread over the bus's
-    controllable generators."""
-    buses, gens = case.buses, case.generators
-    buses.v_mag[:], buses.v_ang[:] = sol.v_mag, sol.v_ang
-    _spread(_shares(case), buses.p_load[None], buses.q_load[None], gens.p[None], gens.q[None],
-            sol.p_inj[None], sol.q_inj[None])
+    """Write a solution back onto the case: :func:`_store` on its one-copy stack."""
+    _store(_shares(case), CaseStack.of(case), [0], sol.v_mag[None], sol.v_ang[None],
+           sol.p_inj[None], sol.q_inj[None])

@@ -250,7 +250,7 @@ def dn_max_capacity(
     if p_template <= 0:
         raise SynthesisError("template has no active load to scale")
     st = structure if structure is not None else powerflow._structure(base)
-    stack, ids = CaseStack.of([base]), base.buses.id
+    stack, ids = CaseStack.of(base), base.buses.id
 
     def probe_all(scales: list[float]) -> list:
         """Per scale: (feasible, worst bus, settled), or the error of a
@@ -418,7 +418,7 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
     for h in np.flatnonzero(~(targets > 0)).tolist():
         errors[(h, -1)] = SynthesisError("replica demand target must be positive")
     matched = np.flatnonzero(targets > 0)   # the hosts, a row each
-    H = CaseStack.of([template]).take(np.zeros(len(matched), dtype=int))
+    H = CaseStack.of(template).take(np.zeros(len(matched), dtype=int))
     source = [(row, hosts[h][2]) for row, h in enumerate(matched.tolist())
               if hosts[h][2] is not None]
     if source:

@@ -187,6 +187,14 @@ def raw_bus_load_sums(case_m_text: str) -> tuple[float, float]:
     return p, q
 
 
+def column_bytes(case) -> dict:
+    """Every column of every table of a case by (table, field): an array's
+    bytes, a list of names as it is."""
+    return {(name, f): c.tobytes() if isinstance(c, np.ndarray) else list(c)
+            for name in ("buses", "generators", "branches", "oltcs")
+            for f, c in vars(getattr(case, name)).items()}
+
+
 def losses_from_flows(sol) -> float:
     """Total active losses summed branch by branch."""
     return float(np.sum(sol.p_from + sol.p_to))
@@ -196,19 +204,21 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     """Worst relative disagreement between the analytic Newton Jacobian and a
     central finite difference of the mismatch function, at a random state.
     The one dS/dV is checked as both kernels place it: into a dense array
-    (dense Ybus) and into a sparse matrix (sparse Ybus)."""
-    from tdsynth.netmodel import CaseStack
+    (dense Ybus) and, as the sparse Newton step does, into a sparse matrix
+    (sparse Ybus)."""
     from tdsynth.powerflow import (
         _currents,
         _inputs,
+        _jacobian_values,
         _jacobians,
         _mismatch,
+        _place,
         _placement,
     )
 
     st = _structure(case)
     adm, pvpq, pq = st.adm, st.pvpq, st.pq
-    ratio, Sbus, _, _ = _inputs(st, CaseStack.of([case]), np.arange(1))
+    ratio, Sbus, _, _ = _inputs(st, CaseStack.of(case), np.arange(1))
     y = adm.entry_values(adm.terms(ratio))
     Ysparse, Ydense = adm.matrices(y, dense=False), adm.matrices(y, dense=True)
     vm = rng.uniform(0.95, 1.05, size=len(case.buses))
@@ -231,8 +241,10 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         J_fd[:, j] = (F(x0 + e) - F(x0 - e)) / (2 * h)
     m = len(x0)
     place = _placement(adm, pvpq, pq)
-    (dense,) = _jacobians(adm, place, V0, _currents(Ydense, V0), y, m, dense=True)
-    (sparse,) = _jacobians(adm, place, V0, _currents(Ysparse, V0), y, m, dense=False)
+    take, rows, cols = place
+    (dense,) = _jacobians(adm, place, V0, _currents(Ydense, V0), y, m)
+    (vals,) = _jacobian_values(adm, take, V0, _currents(Ysparse, V0), y)
+    sparse = _place(vals, rows, cols, (m, m), False)
     assert isinstance(dense, np.ndarray) and not isinstance(sparse, np.ndarray)
     gaps = []
     for J in (dense, sparse.toarray()):
@@ -359,7 +371,7 @@ def grid_search_dispatch_cost(
     p_grid = np.arange(0.0, load + 5 * p_step, p_step)
     for v_a in v_grid:
         for v_b in v_grid:
-            points = CaseStack.of([case]).take(np.zeros(len(p_grid), dtype=int))
+            points = CaseStack.of(case).take(np.zeros(len(p_grid), dtype=int))
             points.generators.v_set[:, 0] = v_a
             points.generators.v_set[:, 1] = v_b
             points.generators.p[:, 1] = p_grid
@@ -449,6 +461,15 @@ def _sidecar_non_finite(bundle) -> None:
     _write_sidecar_rows(bundle, rows)
 
 
+def _sidecar_cell(field: str, cell: str):
+    """A bundle edit: the first tap changer's ``field`` set to ``cell``."""
+    def edit(bundle) -> None:
+        rows = _sidecar_rows(bundle)
+        rows[1][rows[0].index(field)] = cell
+        _write_sidecar_rows(bundle, rows)
+    return edit
+
+
 # name -> (edit of a saved bundle, what the load error says)
 MALFORMED_BUNDLES = {
     "unknown-gen-kind-code": (_unknown_gen_kind_code, "gen_kind row 0"),
@@ -460,6 +481,10 @@ MALFORMED_BUNDLES = {
     "sidecar-missing-column": (_sidecar_without_deadband, "header must be"),
     "sidecar-absent-controlled-bus": (_sidecar_controls_absent_bus, "absent bus 999"),
     "sidecar-non-finite-tap-data": (_sidecar_non_finite, "non-finite v_set, deadband"),
+    "sidecar-fractional-tap": (_sidecar_cell("tap", "1.0"),
+                               r"case\.oltc\.csv row 1: tap '1\.0' is not an integer"),
+    "sidecar-text-deadband": (_sidecar_cell("deadband", "abc"),
+                              r"case\.oltc\.csv row 1: deadband 'abc' is not a number"),
 }
 
 

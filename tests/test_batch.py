@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 from tdsynth.netmodel import IS_DG, CaseStack, tap_ratios
 from tdsynth.oltc import RegulationError, _regulate, regulate
+from tdsynth.opf import OpfProblem, solve_with_relaxation
 from tdsynth.powerflow import SolverOptions, _solve, _structure, solve
 from tdsynth.synth import (
+    SynthesisConfig,
     SynthesisError,
     _scale_loads,
     _zero_dg,
+    customize,
     dn_max_capacity,
 )
 from tdsynth.templates import bundled_template_dir, load_bundle
 
-from helpers import assert_same_solution, rescaled_dn
+from helpers import assert_same_solution, column_bytes, rescaled_dn
 
 DN = load_bundle(bundled_template_dir() / "mini-dn").case
 TEMPLATES = {1: DN, 10: rescaled_dn(DN, 10)}
@@ -30,7 +33,7 @@ def _feeder_copies(base, source_v: float, load_scale, dg_share, tap) -> CaseStac
     """Copies of ``base`` stacked as ``synth`` stacks them, a row per item
     of the per-copy arrays: each with its own loads, DG output and start
     tap, all at source voltage ``source_v``."""
-    stack = CaseStack.of([base]).take(np.zeros(len(load_scale), dtype=int))
+    stack = CaseStack.of(base).take(np.zeros(len(load_scale), dtype=int))
     st = _structure(base)
     stack.buses.v_mag[:, st.slack] = stack.generators.v_set[:, st.slack_gen] = source_v
     _scale_loads(stack, np.asarray(load_scale)[:, None])
@@ -81,7 +84,7 @@ def _serial_capacity(dn, v_limits, tolerance, ceiling, max_rounds):
     (max_scale, binding_bus, unbounded, probes, unsettled_probes)."""
     base = dn.clone()
     _zero_dg(base)
-    slack_id = base.slack_buses()[0].id
+    slack_id = base.buses.id[_structure(base).slack]
     lo_v, hi_v = v_limits
     counts = [0, 0]
 
@@ -159,3 +162,17 @@ def test_a_batch_of_many_chunks_equals_its_one_item_runs():
     for k in range(0, B, 97):
         (case,) = stack.take([k]).cases()
         assert_same_solution(solved.solution(k, structure), solve(case))
+
+
+def test_solves_leave_the_case_they_are_given_as_it_was(run_pipeline):
+    # each stacks its case as a view (CaseStack.of) and must move only copies
+    combined = run_pipeline(SynthesisConfig()).case.clone()
+    dn = DN.clone()
+    before = [column_bytes(combined), column_bytes(dn)]
+    solve(combined)
+    dn_max_capacity(dn, (0.95, 1.05))
+    cfg = SynthesisConfig(penetration_level=0.5, constant_load=True)
+    assert len(customize(dn, cfg, [(5, 0.4, 1.0, [(0, None), (1, None)])])) == 2
+    relaxed = solve_with_relaxation(OpfProblem.from_case(combined, v_limits=(0.95, 1.05)))
+    assert any(row["taps_moved"] for row in relaxed.trace)
+    assert [column_bytes(combined), column_bytes(dn)] == before

@@ -8,7 +8,7 @@ from tdsynth.oltc import RegulationError, regulate, tap_update
 from tdsynth.powerflow import SolverOptions, apply_solution, solve
 from tdsynth.synth import SynthesisConfig, _scale_loads
 
-from helpers import radial_oltc_case, set_source_voltage
+from helpers import column_bytes, radial_oltc_case, set_source_voltage
 
 
 def _xfmr(tap=0, tap_min=-16, tap_max=16):
@@ -129,3 +129,25 @@ def test_regulate_writes_back_what_apply_solution_would(run_pipeline):
             other = vars(getattr(written, name))[f]
             same = col.tobytes() == other.tobytes() if isinstance(col, np.ndarray) else col == other
             assert same, (name, f)
+
+
+def test_regulate_moves_its_six_columns_and_nothing_else(run_pipeline):
+    # regulate works on the case's one-copy stack, a view of the case, so
+    # whatever a regulation moves is the case's own: these six columns
+    case = run_pipeline(SynthesisConfig()).case.clone()
+    _scale_loads(case, 1.5)
+    before = column_bytes(case)
+    regulate(case)
+    after = column_bytes(case)
+    assert {key for key in before if before[key] != after[key]} == {
+        ("buses", "v_mag"), ("buses", "v_ang"), ("generators", "p"), ("generators", "q"),
+        ("branches", "ratio"), ("oltcs", "tap")}
+
+
+def test_a_regulation_that_diverges_at_once_moves_nothing(run_pipeline):
+    case = run_pipeline(SynthesisConfig()).case.clone()
+    _scale_loads(case, 3.0)
+    before = column_bytes(case)
+    with pytest.raises(RegulationError, match="diverged before any tap adjustment"):
+        regulate(case, SolverOptions(max_iterations=1))
+    assert column_bytes(case) == before

@@ -383,12 +383,12 @@ def test_model_refreshed_after_tap_moves_equals_a_fresh_one(run_pipeline):
     for t, step in zip(case.oltcs, (2, -1, 0)):
         t.tap += step
     case.sync_ratios()
-    model.retap(case)
+    model.retap(case.branches.ratio)
     fresh = _OpfModel(problem)
     assert vars(model).keys() == vars(fresh).keys()
     for name, want in vars(fresh).items():
         got = getattr(model, name)
-        if name == "_adm":      # its ratios are the build's; the taps are read anew
+        if name == "_adm":      # its ratios are the build's; retap reads the case's anew
             continue
         if sp.issparse(want):
             for part in ("data", "indices", "indptr"):

@@ -112,7 +112,7 @@ def test_a_slack_without_a_generator_is_rejected():
 
 def test_the_meter_records_one_path_per_newton_step_of_each_row(dn_bundle):
     case = dn_bundle.case
-    stack = CaseStack.of([case]).take(np.zeros(4, dtype=int))
+    stack = CaseStack.of(case).take(np.zeros(4, dtype=int))
     _scale_loads(stack, np.array([[0.0], [0.2], [1.0], [2.0]]))
     st = powerflow._structure(case)
     sol, paths = _metered(powerflow._solve, st, stack, np.arange(4), SolverOptions())
@@ -322,7 +322,7 @@ def test_replica_blocks_agree_with_superlu(combined_cases, monkeypatch, k):
 
 def test_replica_block_batch_items_equal_one_item_runs(combined_cases):
     case = combined_cases[10]
-    stack = CaseStack.of([case]).take(np.zeros(3, dtype=int))
+    stack = CaseStack.of(case).take(np.zeros(3, dtype=int))
     _scale_loads(stack, np.array([[1.0], [0.8], [1.1]]))
     st = powerflow._structure(case)
     batch, paths = _metered(powerflow._solve, st, stack, np.arange(3), SolverOptions())
@@ -406,7 +406,7 @@ def test_replica_blocks_of_two_sizes_and_narrow_couplings(combined_cases, monkey
     host.kind = BusKind.PV
     case.generators.append(Generator(bus_id=host.id, v_set=1.0, p_min=-5, p_max=5,
                                      q_min=-5, q_max=5))
-    case.branches.from_bus[refs[-1]] = case.slack_buses()[0].id
+    case.branches.from_bus[refs[-1]] = case.buses.id[powerflow._structure(case).slack]
 
     st = powerflow._structure(case)
     st.place = powerflow._placement(st.adm, st.pvpq, st.pq)
