@@ -424,24 +424,27 @@ def read_oltc_csv(path: Path) -> list[OltcTransformer]:
             )
     if len(rows) == 1:
         return []
-    # one field at a time, each cell read as its field's type
+    # one field at a time, each cell read as its field's type into its column
     try:
-        columns = [list(map(kind, cells)) for kind, cells in zip(_OLTC_TYPES, zip(*rows[1:]))]
-    except ValueError:   # the error path: walk the rows again to name the first bad cell
+        columns = [np.array(list(map(kind, cells)), dtype=kind)
+                   for kind, cells in zip(_OLTC_TYPES, zip(*rows[1:]))]
+    except (ValueError, OverflowError):   # walk the rows again to name the first bad cell
         for i, row in enumerate(rows[1:], start=1):
             for name, kind, cell in zip(OLTC_CSV_HEADER, _OLTC_TYPES, row):
                 try:
-                    kind(cell)
-                except ValueError:
-                    raise StructuralError(f"{path.name} row {i}: {name} {cell!r} is not "
-                                          + ("an integer" if kind is int else "a number")) from None
+                    np.array(kind(cell), dtype=kind)
+                except (ValueError, OverflowError) as exc:
+                    what = ("out of range" if isinstance(exc, OverflowError)
+                            else "not an integer" if kind is int else "not a number")
+                    raise StructuralError(
+                        f"{path.name} row {i}: {name} {cell!r} is {what}") from None
         raise
     finite = np.isfinite(np.array(columns, dtype=float))
     if not finite.all():
         i = int(np.flatnonzero(~finite.all(axis=0))[0])
         bad = [n for n, ok in zip(OLTC_CSV_HEADER, finite[:, i]) if not ok]
         raise StructuralError(f"{path.name} row {i + 1}: non-finite {', '.join(bad)}")
-    return list(map(OltcTransformer, *columns))
+    return list(map(OltcTransformer, *(column.tolist() for column in columns)))
 
 
 def load_case_dir(path: Path | str) -> NetworkCase:

@@ -175,14 +175,16 @@ def _cmd_generate(args) -> int:
                 cfg,
                 out_dir=run_dir,
             )
+        summary = _summary(result)
+        try:
+            text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:   # strict JSON: a NaN that got this far fails the run
+            raise PipelineError("summary", str(exc)) from exc
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return 1
 
-    summary = _summary(result)
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    (run_dir / "summary.json").write_text(text + "\n")
     _print_summary(summary, run_dir)
     if args.profile:
         meter.mark("summary")

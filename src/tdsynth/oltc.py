@@ -10,8 +10,12 @@ copies whose taps moved as one batch, and one :class:`TapStepper` moves
 every copy's (B, taps) positions in place and hands their ratios
 (:func:`netmodel.tap_ratios`) to the next solve, so one tap rule decides
 every copy, and a copy's result does not depend on the batch around it.
-A diverging solve's :class:`RegulationError` names the bus of its largest
-mismatch.  :func:`regulate` is the API edge for one case: it regulates the
+Its optional ``prefix``, a walk's first tap rows known in advance (the
+capacity search's brackets share them), starts every copy at its last row:
+rounds, ``tap_trace`` and so ``max_rounds`` count from the walk's start,
+and each tap's last step is the one a reversal undoes.  A diverging
+solve's :class:`RegulationError` names the bus of its largest mismatch.
+:func:`regulate` is the API edge for one case: it regulates the
 case's one-copy stack, a view of it (:meth:`CaseStack.of`), so it moves the
 case itself; batches enter only as stacks.
 """
@@ -103,18 +107,23 @@ class TapStepper:
         return tap_ratios(self.oltcs)
 
 
-def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, max_rounds: int):
+def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, max_rounds: int,
+               prefix: list[list[int]] = ()):
     """:func:`regulate` of the copies of a stack, which it moves in
     place: taps, branch ratios, voltages and generator outputs, these last
     two from each copy's last convergent solve.  Returns per copy that
     solve, as (:class:`powerflow._Solved`, row) or None, and its report or
-    its error."""
+    its error; the walk starts after ``prefix``, each tap of which moved
+    one way only."""
     B, t = len(stack), stack.oltcs
     ref = stack.template.oltcs.branch_ref
-    stack.branches.ratio[:, ref] = tap_ratios(t)
     stepper = TapStepper(t, _find(st.ids, stack.template.oltcs.controlled_bus))
-    solves, iterations, rounds = (np.zeros(B, dtype=int) for _ in range(3))
-    traces: list[list[list[int]]] = [[] for _ in range(B)]
+    if prefix:   # each tap's last step, so that a reversal still freezes it
+        stepper._last[:] = np.sign(np.subtract(prefix[-1], t.tap))
+        t.tap[:] = prefix[-1]
+    stack.branches.ratio[:, ref] = tap_ratios(t)
+    solves, iterations, rounds = (np.full(B, n) for n in (0, 0, len(prefix)))
+    traces = [[list(row) for row in prefix] for _ in range(B)]
     errors: list[Exception | None] = [None] * B
     last: list[tuple | None] = [None] * B
     meter = powerflow._METER.get()
@@ -140,7 +149,7 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
         return items[good]
 
     active = settle(np.arange(B))
-    for _ in range(max_rounds):
+    for _ in range(max_rounds - len(prefix)):
         if not active.size:
             break
         live = np.zeros(B, dtype=bool)

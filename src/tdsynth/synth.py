@@ -29,6 +29,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -77,30 +78,32 @@ class SynthesisConfig:
     opf_v_slack: float = 0.1
 
     def field_errors(self) -> list[tuple[str, str]]:
-        bad = []
-        if self.penetration_level < 0:
+        # no number may be NaN or infinite, and every bound is a test NaN fails
+        bad = [(name, "must be finite") for name, value in vars(self).items()
+               if isinstance(value, (float, tuple)) and not np.isfinite(value).all()]
+        if not self.penetration_level >= 0:
             bad.append(("penetration_level", "must be >= 0"))
         if not 0.0 <= self.generation_split <= 1.0:
             bad.append(("generation_split", "must lie in [0, 1]"))
-        if self.oversize < 1.0:
+        if not self.oversize >= 1.0:
             bad.append(("oversize", "must be >= 1.0"))
         if not self.dn_v_limits[0] < self.dn_v_limits[1]:
             bad.append(("dn_v_limits", "lower bound must be below upper bound"))
-        if self.oltc_v_set <= 0:
+        if not self.oltc_v_set > 0:
             bad.append(("oltc_v_set", "must be positive"))
-        if self.pf_tolerance <= 0:
+        if not self.pf_tolerance > 0:
             bad.append(("pf_tolerance", "must be positive"))
         if self.pf_max_iterations < 1:
             bad.append(("pf_max_iterations", "must be at least 1"))
         if self.oltc_max_rounds < 1:
             bad.append(("oltc_max_rounds", "must be at least 1"))
-        if self.capacity_tolerance <= 0:
+        if not self.capacity_tolerance > 0:
             bad.append(("capacity_tolerance", "must be positive"))
-        if self.capacity_ceiling <= 1.0:
+        if not self.capacity_ceiling > 1.0:
             bad.append(("capacity_ceiling", "must exceed 1.0"))
         if self.opf_rounds < 1:
             bad.append(("opf_rounds", "must be at least 1"))
-        if self.opf_v_slack < 0:
+        if not self.opf_v_slack >= 0:
             bad.append(("opf_v_slack", "must be >= 0"))
         if self.export_format not in caseio.registered_exporters():
             bad.append(
@@ -194,14 +197,15 @@ def select_replaceable_loads(
 
 
 # Bisection levels decided per batch of probes: 2**d - 1 midpoints solved
-# together.  Measured on the stacked kernel on the mini-dn capacity search
-# (16 probes on the path; 2-core VM, one BLAS thread, 15 interleaved runs,
-# minimum/median, shipped then 50x-rescaled template): d = 2 takes
-# 36/52 and 29/43 ms, d = 3 29/40 and 23/37 ms, d = 4 31/43 and 24/37 ms,
-# d = 5 37/47 and 28/44 ms.  Deeper trees save few batched solves (46 at
-# d = 3, 39 at d = 4, 33 at d = 5) but solve many more probes (217, 318,
-# 499 case solves), each of whose Newton steps costs one LAPACK call.
+# together.  Measured with resumed tap walks on the mini-dn capacity search
+# (16 probes on the path; 2-core VM, one BLAS thread, medians of 3 sessions
+# of 20 runs interleaved in one process, shipped then 50x template): d = 2
+# takes 21-25 and 17-22 ms, d = 3 20-23 and 17-20, d = 4 21-25 and 20-22,
+# d = 5 27-30 and 26-28.  Deeper trees save few batched solves (27, 21, 19,
+# 19) but solve many more probes (54, 70, 102, 177 case solves), each of
+# whose Newton steps costs one LAPACK call.
 CAPACITY_LEVELS = 3
+BINDING_TIE = 1e-9   # pu: voltage gaps this close tie when naming the binding bus
 
 
 def _bisection_tree(lo: float, hi: float, levels: int, tolerance: float) -> list[tuple[float, float]]:
@@ -240,7 +244,14 @@ def dn_max_capacity(
     bisection's, and a probe off the walked path is discarded, failure and
     all.  ``probes`` counts the probes on the path, ``unsettled_probes``
     those whose regulation ran out of rounds with a tap still wanting to
-    move.
+    move.  The first bus by position whose gap lies within ``BINDING_TIE``
+    of the largest binds, so last bits of a solve decide no tie.
+
+    The controlled voltage falls as load grows, so wherever both brackets
+    (lo, hi) of a later batch stepped alike, every probe between them
+    steps so too: the batch resumes the tap rows both brackets' traces
+    open with, if neither froze a tap (a reversal freezes, so each tap
+    moved one way only).  A trace holds at most ``max_rounds`` rows.
     """
     lo_v, hi_v = v_limits
     solver = solver or SolverOptions()
@@ -252,18 +263,31 @@ def dn_max_capacity(
     st = structure if structure is not None else powerflow._structure(base)
     stack, ids = CaseStack.of(base), base.buses.id
 
-    def probe_all(scales: list[float]) -> list:
+    walks: dict[float, RegulationReport] = {}   # each probe's regulation, by scale
+
+    def shared_walk(lo: float, hi: float) -> list[list[int]]:
+        """The tap rows every probe strictly inside (lo, hi) reaches first:
+        the rows both brackets' traces open with, if neither froze a tap."""
+        a, b = walks.get(lo), walks.get(hi)
+        if a is None or b is None or any(a.frozen) or any(b.frozen):
+            return []
+        return [row for row, _ in takewhile(lambda rows: rows[0] == rows[1],
+                                            zip(a.tap_trace, b.tap_trace))]
+
+    def probe_all(scales: list[float], prefix: list[list[int]] = ()) -> list:
         """Per scale: (feasible, worst bus, settled), or the error of a
         solve that failed other than by diverging."""
         trials = stack.take(np.zeros(len(scales), dtype=int))
         _scale_loads(trials, np.array(scales)[:, None])
-        _, results = _regulate(st, trials, solver, max_rounds)
+        _, results = _regulate(st, trials, solver, max_rounds, prefix)
         v = trials.buses.v_mag   # each probe's last solve
         gap = np.maximum(lo_v - v, v - hi_v)
         gap[~(gap > 0.0)] = 0.0
         gap[:, st.slack] = 0.0
-        worst = gap.argmax(axis=1)   # the first bus of the largest gap
-        outside = gap[np.arange(len(scales)), worst] > 0.0
+        peak = gap.max(axis=1, keepdims=True)
+        worst = ((gap > 0.0) & (gap >= peak - BINDING_TIE)).argmax(axis=1)   # ties: the first
+        outside = peak[:, 0] > 0.0
+        walks.update((s, r) for s, r in zip(scales, results) if isinstance(r, RegulationReport))
         outcomes = []
         for k, result in enumerate(results):
             if isinstance(result, RegulationError):
@@ -310,7 +334,8 @@ def dn_max_capacity(
     while hi - lo > tolerance:
         if (lo, hi) not in outcomes:
             tree = _bisection_tree(lo, hi, CAPACITY_LEVELS, tolerance)
-            outcomes = dict(zip(tree, probe_all([0.5 * (a + b) for a, b in tree])))
+            outcomes = dict(zip(tree, probe_all([0.5 * (a + b) for a, b in tree],
+                                                shared_walk(lo, hi))))
         mid = 0.5 * (lo + hi)
         ok, bus = decide(outcomes[(lo, hi)])
         if ok:
@@ -776,7 +801,8 @@ def generate(
             resolved_out.mkdir(parents=True, exist_ok=True)
             written = caseio.export(combined, cfg.export_format, resolved_out)
             manifest_path = resolved_out / "manifest.json"
-            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            manifest_path.write_text(
+                json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
             written.append(manifest_path)
 
     return GenerateResult(

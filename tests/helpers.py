@@ -485,6 +485,11 @@ MALFORMED_BUNDLES = {
                                r"case\.oltc\.csv row 1: tap '1\.0' is not an integer"),
     "sidecar-text-deadband": (_sidecar_cell("deadband", "abc"),
                               r"case\.oltc\.csv row 1: deadband 'abc' is not a number"),
+    # a tap too large for a float, and one too large for the int64 column
+    "sidecar-huge-tap": (_sidecar_cell("tap", "9" * 401),
+                         r"case\.oltc\.csv row 1: tap '9{401}' is out of range"),
+    "sidecar-long-tap": (_sidecar_cell("tap", "9" * 31),
+                         r"case\.oltc\.csv row 1: tap '9{31}' is out of range"),
 }
 
 

@@ -2,18 +2,23 @@
 calls, and the batched capacity search against a serial bisection kept here
 as the reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from tdsynth.netmodel import IS_DG, CaseStack, tap_ratios
-from tdsynth.oltc import RegulationError, _regulate, regulate
+from tdsynth import synth as synth_mod
+from tdsynth.caseio import from_network, to_network
+from tdsynth.netmodel import IS_DG, CaseStack, OltcTransformer, tap_ratios
+from tdsynth.oltc import RegulationError, RegulationReport, _regulate, regulate
 from tdsynth.opf import OpfProblem, solve_with_relaxation
 from tdsynth.powerflow import SolverOptions, _solve, _structure, solve
 from tdsynth.synth import (
     SynthesisConfig,
     SynthesisError,
+    _replica_template,
     _scale_loads,
     _zero_dg,
     customize,
@@ -98,13 +103,16 @@ def _serial_capacity(dn, v_limits, tolerance, ceiling, max_rounds):
             return False, None
         counts[1] += not report.settled
         idx = trial.bus_index()
-        worst_bus, worst = None, 0.0
+        gaps = []
         for b in trial.buses:
             v = float(sol.v_mag[idx[b.id]])
-            gap = max(lo_v - v, v - hi_v)
-            if b.id != slack_id and gap > worst:
-                worst, worst_bus = gap, b.id
-        return worst_bus is None, worst_bus
+            if b.id != slack_id:
+                gaps.append((max(lo_v - v, v - hi_v), b.id))
+        worst = max(gap for gap, _ in gaps)
+        if not worst > 0.0:
+            return True, None
+        # gaps within 1e-9 pu of the largest tie; the first bus by position wins
+        return False, next(bus for gap, bus in gaps if gap > 0.0 and gap >= worst - 1e-9)
 
     if not probe(0.0)[0]:
         raise SynthesisError("zero load")
@@ -149,6 +157,114 @@ def test_capacity_counts_probes_judged_before_regulation_settled():
     capped = dn_max_capacity(DN, (0.95, 1.05), max_rounds=1)
     assert capped.probes == 16
     assert capped.unsettled_probes > 0
+
+
+def _with_line_regulator(dn):
+    """``dn`` with a second tap changer, on feeder 3 (branch 7-8), that
+    regulates bus 8."""
+    doc, oltcs = from_network(dn)
+    return to_network(doc, oltcs + [OltcTransformer(branch_ref=6, controlled_bus=8)])
+
+
+# (oltc_v_set, deadband): the shipped rule, one whose stop depends on the
+# direction a tap comes from, and a deadband narrower than a tap step,
+# where probes reverse and freeze
+@pytest.mark.parametrize("v_set, deadband", [(1.03, 0.02), (0.98, 0.02), (1.0, 0.006)])
+@pytest.mark.parametrize("k, taps", [(1, 1), (50, 1), (1, 2)])
+@pytest.mark.parametrize("max_rounds", [1, 2, 30])
+def test_a_warm_started_probe_walks_as_its_cold_run(monkeypatch, k, taps, v_set, deadband,
+                                                    max_rounds):
+    # every capacity batch started after its brackets' shared tap rows is
+    # run again from the template's taps: each probe's walk is the same
+    warm = []
+
+    def recording(st, stack, opts, rounds, prefix=()):
+        before = stack.take(np.arange(len(stack)))
+        last, results = _regulate(st, stack, opts, rounds, prefix)
+        if prefix:
+            warm.append((prefix, results, _regulate(st, before, opts, rounds)[1]))
+        return last, results
+
+    monkeypatch.setattr(synth_mod, "_regulate", recording)
+    dn = rescaled_dn(DN, k) if k > 1 else DN
+    dn = _replica_template(dn if taps == 1 else _with_line_regulator(dn),
+                           SynthesisConfig(oltc_v_set=v_set))
+    dn.oltcs.deadband[:] = deadband
+    dn_max_capacity(dn, (0.95, 1.05), max_rounds=max_rounds)
+    assert warm
+    for prefix, started, walked in warm:
+        for got, want in zip(started, walked, strict=True):
+            assert (got.rounds, got.final_taps, got.tap_trace, got.frozen, got.settled) == (
+                want.rounds, want.final_taps, want.tap_trace, want.frozen, want.settled)
+            assert got.tap_trace[:len(prefix)] == prefix
+
+
+@pytest.mark.parametrize("side", ["feasible", "failing"])
+def test_a_bracket_that_froze_a_tap_starts_its_batch_cold(monkeypatch, side):
+    # a frozen tap's row hides what a probe between the brackets would do,
+    # so a batch one of whose brackets froze walks from the template's taps
+    p_template = float(DN.buses.p_load.sum())
+    prefixes = []
+
+    def freezing(st, stack, opts, rounds, prefix=()):
+        prefixes.append(prefix)
+        last, results = _regulate(st, stack, opts, rounds, prefix)
+        above = stack.buses.p_load.sum(axis=1) > p_template   # capacity is scale 1.0
+        for report, failing in zip(results, above.tolist()):
+            if isinstance(report, RegulationReport) and failing == (side == "failing"):
+                report.frozen = [True] * len(report.frozen)
+        return last, results
+
+    monkeypatch.setattr(synth_mod, "_regulate", freezing)
+    assert dn_max_capacity(DN, (0.95, 1.05)).max_scale == 0.999755859375
+    assert len(prefixes) == 5 and not any(prefixes)
+
+
+@PROPERTY
+@given(k=st.sampled_from(sorted(TEMPLATES)), source_v=st.floats(0.97, 1.06),
+       item=copies, deadband=st.sampled_from([0.02, 0.006, 0.004]),
+       max_rounds=st.integers(1, 12))
+def test_a_walk_resumed_after_its_first_rows_is_the_walk(k, source_v, item, deadband,
+                                                         max_rounds):
+    # a walk's taps move one way only (a reversal freezes instead), so any
+    # of its first rows may start it; narrow deadbands make taps freeze
+    base = TEMPLATES[k].clone()
+    base.oltcs.deadband[:] = deadband
+    stack, structure = _feeder_copies(base, source_v, *zip(item)), _structure(base)
+    (walk,) = _regulate(structure, stack.take([0]), SolverOptions(), max_rounds)[1]
+    assume(not isinstance(walk, Exception))
+    for p in range(1, walk.rounds + 1):
+        (resumed,) = _regulate(structure, stack.take([0]), SolverOptions(), max_rounds,
+                               walk.tap_trace[:p])[1]
+        assert resumed == replace(walk, solves=resumed.solves, iterations=resumed.iterations)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 30])
+def test_capacity_equals_the_serial_bisection_on_the_50x_template(max_rounds):
+    dn = rescaled_dn(DN, 50)
+    cap = dn_max_capacity(dn, (0.95, 1.05), max_rounds=max_rounds)
+    assert (cap.max_scale, cap.binding_bus, cap.unbounded_by_voltage, cap.probes,
+            cap.unsettled_probes) == _serial_capacity(dn, (0.95, 1.05), 1e-3, 10.0, max_rounds)
+
+
+@pytest.mark.parametrize("scale, tie", [(1.000255859375, "exact"), (1.0003662109375, "rounding")])
+def test_a_binding_tie_names_the_first_bus_by_position(scale, tie):
+    # feeder ends 9 and 12 of the 50x template sag alike near its capacity:
+    # one failing probe at ``scale`` decides the search, and bus 9 comes first
+    dn = rescaled_dn(DN, 50)
+    trial = dn.clone()
+    _zero_dg(trial)
+    _scale_loads(trial, scale)
+    sol, _ = regulate(trial)
+    ids = dn.buses.id.tolist()
+    v9, v12 = (float(sol.v_mag[ids.index(bus)]) for bus in (9, 12))
+    assert min(sol.v_mag) == min(v9, v12) < 0.95 and ids.index(9) < ids.index(12)
+    if tie == "exact":
+        assert v9 == v12
+    else:   # bus 12 sags further, by rounding only
+        assert 0.0 < v9 - v12 < 1e-9
+    cap = dn_max_capacity(dn, (0.95, 1.05), tolerance=scale, ceiling=2 * scale)
+    assert (cap.max_scale, cap.probes, cap.binding_bus) == (0.0, 3, 9)
 
 
 def test_a_batch_of_many_chunks_equals_its_one_item_runs():

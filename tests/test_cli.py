@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import time
 from dataclasses import fields
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tdsynth import cli as cli_mod
 from tdsynth import synth as synth_mod
 from tdsynth.cli import ConfigError, main, parse_config
 from tdsynth.powerflow import SingularJacobianError
@@ -288,3 +290,40 @@ def test_generate_profile_accounts_for_the_wall_time(tmp_path, capsys):
     per_copy = [c for rec in manifest["instances"] for c in rec["solve_counts"].values() if c]
     assert counts["customize"]["solves"] >= sum(c["solves"] for c in per_copy)
     assert counts["capacity"]["solves"] > counts["capacity"]["batches"] > 0
+
+
+def test_the_capacity_search_resumes_the_tap_walks_its_brackets_share(tmp_path):
+    # each batch after the first starts where its brackets' walks agree:
+    # 21 batched solves on the shipped default, 46 from the template's taps
+    profile = tmp_path / "profile.json"
+    assert main(["generate", str(CONF_ROOT), "--out", str(tmp_path / "out"),
+                 "--profile", str(profile)]) == 0
+    assert json.loads(profile.read_text())["stage_counts"]["capacity"]["batches"] <= 25
+
+
+@pytest.mark.parametrize("line", [
+    "penetration_level = nan", "generation_split = nan", "oversize = nan", "oversize = inf",
+    "dn_v_min = nan", "dn_v_max = inf", "oltc_v_set = nan", "pf_tolerance = inf",
+    "capacity_tolerance = nan", "capacity_ceiling = inf", "opf_v_slack = nan",
+])
+def test_a_non_finite_config_value_exits_2_with_one_line(line, tmp_path, capsys):
+    key = line.split()[0]
+    name = "dn_v_limits" if key.startswith("dn_v_") else key
+    out = tmp_path / "out"
+    assert main(["generate", str(_write(tmp_path, line + "\n")), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"config field {name!r}: must be finite" in err
+    assert not out.exists()
+
+
+def test_a_nan_that_reaches_a_json_file_fails_its_stage(tmp_path, monkeypatch, capsys):
+    conf = _write(tmp_path, "penetration_level = 0.5\n")
+    real_manifest, real_summary = synth_mod._manifest, cli_mod._summary
+    monkeypatch.setattr(synth_mod, "_manifest", lambda *a: {**real_manifest(*a), "x": math.nan})
+    assert main(["generate", str(conf), "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.startswith("[export] Out of range float values")
+    monkeypatch.setattr(synth_mod, "_manifest", real_manifest)
+    monkeypatch.setattr(cli_mod, "_summary", lambda res: {**real_summary(res), "x": -math.inf})
+    assert main(["generate", str(conf), "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.startswith("[summary] Out of range float values")
+    assert not list((tmp_path / "b").glob("*/summary.json"))
