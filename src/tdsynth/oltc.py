@@ -6,14 +6,15 @@ style), which keeps the result independent of transformer ordering.
 
 :func:`_regulate` regulates the copies of a stacked table (the power
 flow's batch, :class:`netmodel.CaseStack`) together: each round solves the
-copies whose taps moved as one batch, and one :class:`TapStepper` moves
-every copy's (B, taps) positions in place and hands their ratios
-(:func:`netmodel.tap_ratios`) to the next solve, so one tap rule decides
-every copy, and a copy's result does not depend on the batch around it.
-Its optional ``prefix``, a walk's first tap rows known in advance (the
-capacity search's brackets share them), starts every copy at its last row:
-rounds, ``tap_trace`` and so ``max_rounds`` count from the walk's start,
-and each tap's last step is the one a reversal undoes.  A diverging
+copies whose taps moved as one batch, and one :class:`TapStepper` owns
+every copy's (B, taps) positions: it moves them in place and writes their
+tap-changer branch ratios (:func:`netmodel.tap_ratios`) for the next
+solve, so one tap rule decides every copy, and a copy's result does not
+depend on the batch around it.  Its optional ``prefix``, a walk's first tap
+rows known in advance (the capacity search's brackets share them), gives
+the stepper its start row, the last one: rounds, ``tap_trace`` and so
+``max_rounds`` count from the walk's start, and the move to the start row
+is each tap's last step, the one a reversal undoes.  A diverging
 solve's :class:`RegulationError` names the bus of its largest mismatch.
 :func:`regulate` is the API edge for one case: it regulates the
 case's one-copy stack, a view of it (:meth:`CaseStack.of`), so it moves the
@@ -79,13 +80,20 @@ class TapStepper:
     for the rest of the run the moment its proposed step reverses the last
     step it took (anti-cycling)."""
 
-    def __init__(self, oltcs, at: np.ndarray):
-        """``oltcs``: the tap rule's columns as (B, transformers) arrays, a
-        :class:`CaseStack`'s ``oltcs``, whose taps :meth:`apply` moves in
-        place; ``at``: each transformer's controlled bus position."""
-        self.oltcs, self.at = oltcs, at
-        self.frozen = np.zeros(oltcs.tap.shape, dtype=bool)
-        self._last = np.zeros(oltcs.tap.shape, dtype=int)
+    def __init__(self, stack: CaseStack, at: np.ndarray, start=()):
+        """``stack``: the copies.  ``stack.oltcs`` holds the tap rule's
+        columns as (B, transformers) arrays, whose taps :meth:`apply` moves
+        in place, and from here on the stepper keeps each copy's tap-changer
+        branch ratios at :func:`netmodel.tap_ratios` of its taps.  ``at``:
+        each transformer's controlled bus position.  ``start``: a walk's
+        start row, one tap per transformer: every copy's taps move there,
+        and that move counts as each tap's last step, so reversing it
+        freezes the tap."""
+        self.oltcs, self.at = stack.oltcs, at
+        self._ratio, self._ref = stack.branches.ratio, stack.template.oltcs.branch_ref
+        self.frozen = np.zeros(self.oltcs.tap.shape, dtype=bool)
+        self._last = np.zeros(self.oltcs.tap.shape, dtype=int)
+        self.apply(np.subtract(start, self.oltcs.tap) if len(start) else 0)
 
     def propose(self, v_mag: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """One delta (-1, 0 or +1) per transformer from each case's solved
@@ -100,11 +108,11 @@ class TapStepper:
         deltas[reverse] = 0
         return deltas
 
-    def apply(self, deltas: np.ndarray) -> np.ndarray:
-        """Move every tap by its delta; returns every tap's ratio."""
+    def apply(self, deltas: np.ndarray) -> None:
+        """Move every tap by its delta, and its branch ratio with it."""
         self.oltcs.tap += deltas
         self._last = np.where(deltas != 0, deltas, self._last)
-        return tap_ratios(self.oltcs)
+        self._ratio[:, self._ref] = tap_ratios(self.oltcs)
 
 
 def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, max_rounds: int,
@@ -116,12 +124,8 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
     its error; the walk starts after ``prefix``, each tap of which moved
     one way only."""
     B, t = len(stack), stack.oltcs
-    ref = stack.template.oltcs.branch_ref
-    stepper = TapStepper(t, _find(st.ids, stack.template.oltcs.controlled_bus))
-    if prefix:   # each tap's last step, so that a reversal still freezes it
-        stepper._last[:] = np.sign(np.subtract(prefix[-1], t.tap))
-        t.tap[:] = prefix[-1]
-    stack.branches.ratio[:, ref] = tap_ratios(t)
+    stepper = TapStepper(stack, _find(st.ids, stack.template.oltcs.controlled_bus),
+                         prefix[-1] if prefix else ())
     solves, iterations, rounds = (np.full(B, n) for n in (0, 0, len(prefix)))
     traces = [[list(row) for row in prefix] for _ in range(B)]
     errors: list[Exception | None] = [None] * B
@@ -158,7 +162,7 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
         moved = np.flatnonzero(deltas.any(axis=1))
         if not moved.size:
             break
-        stack.branches.ratio[:, ref] = stepper.apply(deltas)
+        stepper.apply(deltas)
         rounds[moved] += 1
         if meter is not None:
             meter.tap_rounds += len(moved)

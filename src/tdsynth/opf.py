@@ -32,14 +32,13 @@ per relaxation; a tap move only rewrites the admittance values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import powerflow
+from . import caseio, powerflow
 from .netmodel import GEN_CODES, SLACK, CaseStack, GenKind, NetworkCase, _find
 from .oltc import TapStepper
 
@@ -161,7 +160,8 @@ class _OpfModel:
     """Scaled cost, bus balances and their exact derivatives over
     x = (Va without the slack bus, Vm, Pg, Qg), and the Newton system of
     the interior point.  The first derivatives are the power flow's
-    entry-wise dS/dV (:func:`powerflow._dS_dV`), the second are MATPOWER's
+    entry-wise dS/dV (:func:`powerflow._dS_dV`) in its Jacobian layout
+    (:func:`powerflow._placement`), the second are MATPOWER's
     ``d2Sbus_dV2`` written entry by entry on the same Ybus pattern: each is
     a vector of values over the voltages v = (Va, Vm) computed per call at
     index arrays fixed here.  Pg and Qg enter the balances only through
@@ -197,15 +197,10 @@ class _OpfModel:
         ia[self.nonslack] = np.arange(self.na)
         im = self.na + buses
 
-        # Jacobian: dS/dVa and dS/dVm at the Ybus entries, then the diagonal;
-        # the P rows take the real part, the Q rows the imaginary part
-        jr, jc = np.concatenate([r, buses]), np.concatenate([c, buses])
-        keep = np.flatnonzero(ia[jc] >= 0)
-        self.jac_rows = np.concatenate([jr[keep], n + jr[keep], jr, n + jr])
-        self.jac_cols = np.concatenate([ia[jc][keep], ia[jc][keep], im[jc], im[jc]])
-        # each value's place in the float view of (dS/dVa, dS/dVm)
-        dm = len(jr) + np.arange(len(jr))
-        self.jac_take = np.concatenate([2 * keep, 2 * keep + 1, 2 * dm, 2 * dm + 1])
+        # Jacobian: the power flow's placement, with a P and a Q row at every
+        # bus and the columns of x's voltages
+        self.jac_take, self.jac_rows, self.jac_cols = powerflow._placement(
+            self._adm, buses, buses, self.nonslack, buses)
 
         # Hessian: second derivatives at (r, c), at (c, r), then the diagonal;
         # blocks Va-Va, Vm-Va, its transpose Va-Vm, then Vm-Vm
@@ -290,8 +285,8 @@ class _OpfModel:
     def jacobian(self, pt: _Point) -> np.ndarray:
         """Jv = d balance / dv (2n x nv): its values at (jac_rows,
         jac_cols).  d balance / d(Pg, Qg) is the constant -E."""
-        dS = powerflow._dS_dV(pt.V, pt.Ibus, self.r, self.c, self.y)
-        return np.concatenate(dS).view(float)[self.jac_take]
+        return powerflow._jacobian_values(self._adm, self.jac_take, pt.V[None], pt.Ibus[None],
+                                          self.y[None])[0]
 
     def jacobian_t(self, jac, lam) -> np.ndarray:
         """dg^T lam (nx) for the Jacobian values ``jac``."""
@@ -610,15 +605,14 @@ def solve_with_relaxation(
     if schedule.rounds < 1:
         raise ValueError("schedule needs at least one round")
     work = problem.case.clone()
-    work.sync_ratios()
     sub = OpfProblem(
         case=work, v_min=problem.v_min, v_max=problem.v_max,
         dispatchable=problem.dispatchable,
     )
 
-    # the case's one-copy stack, a view of it: steps move its taps
-    stack = CaseStack.of(work)
-    stepper = TapStepper(stack.oltcs, _find(work.buses.id, work.oltcs.controlled_bus))
+    # the stepper moves the taps of the case's one-copy stack, a view of it,
+    # and sets their branch ratios, which the model then reads
+    stepper = TapStepper(CaseStack.of(work), _find(work.buses.id, work.oltcs.controlled_bus))
     model = _OpfModel(sub)
     trace: list[dict] = []
     warm, duals = None, None
@@ -664,7 +658,7 @@ def solve_with_relaxation(
         )
         if moved == 0 and (slack == 0.0 or v_gap <= FEASIBILITY_TOL):
             break
-        stack.branches.ratio[:, work.oltcs.branch_ref] = stepper.apply(deltas)
+        stepper.apply(deltas)
         if moved:
             model.retap(work.branches.ratio)
 
@@ -687,19 +681,10 @@ def solve_with_relaxation(
         trace=trace,
     )
     if trace_path is not None:
-        _write_trace(trace_path, trace)
+        caseio._write_csv(trace_path, ["round", "objective", "max_violation", "taps_moved"],
+                          ([row["round"], repr(row["objective"]), repr(row["max_violation"]),
+                            row["taps_moved"]] for row in trace))
     return result
-
-
-def _write_trace(path: Path, trace: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["round", "objective", "max_violation", "taps_moved"])
-        for row in trace:
-            w.writerow(
-                [row["round"], repr(row["objective"]),
-                 repr(row["max_violation"]), row["taps_moved"]]
-            )
 
 
 def apply_opf_solution(

@@ -19,9 +19,9 @@ returns its :class:`PowerFlowSolution`; batches enter only as stacks.
 Every placement shares one Ybus and one Jacobian evaluation: the admittance
 terms are added up once per Ybus entry (:class:`_Admittance`), and each
 Newton step evaluates one entry-wise dS/dV over the batch (:func:`_dS_dV`,
-which the OPF shares).  One size rule (:func:`_dense`), which the OPF's KKT
-step follows too, decides only where those values go and how the step is
-solved:
+which the OPF shares with its layout, :func:`_placement`).  One size rule
+(:func:`_dense`), which the OPF's KKT step follows too, decides only where
+those values go and how the step is solved:
 
 - up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the feeder
   copies: stacked (B, m, m) arrays solved with LAPACK, since at that size
@@ -272,21 +272,20 @@ def _dS_dV(V, Ibus, r, c, y) -> tuple[np.ndarray, np.ndarray]:
     return dSa, dSm
 
 
-def _placement(adm: _Admittance, pvpq, pq):
-    """Where the NR Jacobian puts the values of :func:`_dS_dV`: P rows at
-    pvpq, then Q rows at pq; Va columns at pvpq, then Vm columns at pq.
-    ``take`` picks from (Re dS/dVa, Re dS/dVm, Im dS/dVa, Im dS/dVm), as
-    positions in the float view of the complex (dS/dVa, dS/dVm), and
-    ``rows``/``cols`` place each picked value."""
-    r, c = adm.r, adm.c
-    n, npvpq = adm.n, len(pvpq)
-    at_a = np.full(n, -1)  # P row and Va column of each bus
-    at_a[pvpq] = np.arange(npvpq)
-    at_m = np.full(n, -1)  # Q row and Vm column
-    at_m[pq] = npvpq + np.arange(len(pq))
-    rb = np.concatenate([r, np.arange(n)])  # bus of each dS value
-    rows = np.concatenate([at_a[rb], at_a[rb], at_m[rb], at_m[rb]])
-    cols = np.concatenate([at_a[c], at_a, at_m[c], at_m] * 2)
+def _placement(adm: _Admittance, p_at, q_at, a_at, m_at):
+    """Where a Jacobian of the bus injections puts the values of
+    :func:`_dS_dV`: P rows at the buses ``p_at``, then Q rows at ``q_at``;
+    Va columns at ``a_at``, then Vm columns at ``m_at`` (the NR Jacobian's
+    are pvpq, pq, pvpq, pq).  ``take`` picks from (Re dS/dVa, Re dS/dVm,
+    Im dS/dVa, Im dS/dVm), as positions in the float view of the complex
+    (dS/dVa, dS/dVm), and ``rows``/``cols`` place each picked value."""
+    n, c = adm.n, adm.c
+    p, q, a, m = (np.full(n, -1) for _ in range(4))   # each bus's row or column, or -1
+    for at, buses, start in ((p, p_at, 0), (q, q_at, len(p_at)), (a, a_at, 0), (m, m_at, len(a_at))):
+        at[buses] = start + np.arange(len(buses))
+    rb = np.concatenate([adm.r, np.arange(n)])  # bus of each dS value
+    rows = np.concatenate([p[rb], p[rb], q[rb], q[rb]])
+    cols = np.concatenate([a[c], a, m[c], m] * 2)
     take = np.flatnonzero((rows >= 0) & (cols >= 0))
     half = 2 * len(rb)   # the real parts, then the imaginary parts
     take_view = np.where(take < half, 2 * take, 2 * (take - half) + 1)
@@ -558,8 +557,11 @@ def _structure(case: NetworkCase) -> _Structure:
         raise PowerFlowError(f"need exactly one slack bus, found {len(slack)}")
     if _island_of(*_edges(case)).any():
         raise PowerFlowError("network is not connected")
-    adm = _Admittance(case)
-    gen_pos = _find(case.buses.id, case.generators.bus_id)
+    try:
+        adm = _Admittance(case)
+        gen_pos = _find(case.buses.id, case.generators.bus_id)
+    except KeyError as exc:   # a branch or generator names a bus the case lacks
+        raise PowerFlowError(exc.args[0]) from None
     # the |V| setpoint of a slack/PV bus comes from its first generator
     held, first = np.unique(gen_pos, return_index=True)
     set_pos = np.flatnonzero(kinds != PQ)
@@ -662,9 +664,11 @@ _METER: ContextVar[Meter | None] = ContextVar("tdsynth_meter", default=None)
 
 def _solve(st: _Structure, stack: CaseStack, rows: np.ndarray, opts: SolverOptions) -> _Solved:
     """Newton-Raphson on the copies ``rows`` of a stack of one structure,
-    at most ``st.chunk`` of them together."""
-    parts = [_solve_chunk(st, stack, rows[k : k + st.chunk], opts)
-             for k in range(0, len(rows), st.chunk)]
+    at most ``st.chunk`` of them together.  A diverging row may overflow
+    on its way out; it ends unconverged or singular all the same."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [_solve_chunk(st, stack, rows[k : k + st.chunk], opts)
+                 for k in range(0, len(rows), st.chunk)]
     sol = parts[0] if len(parts) == 1 else _Solved(
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(_Solved)))
     meter = _METER.get()
@@ -694,7 +698,7 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
     act = np.flatnonzero(~(_worst(F) < opts.tolerance))
     if act.size:
         if st.place is None:
-            st.place = _placement(adm, pvpq, pq)
+            st.place = _placement(adm, pvpq, pq, pvpq, pq)
         if act.size == B:   # the common case: no copies
             wva, wvm, wS, wy, wV, wI, wF, wY = va, vm, Sbus, y, V, Ibus, F, Y
         else:

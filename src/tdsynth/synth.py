@@ -85,6 +85,8 @@ class SynthesisConfig:
             bad.append(("penetration_level", "must be >= 0"))
         if not 0.0 <= self.generation_split <= 1.0:
             bad.append(("generation_split", "must lie in [0, 1]"))
+        if self.rng_seed < 0:
+            bad.append(("rng_seed", "must be >= 0"))
         if not self.oversize >= 1.0:
             bad.append(("oversize", "must be >= 1.0"))
         if not self.dn_v_limits[0] < self.dn_v_limits[1]:
@@ -208,13 +210,14 @@ CAPACITY_LEVELS = 3
 BINDING_TIE = 1e-9   # pu: voltage gaps this close tie when naming the binding bus
 
 
-def _bisection_tree(lo: float, hi: float, levels: int, tolerance: float) -> list[tuple[float, float]]:
-    """The intervals whose midpoints the next ``levels`` bisection steps
-    from [lo, hi] may probe, halved by the serial search's own recurrence."""
-    if levels == 0 or not hi - lo > tolerance:
-        return []
+def _bisection_tree(lo: float, hi: float, levels: int, tolerance: float) -> list[float]:
+    """The midpoints the next ``levels`` bisection steps from [lo, hi] may
+    probe, halved by the serial search's own recurrence, down to float
+    resolution: a midpoint lies strictly inside its interval."""
     mid = 0.5 * (lo + hi)
-    return ([(lo, hi)] + _bisection_tree(lo, mid, levels - 1, tolerance)
+    if levels == 0 or not hi - lo > tolerance or not lo < mid < hi:
+        return []
+    return ([mid] + _bisection_tree(lo, mid, levels - 1, tolerance)
             + _bisection_tree(mid, hi, levels - 1, tolerance))
 
 
@@ -230,7 +233,8 @@ def dn_max_capacity(
     """Largest uniform load scale the template can carry with zeroed DGs
     while regulation keeps every non-boundary voltage inside ``v_limits``.
 
-    Bisection on the scale factor to absolute ``tolerance``; the boundary
+    Bisection on the scale factor to absolute ``tolerance``, or until no
+    float lies between the brackets, whichever comes first; the boundary
     (slack) bus is excluded from the check because its voltage is imposed
     from outside.  A probe whose power flow fails to converge counts as
     infeasible, so with very wide limits the search settles at the
@@ -262,21 +266,22 @@ def dn_max_capacity(
         raise SynthesisError("template has no active load to scale")
     st = structure if structure is not None else powerflow._structure(base)
     stack, ids = CaseStack.of(base), base.buses.id
-
-    walks: dict[float, RegulationReport] = {}   # each probe's regulation, by scale
+    # each probe once, by scale: (feasible, worst bus, its regulation report
+    # or None if its solve diverged), or the error of a solve that failed
+    # other than by diverging
+    probed: dict[float, tuple | Exception] = {}
 
     def shared_walk(lo: float, hi: float) -> list[list[int]]:
         """The tap rows every probe strictly inside (lo, hi) reaches first:
         the rows both brackets' traces open with, if neither froze a tap."""
-        a, b = walks.get(lo), walks.get(hi)
+        a, b = probed[lo][2], probed[hi][2]
         if a is None or b is None or any(a.frozen) or any(b.frozen):
             return []
         return [row for row, _ in takewhile(lambda rows: rows[0] == rows[1],
                                             zip(a.tap_trace, b.tap_trace))]
 
-    def probe_all(scales: list[float], prefix: list[list[int]] = ()) -> list:
-        """Per scale: (feasible, worst bus, settled), or the error of a
-        solve that failed other than by diverging."""
+    def probe_all(scales: list[float], prefix: list[list[int]] = ()) -> None:
+        """Probe the scales as one batch, filing each in ``probed``."""
         trials = stack.take(np.zeros(len(scales), dtype=int))
         _scale_loads(trials, np.array(scales)[:, None])
         _, results = _regulate(st, trials, solver, max_rounds, prefix)
@@ -287,38 +292,34 @@ def dn_max_capacity(
         peak = gap.max(axis=1, keepdims=True)
         worst = ((gap > 0.0) & (gap >= peak - BINDING_TIE)).argmax(axis=1)   # ties: the first
         outside = peak[:, 0] > 0.0
-        walks.update((s, r) for s, r in zip(scales, results) if isinstance(r, RegulationReport))
-        outcomes = []
-        for k, result in enumerate(results):
+        for k, (scale, result) in enumerate(zip(scales, results)):
             if isinstance(result, RegulationError):
-                outcomes.append((False, None, True))
+                probed[scale] = (False, None, None)
             elif isinstance(result, Exception):
-                outcomes.append(result)
+                probed[scale] = result
             else:
-                outcomes.append((not outside[k], ids.item(worst[k]) if outside[k] else None,
-                                 result.settled))
-        return outcomes
+                probed[scale] = (not outside[k], ids.item(worst[k]) if outside[k] else None,
+                                 result)
 
     probes = unsettled = 0
 
-    def decide(outcome) -> tuple[bool, int | None]:
+    def decide(scale: float) -> tuple[bool, int | None]:
         nonlocal probes, unsettled
-        if isinstance(outcome, Exception):
-            raise outcome
-        ok, bus, settled = outcome
+        if isinstance(probed[scale], Exception):
+            raise probed[scale]
+        ok, bus, report = probed[scale]
         probes += 1
-        unsettled += not settled
+        unsettled += report is not None and not report.settled
         return ok, bus
 
     # the two brackets, and the first levels in case the ceiling fails
-    tree = _bisection_tree(0.0, ceiling, CAPACITY_LEVELS, tolerance)
-    zero, top, *below = probe_all([0.0, ceiling] + [0.5 * (a + b) for a, b in tree])
-    ok, _ = decide(zero)
+    probe_all([0.0, ceiling] + _bisection_tree(0.0, ceiling, CAPACITY_LEVELS, tolerance))
+    ok, _ = decide(0.0)
     if not ok:
         raise SynthesisError(
             "distribution template violates voltage limits even with zero load"
         )
-    ok, binding = decide(top)
+    ok, binding = decide(ceiling)
     if ok:
         return CapacityResult(
             max_scale=ceiling,
@@ -330,14 +331,10 @@ def dn_max_capacity(
         )
 
     lo, hi = 0.0, ceiling
-    outcomes = dict(zip(tree, below))
-    while hi - lo > tolerance:
-        if (lo, hi) not in outcomes:
-            tree = _bisection_tree(lo, hi, CAPACITY_LEVELS, tolerance)
-            outcomes = dict(zip(tree, probe_all([0.5 * (a + b) for a, b in tree],
-                                                shared_walk(lo, hi))))
-        mid = 0.5 * (lo + hi)
-        ok, bus = decide(outcomes[(lo, hi)])
+    while hi - lo > tolerance and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid not in probed:
+            probe_all(_bisection_tree(lo, hi, CAPACITY_LEVELS, tolerance), shared_walk(lo, hi))
+        ok, bus = decide(mid)
         if ok:
             lo = mid
         else:
@@ -753,13 +750,13 @@ def generate(
         )
 
     tn_idx = tn.bus_index()
-    hosts: list[Host] = []
-    for bus_id, p_load, _q in selected:
-        count = dn_count(p_load, capacity.p_capacity * cfg.oversize)
-        hosts.append((bus_id, p_load / count, float(tn_solution.v_mag[tn_idx[bus_id]]),
-                      [(k, _rng_for(cfg, bus_id, k) if cfg.random else None)
-                       for k in range(count)]))
     with _stage("customize"):
+        hosts: list[Host] = []
+        for bus_id, p_load, _q in selected:
+            count = dn_count(p_load, capacity.p_capacity * cfg.oversize)
+            hosts.append((bus_id, p_load / count, float(tn_solution.v_mag[tn_idx[bus_id]]),
+                          [(k, _rng_for(cfg, bus_id, k) if cfg.random else None)
+                           for k in range(count)]))
         instances = customize(template, cfg, hosts, structure)
 
     with _stage("assemble"):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import re
 import shutil
+import signal
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -21,6 +23,29 @@ from tdsynth.netmodel import (
 from tdsynth.caseio import CaseDocument, emit_case, load_case_dir, parse_case, save_case_dir
 from tdsynth.powerflow import PowerFlowSolution, SolverOptions, _solve, _structure
 from tdsynth.templates import bundled_template_dir
+
+
+class _Hang(BaseException):
+    """The alarm of :func:`time_limit`.  Not an ``Exception``, so no
+    pipeline stage wraps it into its own error."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the block with an AssertionError once it has run ``seconds``,
+    so that a hang fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise _Hang
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Hang:
+        raise AssertionError(f"still running after {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def two_bus_case(p_load=0.1, q_load=0.0, r=0.0, x=0.1) -> NetworkCase:
@@ -240,7 +265,7 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         e[j] = h
         J_fd[:, j] = (F(x0 + e) - F(x0 - e)) / (2 * h)
     m = len(x0)
-    place = _placement(adm, pvpq, pq)
+    place = _placement(adm, pvpq, pq, pvpq, pq)
     take, rows, cols = place
     (dense,) = _jacobians(adm, place, V0, _currents(Ydense, V0), y, m)
     (vals,) = _jacobian_values(adm, take, V0, _currents(Ysparse, V0), y)

@@ -2,6 +2,7 @@
 calls, and the batched capacity search against a serial bisection kept here
 as the reference."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from tdsynth.synth import (
 )
 from tdsynth.templates import bundled_template_dir, load_bundle
 
-from helpers import assert_same_solution, column_bytes, rescaled_dn
+from helpers import assert_same_solution, column_bytes, rescaled_dn, time_limit
 
 DN = load_bundle(bundled_template_dir() / "mini-dn").case
 TEMPLATES = {1: DN, 10: rescaled_dn(DN, 10)}
@@ -149,6 +150,19 @@ def test_capacity_equals_the_serial_bisection(tolerance, ceiling, lo_v, hi_v, ma
     got = (cap.max_scale, cap.binding_bus, cap.unbounded_by_voltage,
            cap.probes, cap.unsettled_probes)
     assert got == want
+
+
+def test_the_capacity_bisection_ends_at_float_resolution():
+    # at a tolerance of 1e-300 the brackets become adjacent floats long
+    # before hi - lo reaches it, and the search stops there, on the coarse
+    # search's path: after about as many halvings of the ceiling 10 as
+    # reach the float spacing at the capacity (56 here)
+    coarse = dn_max_capacity(DN, (0.95, 1.05))
+    with time_limit(20):
+        fine = dn_max_capacity(DN, (0.95, 1.05), tolerance=1e-300)
+    assert coarse.max_scale <= fine.max_scale <= coarse.max_scale + 1e-3
+    halvings = math.log2(10.0 / np.spacing(fine.max_scale))
+    assert halvings - 1 <= fine.probes - 2 <= halvings + 1   # less the two brackets
 
 
 def test_capacity_counts_probes_judged_before_regulation_settled():

@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -44,6 +45,9 @@ def test_config_rejects_bad_values(tmp_path):
         parse_config(path)
     path = _write(tmp_path, "random = maybe\n")
     with pytest.raises(ConfigError, match="random"):
+        parse_config(path)
+    path = _write(tmp_path, "random = true\nrng_seed = -1\n")
+    with pytest.raises(ConfigError, match="^config field 'rng_seed': must be >= 0$"):
         parse_config(path)
 
 
@@ -177,6 +181,14 @@ def test_inspect_reports_a_failed_solve_with_exit_code_1(tmp_path, capsys):
     save_case_dir(two_slacks, tmp_path / "two-slacks")
     assert main(["inspect", str(tmp_path / "two-slacks")]) == 1
     assert "exactly one slack bus" in capsys.readouterr().err
+
+    dangling = load_case_dir(bundled_template_dir() / "mini-dn")
+    dangling.generators.bus_id[0] = 99
+    save_case_dir(dangling, tmp_path / "dangling")
+    assert main(["inspect", str(tmp_path / "dangling")]) == 1
+    out, err = capsys.readouterr()
+    assert "generator 0: dangling bus reference 99" in out
+    assert err == "power flow failed: no bus with id 99\n"
 
 
 _WRONG = {bool: "maybe", int: "1.5", float: "abc", str: "no-such-format"}
@@ -327,3 +339,21 @@ def test_a_nan_that_reaches_a_json_file_fails_its_stage(tmp_path, monkeypatch, c
     assert main(["generate", str(conf), "--out", str(tmp_path / "b")]) == 1
     assert capsys.readouterr().err.startswith("[summary] Out of range float values")
     assert not list((tmp_path / "b").glob("*/summary.json"))
+
+
+@pytest.mark.parametrize("line, start", [
+    # just below the template's zero-load voltage of 1.0256410256410258 pu
+    ("dn_v_min = 1.0256400256410259", "[customize] capacity must be positive\n"),
+    # probes and hosts whose Newton steps overflow on the way out
+    ("capacity_ceiling = 1e300", "[capacity] "),
+    ("oversize = 1e300", "[customize] host bus 5: "),
+    (f"pf_max_iterations = {10**30}", "[capacity] "),
+])
+def test_a_failing_stage_exits_1_with_one_line_and_no_warning(line, start, tmp_path, capsys):
+    conf = _write(tmp_path, line + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["generate", str(conf), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1, err
+    assert not caught, [str(w.message) for w in caught]

@@ -409,7 +409,7 @@ def test_replica_blocks_of_two_sizes_and_narrow_couplings(combined_cases, monkey
     case.branches.from_bus[refs[-1]] = case.buses.id[powerflow._structure(case).slack]
 
     st = powerflow._structure(case)
-    st.place = powerflow._placement(st.adm, st.pvpq, st.pq)
+    st.place = powerflow._placement(st.adm, st.pvpq, st.pq, st.pvpq, st.pq)
     blocks = powerflow._partition(st)
     assert sorted(set(blocks.size.tolist())) == [22, 24]
     assert (blocks.cols_of == len(blocks.border)).any() and (blocks.rows_of == len(blocks.border)).any()

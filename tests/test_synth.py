@@ -517,9 +517,9 @@ def test_generate_builds_one_structure_per_network(template_dir, monkeypatch):
         built.append(len(case.buses))
         return real_structure(case)
 
-    def counting_placement(adm, pvpq, pq):
+    def counting_placement(adm, *at):
         placed.append(id(adm))
-        return real_placement(adm, pvpq, pq)
+        return real_placement(adm, *at)
 
     monkeypatch.setattr(powerflow, "_structure", counting_structure)
     monkeypatch.setattr(powerflow, "_placement", counting_placement)
