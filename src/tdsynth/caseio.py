@@ -228,21 +228,23 @@ def _check_document(doc: CaseDocument) -> dict[str, np.ndarray]:
 # emitter
 
 
-def _fmt(v: float) -> str:
-    # shortest decimal that round-trips the binary value; integral values
-    # are written bare for readability
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
 def _formatted(values: np.ndarray) -> np.ndarray:
-    """:func:`_fmt` of every cell, as an object array of the same shape;
-    each distinct value is formatted once (``-0.0`` and ``0.0`` are one
-    value, and both are written ``0``)."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    text = np.array([_fmt(v) for v in distinct.tolist()], dtype=object)
-    return text[inverse].reshape(values.shape)
+    """The text of every cell, as an object array of the same shape: the
+    shortest decimal that round-trips the binary value, an integral value
+    below 1e16 written bare.  Each distinct value is formatted once, the
+    integral ones as int64 (``-0.0`` and ``0.0`` are one value, ``0``), and
+    found by binary search, which costs less than ``np.unique``'s inverse."""
+    distinct = np.unique(values)
+    whole = (distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e16)
+    text = np.empty(len(distinct), dtype=object)
+    text[whole] = [str(v) for v in distinct[whole].astype(np.int64).tolist()]
+    text[~whole] = [repr(v) for v in distinct[~whole].tolist()]
+    return text[np.searchsorted(distinct, values)]
+
+
+def _fmt(v: float) -> str:
+    """:func:`_formatted` of one value."""
+    return _formatted(np.array([v], dtype=float))[0]
 
 
 def emit_case(doc: CaseDocument) -> str:
@@ -363,8 +365,13 @@ def to_network(doc: CaseDocument, oltcs: list[OltcTransformer] | None = None) ->
 
 
 def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcTransformer]]:
-    """Inverse of :func:`to_network` up to the column defaults listed below,
-    one column at a time; the tap changers are copies of ``case.oltcs``."""
+    """Inverse of :func:`to_network` up to the column defaults listed below
+    (:func:`_document`); the tap changers are copies of ``case.oltcs``."""
+    return _document(case), [t._record() for t in case.oltcs]
+
+
+def _document(case: NetworkCase) -> CaseDocument:
+    """The MATPOWER tables of a case, one column at a time."""
     base = case.base_mva
     buses, gens, branches = case.buses, case.generators, case.branches
     zeros, ones = np.zeros(len(buses)), np.ones(len(buses))
@@ -393,7 +400,7 @@ def from_network(case: NetworkCase) -> tuple[CaseDocument, list[OltcTransformer]
 
     tables = {"bus": bus, "gen": gen, "gencost": gencost, "gen_kind": gen_kind, "branch": branch}
     names = [name or f"bus{i}" for name, i in zip(buses.name, buses.id.tolist())]
-    return CaseDocument("2", base, tables, names), [t._record() for t in case.oltcs]
+    return CaseDocument("2", base, tables, names)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +414,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def write_oltc_csv(path: Path, oltcs: list[OltcTransformer]) -> None:
-    values = np.array([[getattr(t, f) for f in _OLTC_FIELDS] for t in oltcs], dtype=float)
-    _write_csv(path, OLTC_CSV_HEADER, _formatted(values.reshape(-1, len(_OLTC_FIELDS))).tolist())
+def write_oltc_csv(path: Path, oltcs) -> None:
+    """Write a case's ``oltcs`` table, a row per tap changer."""
+    values = np.column_stack([oltcs.__dict__[f] for f in _OLTC_FIELDS]).astype(float)
+    _write_csv(path, OLTC_CSV_HEADER, _formatted(values).tolist())
 
 
 def read_oltc_csv(path: Path) -> list[OltcTransformer]:
@@ -458,11 +466,10 @@ def load_case_dir(path: Path | str) -> NetworkCase:
 def save_case_dir(case: NetworkCase, path: Path | str) -> list[Path]:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    doc, oltcs = from_network(case)
     case_m = path / "case.m"
-    case_m.write_text(emit_case(doc))
+    case_m.write_text(emit_case(_document(case)))
     sidecar = path / "case.oltc.csv"
-    write_oltc_csv(sidecar, oltcs)
+    write_oltc_csv(sidecar, case.oltcs)
     return [case_m, sidecar]
 
 
@@ -498,7 +505,7 @@ def export(case: NetworkCase, name: str, sink: Path | str) -> list[Path]:
 def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
     """Four plain CSVs in SI units (MW, Mvar, kV); one row per element.
     The numbers are the columns of the MATPOWER tables."""
-    doc, oltcs = from_network(case)
+    doc = _document(case)
     bus, gen, branch = (doc.matrices[t] for t in ("bus", "gen", "branch"))
     written = []
 
@@ -532,7 +539,7 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
                          doc.matrices["gencost"][:, COST_C2:]]),
         [(1, [_KIND_NAME[GenKind][c] for c in case.generators.kind.tolist()])],
     )
-    write_oltc_csv(sink / "oltc.csv", oltcs)
+    write_oltc_csv(sink / "oltc.csv", case.oltcs)
     written.append(sink / "oltc.csv")
     return written
 

@@ -312,46 +312,33 @@ class CaseStack:
     def __len__(self) -> int:
         return len(self.buses.p_load)
 
-    def _columns(self):
-        return ((name, f, getattr(getattr(self, name), f)) for name, fields in STACKED.items()
-                for f in fields)
-
     def take(self, rows) -> "CaseStack":
         """A new stack of the copies ``rows`` (repeats make new copies)."""
-        columns: dict[str, dict] = {name: {} for name in STACKED}
-        for name, f, a in self._columns():
-            columns[name][f] = a[rows]
-        return CaseStack(self.template, columns)
+        return CaseStack(self.template, {
+            name: {f: a[rows] for f, a in vars(getattr(self, name)).items()} for name in STACKED})
 
     def put(self, rows, other: "CaseStack") -> None:
         """Write ``other``'s copies over the copies ``rows``."""
-        for (_, _, a), (_, _, b) in zip(self._columns(), other._columns()):
-            a[rows] = b
+        for name in STACKED:
+            for f, a in vars(getattr(self, name)).items():
+                a[rows] = getattr(getattr(other, name), f)
+
+    def table(self, name: str, rows) -> _Table:
+        """Table ``name`` of the copies ``rows``, copy after copy: each
+        stacked column taken by row and raveled, the template's other
+        columns repeated."""
+        own, new = vars(getattr(self, name)), object.__new__(_TABLES[name])
+        for f, c in vars(getattr(self.template, name)).items():
+            new.__dict__[f] = (own[f][rows].ravel() if f in own else c * len(rows)
+                               if isinstance(c, list) else
+                               np.repeat(c[None], len(rows), axis=0).reshape(-1, *c.shape[1:]))
+        return new
 
     def cases(self) -> list[NetworkCase]:
-        """One independent case per copy: the template's other columns
-        repeated, each copy's own columns copied out of the stack."""
-        B = len(self)
-        tables = {}
-        for name, cls in _TABLES.items():
-            own = vars(getattr(self, name))
-            columns = {f: [list(c) for _ in range(B)] if isinstance(c, list)
-                       else own[f].copy() if f in own else np.repeat(c[None], B, axis=0)
-                       for f, c in vars(getattr(self.template, name)).items()}
-            tables[name] = [_table(cls, dict(zip(columns, row))) for row in zip(*columns.values())]
-        out = []
-        for buses, generators, branches, oltcs in zip(*tables.values()):
-            case = object.__new__(NetworkCase)
-            case.__dict__.update(base_mva=self.template.base_mva, buses=buses,
-                                 generators=generators, branches=branches, oltcs=oltcs)
-            out.append(case)
-        return out
-
-
-def _table(cls, columns: dict) -> _Table:
-    new = object.__new__(cls)
-    new.__dict__.update(columns)
-    return new
+        """One independent case per copy: the tables of its row (:meth:`table`)."""
+        return [NetworkCase(self.template.base_mva,
+                            **{name: self.table(name, [k]) for name in _TABLES})
+                for k in range(len(self))]
 
 
 def _lookup(keys: np.ndarray, wanted) -> tuple[np.ndarray, np.ndarray]:
@@ -460,13 +447,17 @@ def validate(case: NetworkCase) -> ValidationReport:
         out.append(f"duplicate bus name {n!r}")
 
     no_x = branches.status & (branches.x == 0.0)
+    with np.errstate(over="ignore"):
+        square = branches.ratio ** 2   # the power flow divides by it
     _report(out, branches, [
         (~from_ok, "branch {i}: dangling from-bus reference {r.from_bus}"),
         (~to_ok, "branch {i}: dangling to-bus reference {r.to_bus}"),
         (no_x & (branches.r == 0.0), "branch {i}: in-service branch with zero impedance"),
         (no_x & (branches.r != 0.0), "branch {i}: in-service branch with zero reactance"),
         (branches.ratio <= 0, "branch {i}: ratio must be positive, got {r.ratio}"),
-    ])
+        ((branches.ratio > 0) & ~((square > 0) & np.isfinite(square)),
+         "branch {i}: ratio {r.ratio} squares to {square}"),
+    ], square=square.tolist())
 
     _report(out, gens, [
         (~gen_ok, "generator {i}: dangling bus reference {r.bus_id}"),

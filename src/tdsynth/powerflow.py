@@ -121,6 +121,14 @@ class PowerFlowSolution:
 # in a batch as alone; a case that large alone is solved one at a time.
 _ELIDE_BYTES = 256 * 1024
 
+
+def _quiet():
+    """The floating-point state of a solve and of its solutions: a case that
+    diverges, or has an extreme branch ratio, may overflow, divide by zero
+    or make NaN, and ends unconverged or singular all the same."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + j im, exactly (without the products of ``re + 1j * im``)."""
     out = np.empty(np.shape(re), dtype=complex)
@@ -619,10 +627,11 @@ class _Solved:
         if self.singular[k]:
             return SingularJacobianError("singular Jacobian")
         adm, V, S = st.adm, self.V[k : k + 1], self.S[k]
-        yff, yft, ytf, ytt = adm.terms(self.ratio[k : k + 1])
-        Vf, Vt = V[:, adm.f], V[:, adm.t]
-        Sf = (Vf * np.conj(yff * Vf + yft * Vt))[0]
-        St = (Vt * np.conj(ytf * Vf + ytt * Vt))[0]
+        with _quiet():
+            yff, yft, ytf, ytt = adm.terms(self.ratio[k : k + 1])
+            Vf, Vt = V[:, adm.f], V[:, adm.t]
+            Sf = (Vf * np.conj(yff * Vf + yft * Vt))[0]
+            St = (Vt * np.conj(ytf * Vf + ytt * Vt))[0]
         return PowerFlowSolution(
             np.abs(V[0]), np.angle(V[0]), S.real, S.imag, Sf.real, Sf.imag, St.real, St.imag,
             converged=bool(self.converged[k]), iterations=int(self.iterations[k]),
@@ -664,9 +673,8 @@ _METER: ContextVar[Meter | None] = ContextVar("tdsynth_meter", default=None)
 
 def _solve(st: _Structure, stack: CaseStack, rows: np.ndarray, opts: SolverOptions) -> _Solved:
     """Newton-Raphson on the copies ``rows`` of a stack of one structure,
-    at most ``st.chunk`` of them together.  A diverging row may overflow
-    on its way out; it ends unconverged or singular all the same."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    at most ``st.chunk`` of them together, under :func:`_quiet`."""
+    with _quiet():
         parts = [_solve_chunk(st, stack, rows[k : k + st.chunk], opts)
                  for k in range(0, len(rows), st.chunk)]
     sol = parts[0] if len(parts) == 1 else _Solved(
@@ -715,9 +723,11 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
         it += 1
         done = ~ok | (np.abs(wF).max(axis=1) < opts.tolerance) | (it == opts.max_iterations)
         if done.any():
-            # these cases leave the batch for good: keep their last state
+            # these cases leave the batch for good: keep their last state.
+            # A case without a step is singular while its mismatch is still
+            # finite; one whose step overflowed it diverged
             fin = act[done]
-            singular[act[~ok]] = True
+            singular[act[~ok & np.isfinite(wF).all(axis=1)]] = True
             V[fin], Ibus[fin], F[fin], iterations[fin] = wV[done], wI[done], wF[done], it
             keep = ~done
             act = act[keep]

@@ -16,10 +16,10 @@ Pipeline stages (mirrored by :func:`generate`):
 Stages 2 and 3 work on stacked tables (:class:`netmodel.CaseStack`): the
 capacity probes, the hosts and the copies are rows of template copies on
 one power-flow structure of the template, which :func:`generate` builds
-once; a copy becomes a :class:`NetworkCase` (``DnInstance.case``) only at
-the end of stage 3.  Randomized draws come from a dedicated stream per
-(host bus, copy index), so adding or removing one replica never reshuffles
-the others.
+once.  Stage 4 assembles the copies from their stack's rows; a copy
+becomes a :class:`NetworkCase` (``DnInstance.case``) only when something
+reads it.  Randomized draws come from a dedicated stream per (host bus,
+copy index), so adding or removing one replica never reshuffles the others.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import takewhile
+from itertools import groupby, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +146,12 @@ class SolveCounts:
 
 @dataclass
 class DnInstance:
-    case: NetworkCase
+    """One replica.  A copy :func:`customize` builds is a row of its stack
+    (``_row``: stack, row) until something reads its ``case`` (given as
+    None): the first read builds a :class:`NetworkCase` from that row, which
+    the instance carries from then on, as one made with a case does."""
+
+    case: NetworkCase | None
     host_tn_bus: int
     copy_index: int
     load_scale: float
@@ -159,6 +164,21 @@ class DnInstance:
     constant_load_mismatch: float | None
     regulation: RegulationReport | None = None   # the copy's last regulation
     constant_load_counts: SolveCounts | None = None  # None when that loop did not run
+
+    def __post_init__(self):
+        if self.case is None:
+            del self.case   # read through __getattr__ until built
+
+    def __getattr__(self, name: str):
+        if name != "case" or "_row" not in self.__dict__:
+            raise AttributeError(name)
+        stack, row = self._row
+        (self.case,) = stack.take([row]).cases()
+        return self.case
+
+    def _source(self) -> CaseStack | None:
+        """The stack this copy is still a row of; None once it carries a case."""
+        return None if "case" in self.__dict__ else self._row[0]
 
 
 def _rng_for(cfg: SynthesisConfig, host_bus: int, copy_index: int) -> np.random.Generator:
@@ -221,15 +241,10 @@ def _bisection_tree(lo: float, hi: float, levels: int, tolerance: float) -> list
             + _bisection_tree(mid, hi, levels - 1, tolerance))
 
 
-def dn_max_capacity(
-    dn_template: NetworkCase,
-    v_limits: tuple[float, float],
-    tolerance: float = 1e-3,
-    ceiling: float = 10.0,
-    solver: SolverOptions | None = None,
-    max_rounds: int = 30,
-    structure: powerflow._Structure | None = None,
-) -> CapacityResult:
+def dn_max_capacity(dn_template: NetworkCase, v_limits: tuple[float, float],
+                    tolerance: float = 1e-3, ceiling: float = 10.0,
+                    solver: SolverOptions | None = None, max_rounds: int = 30,
+                    structure: powerflow._Structure | None = None) -> CapacityResult:
     """Largest uniform load scale the template can carry with zeroed DGs
     while regulation keeps every non-boundary voltage inside ``v_limits``.
 
@@ -316,21 +331,10 @@ def dn_max_capacity(
     probe_all([0.0, ceiling] + _bisection_tree(0.0, ceiling, CAPACITY_LEVELS, tolerance))
     ok, _ = decide(0.0)
     if not ok:
-        raise SynthesisError(
-            "distribution template violates voltage limits even with zero load"
-        )
-    ok, binding = decide(ceiling)
-    if ok:
-        return CapacityResult(
-            max_scale=ceiling,
-            binding_bus=None,
-            p_capacity=p_template * ceiling,
-            unbounded_by_voltage=True,
-            probes=probes,
-            unsettled_probes=unsettled,
-        )
-
-    lo, hi = 0.0, ceiling
+        raise SynthesisError("distribution template violates voltage limits even with zero load")
+    # a feasible ceiling leaves no bracket to bisect
+    unbounded, binding = decide(ceiling)
+    lo, hi = ceiling if unbounded else 0.0, ceiling
     while hi - lo > tolerance and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in probed:
             probe_all(_bisection_tree(lo, hi, CAPACITY_LEVELS, tolerance), shared_walk(lo, hi))
@@ -341,14 +345,8 @@ def dn_max_capacity(
             hi = mid
             if bus is not None:
                 binding = bus
-    return CapacityResult(
-        max_scale=lo,
-        binding_bus=binding,
-        p_capacity=p_template * lo,
-        unbounded_by_voltage=False,
-        probes=probes,
-        unsettled_probes=unsettled,
-    )
+    return CapacityResult(max_scale=lo, binding_bus=binding, p_capacity=p_template * lo,
+                          unbounded_by_voltage=unbounded, probes=probes, unsettled_probes=unsettled)
 
 
 def dn_count(tn_p_load: float, dn_capacity: float) -> int:
@@ -372,15 +370,9 @@ def _replica_template(dn: NetworkCase, cfg: SynthesisConfig) -> NetworkCase:
 Host = tuple[int, float, float | None, list[tuple[int, np.random.Generator | None]]]
 
 
-def customize_dn(
-    dn: NetworkCase,
-    target_p: float,
-    cfg: SynthesisConfig,
-    rng_stream: np.random.Generator | None,
-    source_v: float | None = None,
-    host_bus: int = 0,
-    copy_index: int = 0,
-) -> DnInstance:
+def customize_dn(dn: NetworkCase, target_p: float, cfg: SynthesisConfig,
+                 rng_stream: np.random.Generator | None, source_v: float | None = None,
+                 host_bus: int = 0, copy_index: int = 0) -> DnInstance:
     """Build one replica carrying ``target_p`` of boundary demand: the
     one-host, one-copy call of :func:`customize`."""
     (inst,) = customize(dn, cfg, [(host_bus, target_p, source_v, [(copy_index, rng_stream)])])
@@ -406,10 +398,11 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
 
     The hosts, then the copies, are the rows of one stack of template
     copies, solved on the template's power-flow ``structure`` (built here
-    unless the caller has it); each copy becomes a case of its own only at
-    the end.  The replicas only share solves, so each one is what it would
-    be alone.  If any fails, the error of the first failing one in plan
-    order is raised, naming its host bus (and copy).
+    unless the caller has it); each instance stays a row of that stack, a
+    case of its own only when something reads it.  The replicas only share
+    solves, so each one is what it would be alone.  If any fails, the error
+    of the first failing one in plan order is raised, naming its host bus
+    (and copy).
     """
     solver = cfg.solver_options()
     template = _replica_template(dn, cfg)
@@ -518,23 +511,19 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
 
     instances = []
     dg = dg.tolist()
-    for j, ((row, h, k), case, out) in enumerate(zip(plan, C.cases(), output.tolist())):
+    for j, ((row, h, k), out) in enumerate(zip(plan, output.tolist())):
         host_bus, _p, _v, copies = hosts[h]
         target_import = targets[h]
-        instances.append(DnInstance(
-            case=case,
-            host_tn_bus=host_bus,
-            copy_index=copies[k][0],
-            load_scale=float(scales[row]),
-            realized_penetration=float(pl[j]),
-            realized_split=float(gs[j]),
-            dg_allocation=dict(zip(dg, out)),
+        inst = DnInstance(
+            case=None, host_tn_bus=host_bus, copy_index=copies[k][0],
+            load_scale=float(scales[row]), realized_penetration=float(pl[j]),
+            realized_split=float(gs[j]), dg_allocation=dict(zip(dg, out)),
             boundary_p=float(boundary_p[j]),
             import_mismatch=float(abs(imports[row] - target_import) / target_import),
             constant_load_mismatch=None if j not in counts else float(mismatch[j]),
-            regulation=reports[j],
-            constant_load_counts=counts.get(j),
-        ))
+            regulation=reports[j], constant_load_counts=counts.get(j))
+        inst._row = C, j
+        instances.append(inst)
     return instances
 
 
@@ -591,7 +580,9 @@ def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
     id, a structured ``dn:<host>:<copy>:<local>`` name, and an angle shifted
     by the host angle so the boundary state is continuous.  The host's
     aggregated load is removed.  The replicas' tables are concatenated
-    once, and ids and branch references are remapped on whole columns.
+    once, and ids and branch references are remapped on whole columns:
+    replicas that are rows of one stack are read from its columns, without
+    a case per copy, and a replica that carries a case from that case.
     """
     combined = tn.clone()
     host = combined.buses
@@ -604,11 +595,18 @@ def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
     host.p_load[at] = 0.0
     host.q_load[at] = 0.0
 
-    # every replica's tables as one, and the replica of each row
+    # every replica's tables as one, and the replica of each row: a run of
+    # replicas that are rows of one stack gives one table of those rows, a
+    # replica that carries a case gives its own (its one-copy view's rows)
+    runs = [(stack, list(run)) for stack, run in groupby(instances, DnInstance._source)]
     names = ("buses", "branches", "generators", "oltcs")
-    parts = {name: [getattr(inst.case, name) for inst in instances] for name in names}
-    of = {name: np.repeat(np.arange(len(instances)), [len(t) for t in parts[name]])
-          for name in names}
+    parts = {name: [t for stack, run in runs for t in
+                    ([stack.table(name, [inst._row[1] for inst in run])] if stack is not None
+                     else [getattr(inst.case, name) for inst in run])] for name in names}
+    shapes = [case for stack, run in runs for case in
+              ([stack.template] * len(run) if stack is not None else [inst.case for inst in run])]
+    sizes = {name: [len(getattr(case, name)) for case in shapes] for name in names}
+    of = {name: np.repeat(np.arange(len(instances)), sizes[name]) for name in names}
     buses, branches, gens, oltcs = (type(getattr(tn, name))._concat(parts[name]) for name in names)
     # each replica's first slack bus is its boundary; a row is found by (replica, local id)
     slack = np.flatnonzero(buses.kind == SLACK)
@@ -640,7 +638,7 @@ def assemble(tn: NetworkCase, instances: list[DnInstance]) -> NetworkCase:
     alive = gens.bus_id != buses.id[boundary][of["generators"]]
     gens = gens.take(alive)
     gens.bus_id = new_ids(of["generators"][alive], gens.bus_id)
-    start = len(combined.branches) + np.cumsum([0] + [len(t) for t in parts["branches"]])
+    start = len(combined.branches) + np.cumsum([0] + sizes["branches"])
     oltcs.branch_ref = oltcs.branch_ref + start[of["oltcs"]]
     oltcs.controlled_bus = new_ids(of["oltcs"], oltcs.controlled_bus)
     for name, table in zip(names, (added, branches, gens, oltcs)):
@@ -798,8 +796,7 @@ def generate(
             resolved_out.mkdir(parents=True, exist_ok=True)
             written = caseio.export(combined, cfg.export_format, resolved_out)
             manifest_path = resolved_out / "manifest.json"
-            manifest_path.write_text(
-                json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+            manifest_path.write_text(json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n")
             written.append(manifest_path)
 
     return GenerateResult(
@@ -830,20 +827,23 @@ def _worst_bus(case: NetworkCase, sol: PowerFlowSolution) -> str:
     return f"TN bus {bus.id}"
 
 
-def _replica_voltages(combined: NetworkCase, instances: list[DnInstance]) -> list[np.ndarray]:
-    """Each replica's non-boundary bus voltages in the combined case, which
-    :func:`assemble` appends after the TN's buses, replica by replica."""
-    counts = [len(inst.case.buses) - 1 for inst in instances]
+def _replica_voltages(combined: NetworkCase, instances: list[DnInstance], lo: float, hi: float):
+    """Of each replica's non-boundary buses in the combined case, which
+    :func:`assemble` appends after the TN's buses, replica by replica: the
+    lowest and highest voltage, and how many lie outside [lo, hi]."""
+    counts = [len(stack.template.buses if (stack := inst._source()) else inst.case.buses) - 1
+              for inst in instances]
     v = combined.buses.v_mag[len(combined.buses) - sum(counts):]
-    return np.split(v, np.cumsum(counts)[:-1]) if instances else []
+    starts = np.cumsum([0] + counts)[:-1]
+    return (np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts),
+            np.add.reduceat((v < lo) | (v > hi), starts, dtype=int))
 
 
 def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solution) -> dict:
     lo, hi = cfg.dn_v_limits
-    volts = _replica_voltages(combined, instances)
+    v_min, v_max, outside = _replica_voltages(combined, instances, lo, hi)
     # how far each replica's worst bus lies outside the limits (negative: inside)
-    excess = [max(lo - v.min(), v.max() - hi) for v in volts]
-    worst = int(np.argmax(excess)) if instances else None
+    worst = int(np.argmax(np.maximum(lo - v_min, v_max - hi))) if instances else None
     per_instance = [
         {
             "host_bus": inst.host_tn_bus,
@@ -852,12 +852,12 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "penetration": inst.realized_penetration,
             "generation_split": inst.realized_split,
             "boundary_import_pu": inst.boundary_p,
-            "final_taps": inst.case.oltcs.tap.tolist(),
+            "final_taps": inst.regulation.final_taps,
             "import_mismatch": inst.import_mismatch,
             "constant_load_mismatch": inst.constant_load_mismatch,
             "regulation_settled": inst.regulation.settled,
-            "combined_v_min": float(v.min()),
-            "combined_v_max": float(v.max()),
+            "combined_v_min": low,
+            "combined_v_max": high,
             "solve_counts": {
                 "constant_load": (dict(vars(inst.constant_load_counts))
                                   if inst.constant_load_counts is not None else None),
@@ -868,21 +868,14 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
                             if inst.constant_load_counts is None else None),
             },
         }
-        for inst, v in zip(instances, volts)
+        for inst, low, high in zip(instances, v_min.tolist(), v_max.tolist())
     ]
     cfg_dict = asdict(cfg)
     cfg_dict["dn_v_limits"] = list(cfg.dn_v_limits)
     out = {
         "config": cfg_dict,
         "seed": cfg.rng_seed,
-        "template_capacity": {
-            "max_scale": capacity.max_scale,
-            "p_capacity": capacity.p_capacity,
-            "binding_bus": capacity.binding_bus,
-            "unbounded_by_voltage": capacity.unbounded_by_voltage,
-            "probes": capacity.probes,
-            "unsettled_probes": capacity.unsettled_probes,
-        },
+        "template_capacity": asdict(capacity),
         "replaced_loads": [
             {"bus": bus, "p_load": p, "q_load": q} for bus, p, q in selected
         ],
@@ -894,8 +887,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "oltcs": len(combined.oltcs),
             "regulation_rounds": regulation.rounds,
             "regulation_settled": regulation.settled,
-            "replica_buses_outside_v_limits": sum(
-                int(np.count_nonzero((v < lo) | (v > hi))) for v in volts),
+            "replica_buses_outside_v_limits": int(outside.sum()),
             "worst_replica": None if worst is None else {
                 "host_bus": instances[worst].host_tn_bus, "copy": instances[worst].copy_index},
         },

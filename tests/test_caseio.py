@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdsynth import caseio
 from tdsynth.caseio import (
@@ -392,6 +394,32 @@ def test_extreme_values_read_and_write_bit_for_bit():
     # _fmt writes -0.0 bare as "0", so it comes back as +0.0; the rest keep every bit
     assert again[1:].tobytes() == read[1:].tobytes()
     assert again[0] == 0.0
+
+
+def _per_value(v: float) -> str:
+    # the writer's rule for one value: the shortest decimal that round-trips
+    # the binary value, an integral value below 1e16 written bare
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+# signed zeros, both sides of 1e16, beyond 2**53, subnormals, the largest floats
+_EDGES = [-0.0, 0.0, 1e16, -1e16, float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, 2e16)),
+          -float(np.nextafter(1e16, 0)), -float(np.nextafter(1e16, 2e16)), float(2**53 + 1),
+          -float(2**53 + 1), 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308, 1e300, 0.5, -2.5, 1.0, -1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_EDGES),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1))
+def test_formatted_writes_each_value_by_the_per_value_rule(values):
+    want = [_per_value(v) for v in values]
+    table = np.array(values)
+    assert caseio._formatted(table).tolist() == want
+    assert caseio._formatted(table[:, None]).tolist() == [[w] for w in want]
+    assert [caseio._fmt(v) for v in values] == want
 
 
 def _reference_emit(doc) -> str:

@@ -344,10 +344,8 @@ def test_a_nan_that_reaches_a_json_file_fails_its_stage(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("line, start", [
     # just below the template's zero-load voltage of 1.0256410256410258 pu
     ("dn_v_min = 1.0256400256410259", "[customize] capacity must be positive\n"),
-    # probes and hosts whose Newton steps overflow on the way out
-    ("capacity_ceiling = 1e300", "[capacity] "),
+    # hosts whose Newton steps overflow on the way out
     ("oversize = 1e300", "[customize] host bus 5: "),
-    (f"pf_max_iterations = {10**30}", "[capacity] "),
 ])
 def test_a_failing_stage_exits_1_with_one_line_and_no_warning(line, start, tmp_path, capsys):
     conf = _write(tmp_path, line + "\n")
@@ -357,3 +355,26 @@ def test_a_failing_stage_exits_1_with_one_line_and_no_warning(line, start, tmp_p
     err = capsys.readouterr().err
     assert err.startswith(start) and err.count("\n") == 1, err
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("line", [
+    # the ceiling probe's Newton run overflows after 877 iterations
+    "pf_max_iterations = 1000", f"pf_max_iterations = {10**30}",
+    # every probe from the ceiling down to about 1e154 overflows
+    "capacity_ceiling = 1e300",
+])
+def test_an_overflowing_probe_is_infeasible_not_a_singular_jacobian(line, tmp_path):
+    def capacity(text: str, out: Path) -> dict:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["generate", str(_write(tmp_path, text)), "--out", str(out)]) == 0
+        assert not caught, [str(w.message) for w in caught]
+        (bundle,) = out.iterdir()
+        return json.loads((bundle / "manifest.json").read_text())["template_capacity"]
+
+    got, default = capacity(line + "\n", tmp_path / "a"), capacity("", tmp_path / "b")
+    if line.startswith("pf_max_iterations"):
+        assert got == default
+    else:   # a bisection from other brackets ends within the tolerance
+        assert got["binding_bus"] == default["binding_bus"]
+        assert abs(got["max_scale"] - default["max_scale"]) <= SynthesisConfig().capacity_tolerance

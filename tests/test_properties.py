@@ -177,22 +177,29 @@ def _cells(texts: dict[str, str]) -> list[tuple[str, int, int]]:
 DN_TEXTS = {name: (bundled_template_dir() / "mini-dn" / name).read_text()
             for name in ("case.m", "case.oltc.csv")}
 DN_CELLS = _cells(DN_TEXTS)
-# the bus of the first generator
+# the bus of the first generator, and the ratio (9th cell) of the second branch
 GEN_BUS = next(c for c in DN_CELLS if c[1] > DN_TEXTS["case.m"].index("mpc.gen = ["))
+BRANCH_RATIO = [c for c in DN_CELLS if c[1] > DN_TEXTS["case.m"].index("mpc.branch = [")][13 + 8]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(cell=st.sampled_from(DN_CELLS), token=st.sampled_from(TOKENS))
 @example(cell=GEN_BUS, token="0")
 @example(cell=GEN_BUS, token="-1")
+@example(cell=BRANCH_RATIO, token="1e-300")   # the power flow divides by its square, 0
+@example(cell=BRANCH_RATIO, token="1e300")    # its square and the branch flows overflow
 def test_any_one_bad_cell_of_a_template_raises_a_case_error(cell, token):
     name, start, end = cell
     with tempfile.TemporaryDirectory() as tmp:
         for file, text in DN_TEXTS.items():
             (Path(tmp) / file).write_text(text[:start] + token + text[end:] if file == name else text)
-        try:
-            case = load_case_dir(tmp)
-            validate(case)
-            solve(case)
-        except (CaseParseError, StructuralError, PowerFlowError):
-            pass
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                case = load_case_dir(tmp)
+                validate(case)
+                solve(case)
+            except (CaseParseError, StructuralError, PowerFlowError):
+                pass
+        runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not runtime, runtime

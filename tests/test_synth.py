@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from tdsynth import residual
 from tdsynth import synth as synth_mod
+from tdsynth.caseio import emit_case, from_network
 from tdsynth.netmodel import GenKind, penetration_level, total_load, validate
 from tdsynth.powerflow import _structure
 from tdsynth.synth import (
@@ -565,3 +567,34 @@ def test_customize_without_copies_builds_nothing(dn_bundle):
     cfg = SynthesisConfig(random=True, constant_load=True)
     assert customize(dn_bundle.case, cfg, []) == []
     assert customize(dn_bundle.case, cfg, [(5, 0.3, None, [])]) == []
+
+
+def test_assembly_from_the_replica_stack_equals_assembly_from_plain_cases(tmp_path):
+    templates = scaled_templates(tmp_path, 10)
+    cfg = SynthesisConfig(random=True, constant_load=True)
+    instances = generate(templates / "mini-tn", templates / "mini-dn", cfg).instances
+    tn = load_bundle(templates / "mini-tn").case
+
+    def text(replicas) -> str:
+        return emit_case(from_network(assemble(tn, replicas))[0])
+
+    assert len(instances) == 21 and all(inst._source() is not None for inst in instances)
+    stacked = text(instances)
+    # every other copy carries a plain case: runs of one row between plain cases
+    mixed = [replace(inst, case=inst.case.clone()) if j % 2 else inst
+             for j, inst in enumerate(instances)]
+    assert text(mixed) == stacked
+    plain = [replace(inst, case=inst.case.clone()) for inst in instances]
+    assert all(inst._source() is None for inst in plain)
+    assert text(plain) == stacked
+
+
+def test_the_manifest_file_is_strict_json_equal_to_the_result(template_dir, tmp_path):
+    def reject(token):
+        raise AssertionError(f"manifest.json holds {token}")
+
+    cfg = SynthesisConfig(random=True, constant_load=True)
+    result = generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg, out_dir=tmp_path)
+    text = (tmp_path / "manifest.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")   # one line
+    assert json.loads(text, parse_constant=reject) == result.manifest
