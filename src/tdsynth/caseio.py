@@ -32,7 +32,8 @@ from typing import Callable, NoReturn, get_type_hints
 
 import numpy as np
 
-from .netmodel import BUS_CODES, GEN_CODES, BusKind, GenKind, NetworkCase, OltcTransformer, _lookup
+from .netmodel import (BUS_CODES, GEN_CODES, _MEMBERS, BusKind, GenKind, NetworkCase,
+                       OltcTransformer, _lookup)
 
 # MATPOWER v2 column positions.
 BUS_I, BUS_TYPE, PD, QD, GS, BS, BUS_AREA, VM, VA, BASE_KV, ZONE, VMAX, VMIN = range(13)
@@ -43,10 +44,6 @@ COST_MODEL, STARTUP, SHUTDOWN, NCOST, COST_C2, COST_C1, COST_C0 = range(7)
 BUS_COLS = 13
 GEN_COLS = 21
 BRANCH_COLS = 13
-
-# the flat export's text of each kind code
-_KIND_NAME = {kind: {c: m.value for m, c in codes.items()}
-              for kind, codes in ((BusKind, BUS_CODES), (GenKind, GEN_CODES))}
 
 _OLTC_FIELDS = [f.name for f in fields(OltcTransformer)]
 _OLTC_TYPES = [get_type_hints(OltcTransformer)[name] for name in _OLTC_FIELDS]
@@ -522,7 +519,7 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
         ["id", "name", "kind", "area", "base_kv", "p_load_mw", "q_load_mvar",
          "g_shunt_mw", "b_shunt_mvar", "v_mag_pu", "v_ang_deg", "v_min_pu", "v_max_pu"],
         bus[:, [BUS_I, BUS_AREA, BASE_KV, PD, QD, GS, BS, VM, VA, VMIN, VMAX]],
-        [(1, case.buses.name), (2, [_KIND_NAME[BusKind][c] for c in case.buses.kind.tolist()])],
+        [(1, case.buses.name), (2, [_MEMBERS[BusKind][c].value for c in case.buses.kind.tolist()])],
     )
     table(
         "branches.csv",
@@ -537,7 +534,7 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
         np.column_stack([gen[:, [GEN_BUS]], doc.matrices["gen_kind"][:, [1]],
                          gen[:, [PG, QG, PMIN, PMAX, QMIN, QMAX, VG]],
                          doc.matrices["gencost"][:, COST_C2:]]),
-        [(1, [_KIND_NAME[GenKind][c] for c in case.generators.kind.tolist()])],
+        [(1, [_MEMBERS[GenKind][c].value for c in case.generators.kind.tolist()])],
     )
     write_oltc_csv(sink / "oltc.csv", case.oltcs)
     written.append(sink / "oltc.csv")

@@ -588,7 +588,6 @@ def solve_continuous(
 def solve_with_relaxation(
     problem: OpfProblem,
     schedule: RelaxationSchedule | None = None,
-    trace_path: Path | None = None,
 ) -> OpfSolution:
     """Outer loop coupling the continuous solve with one-step tap moves.
 
@@ -599,7 +598,9 @@ def solve_with_relaxation(
     capped, mirroring the power-flow regulation safeguards: a run that
     reaches the cap ends with one more solve at the final bounds that moves
     no tap, and with ``settled=False``, since taps still wanted to move in
-    its last counted round.
+    its last counted round.  Each continuous solve leaves a row in
+    ``trace``, which :func:`write_trace` writes out; this function writes
+    no file.
     """
     schedule = schedule or RelaxationSchedule()
     if schedule.rounds < 1:
@@ -664,7 +665,7 @@ def solve_with_relaxation(
 
     t = work.oltcs
     taps_ok = bool(np.all((t.tap_min <= t.tap) & (t.tap <= t.tap_max)))
-    result = OpfSolution(
+    return OpfSolution(
         p=sol.p,
         q=sol.q,
         v_mag=sol.v_mag,
@@ -680,11 +681,13 @@ def solve_with_relaxation(
         settled=k < cap,
         trace=trace,
     )
-    if trace_path is not None:
-        caseio._write_csv(trace_path, ["round", "objective", "max_violation", "taps_moved"],
-                          ([row["round"], repr(row["objective"]), repr(row["max_violation"]),
-                            row["taps_moved"]] for row in trace))
-    return result
+
+
+def write_trace(path: Path, trace: list[dict]) -> None:
+    """Write a relaxation trace as CSV, a row per continuous solve."""
+    caseio._write_csv(path, ["round", "objective", "max_violation", "taps_moved"],
+                      ([row["round"], repr(row["objective"]), repr(row["max_violation"]),
+                        row["taps_moved"]] for row in trace))
 
 
 def apply_opf_solution(

@@ -369,6 +369,10 @@ def _replica_template(dn: NetworkCase, cfg: SynthesisConfig) -> NetworkCase:
 # keeps the template's) and its copies as (copy index, RNG stream).
 Host = tuple[int, float, float | None, list[tuple[int, np.random.Generator | None]]]
 
+# :func:`customize`'s matching loop: most regulations per row, relative import gap met
+IMPORT_ROUNDS, IMPORT_TOL = 12, 1e-4
+GROWTH_ROUNDS, GROWTH_TOL = 20, 1e-3
+
 
 def customize_dn(dn: NetworkCase, target_p: float, cfg: SynthesisConfig,
                  rng_stream: np.random.Generator | None, source_v: float | None = None,
@@ -392,9 +396,13 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
     demand, split between the controllable group and the unity-power-factor
     PV group (randomized per copy from its stream, in plan order), and, in
     the constant-load scenario, matched by extra demand until the boundary
-    import is back at its pre-DG value.  Every copy is regulated once after
-    DG sizing, and a growing copy once per round of that loop; its last
-    regulation is its final state.
+    import is back at its pre-DG value.  Both run one loop: regulate, then
+    adjust the rows whose gap ``|import - target| / |target|`` exceeds the
+    tolerance and regulate them again, at most ``IMPORT_ROUNDS`` times to
+    ``IMPORT_TOL`` (P and Q rescaled) or ``GROWTH_ROUNDS`` to ``GROWTH_TOL``
+    (the shortfall added to P); a copy that does not grow is regulated once.
+    A step is made only if a round is left to solve it, so a row's last
+    regulation is its final state and its recorded gap is that state's.
 
     The hosts, then the copies, are the rows of one stack of template
     copies, solved on the template's power-flow ``structure`` (built here
@@ -413,48 +421,56 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
     # keyed by (host position, -1 for the import match or the copy position)
     errors: dict[tuple[int, int], Exception] = {}
 
-    def regulate_rows(stack: CaseStack, rows: np.ndarray, keys: list):
-        """Regulate the copies ``rows`` of ``stack`` as one batch, in place,
-        filing each error under its key: which copies settled, the boundary
-        import of each that did, and every copy's report or error."""
-        batch = stack.take(rows)
-        last, results = _regulate(st, batch, solver, cfg.oltc_max_rounds)
-        stack.put(rows, batch)
-        ok = np.ones(len(rows), dtype=bool)
-        for j, (key, result) in enumerate(zip(keys, results)):
-            if isinstance(result, Exception):
-                errors[key], ok[j] = result, False
-        # the boundary import of each copy that settled
-        boundary = np.array([last[j][0].S.real[last[j][1], st.slack] for j in np.flatnonzero(ok)])
-        return ok, boundary, results
+    def match(stack: CaseStack, rows: np.ndarray, keys: list, target: np.ndarray,
+              rounds: int, tol: float, adjust):
+        """Regulate ``rows`` of ``stack`` in place, filing each error under
+        its row's key, and ``adjust(rows, target, import)`` those whose
+        import lies more than ``tol`` off ``target`` (relative; NaN: never)
+        while rounds remain.  Per row: the import, gap and report last
+        solved, and the :class:`SolveCounts` of all rounds."""
+        boundary, gap = np.full(len(stack), np.nan), np.full(len(stack), np.nan)
+        reports, counts = [None] * len(stack), [SolveCounts() for _ in range(len(stack))]
+        for left in reversed(range(rounds if rows.size else 0)):
+            batch = stack.take(rows)
+            last, results = _regulate(st, batch, solver, cfg.oltc_max_rounds)
+            stack.put(rows, batch)
+            for j, (row, result) in enumerate(zip(rows.tolist(), results)):
+                if isinstance(result, Exception):
+                    errors[keys[row]] = result
+                else:
+                    reports[row] = result
+                    counts[row].add(result)
+                    boundary[row] = last[j][0].S.real[last[j][1], st.slack]
+            rows = rows[[not isinstance(result, Exception) for result in results]]
+            b, t = boundary[rows], target[rows]
+            gap[rows] = np.abs(b - t) / np.abs(t)
+            rows = rows[np.abs(b - t) > tol * np.abs(t)]
+            if not (left and rows.size):
+                break
+            adjust(rows, target[rows], boundary[rows])
+        return boundary, gap, reports, counts
 
-    # import match: up to 12 rounds over the hosts still off target
+    # import match: each host's loads scaled until its import is on target
     targets = np.array([target_p * cfg.oversize for _, target_p, _, _ in hosts])
     for h in np.flatnonzero(~(targets > 0)).tolist():
         errors[(h, -1)] = SynthesisError("replica demand target must be positive")
     matched = np.flatnonzero(targets > 0)   # the hosts, a row each
     H = CaseStack.of(template).take(np.zeros(len(matched), dtype=int))
-    source = [(row, hosts[h][2]) for row, h in enumerate(matched.tolist())
-              if hosts[h][2] is not None]
-    if source:
-        rows, volts = (list(c) for c in zip(*source))
-        H.buses.v_mag[rows, st.slack] = H.generators.v_set[rows, st.slack_gen] = volts
+    for row, h in enumerate(matched.tolist()):
+        if hosts[h][2] is not None:   # the host's source voltage
+            H.buses.v_mag[row, st.slack] = H.generators.v_set[row, st.slack_gen] = hosts[h][2]
     scales = targets[matched] / p_template
     _scale_loads(H, scales[:, None])
-    imports = np.zeros(len(matched))
-    off = np.arange(len(matched))
-    for _ in range(12 if off.size else 0):
-        ok, boundary, _ = regulate_rows(H, off, [(h, -1) for h in matched[off].tolist()])
-        off = off[ok]
-        imports[off] = boundary
-        target = targets[matched[off]]
-        still = ~(np.abs(boundary - target) <= 1e-4 * target)
-        off, adjust = off[still], target[still] / boundary[still]
-        H.buses.p_load[off] *= adjust[:, None]
-        H.buses.q_load[off] *= adjust[:, None]
-        scales[off] *= adjust
-        if not off.size:
-            break
+
+    def rescale(rows, target, imported):
+        factor = target / imported
+        H.buses.p_load[rows] *= factor[:, None]
+        H.buses.q_load[rows] *= factor[:, None]
+        scales[rows] *= factor
+
+    imports, import_gap, _, _ = match(
+        H, np.arange(len(matched)), [(h, -1) for h in matched.tolist()], targets[matched],
+        IMPORT_ROUNDS, IMPORT_TOL, rescale)
 
     # DG sizing against each replica's own demand, in plan order
     plan = [(row, h, k) for row, h in enumerate(matched.tolist()) if (h, -1) not in errors
@@ -471,37 +487,22 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
 
     # regulate every copy; in the constant-load scenario, grow active demand
     # until the boundary import is back where it was before the DGs came in
-    # (reactive demand stays untouched).  A copy's last solve is its final
-    # state.
+    # (reactive demand stays untouched).  A copy that does not grow has no
+    # target and is regulated once.
     live = np.array([j for j, exc in enumerate(failed) if exc is None], dtype=int)
     grow = (dg_total > 0) & cfg.constant_load
-    addition = dg_total.copy()
+    addition = np.zeros(len(plan))
     base_p = C.buses.p_load.copy()
-    base_total = p_loads
-    pre_dg = imports[[row for row, _, _ in plan]]
-    counts = {j: SolveCounts() for j in live[grow[live]].tolist()}
-    mismatch = np.full(len(plan), np.nan)
-    reports: dict[int, RegulationReport] = {}
-    boundary_p = np.zeros(len(plan))
-    for _ in range(20 if live.size else 0):
-        g = live[grow[live]]
-        C.buses.p_load[g] = base_p[g] * (1.0 + addition[g] / base_total[g])[:, None]
-        ok, boundary, results = regulate_rows(C, live, [plan[j][1:] for j in live.tolist()])
-        live = live[ok]
-        for j, result in zip(live.tolist(), (r for r, o in zip(results, ok) if o)):
-            reports[j] = result
-            if j in counts:
-                counts[j].add(result)
-        boundary_p[live] = boundary
-        g = grow[live]
-        rows, boundary = live[g], boundary[g]
-        pre = pre_dg[rows]
-        mismatch[rows] = np.abs(boundary - pre) / np.abs(pre)
-        off_target = np.abs(boundary - pre) > 1e-3 * np.abs(pre)
-        addition[rows[off_target]] += pre[off_target] - boundary[off_target]
-        live = rows[off_target]
-        if not live.size:
-            break
+
+    def grow_demand(rows, target, imported):
+        addition[rows] += target - imported
+        C.buses.p_load[rows] = base_p[rows] * (1.0 + addition[rows] / p_loads[rows])[:, None]
+
+    first = live[grow[live]]
+    grow_demand(first, dg_total[first], 0.0)   # the first step: the DG output
+    pre_dg = np.where(grow, imports[[row for row, _, _ in plan]], np.nan)
+    boundary_p, mismatch, reports, counts = match(
+        C, live, [(h, k) for _, h, k in plan], pre_dg, GROWTH_ROUNDS, GROWTH_TOL, grow_demand)
 
     if errors:
         h, k = min(errors)
@@ -512,16 +513,13 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
     instances = []
     dg = dg.tolist()
     for j, ((row, h, k), out) in enumerate(zip(plan, output.tolist())):
-        host_bus, _p, _v, copies = hosts[h]
-        target_import = targets[h]
         inst = DnInstance(
-            case=None, host_tn_bus=host_bus, copy_index=copies[k][0],
+            case=None, host_tn_bus=hosts[h][0], copy_index=hosts[h][3][k][0],
             load_scale=float(scales[row]), realized_penetration=float(pl[j]),
             realized_split=float(gs[j]), dg_allocation=dict(zip(dg, out)),
-            boundary_p=float(boundary_p[j]),
-            import_mismatch=float(abs(imports[row] - target_import) / target_import),
-            constant_load_mismatch=None if j not in counts else float(mismatch[j]),
-            regulation=reports[j], constant_load_counts=counts.get(j))
+            boundary_p=float(boundary_p[j]), import_mismatch=float(import_gap[row]),
+            constant_load_mismatch=float(mismatch[j]) if grow[j] else None,
+            regulation=reports[j], constant_load_counts=counts[j] if grow[j] else None)
         inst._row = C, j
         instances.append(inst)
     return instances
@@ -771,10 +769,7 @@ def generate(
             schedule = opf_mod.RelaxationSchedule(
                 rounds=cfg.opf_rounds, v_slack=cfg.opf_v_slack
             )
-            trace = Path(out_dir) / "opf_trace.csv" if out_dir is not None else None
-            if trace is not None:
-                trace.parent.mkdir(parents=True, exist_ok=True)
-            opf_solution = opf_mod.solve_with_relaxation(problem, schedule, trace_path=trace)
+            opf_solution = opf_mod.solve_with_relaxation(problem, schedule)
             opf_mod.apply_opf_solution(combined, problem, opf_solution)
             # plain re-solve: the optimized taps are pinned, the deadband rule
             # already had its say inside the relaxation loop
@@ -795,6 +790,9 @@ def generate(
         with _stage("export"):
             resolved_out.mkdir(parents=True, exist_ok=True)
             written = caseio.export(combined, cfg.export_format, resolved_out)
+            if opf_solution is not None:
+                opf_mod.write_trace(resolved_out / "opf_trace.csv", opf_solution.trace)
+                written.append(resolved_out / "opf_trace.csv")
             manifest_path = resolved_out / "manifest.json"
             manifest_path.write_text(json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n")
             written.append(manifest_path)

@@ -12,6 +12,7 @@ from tdsynth.opf import (
     dispatch_cost,
     solve_continuous,
     solve_with_relaxation,
+    write_trace,
 )
 from tdsynth.powerflow import solve
 from tdsynth.synth import _scale_loads
@@ -217,7 +218,7 @@ def test_relaxation_round_cap_ends_with_a_final_bound_solve(tmp_path):
     case.sync_ratios()
     problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
     schedule = RelaxationSchedule(rounds=3, v_slack=0.05)
-    sol = solve_with_relaxation(problem, schedule, trace_path=tmp_path / "trace.csv")
+    sol = solve_with_relaxation(problem, schedule)
     cap = schedule.rounds + EXTRA_ROUNDS
     assert sol.relaxation_rounds == cap
     assert sol.settled is False
@@ -225,6 +226,7 @@ def test_relaxation_round_cap_ends_with_a_final_bound_solve(tmp_path):
     assert sol.trace[-1]["v_slack"] == 0.0
     assert sol.taps == [cap]
     assert sol.feasible and sol.converged
+    write_trace(tmp_path / "trace.csv", sol.trace)
     assert len((tmp_path / "trace.csv").read_text().splitlines()) == cap + 2
 
 

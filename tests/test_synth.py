@@ -9,9 +9,11 @@ from tdsynth import residual
 from tdsynth import synth as synth_mod
 from tdsynth.caseio import emit_case, from_network
 from tdsynth.netmodel import GenKind, penetration_level, total_load, validate
+from tdsynth.oltc import regulate
 from tdsynth.powerflow import _structure
 from tdsynth.synth import (
     PipelineError,
+    SolveCounts,
     SynthesisConfig,
     SynthesisError,
     _rng_for,
@@ -333,7 +335,9 @@ def test_generate_stage_tags(template_dir):
         generate(template_dir / "mini-tn", template_dir / "mini-dn", bad)
 
 
-def test_generate_rejects_an_unconverged_post_opf_solve(template_dir, monkeypatch):
+def _fail_the_post_opf_solve(monkeypatch) -> list:
+    """Make the re-solve after the OPF report no convergence; returns the
+    list of the solutions ``generate`` got from ``solve``."""
     real_solve, calls = synth_mod.solve, []
 
     def solve_failing_after_opf(case, opts=None):
@@ -343,11 +347,75 @@ def test_generate_rejects_an_unconverged_post_opf_solve(template_dir, monkeypatc
         return replace(sol, converged=False) if len(calls) == 2 else sol
 
     monkeypatch.setattr("tdsynth.synth.solve", solve_failing_after_opf)
+    return calls
+
+
+def test_generate_rejects_an_unconverged_post_opf_solve(template_dir, monkeypatch):
+    calls = _fail_the_post_opf_solve(monkeypatch)
     cfg = SynthesisConfig(penetration_level=1.2, large_system=False, run_opf=True)
     failed = r"^\[opf\] .* did not converge \(worst mismatch near TN bus"
     with pytest.raises(PipelineError, match=failed):
         generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg)
     assert len(calls) == 2
+
+
+def test_a_failed_opf_stage_leaves_no_run_directory(template_dir, tmp_path, monkeypatch):
+    calls = _fail_the_post_opf_solve(monkeypatch)
+    cfg = SynthesisConfig(penetration_level=1.2, large_system=False, run_opf=True)
+    with pytest.raises(PipelineError, match=r"^\[opf\] "):
+        generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg,
+                 out_dir=tmp_path / "run")
+    assert len(calls) == 2
+    # every file of a bundle is written in the export stage, which never ran
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fmt, opf", [("matpower", False), ("flat", False), ("matpower", True)],
+                         ids=["matpower", "flat", "run_opf"])
+def test_generate_lists_every_file_it_writes(template_dir, tmp_path, fmt, opf):
+    cfg = SynthesisConfig(penetration_level=1.2, large_system=False, run_opf=opf,
+                          export_format=fmt)
+    result = generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg,
+                      out_dir=tmp_path / "run")
+    assert sorted(result.written) == sorted((tmp_path / "run").iterdir())
+
+
+def _solved_import(dn, cfg: SynthesisConfig, scale: float) -> float:
+    """The boundary import of the replica template with its loads scaled by
+    ``scale``, regulated from the template's taps."""
+    case = synth_mod._replica_template(dn, cfg)
+    synth_mod._scale_loads(case, scale)
+    sol, _ = regulate(case, cfg.solver_options(), cfg.oltc_max_rounds)
+    return float(sol.p_inj[_structure(case).slack])
+
+
+def test_one_import_round_keeps_the_scale_it_solved(dn_bundle, monkeypatch):
+    monkeypatch.setattr(synth_mod, "IMPORT_ROUNDS", 1)
+    dn, cfg = dn_bundle.case, _cfg(penetration_level=0.0, oversize=1.1)
+    inst = customize_dn(dn, 0.4, cfg, None)
+    target = 0.4 * cfg.oversize
+    p_template, _ = total_load(synth_mod._replica_template(dn, cfg))
+    # the first guess, solved once and not rescaled after
+    assert inst.load_scale == target / p_template
+    imported = _solved_import(dn, cfg, inst.load_scale)
+    assert inst.import_mismatch == abs(imported - target) / target > synth_mod.IMPORT_TOL
+
+
+def test_one_growth_round_records_the_gap_it_solved(dn_bundle, monkeypatch):
+    monkeypatch.setattr(synth_mod, "IMPORT_ROUNDS", 1)
+    monkeypatch.setattr(synth_mod, "GROWTH_ROUNDS", 1)
+    dn, cfg = dn_bundle.case, _cfg(penetration_level=0.5, constant_load=True)
+    grown = customize_dn(dn, 0.45, cfg, None)
+    pre_dg = _solved_import(dn, cfg, grown.load_scale)
+    assert grown.constant_load_mismatch == abs(grown.boundary_p - pre_dg) / abs(pre_dg)
+    # one regulation, and the copy holds the state it solved
+    report = grown.regulation
+    assert grown.constant_load_counts == SolveCounts(report.solves, report.iterations,
+                                                     report.rounds)
+    sol, again = regulate(grown.case, cfg.solver_options(), cfg.oltc_max_rounds)
+    assert again.rounds == 0
+    assert float(sol.p_inj[_structure(grown.case).slack]) == pytest.approx(grown.boundary_p,
+                                                                           rel=1e-9)
 
 
 def test_generate_random_streams_survive_selection_change(template_dir):
