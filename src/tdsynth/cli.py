@@ -10,8 +10,9 @@ PATH and outside the bundle, the wall time of each stage and the solver's
 work per stage: batched kernel calls, case solves, NR iterations and tap
 rounds; for inspect also the linear-solve path of every Newton step.
 
-Exit codes: 0 success, 1 pipeline failure (message carries the stage tag),
-2 configuration problem (message names the field).
+Exit codes: 0 success, 1 pipeline failure (message carries the stage tag)
+or a profile that cannot be written, 2 configuration problem (message names
+the field, or the config file that cannot be read).
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from . import caseio
 from .netmodel import IS_DG, penetration_level, total_load, validate
 from .oltc import RegulationError, regulate
 from .powerflow import Meter, PowerFlowError
-from .synth import (
-    GenerateResult,
-    PipelineError,
-    SynthesisConfig,
-    boundary_transfers,
-    config_digest,
-    generate,
-)
+from .synth import PipelineError, SynthesisConfig, boundary_transfers, config_digest, generate
 from .templates import bundled_template_dir
 
 
@@ -61,9 +55,11 @@ _FIELD_TYPES = {
 _FIELD_TYPES.update(dn_v_min=float, dn_v_max=float)
 
 
-def parse_config(path: Path) -> SynthesisConfig:
+def parse_config(path: Path, seed: int | None = None) -> SynthesisConfig:
+    """The config in ``path``; ``seed``, if given, replaces its ``rng_seed``
+    before the values are checked."""
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -82,6 +78,8 @@ def parse_config(path: Path) -> SynthesisConfig:
         except ValueError:
             raise ConfigError(key, f"expected {_EXPECTED[kind]}, got {text!r}") from None
 
+    if seed is not None:
+        values["rng_seed"] = seed
     v_min = values.pop("dn_v_min", None)
     v_max = values.pop("dn_v_max", None)
     cfg = SynthesisConfig(**values)  # type: ignore[arg-type]
@@ -93,38 +91,6 @@ def parse_config(path: Path) -> SynthesisConfig:
     if problems:
         raise ConfigError(problems[0][0], problems[0][1])
     return cfg
-
-
-def _summary(result: GenerateResult) -> dict:
-    case = result.case
-    pens = [inst.realized_penetration for inst in result.instances]
-    per_area: dict[str, int] = {}
-    area_of = dict(zip(case.buses.id.tolist(), case.buses.area.tolist()))
-    for inst in result.instances:
-        area = area_of.get(inst.host_tn_bus)
-        label = str(inst.host_tn_bus) if area is None else result.area_names.get(area, str(area))
-        per_area[label] = per_area.get(label, 0) + 1
-    p_load, q_load = total_load(case)
-    summary = {
-        "buses": len(case.buses),
-        "branches": len(case.branches),
-        "generators": len(case.generators),
-        "dn_instances": len(result.instances),
-        "dn_instances_per_area": dict(sorted(per_area.items())),
-        "penetration": {
-            "min": min(pens) if pens else 0.0,
-            "mean": sum(pens) / len(pens) if pens else 0.0,
-            "max": max(pens) if pens else 0.0,
-        },
-        "total_load_pu": {"p": p_load, "q": q_load},
-        "oltc_rounds": result.regulation.rounds,
-        "replica_buses_outside_v_limits":
-            result.manifest["combined"]["replica_buses_outside_v_limits"],
-    }
-    if result.opf is not None:
-        summary["opf_objective"] = result.opf.objective
-        summary["opf_feasible"] = result.opf.feasible
-    return summary
 
 
 def _print_summary(summary: dict, out_dir: Path | None) -> None:
@@ -152,15 +118,16 @@ def _print_summary(summary: dict, out_dir: Path | None) -> None:
 
 def _cmd_generate(args) -> int:
     try:
-        cfg = parse_config(Path(args.config))
+        cfg = parse_config(Path(args.config), seed=args.seed)
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.rng_seed = args.seed
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config file {args.config}: {_reason(exc)}", file=sys.stderr)
+        return 2
 
     templates = Path(args.templates) if args.templates else bundled_template_dir()
     out_root = Path(args.out)
@@ -175,21 +142,14 @@ def _cmd_generate(args) -> int:
                 cfg,
                 out_dir=run_dir,
             )
-        summary = _summary(result)
-        try:
-            text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:   # strict JSON: a NaN that got this far fails the run
-            raise PipelineError("summary", str(exc)) from exc
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
         return 1
 
-    (run_dir / "summary.json").write_text(text + "\n")
-    _print_summary(summary, run_dir)
+    _print_summary(result.summary, run_dir)
     if args.profile:
         meter.mark("summary")
-        profile = _profile(args.started, meter, GENERATE_STAGES)
-        Path(args.profile).write_text(json.dumps(profile, indent=2) + "\n")
+        return _write_profile(args.profile, _profile(args.started, meter, GENERATE_STAGES))
     return 0
 
 
@@ -214,6 +174,23 @@ def _profile(started: float, meter: Meter, stages: tuple[str, ...]) -> dict:
     return {"stages_s": stages_s, "stage_counts": counts,
             "nr_iterations": meter.iterations, "solves": meter.solves,
             "batches": meter.batches, "tap_rounds": meter.tap_rounds}
+
+
+def _reason(exc: Exception) -> str:
+    """An I/O error's reason without the path it names, which the message
+    that carries it gives itself."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
+def _write_profile(path: str, profile: dict) -> int:
+    """Write ``profile`` as JSON at ``path``: exit code 0, or 1 with one
+    line if it cannot be written."""
+    try:
+        Path(path).write_text(json.dumps(profile, indent=2) + "\n")
+    except OSError as exc:
+        print(f"cannot write profile {path}: {_reason(exc)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_inspect(args) -> int:
@@ -263,7 +240,7 @@ def _cmd_inspect(args) -> int:
         meter.mark("print")
         profile = _profile(args.started, meter, INSPECT_STAGES)
         profile["linear_solves"] = meter.linear_solves
-        Path(args.profile).write_text(json.dumps(profile, indent=2) + "\n")
+        return _write_profile(args.profile, profile)
     return 0
 
 

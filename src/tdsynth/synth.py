@@ -282,15 +282,15 @@ def dn_max_capacity(dn_template: NetworkCase, v_limits: tuple[float, float],
     st = structure if structure is not None else powerflow._structure(base)
     stack, ids = CaseStack.of(base), base.buses.id
     # each probe once, by scale: (feasible, worst bus, its regulation report
-    # or None if its solve diverged), or the error of a solve that failed
-    # other than by diverging
+    # or the RegulationError of a diverged solve), or the error of a solve
+    # that failed other than by diverging
     probed: dict[float, tuple | Exception] = {}
 
     def shared_walk(lo: float, hi: float) -> list[list[int]]:
         """The tap rows every probe strictly inside (lo, hi) reaches first:
         the rows both brackets' traces open with, if neither froze a tap."""
         a, b = probed[lo][2], probed[hi][2]
-        if a is None or b is None or any(a.frozen) or any(b.frozen):
+        if not all(isinstance(r, RegulationReport) and not any(r.frozen) for r in (a, b)):
             return []
         return [row for row, _ in takewhile(lambda rows: rows[0] == rows[1],
                                             zip(a.tap_trace, b.tap_trace))]
@@ -309,7 +309,7 @@ def dn_max_capacity(dn_template: NetworkCase, v_limits: tuple[float, float],
         outside = peak[:, 0] > 0.0
         for k, (scale, result) in enumerate(zip(scales, results)):
             if isinstance(result, RegulationError):
-                probed[scale] = (False, None, None)
+                probed[scale] = (False, None, result)
             elif isinstance(result, Exception):
                 probed[scale] = result
             else:
@@ -324,14 +324,18 @@ def dn_max_capacity(dn_template: NetworkCase, v_limits: tuple[float, float],
             raise probed[scale]
         ok, bus, report = probed[scale]
         probes += 1
-        unsettled += report is not None and not report.settled
+        unsettled += isinstance(report, RegulationReport) and not report.settled
         return ok, bus
 
     # the two brackets, and the first levels in case the ceiling fails
     probe_all([0.0, ceiling] + _bisection_tree(0.0, ceiling, CAPACITY_LEVELS, tolerance))
-    ok, _ = decide(0.0)
+    ok, bus = decide(0.0)
     if not ok:
-        raise SynthesisError("distribution template violates voltage limits even with zero load")
+        if isinstance(diverged := probed[0.0][2], RegulationError):
+            raise SynthesisError("distribution template fails to solve even with zero load: "
+                                 f"{diverged}")
+        raise SynthesisError("distribution template violates voltage limits even with zero load "
+                             f"(worst bus {bus})")
     # a feasible ceiling leaves no bracket to bisect
     unbounded, binding = decide(ceiling)
     lo, hi = ceiling if unbounded else 0.0, ceiling
@@ -675,6 +679,7 @@ class GenerateResult:
     regulation: RegulationReport
     opf: object | None
     manifest: dict
+    summary: dict
     out_dir: Path | None
     written: list[Path] = field(default_factory=list)
 
@@ -722,7 +727,8 @@ def generate(
     with _stage("tn-solve"):
         tn_solution = solve(tn, solver)
     if not tn_solution.converged:
-        raise PipelineError("tn-solve", "transmission power flow did not converge")
+        raise PipelineError("tn-solve", "transmission power flow did not converge "
+                            f"(worst mismatch near {_worst_bus(tn, tn_solution)})")
     apply_solution(tn, tn_solution)
 
     area_names = tn_bundle.meta.area_names or DEFAULT_AREA_NAMES
@@ -783,19 +789,25 @@ def generate(
             apply_solution(combined, solution)
 
     manifest = _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solution)
+    summary = _summary(combined, instances, area_names, regulation, manifest, opf_solution)
 
     written: list[Path] = []
     resolved_out = Path(out_dir) if out_dir is not None else None
     if resolved_out is not None:
         with _stage("export"):
+            # strict JSON, encoded before the run directory exists: a NaN that
+            # got this far fails the run and leaves no partial bundle
+            texts = {"manifest.json": json.dumps(manifest, sort_keys=True, allow_nan=False),
+                     "summary.json": json.dumps(summary, indent=2, sort_keys=True,
+                                                allow_nan=False)}
             resolved_out.mkdir(parents=True, exist_ok=True)
             written = caseio.export(combined, cfg.export_format, resolved_out)
             if opf_solution is not None:
                 opf_mod.write_trace(resolved_out / "opf_trace.csv", opf_solution.trace)
                 written.append(resolved_out / "opf_trace.csv")
-            manifest_path = resolved_out / "manifest.json"
-            manifest_path.write_text(json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n")
-            written.append(manifest_path)
+            for name, text in texts.items():
+                (resolved_out / name).write_text(text + "\n")
+                written.append(resolved_out / name)
 
     return GenerateResult(
         case=combined,
@@ -808,6 +820,7 @@ def generate(
         regulation=regulation,
         opf=opf_solution,
         manifest=manifest,
+        summary=summary,
         out_dir=resolved_out,
         written=written,
     )
@@ -902,3 +915,34 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "kkt_residual": opf_solution.kkt_residual,
         }
     return out
+
+
+def _summary(combined, instances, area_names, regulation, manifest, opf_solution) -> dict:
+    pens = [inst.realized_penetration for inst in instances]
+    per_area: dict[str, int] = {}
+    area_of = dict(zip(combined.buses.id.tolist(), combined.buses.area.tolist()))
+    for inst in instances:
+        area = area_of.get(inst.host_tn_bus)
+        label = str(inst.host_tn_bus) if area is None else area_names.get(area, str(area))
+        per_area[label] = per_area.get(label, 0) + 1
+    p_load, q_load = total_load(combined)
+    summary = {
+        "buses": len(combined.buses),
+        "branches": len(combined.branches),
+        "generators": len(combined.generators),
+        "dn_instances": len(instances),
+        "dn_instances_per_area": dict(sorted(per_area.items())),
+        "penetration": {
+            "min": min(pens) if pens else 0.0,
+            "mean": sum(pens) / len(pens) if pens else 0.0,
+            "max": max(pens) if pens else 0.0,
+        },
+        "total_load_pu": {"p": p_load, "q": q_load},
+        "oltc_rounds": regulation.rounds,
+        "replica_buses_outside_v_limits":
+            manifest["combined"]["replica_buses_outside_v_limits"],
+    }
+    if opf_solution is not None:
+        summary["opf_objective"] = opf_solution.objective
+        summary["opf_feasible"] = opf_solution.feasible
+    return summary

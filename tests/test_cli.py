@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from tdsynth import cli as cli_mod
 from tdsynth import synth as synth_mod
 from tdsynth.cli import ConfigError, main, parse_config
 from tdsynth.powerflow import SingularJacobianError
@@ -328,17 +327,64 @@ def test_a_non_finite_config_value_exits_2_with_one_line(line, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_a_seed_option_is_checked_as_the_same_value_in_the_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", str(CONF_ROOT), "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config field 'rng_seed': must be >= 0\n"
+    assert not out.exists()
+
+
+# an argv whose config cannot be read (exit 2) or whose profile cannot be
+# written (exit 1), and the start of its one stderr line; {tmp} is the
+# test's directory and {mini_dn} a case bundle
+_BAD_PATHS = {
+    "config directory": (["generate", "{tmp}"], 2, "cannot read config file {tmp}: "),
+    "config not utf-8": (["generate", "{tmp}/latin1.conf"], 2,
+                         "cannot read config file {tmp}/latin1.conf: "),
+    "config missing": (["generate", "{tmp}/missing.conf"], 2,
+                       "config file not found: {tmp}/missing.conf"),
+    "generate profile": (["generate", str(CONF_ROOT), "--profile", "{tmp}/missing/p.json"], 1,
+                         "cannot write profile {tmp}/missing/p.json: "),
+    "inspect profile": (["inspect", "{mini_dn}", "--profile", "{tmp}/missing/p.json"], 1,
+                        "cannot write profile {tmp}/missing/p.json: "),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_PATHS)
+def test_a_bad_config_or_profile_path_ends_in_one_line(name, tmp_path, capsys):
+    argv, code, start = _BAD_PATHS[name]
+    paths = {"tmp": tmp_path, "mini_dn": bundled_template_dir() / "mini-dn"}
+    argv = [arg.format(**paths) for arg in argv]
+    (tmp_path / "latin1.conf").write_bytes("# d\xe9faut\nrng_seed = 2\n".encode("latin-1"))
+    out = tmp_path / "out"
+    if argv[0] == "generate":
+        argv += ["--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start.format(**paths)) and err.count("\n") == 1, err
+    if code == 2:
+        assert not out.exists()
+    elif argv[0] == "generate":   # only the profile failed: the bundle is whole
+        (bundle,) = out.iterdir()
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "case.m", "case.oltc.csv", "manifest.json", "summary.json"]
+
+
 def test_a_nan_that_reaches_a_json_file_fails_its_stage(tmp_path, monkeypatch, capsys):
+    # both JSON files are encoded before the run directory is made
     conf = _write(tmp_path, "penetration_level = 0.5\n")
-    real_manifest, real_summary = synth_mod._manifest, cli_mod._summary
+    real_manifest, real_summary = synth_mod._manifest, synth_mod._summary
     monkeypatch.setattr(synth_mod, "_manifest", lambda *a: {**real_manifest(*a), "x": math.nan})
     assert main(["generate", str(conf), "--out", str(tmp_path / "a")]) == 1
-    assert capsys.readouterr().err.startswith("[export] Out of range float values")
+    err = capsys.readouterr().err
+    assert err.startswith("[export] Out of range float values") and err.count("\n") == 1
+    assert not list((tmp_path / "a").glob("*"))
     monkeypatch.setattr(synth_mod, "_manifest", real_manifest)
-    monkeypatch.setattr(cli_mod, "_summary", lambda res: {**real_summary(res), "x": -math.inf})
+    monkeypatch.setattr(synth_mod, "_summary", lambda *a: {**real_summary(*a), "x": -math.inf})
     assert main(["generate", str(conf), "--out", str(tmp_path / "b")]) == 1
-    assert capsys.readouterr().err.startswith("[summary] Out of range float values")
-    assert not list((tmp_path / "b").glob("*/summary.json"))
+    err = capsys.readouterr().err
+    assert err.startswith("[export] Out of range float values") and err.count("\n") == 1
+    assert not list((tmp_path / "b").glob("*"))
 
 
 @pytest.mark.parametrize("line, start", [

@@ -3,7 +3,8 @@ import pytest
 
 from tdsynth import powerflow, residual
 from tdsynth.caseio import from_network, to_network
-from tdsynth.netmodel import Branch, Bus, BusKind, CaseStack, Generator, NetworkCase
+from tdsynth.netmodel import (BUS_CODES, GEN_CODES, Branch, Bus, BusKind, CaseStack, GenKind,
+                              Generator, NetworkCase)
 from tdsynth.powerflow import (
     PowerFlowError,
     SingularJacobianError,
@@ -415,3 +416,33 @@ def test_replica_blocks_of_two_sizes_and_narrow_couplings(combined_cases, monkey
     assert (blocks.cols_of == len(blocks.border)).any() and (blocks.rows_of == len(blocks.border)).any()
     sol, paths = _metered(_assert_kernels_agree, case, monkeypatch)
     assert sol.converged and paths == ["blocks"] * sol.iterations + ["superlu"] * sol.iterations
+
+
+def test_a_singular_row_leaves_the_other_rows_of_its_dense_batch_their_steps(dn_bundle):
+    # one stacked LAPACK solve fails for the whole batch; each row is then
+    # solved alone, and the regular one keeps its step
+    case = dn_bundle.case
+    st = powerflow._structure(case)
+    assert st.dense
+    stack = CaseStack.of(case).take(np.zeros(2, dtype=int))
+    stack.buses.v_mag[1, st.pq[0]] = 0.0   # a dead PQ bus: its angle column is zero
+    batch = powerflow._solve(st, stack, np.arange(2), SolverOptions())
+    assert_same_solution(batch.solution(0, st), solve(case))
+    assert isinstance(batch.solution(1, st), SingularJacobianError)
+
+
+def test_an_uncontrollable_unit_at_the_slack_keeps_its_output(dn_bundle):
+    # the controllable units there carry the solved injection plus the bus
+    # load, less the uncontrollable unit's output
+    case = dn_bundle.case.clone()
+    buses, gens = case.buses, case.generators
+    slack = int(np.flatnonzero(buses.kind == BUS_CODES[BusKind.SLACK])[0])
+    pv = int(np.flatnonzero(gens.kind == GEN_CODES[GenKind.DN_PV])[0])
+    gens.bus_id[pv], gens.p[pv] = buses.id[slack], 0.05
+    sol = solve(case)
+    apply_solution(case, sol)
+    assert (gens.p[pv], gens.q[pv]) == (0.05, 0.0)
+    at = np.flatnonzero((gens.bus_id == buses.id[slack]) & gens.controllable)
+    assert len(at) > 0
+    assert gens.p[at].sum() == sol.p_inj[slack] + buses.p_load[slack] - 0.05
+    assert gens.q[at].sum() == sol.q_inj[slack] + buses.q_load[slack] - 0.0

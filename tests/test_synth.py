@@ -1,4 +1,5 @@
 import json
+import shutil
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -7,7 +8,7 @@ import pytest
 
 from tdsynth import residual
 from tdsynth import synth as synth_mod
-from tdsynth.caseio import emit_case, from_network
+from tdsynth.caseio import emit_case, from_network, load_case_dir, save_case_dir
 from tdsynth.netmodel import GenKind, penetration_level, total_load, validate
 from tdsynth.oltc import regulate
 from tdsynth.powerflow import _structure
@@ -666,3 +667,44 @@ def test_the_manifest_file_is_strict_json_equal_to_the_result(template_dir, tmp_
     text = (tmp_path / "manifest.json").read_text()
     assert text.count("\n") == 1 and text.endswith("\n")   # one line
     assert json.loads(text, parse_constant=reject) == result.manifest
+
+
+def test_a_failed_zero_load_probe_says_why(template_dir, dn_bundle):
+    # a probe whose regulation diverged reports its own error ...
+    cfg = SynthesisConfig(pf_max_iterations=1)
+    with pytest.raises(PipelineError, match=(
+            r"^\[capacity\] distribution template fails to solve even with zero load: "
+            r"power flow diverged in regulation round 1; largest mismatch at bus 2$")):
+        generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg)
+    # ... and one that solved outside the limits names its worst bus
+    with pytest.raises(SynthesisError, match=(
+            r"^distribution template violates voltage limits even with zero load "
+            r"\(worst bus 2\)$")):
+        dn_max_capacity(dn_bundle.case, (1.2, 1.3))
+
+
+def test_an_unconverged_transmission_solve_names_its_worst_bus(template_dir, tmp_path):
+    tn = load_case_dir(template_dir / "mini-tn")
+    tn.buses.v_mag[:] = 1.0
+    tn.buses.v_ang[:] = 0.0
+    save_case_dir(tn, tmp_path / "mini-tn")
+    shutil.copytree(template_dir / "mini-dn", tmp_path / "mini-dn")
+    with pytest.raises(PipelineError, match=(
+            r"^\[tn-solve\] transmission power flow did not converge "
+            r"\(worst mismatch near TN bus 5\)$")):
+        generate(tmp_path / "mini-tn", tmp_path / "mini-dn",
+                 SynthesisConfig(pf_max_iterations=1))
+
+
+def test_the_summary_file_is_strict_json_equal_to_the_result(template_dir, tmp_path):
+    def reject(token):
+        raise AssertionError(f"summary.json holds {token}")
+
+    cfg = SynthesisConfig(run_opf=True, random=True)
+    result = generate(template_dir / "mini-tn", template_dir / "mini-dn", cfg, out_dir=tmp_path)
+    text = (tmp_path / "summary.json").read_text()
+    assert text == json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
+    assert json.loads(text, parse_constant=reject) == result.summary
+    assert result.summary["opf_objective"] == result.opf.objective
+    assert result.summary["replica_buses_outside_v_limits"] == (
+        result.manifest["combined"]["replica_buses_outside_v_limits"])
