@@ -27,7 +27,7 @@ from .netmodel import (
 )
 from .oltc import RegulationReport, regulate, tap_update
 from .opf import OpfProblem, OpfSolution, RelaxationSchedule, solve_continuous, solve_with_relaxation
-from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, build_ybus, solve
+from .powerflow import PowerFlowSolution, SolverOptions, apply_solution, solve
 from .synth import (
     CapacityResult,
     DnInstance,

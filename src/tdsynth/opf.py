@@ -11,11 +11,13 @@ affine direction and then for the centered, second-order corrected one
 (and a third time, for MIPS's centered step, where that corrector is short).
 That matrix is a reduced KKT system: generator outputs enter the balances
 linearly and the Hessian only on its diagonal, so they are eliminated and
-the matrix holds the voltages and the balance multipliers only.  The
-derivative values are computed once per iterate on fixed index arrays; the
-power flow's size rule (:func:`powerflow._dense`) decides only where they
-go: a small KKT matrix is scattered into a dense array and factored with
-LAPACK, a large one is built as a CSC matrix and factored with SuperLU
+the matrix holds the voltages and the balance multipliers only.  Ybus is
+the power flow's, held only as its entry values, whose products with V
+summed by row are the currents (:meth:`powerflow._Admittance.currents`).
+The derivative values are computed once per iterate on fixed index arrays;
+the power flow's size rule (:func:`powerflow._dense`) decides only where
+they go: a small KKT matrix is scattered into a dense array and factored
+with LAPACK, a large one is built as a CSC matrix and factored with SuperLU
 (:func:`powerflow._factor`).  The contract is the returned KKT residual
 and ``converged`` flag, not the mechanism.
 
@@ -27,7 +29,7 @@ and one bound notch, so each round starts from the previous round's primal
 point and multipliers (a dual warm start after Yildirim & Wright, SIAM J.
 Optim. 2002: the bound multipliers and slacks are floored away from zero);
 only the first round starts cold.  The model's index arrays are built once
-per relaxation; a tap move only rewrites the admittance values.
+per relaxation; a tap move only recomputes the Ybus entry values.
 """
 
 from __future__ import annotations
@@ -179,9 +181,8 @@ class _OpfModel:
         self.nv = self.na + n
         self.nx = self.nv + 2 * nd
         self.slack_ang = case.buses[self.slack_pos].v_ang
-        self._adm = powerflow._Admittance(case)
-        self.Ybus = self._adm.ybus(self._adm.ratio)
-        self.YbusT = self.Ybus.T    # a view on Ybus's arrays, so retap reaches it
+        self._adm = adm = powerflow._Admittance(case)
+        self.retap(adm.ratio)
         self.gen_rows = rows = np.concatenate([gen_pos, n + gen_pos])
         # the pairs (k, j) of distinct Pg or Qg entries on one balance row
         shared = np.flatnonzero(np.bincount(rows, minlength=2 * n)[rows] > 1)
@@ -189,8 +190,11 @@ class _OpfModel:
         same = (rows[k] == rows[j]) & (k != j)
         self.pair_k, self.pair_j = k[same], j[same]
 
-        r, c = self.r, self.c = self._adm.r, self._adm.c
-        self.y = self.Ybus.data
+        r, c = self.r, self.c = adm.r, adm.c
+        # the entries by column: the pattern is symmetric (every branch
+        # reaches (f, t) and (t, f)), so entry ``by_col[k]`` sits where
+        # entry k does in Ybus^T
+        self.by_col = np.lexsort((r, c))
         buses = np.arange(n)
         # x position of each bus angle (-1: the slack bus) and magnitude
         ia = np.full(n, -1)
@@ -200,7 +204,7 @@ class _OpfModel:
         # Jacobian: the power flow's placement, with a P and a Q row at every
         # bus and the columns of x's voltages
         self.jac_take, self.jac_rows, self.jac_cols = powerflow._placement(
-            self._adm, buses, buses, self.nonslack, buses)
+            adm, buses, buses, self.nonslack, buses)
 
         # Hessian: second derivatives at (r, c), at (c, r), then the diagonal;
         # blocks Va-Va, Vm-Va, its transpose Va-Vm, then Vm-Vm
@@ -248,9 +252,9 @@ class _OpfModel:
     def retap(self, ratio: np.ndarray) -> None:
         """Bring the admittances up to the branch ratios ``ratio``, the
         column of the case the model was built from once its taps moved:
-        Ybus, its transpose and y (views on one array of values) change in
-        place; every index array and the KKT placement stay."""
-        self.Ybus.data[:] = self._adm.ybus(ratio).data
+        only the Ybus entry values y are recomputed; every index array and
+        the KKT placement stay."""
+        self.y = self._adm.entry_values(ratio[None])[0]
 
     def split(self, x):
         na, n, nd = self.na, self.n, self.nd
@@ -262,7 +266,7 @@ class _OpfModel:
     def point(self, x) -> _Point:
         va, vm, _, _ = self.split(x)
         V = vm * np.exp(1j * va)
-        return _Point(x, V, self.Ybus @ V)
+        return _Point(x, V, self._adm.currents(self.y, V))
 
     def cost(self, x) -> float:
         p_mw = x[self.nv : self.nv + self.nd] * self.base
@@ -305,7 +309,8 @@ class _OpfModel:
         lV = (lam[:n] - 1j * lam[n:]) * V
         # MATPOWER's d2Sbus_dV2 has E = F^T off the diagonal, both equal to f
         f = lV[r] * np.conj(y * V[c])
-        dE = -np.conj(V) * np.conj(self.YbusT @ np.conj(lV))
+        # Ybus^T conj(lV): the products summed by column, as rows of Ybus^T
+        dE = -np.conj(V) * np.conj(self._adm.currents(y[self.by_col], np.conj(lV)))
         dF = -lV * np.conj(pt.Ibus)
         terms = np.concatenate([f, dE + dF, f / vr, -f / vc, (dF - dE) / vm, f / (vr * vc)])
         return terms.view(float)[self.hess_take]

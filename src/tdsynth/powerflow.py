@@ -16,12 +16,14 @@ size and its position (a large batch is cut into chunks for that, see
 it, solves its one-copy stack, a view of it (:meth:`CaseStack.of`), and
 returns its :class:`PowerFlowSolution`; batches enter only as stacks.
 
-Every placement shares one Ybus and one Jacobian evaluation: the admittance
-terms are added up once per Ybus entry (:class:`_Admittance`), and each
-Newton step evaluates one entry-wise dS/dV over the batch (:func:`_dS_dV`,
-which the OPF shares with its layout, :func:`_placement`).  One size rule
-(:func:`_dense`), which the OPF's KKT step follows too, decides only where
-those values go and how the step is solved:
+Ybus is held in one form only, its values at its entries
+(:class:`_Admittance`): the admittance terms are added up once per entry,
+the currents Ybus V are those values times V summed row by row
+(:meth:`_Admittance.currents`), and each Newton step evaluates one
+entry-wise dS/dV over the batch (:func:`_dS_dV`, which the OPF shares with
+its layout, :func:`_placement`).  One size rule (:func:`_dense`), which the
+OPF's KKT step follows too, decides only where the Jacobian values go and
+how the step is solved:
 
 - up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the feeder
   copies: stacked (B, m, m) arrays solved with LAPACK, since at that size
@@ -36,9 +38,11 @@ those values go and how the step is solved:
   (``SPARSE_LU_PIVOT``) that keeps its fill from hanging on how ties
   between repeated feeder blocks round.
 
-A :class:`Meter` lists each Newton step's path (``linear_solves``).  The
-formulation is polar full Newton, because distribution feeders with high
-R/X ratios defeat the fast-decoupled shortcuts.
+One rule tells a singular case from a diverged one on every path
+(:func:`_newton_steps`).  A :class:`Meter` lists each Newton step's path
+(``linear_solves``).  The formulation is polar full Newton, because
+distribution feeders with high R/X ratios defeat the fast-decoupled
+shortcuts.
 """
 
 from __future__ import annotations
@@ -137,14 +141,19 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 class _Admittance:
-    """The branch and shunt admittances of one network, and its Ybus pattern.
+    """The branch and shunt admittances of one network, and Ybus as values
+    at its entries.
 
     Each in-service branch contributes its four pi-model terms (I_from =
     yff V_f + yft V_t, I_to = ytf V_f + ytt V_t), then each shunt its
     admittance.  The Ybus entries (``r``, ``c``) are the positions some term
-    reaches, row major, which is also their CSR order; ``slot`` names each
-    term's entry.  Only branch ratios are read per evaluation, as a
-    (B, branches) array, so one instance serves every tap position."""
+    reaches, and every diagonal, row major, which is also their CSR order:
+    ``starts`` holds where each row's entries begin, and no row is empty.
+    ``slot`` names each term's entry.  Ybus exists only as its values at
+    these entries, (B, entries) per batch (:meth:`entry_values`), and
+    :meth:`currents` is its one product with V.  Only branch ratios are read
+    per evaluation, as a (B, branches) array, so one instance serves every
+    tap position."""
 
     def __init__(self, case: NetworkCase):
         br = case.branches
@@ -169,11 +178,14 @@ class _Admittance:
         k = np.flatnonzero(on)
         self.pick = np.concatenate([(k[:, None] + m * np.arange(4)).ravel(), 4 * m + np.arange(len(has))])
         f, t = self.f[k], self.t[k]
-        rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), has])
-        cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), has])
-        pos, self.slot = np.unique(rows * n + cols, return_inverse=True)
+        # the terms' positions, then every diagonal, which a bus with no
+        # in-service branch and no shunt reaches only so
+        rows = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), has, np.arange(n)])
+        cols = np.concatenate([np.stack([f, t, t, f], axis=1).ravel(), has, np.arange(n)])
+        pos, slot = np.unique(rows * n + cols, return_inverse=True)
+        self.slot = slot[: len(slot) - n]
         self.r, self.c = np.divmod(pos, n)
-        self.indptr = np.searchsorted(self.r, np.arange(n + 1))
+        self.starts = np.searchsorted(self.r, np.arange(n))
         # by batch size B: ``slot`` of B cases, and where B stacked NR
         # Jacobians take their values (see :func:`_jacobians`)
         self._slots: dict[int, np.ndarray] = {1: self.slot}
@@ -187,10 +199,11 @@ class _Admittance:
         yff = self.ytt / (tap * np.conj(tap))
         return yff, self.neg_y / np.conj(tap), self.neg_y / tap, self.ytt
 
-    def entry_values(self, terms) -> np.ndarray:
-        """Ybus at its entries per case (B, entries): every admittance term
-        added to its entry, in term order."""
-        yff, yft, ytf, ytt = terms
+    def entry_values(self, ratio: np.ndarray) -> np.ndarray:
+        """Ybus at its entries per case (B, entries) for branch ratios
+        (B, branches): every admittance term added to its entry, in term
+        order."""
+        yff, yft, ytf, ytt = self.terms(ratio)
         (B, m), ne = yff.shape, len(self.r)
         vals = np.empty((B, 4 * m + len(self.shunt)), dtype=complex)
         for j, term in enumerate((yff, ytt, yft, ytf, self.shunt)):
@@ -202,27 +215,10 @@ class _Admittance:
         np.add.at(y, slots, vals[:, self.pick].ravel())
         return y.reshape(B, ne)
 
-    def matrices(self, y: np.ndarray, dense: bool):
-        """Ybus per case from its entry values y (B, entries): stacked
-        (B, n, n) arrays if ``dense``, else a list of CSR matrices on the one
-        pattern.  Either way a case's Ybus holds the same numbers."""
-        n = self.n
-        if not dense:
-            return [sp.csr_matrix((yk, self.c, self.indptr), shape=(n, n)) for yk in y]
-        Y = np.zeros((len(y), n * n), dtype=complex)
-        Y[:, self.r * n + self.c] = y
-        return Y.reshape(-1, n, n)
-
-    def ybus(self, ratio: np.ndarray) -> sp.csr_matrix:
-        """One case's Ybus as CSR, for branch ratios ``ratio``."""
-        (Y,) = self.matrices(self.entry_values(self.terms(ratio[None])), dense=False)
-        return Y
-
-
-def build_ybus(case: NetworkCase) -> sp.csr_matrix:
-    """N x N complex admittance matrix over the case's bus ordering."""
-    adm = _Admittance(case)
-    return adm.ybus(adm.ratio)
+    def currents(self, y: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Ybus V from the entry values y: the products y V[c], summed row
+        by row.  A leading batch axis on y and V carries over."""
+        return np.add.reduceat(y * V[..., self.c], self.starts, axis=-1)
 
 
 def _dense(rows: int) -> bool:
@@ -260,13 +256,9 @@ def _factor(A):
 
 
 def _solve_linear(A, b) -> np.ndarray | None:
-    """Solve A x = b by :func:`_factor`; None if A is singular or x is not
-    finite."""
+    """Solve A x = b by :func:`_factor`; None if A is singular."""
     solve = _factor(A)
-    if solve is None:
-        return None
-    x = solve(b)
-    return x if np.all(np.isfinite(x)) else None
+    return None if solve is None else solve(b)
 
 
 def _dS_dV(V, Ibus, r, c, y) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +266,11 @@ def _dS_dV(V, Ibus, r, c, y) -> tuple[np.ndarray, np.ndarray]:
     entry by entry (MATPOWER's ``dSbus_dV``): the values at the Ybus entries
     (r, c, y), then at the diagonal (i, i) of every bus; values at one
     position add up.  A leading batch axis on V, Ibus and y carries over."""
-    Vnorm, Vr, Ic = V / np.abs(V), V[..., r], np.conj(Ibus)
+    # dV/d|V| is V's direction, V / |V|, and 0 at V = 0 (|V| floored at the
+    # smallest normal float): a dead bus leaves the values finite, with
+    # zero columns
+    Vnorm = V / np.maximum(np.abs(V), np.finfo(float).tiny)
+    Vr, Ic = V[..., r], np.conj(Ibus)
     dSa = 1j * np.concatenate([-Vr * np.conj(y * V[..., c]), V * Ic], axis=-1)
     dSm = np.concatenate([Vr * np.conj(y * Vnorm[..., c]), Ic * Vnorm], axis=-1)
     return dSa, dSm
@@ -306,12 +302,10 @@ def _jacobian_values(adm: _Admittance, take, V, Ibus, y) -> np.ndarray:
     return np.concatenate(_dS_dV(V, Ibus, adm.r, adm.c, y), axis=-1).view(float)[:, take]
 
 
-def _jacobians(adm: _Admittance, place, V, Ibus, y, m: int) -> np.ndarray:
-    """The m x m NR Jacobian of every case at V (B, n) and Ybus entry values
-    y (B, entries), from one dS/dV over the batch, placed into one (B, m, m)
-    array."""
-    take, rows, cols = place
-    vals = _jacobian_values(adm, take, V, Ibus, y)
+def _jacobians(adm: _Admittance, place, vals, m: int) -> np.ndarray:
+    """The m x m NR Jacobians of a batch, placed from their values
+    (B, len(take)) into one (B, m, m) array."""
+    _, rows, cols = place
     B = len(vals)
     at = adm._places.get(B)
     if at is None:
@@ -384,7 +378,7 @@ class _Blocks:
 
     def step(self, vals, F) -> np.ndarray | None:
         """Solve J dx = F for one case from J's values at the placement;
-        None if a block or S is singular or dx is not finite."""
+        None if a block or S is singular."""
         buf = np.bincount(self.dest, weights=vals, minlength=self.c0[-1] + len(self.dd_rows))
         nb, w, wr = len(self.border), self.cols_of.shape[1], self.rows_of.shape[1]
         solved, CX = [], []
@@ -414,7 +408,7 @@ class _Blocks:
         xb = np.append(xb, 0.0)   # the padding slot
         for units, X, cols in solved:
             dx[units] = X[..., 0] - (X[..., 1:] @ xb[cols][..., None])[..., 0]
-        return dx if np.isfinite(dx).all() else None
+        return dx
 
 
 def _partition(st: _Structure) -> _Blocks | None:
@@ -445,51 +439,56 @@ def _partition(st: _Structure) -> _Blocks | None:
     return _Blocks(rows, cols, number[of], size[order])
 
 
-def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray]:
-    """Solve J dx = F for every case: the steps (B, m), and which of them
-    exist (a singular J or a non-finite step has none).  An active
+def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve J dx = F for every case: the steps (B, m), zero for a case
+    without one, which cases have one, and which are singular at V.
+
+    One rule holds on every path.  A case is singular at V only when its
+    Jacobian values are finite and its factorization fails, and
+    :func:`_solve_chunk` calls it singular only at the state it was given,
+    its first step.  A case that gets no step later, or whose Jacobian or
+    step is not finite, has diverged: an iterate that runs off meets exact
+    zero pivots by cancellation alone (one at |V| of 1e57 pu did, on one
+    path and not the other, by the last bits of its currents).  An active
     :class:`Meter` gets the path of each: "dense", "blocks"
     (:class:`_Blocks`) or "superlu"."""
     meter = _METER.get()
+    vals = _jacobian_values(st.adm, st.place[0], V, Ibus, y)
+    (B, m), failed = F.shape, np.zeros(len(F), dtype=bool)
     if st.dense:
         if meter is not None:
-            meter.linear_solves += ["dense"] * len(F)
-        J = _jacobians(st.adm, st.place, V, Ibus, y, F.shape[1])
+            meter.linear_solves += ["dense"] * B
+        J = _jacobians(st.adm, st.place, vals, m)
         try:
             dx = np.linalg.solve(J, F[..., None])[..., 0]
-            return dx, np.isfinite(dx).all(axis=1)
         except np.linalg.LinAlgError:
-            # find the singular ones; each case gets the same LAPACK call
-            dx, ok = np.zeros_like(F), np.zeros(len(F), dtype=bool)
-            for k in range(len(F)):
+            # find the failing ones; each case gets the same LAPACK call
+            dx = np.full_like(F, np.nan)
+            for k in range(B):
                 try:
-                    step = np.linalg.solve(J[k : k + 1], F[k : k + 1, :, None])[0, :, 0]
+                    dx[k] = np.linalg.solve(J[k : k + 1], F[k : k + 1, :, None])[0, :, 0]
                 except np.linalg.LinAlgError:
-                    continue
-                ok[k] = np.all(np.isfinite(step))
-                if ok[k]:
-                    dx[k] = step
-            return dx, ok
-    if st.blocks is None:
-        st.blocks = _partition(st) or False
-    take, rows, cols = st.place
-    dx, ok = np.zeros_like(F), np.zeros(len(F), dtype=bool)
-    for k, (vals, Fk) in enumerate(zip(_jacobian_values(st.adm, take, V, Ibus, y), F)):
-        step = st.blocks.step(vals, Fk) if st.blocks else None
-        if meter is not None:
-            meter.linear_solves.append("superlu" if step is None else "blocks")
-        if step is None:
-            step = _solve_linear(_place(vals, rows, cols, (len(Fk), len(Fk)), False), Fk)
-        if step is not None:
-            dx[k], ok[k] = step, True
-    return dx, ok
-
-
-def _currents(Y, V) -> np.ndarray:
-    """Ybus V per case."""
-    if isinstance(Y, np.ndarray):
-        return (Y @ V[..., None])[..., 0]
-    return np.array([Yk @ Vk for Yk, Vk in zip(Y, V)]).reshape(V.shape)
+                    failed[k] = True
+    else:
+        if st.blocks is None:
+            st.blocks = _partition(st) or False
+        _, rows, cols = st.place
+        dx = np.full_like(F, np.nan)
+        for k in range(B):
+            step = st.blocks.step(vals[k], F[k]) if st.blocks else None
+            if meter is not None:
+                meter.linear_solves.append("superlu" if step is None else "blocks")
+            if step is None:
+                step = _solve_linear(_place(vals[k], rows, cols, (m, m), False), F[k])
+            if step is None:
+                failed[k] = True
+            else:
+                dx[k] = step
+    ok = np.isfinite(dx).all(axis=1)   # a failed case's row is NaN
+    if np.count_nonzero(ok) < B:
+        dx[~ok] = 0.0
+        failed &= np.isfinite(vals).all(axis=1)
+    return dx, ok, failed
 
 
 def _mismatch(V, Ibus, Sbus, at) -> np.ndarray:
@@ -617,7 +616,7 @@ class _Solved:
     S: np.ndarray
     ratio: np.ndarray
     converged: np.ndarray
-    singular: np.ndarray     # no solution: the Jacobian was singular
+    singular: np.ndarray     # no solution: the Jacobian at the given state was singular
     iterations: np.ndarray
     max_mismatch: np.ndarray
     worst: np.ndarray        # bus position of max_mismatch; -1 without unknowns
@@ -690,14 +689,12 @@ def _solve(st: _Structure, stack: CaseStack, rows: np.ndarray, opts: SolverOptio
 def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
                  opts: SolverOptions) -> _Solved:
     """:func:`_solve` of at most ``st.chunk`` copies."""
-    B, adm, dense = len(rows), st.adm, st.dense
+    B, adm = len(rows), st.adm
     pvpq, pq, npvpq = st.pvpq, st.pq, len(st.pvpq)
     ratio, Sbus, vm, va = _inputs(st, stack, rows)
-    terms = adm.terms(ratio)
-    y = adm.entry_values(terms)
-    Y = adm.matrices(y, dense)
+    y = adm.entry_values(ratio)
     V = vm * np.exp(1j * va)
-    Ibus = _currents(Y, V)
+    Ibus = adm.currents(y, V)
     F = _mismatch(V, Ibus, Sbus, st.f_at)
     iterations = np.zeros(B, dtype=int)
     singular = np.zeros(B, dtype=bool)
@@ -708,32 +705,30 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
         if st.place is None:
             st.place = _placement(adm, pvpq, pq, pvpq, pq)
         if act.size == B:   # the common case: no copies
-            wva, wvm, wS, wy, wV, wI, wF, wY = va, vm, Sbus, y, V, Ibus, F, Y
+            wva, wvm, wS, wy, wV, wI, wF = va, vm, Sbus, y, V, Ibus, F
         else:
             wva, wvm, wS, wy, wV, wI, wF = (a[act] for a in (va, vm, Sbus, y, V, Ibus, F))
-            wY = Y[act] if dense else [Y[k] for k in act]
     it = 0
     while act.size and it < opts.max_iterations:
-        dx, ok = _newton_steps(st, wV, wI, wy, wF)
+        dx, ok, sing = _newton_steps(st, wV, wI, wy, wF)
+        if it == 0:   # only the given state's Jacobian (see :func:`_newton_steps`)
+            singular[act[sing]] = True
         wva[:, pvpq] -= dx[:, :npvpq]
         wvm[:, pq] -= dx[:, npvpq:]
         wV = wvm * np.exp(1j * wva)
-        wI = _currents(wY, wV)
+        wI = adm.currents(wy, wV)
         wF = _mismatch(wV, wI, wS, st.f_at)
         it += 1
         done = ~ok | (np.abs(wF).max(axis=1) < opts.tolerance) | (it == opts.max_iterations)
         if done.any():
-            # these cases leave the batch for good: keep their last state.
-            # A case without a step is singular while its mismatch is still
-            # finite; one whose step overflowed it diverged
+            # these cases leave the batch for good: keep their last state
+            # (a case without a step kept its own)
             fin = act[done]
-            singular[act[~ok & np.isfinite(wF).all(axis=1)]] = True
             V[fin], Ibus[fin], F[fin], iterations[fin] = wV[done], wI[done], wF[done], it
             keep = ~done
             act = act[keep]
             if act.size:
                 wva, wvm, wS, wy, wV, wI, wF = (a[keep] for a in (wva, wvm, wS, wy, wV, wI, wF))
-                wY = wY[keep] if dense else [Yk for Yk, k in zip(wY, keep) if k]
     converged = _worst(F) < opts.tolerance
 
     if F.shape[1]:
@@ -751,9 +746,10 @@ def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolu
     """Newton-Raphson solve of one case (see the module docstring), with
     fixed bus types: a PV bus holds its voltage setpoint whatever reactive
     output that takes.  Raises :class:`SingularJacobianError` for a
-    singular Jacobian and :class:`PowerFlowError` for a structural problem
-    (no single slack, islands).  The case is not mutated; use
-    :func:`apply_solution` to store a result between solver calls."""
+    Jacobian singular at the case's own state and :class:`PowerFlowError`
+    for a structural problem (no single slack, islands).  The case is not
+    mutated; use :func:`apply_solution` to store a result between solver
+    calls."""
     st = _structure(case)
     result = _solve(st, CaseStack.of(case), np.arange(1), opts or SolverOptions()).solution(0, st)
     if isinstance(result, PowerFlowError):

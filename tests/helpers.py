@@ -21,7 +21,7 @@ from tdsynth.netmodel import (
     OltcTransformer,
 )
 from tdsynth.caseio import CaseDocument, emit_case, load_case_dir, parse_case, save_case_dir
-from tdsynth.powerflow import PowerFlowSolution, SolverOptions, _solve, _structure
+from tdsynth.powerflow import PowerFlowSolution, SolverOptions, _Admittance, _solve, _structure
 from tdsynth.templates import bundled_template_dir
 
 
@@ -225,14 +225,21 @@ def losses_from_flows(sol) -> float:
     return float(np.sum(sol.p_from + sol.p_to))
 
 
+def dense_ybus(case: NetworkCase) -> np.ndarray:
+    """The case's Ybus as an n x n array: the kernel's entry values
+    (:class:`powerflow._Admittance`) at their positions, zero elsewhere."""
+    adm = _Admittance(case)
+    Y = np.zeros((adm.n, adm.n), dtype=complex)
+    Y[adm.r, adm.c] = adm.entry_values(adm.ratio[None])[0]
+    return Y
+
+
 def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     """Worst relative disagreement between the analytic Newton Jacobian and a
     central finite difference of the mismatch function, at a random state.
     The one dS/dV is checked as both kernels place it: into a dense array
-    (dense Ybus) and, as the sparse Newton step does, into a sparse matrix
-    (sparse Ybus)."""
+    and, as the sparse Newton step does, into a sparse matrix."""
     from tdsynth.powerflow import (
-        _currents,
         _inputs,
         _jacobian_values,
         _jacobians,
@@ -244,8 +251,7 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     st = _structure(case)
     adm, pvpq, pq = st.adm, st.pvpq, st.pq
     ratio, Sbus, _, _ = _inputs(st, CaseStack.of(case), np.arange(1))
-    y = adm.entry_values(adm.terms(ratio))
-    Ysparse, Ydense = adm.matrices(y, dense=False), adm.matrices(y, dense=True)
+    y = adm.entry_values(ratio)
     vm = rng.uniform(0.95, 1.05, size=len(case.buses))
     va = rng.uniform(-0.2, 0.2, size=len(case.buses))
 
@@ -254,7 +260,7 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
         va_l[pvpq] = x[: len(pvpq)]
         vm_l[pq] = x[len(pvpq):]
         V = (vm_l * np.exp(1j * va_l))[None]
-        return _mismatch(V, _currents(Ysparse, V), Sbus, st.f_at)[0]
+        return _mismatch(V, adm.currents(y, V), Sbus, st.f_at)[0]
 
     x0 = np.concatenate([va[pvpq], vm[pq]])
     V0 = (vm * np.exp(1j * va))[None]
@@ -267,9 +273,9 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     m = len(x0)
     place = _placement(adm, pvpq, pq, pvpq, pq)
     take, rows, cols = place
-    (dense,) = _jacobians(adm, place, V0, _currents(Ydense, V0), y, m)
-    (vals,) = _jacobian_values(adm, take, V0, _currents(Ysparse, V0), y)
-    sparse = _place(vals, rows, cols, (m, m), False)
+    vals = _jacobian_values(adm, take, V0, adm.currents(y, V0), y)
+    (dense,) = _jacobians(adm, place, vals, m)
+    sparse = _place(vals[0], rows, cols, (m, m), False)
     assert isinstance(dense, np.ndarray) and not isinstance(sparse, np.ndarray)
     gaps = []
     for J in (dense, sparse.toarray()):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tdsynth import powerflow
 from tdsynth import synth as synth_mod
 from tdsynth.cli import ConfigError, main, parse_config
 from tdsynth.powerflow import SingularJacobianError
@@ -410,7 +411,7 @@ def test_a_failing_stage_exits_1_with_one_line_and_no_warning(line, start, tmp_p
     # every probe from the ceiling down to about 1e154 overflows
     "capacity_ceiling = 1e300",
 ])
-def test_an_overflowing_probe_is_infeasible(line, tmp_path):
+def test_an_overflowing_probe_is_infeasible(line, tmp_path, monkeypatch):
     def capacity(text: str, out: Path) -> dict:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -419,9 +420,15 @@ def test_an_overflowing_probe_is_infeasible(line, tmp_path):
         (bundle,) = out.iterdir()
         return json.loads((bundle / "manifest.json").read_text())["template_capacity"]
 
-    got, default = capacity(line + "\n", tmp_path / "a"), capacity("", tmp_path / "b")
-    if line.startswith("pf_max_iterations"):
-        assert got == default
-    else:   # a bisection from other brackets ends within the tolerance
-        assert got["binding_bus"] == default["binding_bus"]
-        assert abs(got["max_scale"] - default["max_scale"]) <= SynthesisConfig().capacity_tolerance
+    # on the dense path, then on SuperLU: a probe that runs off meets
+    # Jacobians that fail to factor (at |V| of 1e57 pu and more), and it
+    # is infeasible there, not singular
+    for dense_max in (powerflow.DENSE_MAX_ROWS, 0):
+        monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
+        got = capacity(line + "\n", tmp_path / f"a{dense_max}")
+        default = capacity("", tmp_path / f"b{dense_max}")
+        if line.startswith("pf_max_iterations"):
+            assert got == default
+        else:   # a bisection from other brackets ends within the tolerance
+            assert got["binding_bus"] == default["binding_bus"]
+            assert abs(got["max_scale"] - default["max_scale"]) <= SynthesisConfig().capacity_tolerance

@@ -10,15 +10,16 @@ from tdsynth.powerflow import (
     SingularJacobianError,
     SolverOptions,
     apply_solution,
-    build_ybus,
     solve,
 )
 from tdsynth.synth import _scale_loads
 
 from helpers import (
     assert_same_solution,
+    dense_ybus,
     jacobian_fd_relative_gap,
     losses_from_flows,
+    radial_oltc_case,
     random_network,
     two_bus_analytic,
     two_bus_case,
@@ -27,7 +28,7 @@ from helpers import (
 
 def test_ybus_single_line():
     case = two_bus_case(r=0.0, x=0.1)
-    Y = build_ybus(case).toarray()
+    Y = dense_ybus(case)
     assert np.allclose(Y, np.array([[-10j, 10j], [10j, -10j]]))
 
 
@@ -35,7 +36,7 @@ def test_ybus_out_of_service_branch_contributes_nothing():
     case = two_bus_case()
     case.branches[0].status = False
     case.branches.append(Branch(from_bus=1, to_bus=2, r=0.0, x=0.2))
-    Y = build_ybus(case).toarray()
+    Y = dense_ybus(case)
     assert np.allclose(Y, np.array([[-5j, 5j], [5j, -5j]]))
 
 
@@ -44,13 +45,13 @@ def test_ybus_zero_impedance_branch_rejected():
     case.branches[0].r = 0.0
     case.branches[0].x = 0.0
     with pytest.raises(PowerFlowError, match="zero impedance"):
-        build_ybus(case)
+        dense_ybus(case)
 
 
 def test_ybus_row_sums_on_tn_template(tn_bundle):
     # with unity ratios and no shunts each row sums to j * (incident charging)/2
     case = tn_bundle.case
-    Y = build_ybus(case).toarray()
+    Y = dense_ybus(case)
     idx = case.bus_index()
     expected = np.zeros(len(case.buses), dtype=complex)
     for br in case.branches:
@@ -59,6 +60,15 @@ def test_ybus_row_sums_on_tn_template(tn_bundle):
         expected[idx[br.from_bus]] += 0.5j * br.b_charging
         expected[idx[br.to_bus]] += 0.5j * br.b_charging
     assert np.allclose(Y.sum(axis=1), expected, atol=1e-14)
+
+
+def test_currents_are_ybus_times_v(tn_bundle):
+    case = tn_bundle.case
+    adm = powerflow._Admittance(case)
+    rng = np.random.default_rng(5)
+    V = rng.uniform(0.9, 1.1, (2, adm.n)) * np.exp(1j * rng.uniform(-0.3, 0.3, (2, adm.n)))
+    y = adm.entry_values(np.stack([adm.ratio, adm.ratio]))
+    assert np.allclose(adm.currents(y, V), V @ dense_ybus(case).T, rtol=0.0, atol=1e-12)
 
 
 def test_two_bus_matches_closed_form():
@@ -131,13 +141,34 @@ def test_no_meter_no_record():
 
 
 def test_singular_jacobian_is_reported(monkeypatch):
-    # two antiparallel reactances cancel: bus 2 is electrically floating
-    case = two_bus_case()
-    case.branches.append(Branch(from_bus=1, to_bus=2, r=0.0, x=-0.1))
-    for dense_max in (powerflow.DENSE_MAX_ROWS, 0):  # dense kernel, then sparse
+    # an antiparallel twin cancels the feeder branch: bus 3 is electrically
+    # floating.  Bus 4 keeps unknowns on the border, so at a bound of 4 rows
+    # buses 2 and 3 are a replica block, whose failure SuperLU retries
+    case = radial_oltc_case()
+    case.buses.append(Bus(id=4, kind=BusKind.PQ, base_kv=33.0))
+    case.branches.append(Branch(from_bus=1, to_bus=4, r=0.01, x=0.1))
+    case.branches.append(Branch(from_bus=2, to_bus=3, r=-0.15, x=-0.08))
+    for dense_max, path in ((powerflow.DENSE_MAX_ROWS, "dense"), (4, "superlu"), (0, "superlu")):
         monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
-        with pytest.raises(SingularJacobianError):
+        if dense_max == 4:
+            st = powerflow._structure(case)
+            st.place = powerflow._placement(st.adm, st.pvpq, st.pq, st.pvpq, st.pq)
+            assert powerflow._partition(st).size.tolist() == [4]
+        with powerflow.Meter().active() as meter, pytest.raises(SingularJacobianError):
             solve(case)
+        assert meter.linear_solves == [path]
+
+
+def test_a_slack_only_case_solves_without_a_step():
+    # one bus, no branch and no shunt: its Ybus row holds only its zero diagonal
+    case = NetworkCase(base_mva=100.0)
+    case.buses.append(Bus(id=1, kind=BusKind.SLACK, p_load=0.2, q_load=0.1, base_kv=33.0))
+    case.generators.append(Generator(bus_id=1, v_set=1.02, p_min=-5, p_max=5, q_min=-5, q_max=5))
+    sol = solve(case)
+    assert sol.converged and sol.iterations == 0 and sol.mismatch_bus is None
+    assert (sol.v_mag.tolist(), sol.p_inj.tolist(), sol.q_inj.tolist()) == ([1.02], [0.0], [0.0])
+    apply_solution(case, sol)
+    assert (case.generators.p[0], case.generators.q[0]) == (0.2, 0.1)
 
 
 def test_nonconvergence_is_flagged_not_silent():
@@ -365,6 +396,24 @@ def test_floating_replica_bus_is_singular_on_both_paths(combined_cases, monkeypa
         monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
         with pytest.raises(SingularJacobianError):
             solve(case)
+
+
+def test_a_step_that_overflows_is_no_singular_jacobian_on_any_path(combined_cases, monkeypatch):
+    # a finite Jacobian whose step is not finite: no step and not singular,
+    # and the replica blocks do not hand it to SuperLU
+    case = combined_cases[10]
+    for dense_max, path in ((10**4, "dense"), (200, "blocks"), (0, "superlu")):
+        monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
+        st = powerflow._structure(case)
+        st.place = powerflow._placement(st.adm, st.pvpq, st.pq, st.pvpq, st.pq)
+        ratio, Sbus, vm, va = powerflow._inputs(st, CaseStack.of(case), np.arange(1))
+        y, V = st.adm.entry_values(ratio), vm * np.exp(1j * va)
+        Ibus = st.adm.currents(y, V)
+        F = np.full((1, len(st.f_at)), np.finfo(float).max)
+        with powerflow._quiet(), powerflow.Meter().active() as meter:
+            dx, ok, singular = powerflow._newton_steps(st, V, Ibus, y, F)
+        assert meter.linear_solves == [path]
+        assert (ok.tolist(), singular.tolist(), dx.any()) == ([False], [False], False)
 
 
 def test_replica_blocks_ignore_bus_order_and_ids(combined_cases):
