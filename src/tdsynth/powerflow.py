@@ -302,10 +302,9 @@ def _jacobian_values(adm: _Admittance, take, V, Ibus, y) -> np.ndarray:
     return np.concatenate(_dS_dV(V, Ibus, adm.r, adm.c, y), axis=-1).view(float)[:, take]
 
 
-def _jacobians(adm: _Admittance, place, vals, m: int) -> np.ndarray:
+def _jacobians(adm: _Admittance, rows, cols, vals, m: int) -> np.ndarray:
     """The m x m NR Jacobians of a batch, placed from their values
-    (B, len(take)) into one (B, m, m) array."""
-    _, rows, cols = place
+    (B, len(take)) at (rows, cols) into one (B, m, m) array."""
     B = len(vals)
     at = adm._places.get(B)
     if at is None:
@@ -458,7 +457,7 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
     if st.dense:
         if meter is not None:
             meter.linear_solves += ["dense"] * B
-        J = _jacobians(st.adm, st.place, vals, m)
+        J = _jacobians(st.adm, *st.place[1:], vals, m)
         try:
             dx = np.linalg.solve(J, F[..., None])[..., 0]
         except np.linalg.LinAlgError:

@@ -274,7 +274,7 @@ def jacobian_fd_relative_gap(case, rng: np.random.Generator) -> float:
     place = _placement(adm, pvpq, pq, pvpq, pq)
     take, rows, cols = place
     vals = _jacobian_values(adm, take, V0, adm.currents(y, V0), y)
-    (dense,) = _jacobians(adm, place, vals, m)
+    (dense,) = _jacobians(adm, rows, cols, vals, m)
     sparse = _place(vals[0], rows, cols, (m, m), False)
     assert isinstance(dense, np.ndarray) and not isinstance(sparse, np.ndarray)
     gaps = []

@@ -141,14 +141,21 @@ def test_no_meter_no_record():
 
 
 def test_singular_jacobian_is_reported(monkeypatch):
+    # two antiparallel reactances cancel: bus 2 is electrically floating
+    two_bus = two_bus_case()
+    two_bus.branches.append(Branch(from_bus=1, to_bus=2, r=0.0, x=-0.1))
     # an antiparallel twin cancels the feeder branch: bus 3 is electrically
     # floating.  Bus 4 keeps unknowns on the border, so at a bound of 4 rows
     # buses 2 and 3 are a replica block, whose failure SuperLU retries
-    case = radial_oltc_case()
-    case.buses.append(Bus(id=4, kind=BusKind.PQ, base_kv=33.0))
-    case.branches.append(Branch(from_bus=1, to_bus=4, r=0.01, x=0.1))
-    case.branches.append(Branch(from_bus=2, to_bus=3, r=-0.15, x=-0.08))
-    for dense_max, path in ((powerflow.DENSE_MAX_ROWS, "dense"), (4, "superlu"), (0, "superlu")):
+    radial = radial_oltc_case()
+    radial.buses.append(Bus(id=4, kind=BusKind.PQ, base_kv=33.0))
+    radial.branches.append(Branch(from_bus=1, to_bus=4, r=0.01, x=0.1))
+    radial.branches.append(Branch(from_bus=2, to_bus=3, r=-0.15, x=-0.08))
+    for case, dense_max, path in ((two_bus, powerflow.DENSE_MAX_ROWS, "dense"),
+                                  (two_bus, 0, "superlu"),
+                                  (radial, powerflow.DENSE_MAX_ROWS, "dense"),
+                                  (radial, 4, "superlu"),
+                                  (radial, 0, "superlu")):
         monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
         if dense_max == 4:
             st = powerflow._structure(case)
