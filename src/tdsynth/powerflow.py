@@ -26,8 +26,9 @@ OPF's KKT step follows too, decides only where the Jacobian values go and
 how the step is solved:
 
 - up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the feeder
-  copies: stacked (B, m, m) arrays solved with LAPACK, since at that size
-  scipy.sparse objects cost more than the arithmetic;
+  copies: stacked (B, m, m) arrays solved with numpy's LAPACK
+  (``np.linalg.solve``), since at that size sparse objects cost more than
+  the arithmetic;
 - above it, when every replica block is within it, such as the combined
   T&D case: replica blocks (:class:`_Blocks`).  The blocks come from the
   network graph, once per structure; all blocks of one size are solved in
@@ -37,6 +38,14 @@ how the step is solved:
   case factorized with SuperLU.  It pivots by a threshold
   (``SPARSE_LU_PIVOT``) that keeps its fill from hanging on how ties
   between repeated feeder blocks round.
+
+scipy loads only where a matrix needs it, on first use: ``scipy.sparse``
+and SuperLU in :func:`_place` and :func:`_factor` for a sparse matrix,
+``scipy.linalg``'s LAPACK in :func:`_factor` for a dense matrix factored
+once and solved more than once (the OPF's KKT step).  Every one-shot dense
+solve is numpy's, so importing this module, and every power flow whose
+matrices are dense or split into replica blocks with a dense border, loads
+no scipy.
 
 One rule tells a singular case from a diverged one on every path
 (:func:`_newton_steps`).  A :class:`Meter` lists each Newton step's path
@@ -53,9 +62,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
-from scipy.sparse.linalg import splu
 
 from .netmodel import (PQ, PV, SLACK, CaseStack, NetworkCase, _edges, _find, _island_of,
                        _lookup)
@@ -233,21 +239,30 @@ def _place(vals, rows, cols, shape, dense: bool):
     if dense:
         return np.bincount(rows * shape[1] + cols, weights=vals,
                            minlength=shape[0] * shape[1]).reshape(shape)
+    import scipy.sparse as sp
+
     return sp.csc_matrix((vals, (rows, cols)), shape=shape)
 
 
 def _factor(A):
-    """Factor A once: a function that solves A x = b for any b, or None if
-    A is singular.  An ndarray goes to LAPACK ``getrf``, which reports an
-    exact zero pivot in its ``info`` (``scipy.linalg.lu_factor`` only warns),
-    and is overwritten by its factors; a sparse matrix goes to SuperLU."""
+    """Factor A once, for a matrix solved more than once (the OPF's KKT
+    step): a function that solves A x = b for any b, or None if A is
+    singular.  An ndarray goes to LAPACK ``getrf`` of ``scipy.linalg``,
+    which reports an exact zero pivot in its ``info``
+    (``scipy.linalg.lu_factor`` only warns), and is overwritten by its
+    factors; a sparse matrix goes to SuperLU.  scipy loads here, on the
+    first call that needs it."""
     if isinstance(A, np.ndarray):
+        from scipy.linalg import lapack
+
         # A^T is A's memory in Fortran order, so getrf factors it without a
         # copy, and getrs with trans=1 solves A x = b from its factors
         lu, piv, info = lapack.dgetrf(A.T, overwrite_a=True)
         if info != 0:
             return None
         return lambda b: lapack.dgetrs(lu, piv, b, trans=1)[0]
+    from scipy.sparse.linalg import splu
+
     try:
         lu = splu(A, permc_spec=SPARSE_LU_ORDERING, diag_pivot_thresh=SPARSE_LU_PIVOT)
     except RuntimeError:   # exactly singular
@@ -256,7 +271,16 @@ def _factor(A):
 
 
 def _solve_linear(A, b) -> np.ndarray | None:
-    """Solve A x = b by :func:`_factor`; None if A is singular."""
+    """Solve A x = b once; None if A is singular.  An ndarray (the replica
+    blocks' border, :class:`_Blocks`) goes to ``np.linalg.solve``, whose
+    ``LinAlgError`` is an exact zero pivot, as in the stacked NR step of
+    :func:`_newton_steps`, so it needs no scipy; a sparse matrix goes to
+    SuperLU by :func:`_factor`."""
+    if isinstance(A, np.ndarray):
+        try:
+            return np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            return None
     solve = _factor(A)
     return None if solve is None else solve(b)
 
@@ -319,9 +343,11 @@ class _Blocks:
     with A one small dense block per replica.  A step solves the blocks of
     one size in one stacked LAPACK call against F and their few coupling
     columns of B, then the Schur complement S = D - C A^-1 B on the border
-    by :func:`_factor` (S keeps D's pattern when each block hangs off one
-    border bus), then the blocks by back-substitution.  Every index array
-    is built once, from the structure alone."""
+    by :func:`_solve_linear` (S keeps D's pattern when each block hangs off
+    one border bus), then the blocks by back-substitution.  Every solve is
+    numpy's ``np.linalg.solve`` while S is placed dense, so a step loads no
+    scipy; a larger border goes to SuperLU.  Every index array is built
+    once, from the structure alone."""
 
     def __init__(self, rows, cols, block, size):
         """``rows``/``cols``: the placement of the matrix values; ``block``:

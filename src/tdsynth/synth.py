@@ -227,7 +227,7 @@ def select_replaceable_loads(
 # 19) but solve many more probes (54, 70, 102, 177 case solves), each of
 # whose Newton steps costs one LAPACK call.
 CAPACITY_LEVELS = 3
-BINDING_TIE = 1e-9   # pu: voltage gaps this close tie when naming the binding bus
+BINDING_TIE = 1e-9   # pu: voltage gaps this close tie when naming the binding bus or replica
 
 
 def _bisection_tree(lo: float, hi: float, levels: int, tolerance: float) -> list[float]:
@@ -853,8 +853,11 @@ def _replica_voltages(combined: NetworkCase, instances: list[DnInstance], lo: fl
 def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solution) -> dict:
     lo, hi = cfg.dn_v_limits
     v_min, v_max, outside = _replica_voltages(combined, instances, lo, hi)
-    # how far each replica's worst bus lies outside the limits (negative: inside)
-    worst = int(np.argmax(np.maximum(lo - v_min, v_max - hi))) if instances else None
+    # how far each replica's worst bus lies outside the limits (negative:
+    # inside); the first in plan order within BINDING_TIE of the farthest is
+    # named, so last bits of a solve decide no tie between copies of a host
+    gap = np.maximum(lo - v_min, v_max - hi)
+    worst = int(np.argmax(gap >= gap.max() - BINDING_TIE)) if instances else None
     per_instance = [
         {
             "host_bus": inst.host_tn_bus,

@@ -405,6 +405,36 @@ def test_floating_replica_bus_is_singular_on_both_paths(combined_cases, monkeypa
             solve(case)
 
 
+def test_a_singular_border_is_singular_on_both_paths(combined_cases, monkeypatch):
+    # a dead transmission bus (|V| = 0 at the start) has zero Jacobian rows
+    # and columns: every replica block is regular, and the border's Schur
+    # complement S is singular
+    case = combined_cases[10].clone()
+    st = powerflow._structure(case)
+    st.place = powerflow._placement(st.adm, st.pvpq, st.pq, st.pvpq, st.pq)
+    border = powerflow._partition(st).border
+    npvpq = len(st.pvpq)
+    case.buses.v_mag[st.pq[border[border >= npvpq][0] - npvpq]] = 0.0
+    real, seen = powerflow._solve_linear, []
+
+    def recorded(A, b):   # each solve: whether A is dense, and whether it is singular
+        x = real(A, b)
+        seen.append((isinstance(A, np.ndarray), x is None))
+        return x
+
+    monkeypatch.setattr(powerflow, "_solve_linear", recorded)
+    # the replica blocks reach S, placed dense, then SuperLU retries the
+    # whole matrix; then SuperLU alone
+    for dense_max, solves in ((powerflow.DENSE_MAX_ROWS, [(True, True), (False, True)]),
+                              (0, [(False, True)])):
+        monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
+        seen.clear()
+        with powerflow.Meter().active() as meter, pytest.raises(SingularJacobianError):
+            solve(case)
+        assert meter.linear_solves == ["superlu"]
+        assert seen == solves
+
+
 def test_a_step_that_overflows_is_no_singular_jacobian_on_any_path(combined_cases, monkeypatch):
     # a finite Jacobian whose step is not finite: no step and not singular,
     # and the replica blocks do not hand it to SuperLU

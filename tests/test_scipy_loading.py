@@ -1,0 +1,71 @@
+"""Which runs load scipy.  Each run goes in a fresh interpreter, since this
+one already holds scipy: importing tdsynth, and every generate without the
+OPF and every inspect, load numpy only; the OPF loads ``scipy.linalg`` for
+its KKT factorization, and no ``scipy.sparse`` at the shipped size."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import tdsynth
+
+from helpers import scaled_templates
+
+CONF_ROOT = Path(__file__).resolve().parent.parent / "configs" / "default.conf"
+
+# runs each argv given as JSON through the CLI under one Meter, an argument
+# holding "*" as its one glob match, then prints as JSON the scipy modules
+# loaded and the linear-solve paths the Newton steps took
+_RUN = """
+import glob, json, sys
+import tdsynth, tdsynth.cli
+with tdsynth.powerflow.Meter().active() as meter:
+    for argv in json.loads(sys.argv[1]):
+        argv = [glob.glob(a)[0] if "*" in a else a for a in argv]
+        if tdsynth.cli.main(argv) != 0:
+            sys.exit(f"exit status not 0: {argv}")
+print(json.dumps([sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+                  sorted(set(meter.linear_solves))]))
+"""
+
+
+def _run(*argvs: list[str]) -> tuple[list[str], list[str]]:
+    """The scipy modules a fresh interpreter holds after the CLI runs
+    ``argvs``, and the linear-solve paths they took."""
+    env = dict(os.environ)
+    src = str(Path(tdsynth.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _RUN, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return tuple(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_scipy():
+    assert _run() == ([], [])
+
+
+def test_generate_and_inspect_of_the_default_load_no_scipy(tmp_path):
+    out = str(tmp_path / "out")
+    scipy, paths = _run(["generate", str(CONF_ROOT), "--out", out], ["inspect", f"{out}/*/"])
+    assert (scipy, paths) == ([], ["dense"])
+
+
+def test_generate_and_inspect_on_replica_blocks_load_no_scipy(tmp_path):
+    templates = scaled_templates(tmp_path / "t10", 10)
+    out = str(tmp_path / "out")
+    scipy, paths = _run(["generate", str(CONF_ROOT), "--templates", str(templates), "--out", out],
+                        ["inspect", f"{out}/*/"])
+    # the combined case's Newton steps solve on the replica blocks
+    assert (scipy, paths) == ([], ["blocks", "dense"])
+
+
+def test_the_opf_loads_scipy_linalg_only(tmp_path):
+    conf = tmp_path / "opf.conf"
+    conf.write_text(re.sub(r"^run_opf .*$", "run_opf = true", CONF_ROOT.read_text(), flags=re.M))
+    scipy, _ = _run(["generate", str(conf), "--out", str(tmp_path / "out")])
+    assert "scipy.linalg" in scipy
+    assert not [m for m in scipy if m.startswith("scipy.sparse")]

@@ -578,6 +578,36 @@ def test_manifest_reports_replica_voltages_against_the_limits():
     assert min(volts[worst["host_bus"], worst["copy"]]) == pytest.approx(lowest, abs=1e-12)
 
 
+def test_worst_replica_is_the_first_of_copies_tied_to_the_last_bit(run_pipeline):
+    cfg = SynthesisConfig()
+    result = run_pipeline(cfg)
+    case = result.case.clone()
+    rows: dict[tuple[int, int], list[int]] = {}   # each replica's buses, in plan order
+    for i, name in enumerate(case.buses.name):
+        if name.startswith("dn:"):
+            rows.setdefault(tuple(map(int, name.split(":")[1:3])), []).append(i)
+    first, *rest = rows.values()
+    assert len(rest) >= 2
+    v = case.buses.v_mag
+    low, high = first[np.argmin(v[first])], first[np.argmax(v[first])]
+
+    def worst():
+        manifest = synth_mod._manifest(cfg, result.capacity, result.selected, result.instances,
+                                       case, result.regulation, None)
+        return tuple(manifest["combined"]["worst_replica"].values())
+
+    # every replica a copy of the first, each later one a ulp farther out
+    for r in rest:
+        v[r] = v[first]
+        at_low, at_high = r[first.index(low)], r[first.index(high)]
+        v[at_low], v[at_high] = np.nextafter(v[at_low], 0.0), np.nextafter(v[at_high], 2.0)
+    assert worst() == next(iter(rows))
+    # beyond BINDING_TIE the farthest replica is the worst
+    v[at_low] -= 10 * synth_mod.BINDING_TIE
+    v[at_high] += 10 * synth_mod.BINDING_TIE
+    assert worst() == list(rows)[-1]
+
+
 def test_generate_builds_one_structure_per_network(template_dir, monkeypatch):
     from tdsynth import powerflow
 
