@@ -9,7 +9,6 @@ from .caseio import (
     from_network,
     load_case_dir,
     parse_case,
-    register_exporter,
     save_case_dir,
     to_network,
 )

@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, NoReturn, get_type_hints
+from typing import NoReturn, get_type_hints
 
 import numpy as np
 
@@ -471,32 +471,7 @@ def save_case_dir(case: NetworkCase, path: Path | str) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# exporter registry
-
-Exporter = Callable[[NetworkCase, Path], list[Path]]
-
-_EXPORTERS: dict[str, Exporter] = {}
-
-
-def register_exporter(name: str, exporter: Exporter) -> None:
-    _EXPORTERS[name] = exporter
-
-
-def registered_exporters() -> list[str]:
-    return sorted(_EXPORTERS)
-
-
-def export(case: NetworkCase, name: str, sink: Path | str) -> list[Path]:
-    """Run a registered exporter, writing its files under ``sink``."""
-    try:
-        exporter = _EXPORTERS[name]
-    except KeyError:
-        raise ExporterError(
-            f"unknown exporter {name!r}; registered: {', '.join(registered_exporters())}"
-        ) from None
-    sink = Path(sink)
-    sink.mkdir(parents=True, exist_ok=True)
-    return exporter(case, sink)
+# export formats
 
 
 def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
@@ -541,5 +516,17 @@ def _export_flat(case: NetworkCase, sink: Path) -> list[Path]:
     return written
 
 
-register_exporter("matpower", save_case_dir)
-register_exporter("flat", _export_flat)
+# each export format and the writer of its files under a directory
+EXPORTERS = {"matpower": save_case_dir, "flat": _export_flat}
+
+
+def export(case: NetworkCase, name: str, sink: Path | str) -> list[Path]:
+    """Write ``case`` in export format ``name`` under ``sink``."""
+    try:
+        exporter = EXPORTERS[name]
+    except KeyError:
+        raise ExporterError(
+            f"unknown exporter {name!r}; formats: {', '.join(EXPORTERS)}") from None
+    sink = Path(sink)
+    sink.mkdir(parents=True, exist_ok=True)
+    return exporter(case, sink)

@@ -1,8 +1,10 @@
 """Batch front-end: read a flat key=value config, run the pipeline, report.
 
 ``tdsynth generate <config>`` writes an output bundle under
-``<out>/<run-id>/`` where the run id is a digest of the configuration, so a
-repeated run with the same config and seed lands on byte-identical files.
+``<out>/<run-id>/`` where the run id is one digest of the configuration and
+of the template files it reads, so a repeated run with the same config, seed
+and templates lands on byte-identical files, and another template set on a
+run directory of its own.
 ``tdsynth inspect <dir>`` loads a previously written bundle and prints its
 health: validation findings, solved voltage range, total load, penetration
 and the boundary transfers.  ``--profile PATH`` also writes, as JSON at
@@ -30,7 +32,7 @@ from .netmodel import IS_DG, penetration_level, total_load, validate
 from .oltc import RegulationError, regulate
 from .powerflow import Meter, PowerFlowError
 from .synth import PipelineError, SynthesisConfig, boundary_transfers, config_digest, generate
-from .templates import bundled_template_dir
+from .templates import BUNDLE_FILES, bundled_template_dir
 
 
 class ConfigError(ValueError):
@@ -93,7 +95,7 @@ def parse_config(path: Path, seed: int | None = None) -> SynthesisConfig:
     return cfg
 
 
-def _print_summary(summary: dict, out_dir: Path | None) -> None:
+def _print_summary(summary: dict, out_dir: Path) -> None:
     print(
         f"buses: {summary['buses']}  branches: {summary['branches']}  "
         f"generators: {summary['generators']}"
@@ -112,8 +114,7 @@ def _print_summary(summary: dict, out_dir: Path | None) -> None:
             f"OPF objective: {summary['opf_objective']:.2f} "
             f"(feasible: {summary['opf_feasible']})"
         )
-    if out_dir is not None:
-        print(f"output bundle: {out_dir}")
+    print(f"output bundle: {out_dir}")
 
 
 def _cmd_generate(args) -> int:
@@ -131,7 +132,8 @@ def _cmd_generate(args) -> int:
 
     templates = Path(args.templates) if args.templates else bundled_template_dir()
     out_root = Path(args.out)
-    run_dir = out_root / config_digest(cfg)
+    run_dir = out_root / config_digest(cfg, [templates / bundle / name for bundle in
+                                             ("mini-tn", "mini-dn") for name in BUNDLE_FILES])
     meter = Meter()
     meter.mark("args")
     try:

@@ -204,14 +204,8 @@ class _Table:
         pairs = ((self.__dict__[f], other.__dict__[f]) for f, _ in self.schema)
         return all(a == b if isinstance(a, list) else np.array_equal(a, b) for a, b in pairs)
 
-    def __add__(self, other) -> "_Table":
-        return self._concat([self, type(self)(other)])
-
     def append(self, record) -> None:
-        self.extend([record])
-
-    def extend(self, records) -> None:
-        self.__dict__.update(self._concat([self, type(self)(records)]).__dict__)
+        self.__dict__.update(self._concat([self, type(self)([record])]).__dict__)
 
     def copy(self) -> "_Table":
         new = object.__new__(type(self))

@@ -726,13 +726,9 @@ def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
 
     # the unconverged cases: row j of the working arrays (w*) is case act[j]
     act = np.flatnonzero(~(_worst(F) < opts.tolerance))
-    if act.size:
-        if st.place is None:
-            st.place = _placement(adm, pvpq, pq, pvpq, pq)
-        if act.size == B:   # the common case: no copies
-            wva, wvm, wS, wy, wV, wI, wF = va, vm, Sbus, y, V, Ibus, F
-        else:
-            wva, wvm, wS, wy, wV, wI, wF = (a[act] for a in (va, vm, Sbus, y, V, Ibus, F))
+    if act.size and st.place is None:
+        st.place = _placement(adm, pvpq, pq, pvpq, pq)
+    wva, wvm, wS, wy, wV, wI, wF = (a[act] for a in (va, vm, Sbus, y, V, Ibus, F))
     it = 0
     while act.size and it < opts.max_iterations:
         dx, ok, sing = _newton_steps(st, wV, wI, wy, wF)

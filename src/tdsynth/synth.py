@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import groupby, takewhile
@@ -107,11 +108,9 @@ class SynthesisConfig:
             bad.append(("opf_rounds", "must be at least 1"))
         if not self.opf_v_slack >= 0:
             bad.append(("opf_v_slack", "must be >= 0"))
-        if self.export_format not in caseio.registered_exporters():
-            bad.append(
-                ("export_format",
-                 f"unknown exporter; registered: {', '.join(caseio.registered_exporters())}")
-            )
+        if self.export_format not in caseio.EXPORTERS:
+            bad.append(("export_format",
+                        f"unknown exporter; formats: {', '.join(caseio.EXPORTERS)}"))
         return bad
 
     def solver_options(self) -> SolverOptions:
@@ -157,7 +156,6 @@ class DnInstance:
     load_scale: float
     realized_penetration: float
     realized_split: float
-    dg_allocation: dict[int, float]  # generator index -> active output
     boundary_p: float                # active import from the host at the end
     import_mismatch: float           # relative, after the import-matching loop
     # relative, after the constant-load loop; None when that loop did not run
@@ -515,13 +513,12 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
         raise SynthesisError(f"{where}: {errors[h, k]}") from errors[h, k]
 
     instances = []
-    dg = dg.tolist()
-    for j, ((row, h, k), out) in enumerate(zip(plan, output.tolist())):
+    for j, (row, h, k) in enumerate(plan):
         inst = DnInstance(
             case=None, host_tn_bus=hosts[h][0], copy_index=hosts[h][3][k][0],
             load_scale=float(scales[row]), realized_penetration=float(pl[j]),
-            realized_split=float(gs[j]), dg_allocation=dict(zip(dg, out)),
-            boundary_p=float(boundary_p[j]), import_mismatch=float(import_gap[row]),
+            realized_split=float(gs[j]), boundary_p=float(boundary_p[j]),
+            import_mismatch=float(import_gap[row]),
             constant_load_mismatch=float(mismatch[j]) if grow[j] else None,
             regulation=reports[j], constant_load_counts=counts[j] if grow[j] else None)
         inst._row = C, j
@@ -680,14 +677,22 @@ class GenerateResult:
     opf: object | None
     manifest: dict
     summary: dict
-    out_dir: Path | None
     written: list[Path] = field(default_factory=list)
 
 
-def config_digest(cfg: SynthesisConfig) -> str:
-    """Stable id for one configuration (drives the output directory name)."""
-    payload = json.dumps(asdict(cfg), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:10]
+def config_digest(cfg: SynthesisConfig, inputs: Iterable[Path] = ()) -> str:
+    """Stable id for one configuration and the bytes of the files ``inputs``
+    (drives the output directory name).  A file that cannot be read counts
+    as absent, for :func:`generate` to report."""
+    digest = hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True).encode())
+    for path in inputs:
+        try:
+            data = Path(path).read_bytes()
+        except OSError:
+            data = None
+        # each file's length before its bytes, so no two input sets read alike
+        digest.update(b"-" if data is None else (b"%d:" % len(data)) + data)
+    return digest.hexdigest()[:10]
 
 
 @contextmanager
@@ -792,22 +797,21 @@ def generate(
     summary = _summary(combined, instances, area_names, regulation, manifest, opf_solution)
 
     written: list[Path] = []
-    resolved_out = Path(out_dir) if out_dir is not None else None
-    if resolved_out is not None:
+    if out_dir is not None:
+        out_dir = Path(out_dir)
         with _stage("export"):
             # strict JSON, encoded before the run directory exists: a NaN that
             # got this far fails the run and leaves no partial bundle
             texts = {"manifest.json": json.dumps(manifest, sort_keys=True, allow_nan=False),
                      "summary.json": json.dumps(summary, indent=2, sort_keys=True,
                                                 allow_nan=False)}
-            resolved_out.mkdir(parents=True, exist_ok=True)
-            written = caseio.export(combined, cfg.export_format, resolved_out)
+            written = caseio.export(combined, cfg.export_format, out_dir)
             if opf_solution is not None:
-                opf_mod.write_trace(resolved_out / "opf_trace.csv", opf_solution.trace)
-                written.append(resolved_out / "opf_trace.csv")
+                opf_mod.write_trace(out_dir / "opf_trace.csv", opf_solution.trace)
+                written.append(out_dir / "opf_trace.csv")
             for name, text in texts.items():
-                (resolved_out / name).write_text(text + "\n")
-                written.append(resolved_out / name)
+                (out_dir / name).write_text(text + "\n")
+                written.append(out_dir / name)
 
     return GenerateResult(
         case=combined,
@@ -821,7 +825,6 @@ def generate(
         opf=opf_solution,
         manifest=manifest,
         summary=summary,
-        out_dir=resolved_out,
         written=written,
     )
 

@@ -25,6 +25,10 @@ from .caseio import load_case_dir
 from .netmodel import NetworkCase
 
 
+# the files of a bundle that load_bundle reads
+BUNDLE_FILES = ("case.m", "case.oltc.csv", "meta.csv")
+
+
 @dataclass
 class TemplateMeta:
     area_names: dict[int, str] = field(default_factory=dict)

@@ -15,8 +15,9 @@ from tdsynth.caseio import from_network, to_network
 from tdsynth.netmodel import IS_DG, CaseStack, OltcTransformer, tap_ratios
 from tdsynth.oltc import RegulationError, RegulationReport, _regulate, regulate
 from tdsynth.opf import OpfProblem, solve_with_relaxation
-from tdsynth.powerflow import SolverOptions, _solve, _structure, solve
+from tdsynth.powerflow import SingularJacobianError, SolverOptions, _solve, _structure, solve
 from tdsynth.synth import (
+    PipelineError,
     SynthesisConfig,
     SynthesisError,
     _replica_template,
@@ -232,6 +233,39 @@ def test_a_bracket_that_froze_a_tap_starts_its_batch_cold(monkeypatch, side):
     monkeypatch.setattr(synth_mod, "_regulate", freezing)
     assert dn_max_capacity(DN, (0.95, 1.05)).max_scale == 0.999755859375
     assert len(prefixes) == 5 and not any(prefixes)
+
+
+def _singular_probe_at(scale: float, hits: list):
+    """A capacity search's ``_regulate`` under which the probe at load
+    scale ``scale`` fails with a singular Jacobian; each such probe is
+    appended to ``hits``."""
+    def failing(st, stack, opts, rounds, prefix=()):
+        last, results = _regulate(st, stack, opts, rounds, prefix)
+        scales = stack.buses.p_load.sum(axis=1) / stack.template.buses.p_load.sum()
+        for k in np.flatnonzero(np.isclose(scales, scale, rtol=1e-12, atol=0.0)).tolist():
+            last[k], results[k] = None, SingularJacobianError("singular Jacobian")
+            hits.append(k)
+        return last, results
+    return failing
+
+
+def test_a_probe_off_the_path_that_fails_is_discarded(monkeypatch):
+    # the first batch probes every midpoint of three levels below (0, 10);
+    # the capacity (1.0) lies below 1.25, so the one at 7.5 is never decided
+    want, hits = dn_max_capacity(DN, (0.95, 1.05)), []
+    monkeypatch.setattr(synth_mod, "_regulate", _singular_probe_at(7.5, hits))
+    assert dn_max_capacity(DN, (0.95, 1.05)) == want
+    assert len(hits) == 1
+
+
+def test_a_decided_probe_that_fails_fails_the_run(monkeypatch):
+    # 5.0, the first midpoint below the ceiling 10, is on every path
+    hits = []
+    monkeypatch.setattr(synth_mod, "_regulate", _singular_probe_at(5.0, hits))
+    templates = bundled_template_dir()
+    with pytest.raises(PipelineError, match=r"^\[capacity\] singular Jacobian$"):
+        synth_mod.generate(templates / "mini-tn", templates / "mini-dn", SynthesisConfig())
+    assert len(hits) == 1
 
 
 @PROPERTY

@@ -18,10 +18,10 @@ from tdsynth.caseio import (
     from_network,
     load_case_dir,
     parse_case,
-    register_exporter,
     to_network,
 )
 from tdsynth.netmodel import GenKind, OltcTransformer
+from tdsynth.synth import SynthesisConfig
 
 from helpers import (
     MALFORMED_BUNDLES,
@@ -289,18 +289,16 @@ def test_flat_export_row_counts(dn_bundle, tmp_path):
     assert buses[0].startswith("id,name,kind,area,base_kv,p_load_mw")
 
 
-def test_custom_exporter_registry(tn_bundle, tmp_path):
-    def count_exporter(case, sink):
-        p = sink / "count.txt"
-        p.write_text(str(len(case.buses)))
-        return [p]
-
-    register_exporter("bus-count", count_exporter)
-    files = export(tn_bundle.case, "bus-count", tmp_path)
-    assert files[0].read_text() == "8"
-
+def test_unknown_export_format(tn_bundle, tmp_path):
     with pytest.raises(caseio.ExporterError, match="matpower"):
         export(tn_bundle.case, "does-not-exist", tmp_path)
+
+
+def test_the_config_takes_exactly_the_export_formats():
+    for name in caseio.EXPORTERS:
+        assert SynthesisConfig(export_format=name).field_errors() == []
+    assert SynthesisConfig(export_format="bus-count").field_errors() == [
+        ("export_format", "unknown exporter; formats: matpower, flat")]
 
 
 def test_to_network_copies_the_tap_records_it_is_given(dn_bundle):

@@ -145,6 +145,47 @@ def test_seed_override_changes_run_id(tmp_path):
     assert len(list((tmp_path / "out").iterdir())) == 2
 
 
+def _bundles(out: Path) -> dict[str, dict[str, bytes]]:
+    """Each run directory under ``out`` by name: its files' bytes by name."""
+    return {run.name: {f.name: f.read_bytes() for f in run.iterdir()} for run in out.iterdir()}
+
+
+def test_each_template_set_gets_a_run_directory_of_its_own(tmp_path):
+    # one config on the bundled and the 10x templates: into one --out the
+    # two bundles land side by side, each as it is when written alone
+    sets = {"bundled": bundled_template_dir(), "10x": scaled_templates(tmp_path / "t10", 10)}
+    alone = {}
+    for name, templates in sets.items():
+        argv = ["generate", str(CONF_ROOT), "--templates", str(templates), "--out"]
+        assert main([*argv, str(tmp_path / name)]) == 0
+        alone.update(_bundles(tmp_path / name))
+        assert main([*argv, str(tmp_path / "both")]) == 0
+    assert len(alone) == 2
+    assert _bundles(tmp_path / "both") == alone   # run ids and bytes
+    replicas = [len(json.loads(b["manifest.json"])["instances"]) for b in alone.values()]
+    assert replicas[0] < replicas[1]
+
+
+def test_the_run_id_follows_the_template_bytes(tmp_path):
+    # a copy of the bundled templates is the same input: one id, whatever
+    # its path and however often it runs; a one-byte edit is a new input
+    templates = tmp_path / "templates"
+    for bundle in ("mini-tn", "mini-dn"):
+        shutil.copytree(bundled_template_dir() / bundle, templates / bundle)
+    out = tmp_path / "out"
+    argv = ["generate", str(CONF_ROOT), "--out", str(out)]
+    assert main(argv) == 0
+    assert main([*argv, "--templates", str(templates)]) == 0
+    assert main([*argv, "--templates", str(templates)]) == 0
+    assert len(list(out.iterdir())) == 1
+    case_m = templates / "mini-dn" / "case.m"
+    text = case_m.read_bytes()
+    assert text.count(b";\n\n") >= 1
+    case_m.write_bytes(text.replace(b";\n\n", b"; \n", 1))   # a blank after the first ';'
+    assert main([*argv, "--templates", str(templates)]) == 0
+    assert len(list(out.iterdir())) == 2
+
+
 def test_inspect_roundtrip(tmp_path, capsys):
     conf = _write(tmp_path, "penetration_level = 0.5\n")
     assert main(["generate", str(conf), "--out", str(tmp_path / "out")]) == 0

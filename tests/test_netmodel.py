@@ -166,8 +166,7 @@ def test_total_load_additive_under_disjoint_union():
     a.buses.append(Bus(id=1, p_load=0.4, q_load=0.1, base_kv=1))
     b = NetworkCase()
     b.buses.append(Bus(id=2, p_load=0.3, q_load=0.05, base_kv=1))
-    union = NetworkCase()
-    union.buses = a.buses + b.buses
+    union = NetworkCase(buses=[*a.buses, *b.buses])
     pa, qa = total_load(a)
     pb, qb = total_load(b)
     pu, qu = total_load(union)

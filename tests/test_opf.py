@@ -210,6 +210,40 @@ def test_singular_kkt_is_reported_not_silent():
     assert not sol.converged and not sol.feasible
 
 
+@pytest.mark.parametrize("bad, calls", [(np.nan, {0, 1, 2}), (np.inf, {1})])
+def test_a_non_finite_direction_ends_the_run_at_the_last_iterate(monkeypatch, bad, calls):
+    # at iteration 2 the Newton solves ``calls`` (0 the affine direction, 1
+    # the corrector, 2 the centered step) give ``bad``; the run stops there
+    # as one capped at two iterations does, without the centered step
+    from tdsynth.opf import _OpfModel
+
+    problem = OpfProblem.from_case(three_bus_opf_case(), v_limits=(0.95, 1.05))
+    capped = solve_continuous(problem, max_iterations=2)
+    model, factors = _OpfModel(problem), []
+    factor = model.newton_solver
+
+    def failing(hess, jac, w):
+        step, it, solves = factor(hess, jac, w), len(factors), []
+        factors.append(solves)
+
+        def solve(N, g):
+            dx, dlam = step(N, g)
+            if it == 2 and len(solves) in calls:
+                dx, dlam = np.full_like(dx, bad), np.full_like(dlam, bad)
+            solves.append(dx)
+            return dx, dlam
+
+        return solve
+
+    monkeypatch.setattr(model, "newton_solver", failing)
+    sol = solve_continuous(problem, model=model)
+    assert len(factors) == 3 and len(factors[2]) == 2
+    assert not sol.converged and sol.iterations == 2
+    assert np.isfinite(sol.raw_x).all()
+    assert np.array_equal(sol.raw_x, capped.raw_x)
+    assert all(np.array_equal(a, b) for a, b in zip(sol.raw_duals, capped.raw_duals))
+
+
 def test_relaxation_round_cap_ends_with_a_final_bound_solve(tmp_path):
     # an unreachable setpoint keeps the tap stepping up every round, so only
     # the round cap ends the loop
