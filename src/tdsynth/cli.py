@@ -112,7 +112,8 @@ def _print_summary(summary: dict, out_dir: Path) -> None:
     if "opf_objective" in summary:
         print(
             f"OPF objective: {summary['opf_objective']:.2f} "
-            f"(feasible: {summary['opf_feasible']})"
+            f"(feasible: {summary['opf_feasible']}, settled: {summary['opf_settled']} "
+            f"after {summary['opf_rounds']} relaxation rounds)"
         )
     print(f"output bundle: {out_dir}")
 
@@ -160,22 +161,22 @@ def _cmd_generate(args) -> int:
 GENERATE_STAGES = ("args", "load-tn", "tn-solve", "select-loads", "load-dn", "capacity",
                    "customize", "assemble", "combined-solve", "opf", "export", "summary")
 INSPECT_STAGES = ("args", "load", "validate", "regulate", "print")
-_COUNTERS = ("batches", "solves", "iterations", "tap_rounds")
 
 
 def _profile(started: float, meter: Meter, stages: tuple[str, ...]) -> dict:
     """Each stage's wall time and solver work from the meter's marks; a
     stage that did not run (``opf`` of generate unless configured) reads 0."""
     stages_s = dict.fromkeys(stages, 0.0)
-    counts = {name: dict.fromkeys(_COUNTERS, 0) for name in stages}
-    t0, c0 = started, dict.fromkeys(_COUNTERS, 0)
+    counts = {name: dict.fromkeys(Meter.COUNTERS, 0) for name in stages}
+    t0, c0 = started, dict.fromkeys(Meter.COUNTERS, 0)
     for name, t, c in meter.marks:
         stages_s[name] = t - t0
-        counts[name] = {k: c[k] - c0[k] for k in _COUNTERS}
+        counts[name] = {k: c[k] - c0[k] for k in Meter.COUNTERS}
         t0, c0 = t, c
     return {"stages_s": stages_s, "stage_counts": counts,
             "nr_iterations": meter.iterations, "solves": meter.solves,
-            "batches": meter.batches, "tap_rounds": meter.tap_rounds}
+            "batches": meter.batches, "tap_rounds": meter.tap_rounds,
+            "opf_solves": meter.opf_solves, "opf_steps": meter.opf_steps}
 
 
 def _reason(exc: Exception) -> str:

@@ -24,12 +24,25 @@ and ``converged`` flag, not the mechanism.
 Discrete taps are handled by the outer relaxation loop: solve with voltage
 bounds widened, nudge every tap one step by the deadband rule using the
 solved voltages, tighten the bounds one notch, repeat until the bounds are
-final and no tap wants to move.  Consecutive rounds differ by one tap step
-and one bound notch, so each round starts from the previous round's primal
-point and multipliers (a dual warm start after Yildirim & Wright, SIAM J.
-Optim. 2002: the bound multipliers and slacks are floored away from zero);
-only the first round starts cold.  The model's index arrays are built once
-per relaxation; a tap move only recomputes the Ybus entry values.
+final and no tap wants to move.  Where that walk starts is estimated first
+(Capitanescu & Wehenkel, IEEE TPWRS 2010, solve discrete OPF variables
+continuously and then round them): one solve at the final bounds in which
+each tap changer's ratio is a bounded continuous variable and its
+controlled bus is held inside its deadband band.  Each ratio rounds to its
+nearest tap position, and a tap more than ``rounds`` positions from it
+starts ``rounds - 1`` short of it, on the side of its regulated position;
+every other tap starts where it is.  Not at the estimate: the
+widened-bound rounds move every tap one step each, so the walk would
+overshoot its end.  If the estimate is infeasible or unconverged, every
+tap starts at its regulated position, as without it (see
+:func:`_tap_start`).
+
+Consecutive rounds differ by one tap step and one bound notch, so each
+round starts from the previous round's primal point and multipliers (a
+dual warm start after Yildirim & Wright, SIAM J. Optim. 2002: the bound
+multipliers and slacks are floored away from zero); only the first round
+and the estimate start cold.  The model's index arrays are built once per
+relaxation; a tap move only recomputes the Ybus entry values.
 """
 
 from __future__ import annotations
@@ -105,6 +118,7 @@ class OpfSolution:
     converged: bool                   # every interior-point run met its tolerances
     relaxation_rounds: int = 0
     settled: bool = True              # no tap wanted to move in the last counted round
+    start: dict | None = None         # the relaxation's estimated start (see _tap_start)
     trace: list[dict] = field(default_factory=list)
     raw_x: np.ndarray | None = None
     raw_duals: tuple[np.ndarray, np.ndarray] | None = None  # (lam, mu) of raw_x
@@ -151,38 +165,49 @@ def _pack_structure(problem: OpfProblem):
 
 @dataclass
 class _Point:
-    """An iterate x with its bus voltages V and currents Ybus V, evaluated
-    once and shared by the balances, the Jacobian and the Hessian."""
+    """An iterate x with its bus voltages V, Ybus entry values y and
+    currents Ybus V, evaluated once and shared by the balances, the
+    Jacobian and the Hessian."""
     x: np.ndarray
     V: np.ndarray
+    y: np.ndarray
     Ibus: np.ndarray
 
 
 class _OpfModel:
     """Scaled cost, bus balances and their exact derivatives over
-    x = (Va without the slack bus, Vm, Pg, Qg), and the Newton system of
-    the interior point.  The first derivatives are the power flow's
-    entry-wise dS/dV (:func:`powerflow._dS_dV`) in its Jacobian layout
+    x = (Va without the slack bus, Vm, tap ratios, Pg, Qg), and the Newton
+    system of the interior point.  The ratio columns are those of the tap
+    changers ``taps`` (positions in ``case.oltcs``, none by default), each
+    the ratio of its branch; every other ratio is the case's.  The first
+    derivatives in the voltages are the power flow's entry-wise dS/dV
+    (:func:`powerflow._dS_dV`) in its Jacobian layout
     (:func:`powerflow._placement`), the second are MATPOWER's
     ``d2Sbus_dV2`` written entry by entry on the same Ybus pattern: each is
-    a vector of values over the voltages v = (Va, Vm) computed per call at
-    index arrays fixed here.  Pg and Qg enter the balances only through
+    a vector of values over v = (Va, Vm, ratios) computed per call at
+    index arrays fixed here; a ratio's derivatives are its branch's (see
+    :meth:`_branch_flows`).  Pg and Qg enter the balances only through
     -E, E = [[Cg, 0], [0, Cg]] (``gen_rows`` holds the balance row of each),
     and the Hessian only on its diagonal, so the Newton system is reduced to
-    the voltages and the multipliers (see :meth:`newton_solver`); its
-    matrix is placed dense or sparse by :func:`powerflow._dense`."""
+    v and the multipliers (see :meth:`newton_solver`); its matrix is placed
+    dense or sparse by :func:`powerflow._dense`."""
 
-    def __init__(self, problem: OpfProblem):
+    def __init__(self, problem: OpfProblem, taps=()):
         case = problem.case
         self.base = base = case.base_mva
         n, self.slack_pos, self.nonslack, gen_pos, self.s_fixed = _pack_structure(problem)
-        nd = len(problem.dispatchable)
-        self.n, self.nd, self.na = n, nd, n - 1
-        self.nv = self.na + n
+        taps = np.asarray(taps, dtype=int)
+        nd, nt = len(problem.dispatchable), len(taps)
+        self.n, self.nd, self.na, self.nt = n, nd, n - 1, nt
+        self.nv = self.na + n + nt
         self.nx = self.nv + 2 * nd
         self.slack_ang = case.buses[self.slack_pos].v_ang
         self._adm = adm = powerflow._Admittance(case)
         self.retap(adm.ratio)
+        oltcs = case.oltcs
+        self.tap_br = oltcs.branch_ref[taps]
+        self.ratio_lb, self.ratio_ub = (1.0 + oltcs.tap_step[taps] * lim
+                                        for lim in (oltcs.tap_min[taps], oltcs.tap_max[taps]))
         self.gen_rows = rows = np.concatenate([gen_pos, n + gen_pos])
         # the pairs (k, j) of distinct Pg or Qg entries on one balance row
         shared = np.flatnonzero(np.bincount(rows, minlength=2 * n)[rows] > 1)
@@ -203,8 +228,14 @@ class _OpfModel:
 
         # Jacobian: the power flow's placement, with a P and a Q row at every
         # bus and the columns of x's voltages
-        self.jac_take, self.jac_rows, self.jac_cols = powerflow._placement(
+        self.jac_take, jac_rows, jac_cols = powerflow._placement(
             adm, buses, buses, self.nonslack, buses)
+        # then each ratio's column: its branch's from bus, P and Q row, and
+        # its to bus (see :meth:`_branch_flows`)
+        self.tap_f, self.tap_t = f, t = adm.f[self.tap_br], adm.t[self.tap_br]
+        p = self.na + n + np.arange(nt)
+        self.jac_rows = np.concatenate([jac_rows, f, n + f, t, n + t])
+        self.jac_cols = np.concatenate([jac_cols, np.tile(p, 4)])
 
         # Hessian: second derivatives at (r, c), at (c, r), then the diagonal;
         # blocks Va-Va, Vm-Va, its transpose Va-Vm, then Vm-Vm
@@ -227,6 +258,13 @@ class _OpfModel:
         va = (m + n + np.arange(m2 + n))[keep_va]
         vv = 3 * m + 2 * n + np.arange(m)
         self.hess_take = np.concatenate([2 * aa, 2 * va + 1, 2 * va + 1, 2 * vv, 2 * vv])
+        # then each ratio's row and column: ratio-ratio, ratio-Va and Va-ratio
+        # at f and t (none at the slack bus), ratio-Vm and Vm-ratio at f and t
+        rows = np.concatenate([p, p, ia[f], p, ia[t], p, im[f], p, im[t]])
+        cols = np.concatenate([p, ia[f], p, ia[t], p, im[f], p, im[t], p])
+        self.tap_hess_keep = keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        self.hess_rows = np.concatenate([self.hess_rows, rows[keep]])
+        self.hess_cols = np.concatenate([self.hess_cols, cols[keep]])
         on_diag = self.hess_rows == self.hess_cols
         self.hess_diag_at, self.hess_diag_of = np.flatnonzero(on_diag), self.hess_rows[on_diag]
 
@@ -253,20 +291,49 @@ class _OpfModel:
         """Bring the admittances up to the branch ratios ``ratio``, the
         column of the case the model was built from once its taps moved:
         only the Ybus entry values y are recomputed; every index array and
-        the KKT placement stay."""
+        the KKT placement stay.  The ratio columns of x override their
+        branches' ratios."""
+        self.ratio = ratio.copy()
         self.y = self._adm.entry_values(ratio[None])[0]
 
     def split(self, x):
-        na, n, nd = self.na, self.n, self.nd
+        """(Va of every bus, Vm, Pg, Qg) of x."""
+        na, n, nv, nd = self.na, self.n, self.nv, self.nd
         va = np.empty(n)
         va[self.nonslack] = x[:na]
         va[self.slack_pos] = self.slack_ang
-        return va, x[na : na + n], x[na + n : na + n + nd], x[na + n + nd :]
+        return va, x[na : na + n], x[nv : nv + nd], x[nv + nd :]
+
+    def ratios(self, x) -> np.ndarray:
+        """The ratio columns of x."""
+        return x[self.na + self.n : self.nv]
 
     def point(self, x) -> _Point:
         va, vm, _, _ = self.split(x)
         V = vm * np.exp(1j * va)
-        return _Point(x, V, self._adm.currents(self.y, V))
+        y = self.y
+        if self.nt:
+            ratio = self.ratio.copy()
+            ratio[self.tap_br] = self.ratios(x)
+            y = self._adm.entry_values(ratio[None])[0]
+        return _Point(x, V, y, self._adm.currents(y, V))
+
+    def _branch_flows(self, pt: _Point):
+        """Each ratio column's ratio rho, and the parts of its branch's
+        injections that depend on it: a = V_f conj(yff V_f) and
+        b = V_f conj(yft V_t) at the from bus f, c = V_t conj(ytf V_f) at
+        the to bus t.  yff scales as rho^-2 and yft, ytf as rho^-1, so
+        dS_f/drho = -(2a + b) / rho and dS_t/drho = -c / rho; in the
+        voltages, a depends on Vm_f alone as Vm_f^2, b and c on both
+        magnitudes linearly and on Va_f - Va_t as exp(j(Va_f - Va_t)) and
+        its conjugate."""
+        rho = self.ratios(pt.x)
+        tap = rho * self._adm.rot[self.tap_br]
+        neg_y = self._adm.neg_y[self.tap_br]
+        yff = self._adm.ytt[self.tap_br] / (tap * np.conj(tap))
+        Vf, Vt = pt.V[self.tap_f], pt.V[self.tap_t]
+        return (rho, Vf * np.conj(yff * Vf), Vf * np.conj(neg_y / np.conj(tap) * Vt),
+                Vt * np.conj(neg_y / tap * Vf))
 
     def cost(self, x) -> float:
         p_mw = x[self.nv : self.nv + self.nd] * self.base
@@ -289,8 +356,13 @@ class _OpfModel:
     def jacobian(self, pt: _Point) -> np.ndarray:
         """Jv = d balance / dv (2n x nv): its values at (jac_rows,
         jac_cols).  d balance / d(Pg, Qg) is the constant -E."""
-        return powerflow._jacobian_values(self._adm, self.jac_take, pt.V[None], pt.Ibus[None],
-                                          self.y[None])[0]
+        vals = powerflow._jacobian_values(self._adm, self.jac_take, pt.V[None], pt.Ibus[None],
+                                          pt.y[None])[0]
+        if not self.nt:
+            return vals
+        rho, a, b, c = self._branch_flows(pt)
+        df, dt = -(2.0 * a + b) / rho, -c / rho
+        return np.concatenate([vals, df.real, df.imag, dt.real, dt.imag])
 
     def jacobian_t(self, jac, lam) -> np.ndarray:
         """dg^T lam (nx) for the Jacobian values ``jac``."""
@@ -303,17 +375,30 @@ class _OpfModel:
         (nv x nv): its values at (hess_rows, hess_cols).  The rest of the
         Hessian is the diagonal ``cost_hess``.  lamP^T Re S + lamQ^T Im S
         equals Re((lamP - j lamQ)^T S), so one complex weight gives both."""
-        n, r, c, y, V = self.n, self.r, self.c, self.y, pt.V
+        n, r, c, y, V = self.n, self.r, self.c, pt.y, pt.V
         vm = np.abs(V)
         vr, vc = vm[r], vm[c]
-        lV = (lam[:n] - 1j * lam[n:]) * V
+        w = lam[:n] - 1j * lam[n:]
+        lV = w * V
         # MATPOWER's d2Sbus_dV2 has E = F^T off the diagonal, both equal to f
         f = lV[r] * np.conj(y * V[c])
         # Ybus^T conj(lV): the products summed by column, as rows of Ybus^T
         dE = -np.conj(V) * np.conj(self._adm.currents(y[self.by_col], np.conj(lV)))
         dF = -lV * np.conj(pt.Ibus)
         terms = np.concatenate([f, dE + dF, f / vr, -f / vc, (dF - dE) / vm, f / (vr * vc)])
-        return terms.view(float)[self.hess_take]
+        vals = terms.view(float)[self.hess_take]
+        if not self.nt:
+            return vals
+        # Re(w_f S_f + w_t S_t) of each ratio's branch, differentiated as
+        # :meth:`_branch_flows` says; Re(j z) = -Im(z)
+        rho, a, b, c = self._branch_flows(pt)
+        wa, wb, wc = w[self.tap_f] * a, w[self.tap_f] * b, w[self.tap_t] * c
+        rr = (6.0 * wa + 2.0 * wb + 2.0 * wc).real / rho ** 2
+        ra = (wb - wc).imag / rho
+        rf = -(4.0 * wa + wb + wc).real / (rho * vm[self.tap_f])
+        rt = -(wb + wc).real / (rho * vm[self.tap_t])
+        return np.concatenate([vals, np.concatenate(
+            [rr, ra, ra, -ra, -ra, rf, rf, rt, rt])[self.tap_hess_keep]])
 
     def kkt(self, hess, wv, jac, s, scale):
         """C K C for K = [[Hvv + diag(wv), Jv^T], [Jv, -diag(s)]] from the
@@ -515,6 +600,10 @@ def _interior_point(
                 or not float(z @ mu) < _GAP_MAX):
             break
 
+    meter = powerflow._METER.get()
+    if meter is not None:
+        meter.opf_solves += 1
+        meter.opf_steps += it
     return _IpmResult(
         x=x, lam=lam, mu=mu, iterations=it, converged=converged,
         stationarity=float(np.max(np.abs(Lx), initial=0.0)),
@@ -530,12 +619,15 @@ def solve_continuous(
     duals: tuple[np.ndarray, np.ndarray] | None = None,
     model: _OpfModel | None = None,
 ) -> OpfSolution:
-    """Minimize dispatch cost with the tap ratios frozen as they stand.
+    """Minimize dispatch cost with the tap ratios frozen as they stand,
+    but for the ratio columns of ``model``, which are bounded by their tap
+    ranges and start at the case's ratios.
 
     ``x0`` and ``duals`` warm-start the interior point from an earlier
     solution's ``raw_x`` and ``raw_duals``; without ``duals`` it starts
-    cold.  ``model`` is the problem's :class:`_OpfModel`, built here if not
-    given; it must hold the case's present tap ratios.
+    cold.  ``model`` is the problem's :class:`_OpfModel`, built here (with
+    no ratio column) if not given; it must hold the case's present tap
+    ratios.
 
     The stationarity part of the reported KKT residual is measured on the
     cost normalized by its gradient scale, so the 1e-6 target is meaningful
@@ -545,17 +637,18 @@ def solve_continuous(
     """
     case = problem.case
     model = model or _OpfModel(problem)
-    n, na = model.n, model.na
+    na = model.na
     v_lo = v_limits[0] if v_limits is not None else problem.v_min
     v_hi = v_limits[1] if v_limits is not None else problem.v_max
     gens, d = case.generators, problem.dispatchable
     p_lb, p_ub, q_lb, q_ub = gens.p_min[d], gens.p_max[d], gens.q_min[d], gens.q_max[d]
-    lb = np.concatenate([np.full(na, -np.inf), v_lo, p_lb, q_lb])
-    ub = np.concatenate([np.full(na, np.inf), v_hi, p_ub, q_ub])
+    lb = np.concatenate([np.full(na, -np.inf), v_lo, model.ratio_lb, p_lb, q_lb])
+    ub = np.concatenate([np.full(na, np.inf), v_hi, model.ratio_ub, p_ub, q_ub])
 
     if x0 is None:
         buses = case.buses
-        x0 = np.concatenate([buses.v_ang[model.nonslack], buses.v_mag, gens.p[d], gens.q[d]])
+        x0 = np.concatenate([buses.v_ang[model.nonslack], buses.v_mag,
+                             model.ratio[model.tap_br], gens.p[d], gens.q[d]])
     x0 = np.clip(x0, lb, ub)
 
     ipm = _interior_point(model, x0, lb, ub, max_iterations, duals)
@@ -568,7 +661,7 @@ def solve_continuous(
 
     # the violation of the point returned, i.e. with the dispatch clipped
     violation = float(np.max(np.abs(
-        model.balance(model.point(np.concatenate([ipm.x[: na + n], pg, qg])))), initial=0.0))
+        model.balance(model.point(np.concatenate([ipm.x[: model.nv], pg, qg])))), initial=0.0))
     v_viol = float(np.max(np.maximum(v_lo - vm, vm - v_hi), initial=0.0))
     max_violation = max(violation, v_viol, 0.0)
     kkt = max(ipm.stationarity, ipm.complementarity, violation)
@@ -590,15 +683,65 @@ def solve_continuous(
     )
 
 
+def _tap_start(problem: OpfProblem, rounds: int) -> dict | None:
+    """Move the taps of ``problem.case`` to where the relaxation starts
+    them, by the estimate and the start rule of the module docstring.
+
+    Only the tap changers whose band cuts into their bus's final voltage
+    limits get a ratio column and a banded bus in the estimate; every
+    other tap stays.  If the band misses the limits, the tap rule moves
+    the tap in every round; if the limits lie inside the band, it never
+    moves it at the final bounds; either way the estimate does not show
+    where the walk ends.
+
+    Returns None if no tap gets an estimate, else the rounded estimate
+    (None if the solve is unconverged or infeasible, and then every tap
+    stays), the start taps, and the solve's interior-point steps,
+    ``converged`` and ``feasible``."""
+    case = problem.case
+    t = case.oltcs
+    at = _find(case.buses.id, t.controlled_bus)
+    band_lo, band_hi = t.v_set - t.deadband / 2, t.v_set + t.deadband / 2
+    v_min, v_max = problem.v_min[at], problem.v_max[at]
+    free = np.flatnonzero((band_lo <= v_max) & (v_min <= band_hi)
+                          & ((v_min < band_lo) | (band_hi < v_max)))
+    if not free.size:
+        return None
+    v_lo, v_hi = problem.v_min.copy(), problem.v_max.copy()
+    np.maximum.at(v_lo, at[free], band_lo[free])
+    np.minimum.at(v_hi, at[free], band_hi[free])
+    model = _OpfModel(problem, free)
+    est = solve_continuous(problem, v_limits=(v_lo, v_hi), model=model)
+    estimate = None
+    if est.converged and est.feasible:
+        estimate = t.tap.copy()
+        estimate[free] = np.rint((model.ratios(est.raw_x) - 1.0) / t.tap_step[free])
+        t.tap[:] = _start_taps(t.tap, estimate, rounds)
+        case.sync_ratios()
+        estimate = estimate.tolist()
+    return {"estimate": estimate, "taps": t.tap.tolist(), "iterations": est.iterations,
+            "converged": est.converged, "feasible": est.feasible}
+
+
+def _start_taps(taps: np.ndarray, estimate: np.ndarray, rounds: int) -> np.ndarray:
+    """Each tap whose estimate lies more than ``rounds`` positions away,
+    moved to ``rounds - 1`` positions short of it; every other tap where it
+    is."""
+    d = estimate - taps
+    return taps + np.where(np.abs(d) > rounds, np.sign(d) * (np.abs(d) - (rounds - 1)), 0)
+
+
 def solve_with_relaxation(
     problem: OpfProblem,
     schedule: RelaxationSchedule | None = None,
 ) -> OpfSolution:
     """Outer loop coupling the continuous solve with one-step tap moves.
 
-    Terminates once the voltage bounds have reached their final values and a
-    whole round passes with no tap motion; a solution already inside the
-    final bounds short-circuits the remaining tightening steps.  Taps freeze
+    The walk starts where :func:`_tap_start` puts the taps, and ``start``
+    reports it.  It terminates once the voltage bounds have reached their
+    final values and a whole round passes with no tap motion; a solution
+    already inside the final bounds short-circuits the remaining
+    tightening steps.  Taps freeze
     individually on direction reversal, and the total number of rounds is
     capped, mirroring the power-flow regulation safeguards: a run that
     reaches the cap ends with one more solve at the final bounds that moves
@@ -616,6 +759,7 @@ def solve_with_relaxation(
         dispatchable=problem.dispatchable,
     )
 
+    start = _tap_start(sub, schedule.rounds)
     # the stepper moves the taps of the case's one-copy stack, a view of it,
     # and sets their branch ratios, which the model then reads
     stepper = TapStepper(CaseStack.of(work), _find(work.buses.id, work.oltcs.controlled_bus))
@@ -685,6 +829,7 @@ def solve_with_relaxation(
         relaxation_rounds=min(k + 1, cap),  # the closing solve at the cap is no round
         settled=k < cap,
         trace=trace,
+        start=start,
     )
 
 

@@ -667,15 +667,20 @@ class _Solved:
 @dataclass
 class Meter:
     """The solver's work while it is :meth:`active`: batched kernel calls,
-    case solves, NR iterations and tap rounds, the linear-solve path of each
-    case's every Newton step, in step order ("dense", "blocks" or
-    "superlu"), and ``marks``, each a (name, time, counts so far) a caller
-    recorded with :meth:`mark`."""
+    case solves, NR iterations and tap rounds, the OPF's continuous solves
+    and interior-point steps, the linear-solve path of each case's every
+    Newton step, in step order ("dense", "blocks" or "superlu"), and
+    ``marks``, each a (name, time, counts so far) a caller recorded with
+    :meth:`mark`."""
+
+    COUNTERS = ("batches", "solves", "iterations", "tap_rounds", "opf_solves", "opf_steps")
 
     batches: int = 0
     solves: int = 0
     iterations: int = 0
     tap_rounds: int = 0
+    opf_solves: int = 0
+    opf_steps: int = 0
     linear_solves: list[str] = field(default_factory=list)
     marks: list = field(default_factory=list)
 
@@ -688,7 +693,7 @@ class Meter:
             _METER.reset(token)
 
     def mark(self, name: str) -> None:
-        counts = {f: getattr(self, f) for f in ("batches", "solves", "iterations", "tap_rounds")}
+        counts = {f: getattr(self, f) for f in self.COUNTERS}
         self.marks.append((name, time.perf_counter(), counts))
 
 

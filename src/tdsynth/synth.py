@@ -919,6 +919,7 @@ def _manifest(cfg, capacity, selected, instances, combined, regulation, opf_solu
             "round_iterations": [row["iterations"] for row in opf_solution.trace],
             "converged": opf_solution.converged,
             "kkt_residual": opf_solution.kkt_residual,
+            "start": opf_solution.start,
         }
     return out
 
@@ -951,4 +952,6 @@ def _summary(combined, instances, area_names, regulation, manifest, opf_solution
     if opf_solution is not None:
         summary["opf_objective"] = opf_solution.objective
         summary["opf_feasible"] = opf_solution.feasible
+        summary["opf_settled"] = opf_solution.settled
+        summary["opf_rounds"] = opf_solution.relaxation_rounds
     return summary

@@ -304,23 +304,25 @@ def full_kkt(model, hess, jac, w) -> np.ndarray:
     return K
 
 
-def opf_derivative_fd_gaps(problem, rng: np.random.Generator) -> tuple[float, float]:
+def opf_derivative_fd_gaps(problem, rng: np.random.Generator, taps=()) -> tuple[float, float]:
     """Worst relative disagreement of the OPF's analytic constraint Jacobian
     and Lagrangian Hessian with central finite differences (of the balances,
     and of the analytic Lagrangian gradient), at a random state and random
-    multipliers.  The derivative values are checked as :func:`full_kkt`
+    multipliers, on the model whose tap changers ``taps`` have ratio
+    columns.  The derivative values are checked as :func:`full_kkt`
     places them, over every x column, and the model's reduced KKT matrix,
     dense and sparse, must hold the same voltage blocks: the Hessian in the
     upper-left block (no barrier term), the Jacobian below it and its
     transpose to the right."""
     from tdsynth.opf import _OpfModel
 
-    model = _OpfModel(problem)
+    model = _OpfModel(problem, taps)
     nx, nv = model.nx, model.nv
 
     x0 = np.concatenate([
         rng.uniform(-0.2, 0.2, size=model.na),
         rng.uniform(0.95, 1.05, size=model.n),
+        rng.uniform(0.9, 1.1, size=model.nt),
         rng.uniform(-0.5, 1.0, size=2 * model.nd),
     ])
     lam = rng.normal(size=2 * model.n)

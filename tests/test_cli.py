@@ -336,13 +336,47 @@ def test_generate_profile_accounts_for_the_wall_time(tmp_path, capsys):
         assert sum(c[name] for c in counts.values()) == data[name]
     assert sum(c["iterations"] for c in counts.values()) == data["nr_iterations"]
     assert counts["tn-solve"]["solves"] == counts["combined-solve"]["solves"] == 1
-    assert counts["opf"] == dict.fromkeys(("batches", "solves", "iterations", "tap_rounds"), 0)
+    assert counts["opf"] == dict.fromkeys(("batches", "solves", "iterations", "tap_rounds",
+                                           "opf_solves", "opf_steps"), 0)
     manifest = json.loads((run_b / "manifest.json").read_text())
     assert counts["combined-solve"]["tap_rounds"] == manifest["combined"]["regulation_rounds"]
     # customize solves each copy at least as often as its manifest says
     per_copy = [c for rec in manifest["instances"] for c in rec["solve_counts"].values() if c]
     assert counts["customize"]["solves"] >= sum(c["solves"] for c in per_copy)
     assert counts["capacity"]["solves"] > counts["capacity"]["batches"] > 0
+
+
+def test_the_opf_profile_counts_the_estimate_and_every_round(tmp_path):
+    # the opf stage's interior-point steps are the rounds' steps, which the
+    # manifest sums, plus the start estimate's
+    conf = _write(tmp_path, "run_opf = true\nrandom = true\nrng_seed = 1\n")
+    profile = tmp_path / "profile.json"
+    assert main(["generate", str(conf), "--out", str(tmp_path / "out"),
+                 "--profile", str(profile)]) == 0
+    data = json.loads(profile.read_text())
+    manifest = json.loads(next((tmp_path / "out").glob("*/manifest.json")).read_text())
+    opf, counts = manifest["opf"], data["stage_counts"]
+    assert opf["iterations"] == sum(opf["round_iterations"])
+    assert counts["opf"]["opf_steps"] == opf["iterations"] + opf["start"]["iterations"]
+    assert counts["opf"]["opf_solves"] == len(opf["round_iterations"]) + 1
+    for name in ("opf_solves", "opf_steps"):
+        assert sum(c[name] for c in counts.values()) == data[name] == counts["opf"][name]
+
+
+def test_an_opf_at_its_round_cap_says_so_in_the_summary(tmp_path, monkeypatch, capsys):
+    # without extra rounds the shipped mini-opf run ends at the cap, one
+    # round before it settles
+    from tdsynth import opf
+
+    monkeypatch.setattr(opf, "EXTRA_ROUNDS", 0)
+    conf = _write(tmp_path, "run_opf = true\nrandom = true\nrng_seed = 1\n")
+    assert main(["generate", str(conf), "--out", str(tmp_path / "out")]) == 0
+    (run,) = (tmp_path / "out").iterdir()
+    summary = json.loads((run / "summary.json").read_text())
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert summary["opf_settled"] is False and manifest["opf"]["settled"] is False
+    assert summary["opf_rounds"] == manifest["opf"]["rounds"] == 5
+    assert "(feasible: True, settled: False after 5 relaxation rounds)" in capsys.readouterr().out
 
 
 def test_the_capacity_search_resumes_the_tap_walks_its_brackets_share(tmp_path):

@@ -184,9 +184,15 @@ def test_opf_derivatives_match_finite_differences(run_pipeline):
 
     rng = np.random.default_rng(11)
     combined = run_pipeline(SynthesisConfig(penetration_level=1.5)).case
-    for name, case in (("3-bus", three_bus_opf_case()), ("combined", combined)):
+    tapped = three_bus_opf_case()
+    tapped.oltcs.append(OltcTransformer(branch_ref=1, controlled_bus=3))
+    tapped.oltcs.append(OltcTransformer(branch_ref=2, controlled_bus=3, tap=-3))
+    tapped.sync_ratios()
+    for name, case, taps in (("3-bus", three_bus_opf_case(), []), ("3-bus", tapped, []),
+                             ("3-bus ratios", tapped, [0, 1]), ("combined", combined, []),
+                             ("combined ratios", combined, np.arange(len(combined.oltcs)))):
         problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
-        jac_gap, hess_gap = opf_derivative_fd_gaps(problem, rng)
+        jac_gap, hess_gap = opf_derivative_fd_gaps(problem, rng, taps)
         assert jac_gap <= 1e-6, name
         assert hess_gap <= 1e-6, name
 
@@ -435,3 +441,92 @@ def test_model_refreshed_after_tap_moves_equals_a_fresh_one(run_pipeline):
             assert got == want, name
     assert not np.array_equal(model.y, _OpfModel(OpfProblem.from_case(
         run_pipeline(SynthesisConfig(penetration_level=0.5)).case, v_limits=(0.95, 1.05))).y)
+
+
+def _mini_opf_problem(seed=3):
+    """The combined case of the benchmark's mini-opf run (shipped templates,
+    random) as the OPF stage gets it, and the run's relaxation schedule."""
+    from tdsynth.synth import SynthesisConfig, generate
+    from tdsynth.templates import bundled_template_dir
+
+    templates = bundled_template_dir()
+    cfg = SynthesisConfig(random=True, rng_seed=seed)
+    case = generate(templates / "mini-tn", templates / "mini-dn", cfg).case
+    return case, RelaxationSchedule(rounds=cfg.opf_rounds, v_slack=cfg.opf_v_slack)
+
+
+@pytest.mark.parametrize("taps, estimate, start", [
+    ([-8, -8, -7], [5, 5, 6], [1, 1, 2]),        # mini-opf: 4 short of the estimate
+    ([0, 0, 0], [6, -6, 5], [2, -2, 0]),         # either way; |d| = 5 stays
+    ([3, -3, 0], [9, -9, 0], [5, -5, 0]),        # |d| = 6: 2 steps
+])
+def test_a_tap_starts_rounds_minus_one_short_of_a_far_estimate(taps, estimate, start):
+    from tdsynth.opf import _start_taps
+
+    assert _start_taps(np.array(taps), np.array(estimate), 5).tolist() == start
+
+
+def test_the_estimate_starts_the_walk_short_of_where_it_ends():
+    # the mini-opf walk from the regulated taps (-8, -8, -7) settles at
+    # (6, 6, 6) after 15 rounds; from 4 short of the estimate it takes 6
+    from tdsynth.opf import _start_taps
+
+    case, schedule = _mini_opf_problem()
+    regulated = case.oltcs.tap.copy()
+    assert regulated.tolist() == [-8, -8, -7]
+    sol = solve_with_relaxation(OpfProblem.from_case(case), schedule)
+    start = sol.start
+    assert start["converged"] and start["feasible"]
+    assert start["estimate"] == [5, 5, 6]
+    assert start["taps"] == _start_taps(regulated, np.array(start["estimate"]),
+                                        schedule.rounds).tolist()
+    assert sol.trace[0]["taps"] == start["taps"]
+    assert case.oltcs.tap.tolist() == [-8, -8, -7]   # the problem's case is untouched
+    assert sol.taps == [6, 6, 6] and sol.settled and sol.feasible and sol.converged
+    assert sol.relaxation_rounds <= 7
+    assert sum(row["iterations"] for row in sol.trace) + start["iterations"] <= 65
+
+
+def test_a_start_short_of_the_walks_end_ends_where_the_walk_does(monkeypatch):
+    # with every tap preset to one position and no estimate, each start from
+    # the regulated taps up to settled - (rounds - 1) ends at the same taps,
+    # settled, at the same objective; one position later the four
+    # widened-bound rounds carry every tap one past the end
+    from tdsynth import opf
+
+    monkeypatch.setattr(opf, "_tap_start", lambda problem, rounds: None, raising=False)
+    case, schedule = _mini_opf_problem()
+    walk = solve_with_relaxation(OpfProblem.from_case(case), schedule)
+    assert walk.taps == [6, 6, 6] and walk.settled
+    last = 6 - (schedule.rounds - 1)
+    for position in range(-8, last + 2):
+        work = case.clone()
+        work.oltcs.tap[:] = position
+        work.sync_ratios()
+        sol = solve_with_relaxation(OpfProblem.from_case(work), schedule)
+        assert sol.trace[0]["taps"] == [position] * 3
+        if position <= last:
+            assert sol.taps == walk.taps and sol.settled, position
+            assert sol.objective == pytest.approx(walk.objective, rel=1e-10), position
+        else:
+            assert sol.taps == [7, 7, 7] and sol.settled, position
+
+
+def test_an_infeasible_estimate_starts_every_tap_where_it_was(run_pipeline, monkeypatch):
+    # at penetration 1.5 one replica's controlled bus stays above its band,
+    # so the estimate fails and the walk is the one from the regulated taps
+    from tdsynth import opf
+    from tdsynth.synth import SynthesisConfig
+
+    case = run_pipeline(SynthesisConfig(penetration_level=1.5)).case
+    problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
+    schedule = RelaxationSchedule(rounds=5, v_slack=0.1)
+    sol = solve_with_relaxation(problem, schedule)
+    assert not (sol.start["converged"] and sol.start["feasible"])
+    assert sol.start["estimate"] is None
+    assert sol.start["taps"] == case.oltcs.tap.tolist() == sol.trace[0]["taps"]
+    monkeypatch.setattr(opf, "_tap_start", lambda problem, rounds: None)
+    walk = solve_with_relaxation(problem, schedule)
+    assert walk.start is None
+    assert sol.trace == walk.trace
+    assert (sol.taps, sol.objective, sol.iterations) == (walk.taps, walk.objective, walk.iterations)
