@@ -10,7 +10,8 @@ health: validation findings, solved voltage range, total load, penetration
 and the boundary transfers.  ``--profile PATH`` also writes, as JSON at
 PATH and outside the bundle, the wall time of each stage and the solver's
 work per stage: batched kernel calls, case solves, NR iterations and tap
-rounds; for inspect also the linear-solve path of every Newton step.
+rounds; for generate also how many OPF KKT factorizations took each path,
+for inspect the linear-solve path of every Newton step.
 
 Exit codes: 0 success, 1 pipeline failure (message carries the stage tag)
 or a profile that cannot be written, 2 configuration problem (message names
@@ -23,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
@@ -152,7 +154,9 @@ def _cmd_generate(args) -> int:
     _print_summary(result.summary, run_dir)
     if args.profile:
         meter.mark("summary")
-        return _write_profile(args.profile, _profile(args.started, meter, GENERATE_STAGES))
+        profile = _profile(args.started, meter, GENERATE_STAGES)
+        profile["kkt_solves"] = dict(sorted(Counter(meter.kkt_solves).items()))
+        return _write_profile(args.profile, profile)
     return 0
 
 

@@ -14,12 +14,18 @@ linearly and the Hessian only on its diagonal, so they are eliminated and
 the matrix holds the voltages and the balance multipliers only.  Ybus is
 the power flow's, held only as its entry values, whose products with V
 summed by row are the currents (:meth:`powerflow._Admittance.currents`).
-The derivative values are computed once per iterate on fixed index arrays;
-the power flow's size rule (:func:`powerflow._dense`) decides only where
-they go: a small KKT matrix is scattered into a dense array and factored
-with LAPACK, a large one is built as a CSC matrix and factored with SuperLU
-(:func:`powerflow._factor`).  The contract is the returned KKT residual
-and ``converged`` flag, not the mechanism.
+The derivative values are computed once per iterate on fixed index arrays.
+The KKT matrix of a combined case is bordered block-diagonal: each
+replica's voltages, multipliers and tap ratio are one block, tied to the
+transmission network's unknowns only through its tap-changer branch.  It
+is solved on those blocks whatever its size, as the power flow's Newton
+step is (:class:`powerflow._Blocks`, a Schur complement on the border
+after Gondzio & Grothey, Comput. Manag. Sci. 2009), by numpy alone.  A KKT
+matrix without replica blocks, or with a singular one, is factored whole
+(:func:`powerflow._factor`), placed by the power flow's size rule
+(:func:`powerflow._dense`): a small one as a dense array factored with
+LAPACK, a large one as a CSC matrix factored with SuperLU.  The contract
+is the returned KKT residual and ``converged`` flag, not the mechanism.
 
 Discrete taps are handled by the outer relaxation loop: solve with voltage
 bounds widened, nudge every tap one step by the deadband rule using the
@@ -189,8 +195,9 @@ class _OpfModel:
     :meth:`_branch_flows`).  Pg and Qg enter the balances only through
     -E, E = [[Cg, 0], [0, Cg]] (``gen_rows`` holds the balance row of each),
     and the Hessian only on its diagonal, so the Newton system is reduced to
-    v and the multipliers (see :meth:`newton_solver`); its matrix is placed
-    dense or sparse by :func:`powerflow._dense`."""
+    v and the multipliers (see :meth:`newton_solver`); its matrix is solved
+    on its replica blocks (``blocks``, None without them) or whole, placed
+    dense or sparse by :func:`powerflow._dense` (see :class:`_Factored`)."""
 
     def __init__(self, problem: OpfProblem, taps=()):
         case = problem.case
@@ -278,6 +285,12 @@ class _OpfModel:
         self.kkt_cols = np.concatenate(
             [self.hess_cols, np.arange(nk), self.jac_cols, nv + self.jac_rows])
         self.dense = powerflow._dense(nk)
+        # the replica blocks of the KKT matrix: each bus's Va, Vm, lamP and
+        # lamQ join its replica's block, and so does each ratio column, whose
+        # branch reaches the replica from the border
+        at = np.stack([np.concatenate([self.nonslack, buses, ends, buses, buses]) for ends in (f, t)])
+        self.blocks = powerflow._replica_blocks(adm, oltcs.branch_ref, self.slack_pos, at,
+                                                self.kkt_rows, self.kkt_cols)
 
         self.c2, self.c1, self.c0 = case.generators.cost[problem.dispatchable].T
         # cost scale keeps the stationarity tolerance unit-free
@@ -400,11 +413,15 @@ class _OpfModel:
         return np.concatenate([vals, np.concatenate(
             [rr, ra, ra, -ra, -ra, rf, rf, rt, rt])[self.tap_hess_keep]])
 
-    def kkt(self, hess, wv, jac, s, scale):
-        """C K C for K = [[Hvv + diag(wv), Jv^T], [Jv, -diag(s)]] from the
-        Hessian and Jacobian values, and C = diag(``scale``): an ndarray if
-        ``self.dense``, else CSC."""
-        vals = np.concatenate([hess, wv, -s, jac, jac]) * scale[self.kkt_rows] * scale[self.kkt_cols]
+    def kkt_values(self, hess, wv, jac, s, scale) -> np.ndarray:
+        """The values of C K C at (kkt_rows, kkt_cols), for
+        K = [[Hvv + diag(wv), Jv^T], [Jv, -diag(s)]] from the Hessian and
+        Jacobian values, and C = diag(``scale``)."""
+        return np.concatenate([hess, wv, -s, jac, jac]) * scale[self.kkt_rows] * scale[self.kkt_cols]
+
+    def kkt(self, vals):
+        """The matrix of the values ``vals`` at (kkt_rows, kkt_cols) placed:
+        an ndarray if ``self.dense``, else CSC."""
         return powerflow._place(vals, self.kkt_rows, self.kkt_cols, self.kkt_shape, self.dense)
 
     def newton_solver(self, hess, jac, w):
@@ -424,7 +441,8 @@ class _OpfModel:
         them (a relative error of 0.5 against a 60-digit solution).
 
         Returns the function that maps (N, g) to (dx, dlam) on that one
-        factorization, or None if the reduced matrix is singular.  It
+        factorization (:class:`_Factored`), or to None if the reduced
+        matrix is singular, which only its first call can find.  It
         recovers dxg from the balance rows, E dxg = Jv dv + g, which each
         row shares among its entries k by D_k^-1 / S.  The form D^-1 (E^T
         dlam - Ng) divides the error of dlam by D_k, which is tiny for a
@@ -438,14 +456,15 @@ class _OpfModel:
         wv = w[:nv]
         diag = np.bincount(self.hess_diag_of, weights=hess[self.hess_diag_at], minlength=nv) + wv
         scale = 1.0 / np.sqrt(np.maximum(np.abs(np.concatenate([diag, s])), 1.0))
-        solve = powerflow._factor(self.kkt(hess, wv, jac, s, scale))
-        if solve is None:
-            return None
+        solve = _Factored(self, self.kkt_values(hess, wv, jac, s, scale))
 
         def step(N, g):
             ng = N[nv:] / d
-            out = scale * solve(scale * -np.concatenate(
+            out = solve(scale * -np.concatenate(
                 [N[:nv], g + np.bincount(rows, weights=ng, minlength=n2)]))
+            if out is None:
+                return None
+            out *= scale
             dv = out[:nv]
             supply = np.bincount(self.jac_rows, weights=jac * dv[self.jac_cols], minlength=n2) + g
             # sum over the other entries j of row k of (N_j - N_k) / D_j
@@ -453,6 +472,38 @@ class _OpfModel:
             return np.concatenate([dv, share * (supply[rows] + other)]), out[nv:]
 
         return step
+
+
+class _Factored:
+    """The scaled reduced KKT matrix of one iterate, from its values at the
+    model's placement, factored on its first solve and then solved for any
+    right-hand side: on its replica blocks (:meth:`powerflow._Blocks.factor`),
+    whatever its size, or, where it has none or the first solve finds a
+    block or the border singular, whole by :func:`powerflow._factor`,
+    placed by the size rule.  A solve returns None where the whole matrix
+    is singular too.  An active :class:`powerflow.Meter` gets the path of
+    the factorization in ``kkt_solves``: "blocks", "dense" or "superlu"."""
+
+    def __init__(self, model: _OpfModel, vals: np.ndarray):
+        self.model, self.vals = model, vals
+        self.solve = model.blocks.factor(vals) if model.blocks else None
+        self.first = True
+
+    def __call__(self, b: np.ndarray) -> np.ndarray | None:
+        if not self.first:
+            return self.solve(b)
+        self.first, m = False, self.model
+        x, path = None, "blocks"
+        if self.solve is not None:
+            x = self.solve(b)
+        if x is None:
+            path = "dense" if m.dense else "superlu"
+            self.solve = powerflow._factor(m.kkt(self.vals)) or (lambda b: None)
+            x = self.solve(b)
+        meter = powerflow._METER.get()
+        if meter is not None:
+            meter.kkt_solves.append(path)
+        return x
 
 
 @dataclass
@@ -554,10 +605,11 @@ def _interior_point(
     while not converged and it < max_iterations:
         step = model.newton_solver(model.hessian(pt, lam), jac,
                                    np.bincount(at, weights=mu / z, minlength=nx))
-        if step is None:
+        # predictor: the affine direction, unless the Newton system is singular
+        affine = step(Lx + dh_t(mu * h / z), g)
+        if affine is None:
             break
-        # predictor: the affine direction
-        dx, _ = step(Lx + dh_t(mu * h / z), g)
+        dx, _ = affine
         dz = -h - z - sign * dx[at]          # h(x + dx) + z + dz = 0
         dmu = -mu - mu * dz / z
         gap = float(z @ mu)

@@ -21,9 +21,8 @@ Ybus is held in one form only, its values at its entries
 the currents Ybus V are those values times V summed row by row
 (:meth:`_Admittance.currents`), and each Newton step evaluates one
 entry-wise dS/dV over the batch (:func:`_dS_dV`, which the OPF shares with
-its layout, :func:`_placement`).  One size rule (:func:`_dense`), which the
-OPF's KKT step follows too, decides only where the Jacobian values go and
-how the step is solved:
+its layout, :func:`_placement`).  One size rule (:func:`_dense`) decides
+only where the Jacobian values go and how the step is solved:
 
 - up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the feeder
   copies: stacked (B, m, m) arrays solved with numpy's LAPACK
@@ -39,13 +38,19 @@ how the step is solved:
   (``SPARSE_LU_PIVOT``) that keeps its fill from hanging on how ties
   between repeated feeder blocks round.
 
+The OPF's KKT matrix takes the replica blocks first, whatever its size
+(:func:`_replica_blocks` with each unknown at its bus), and the rule above
+only where it has none or one is singular.  Its interior point solves each
+factorization two or three times (:meth:`_Blocks.factor`).
+
 scipy loads only where a matrix needs it, on first use: ``scipy.sparse``
 and SuperLU in :func:`_place` and :func:`_factor` for a sparse matrix,
 ``scipy.linalg``'s LAPACK in :func:`_factor` for a dense matrix factored
-once and solved more than once (the OPF's KKT step).  Every one-shot dense
-solve is numpy's, so importing this module, and every power flow whose
-matrices are dense or split into replica blocks with a dense border, loads
-no scipy.
+once and solved more than once (an OPF KKT matrix without replica blocks).
+Every one-shot dense solve, and every solve on replica blocks, is numpy's,
+so importing this module, every power flow whose matrices are dense or
+split into replica blocks with a dense border, and the OPF of a combined
+case load no scipy.
 
 One rule tells a singular case from a diverged one on every path
 (:func:`_newton_steps`).  A :class:`Meter` lists each Newton step's path
@@ -66,11 +71,12 @@ import numpy as np
 from .netmodel import (PQ, PV, SLACK, CaseStack, NetworkCase, _edges, _find, _island_of,
                        _lookup)
 
-# Largest matrix, in rows, that a Newton step solves dense.  Measured per
-# Newton step on random networks (2-core VM, one BLAS thread), dense costs as
-# much as sparse at about 200 rows for NR Jacobians (2 rows per bus, so about
-# 100 buses) and at about 260 rows for OPF KKT matrices (about 4 rows per
-# bus); the smaller crossover keeps dense from ever being the slow choice.
+# Largest matrix, in rows, that a Newton step solves dense, and largest
+# replica block.  Measured per Newton step on random networks (2-core VM, one
+# BLAS thread), dense costs as much as sparse at about 200 rows for NR
+# Jacobians (2 rows per bus, so about 100 buses) and at about 260 rows for
+# OPF KKT matrices without replica blocks (about 4 rows per bus); the
+# smaller crossover keeps dense from ever being the slow choice.
 DENSE_MAX_ROWS = 200
 
 # Column ordering of SuperLU's sparse LU: minimum degree on A^T + A.  On the
@@ -245,13 +251,13 @@ def _place(vals, rows, cols, shape, dense: bool):
 
 
 def _factor(A):
-    """Factor A once, for a matrix solved more than once (the OPF's KKT
-    step): a function that solves A x = b for any b, or None if A is
-    singular.  An ndarray goes to LAPACK ``getrf`` of ``scipy.linalg``,
-    which reports an exact zero pivot in its ``info``
-    (``scipy.linalg.lu_factor`` only warns), and is overwritten by its
-    factors; a sparse matrix goes to SuperLU.  scipy loads here, on the
-    first call that needs it."""
+    """Factor A once, for a matrix solved more than once (an OPF KKT
+    matrix without replica blocks, or with a singular one): a function
+    that solves A x = b for any b, or None if A is singular.  An ndarray
+    goes to LAPACK ``getrf`` of ``scipy.linalg``, which reports an exact
+    zero pivot in its ``info`` (``scipy.linalg.lu_factor`` only warns),
+    and is overwritten by its factors; a sparse matrix goes to SuperLU.
+    scipy loads here, on the first call that needs it."""
     if isinstance(A, np.ndarray):
         from scipy.linalg import lapack
 
@@ -338,14 +344,16 @@ def _jacobians(adm: _Admittance, rows, cols, vals, m: int) -> np.ndarray:
 
 class _Blocks:
     """A sparse Newton matrix split by replica (Sun et al., master-slave
-    splitting, IEEE Trans. Smart Grid 2015).  With the unknowns ordered as
-    blocks, then border, the matrix is bordered block-diagonal [A B; C D],
-    with A one small dense block per replica.  A step solves the blocks of
-    one size in one stacked LAPACK call against F and their few coupling
-    columns of B, then the Schur complement S = D - C A^-1 B on the border
-    by :func:`_solve_linear` (S keeps D's pattern when each block hangs off
+    splitting, IEEE Trans. Smart Grid 2015; for the OPF's KKT matrix,
+    Gondzio & Grothey, Comput. Manag. Sci. 2009).  With the unknowns
+    ordered as blocks, then border, the matrix is bordered block-diagonal
+    [A B; C D], with A one small dense block per replica.  A solve
+    (:meth:`factor`) solves the blocks of one size in one stacked LAPACK
+    call against F and, the first time, their few coupling columns of B,
+    then the Schur complement S = D - C A^-1 B on the border by
+    :func:`_solve_linear` (S keeps D's pattern when each block hangs off
     one border bus), then the blocks by back-substitution.  Every solve is
-    numpy's ``np.linalg.solve`` while S is placed dense, so a step loads no
+    numpy's ``np.linalg.solve`` while S is placed dense, so it loads no
     scipy; a larger border goes to SuperLU.  Every index array is built
     once, from the structure alone."""
 
@@ -401,57 +409,92 @@ class _Blocks:
         self.fix = np.flatnonzero(self.rows_of < nb)     # where C A^-1 F reaches F
         self.groups = np.flatnonzero(np.diff(size, prepend=-1, append=-1))   # bounds of one size
 
-    def step(self, vals, F) -> np.ndarray | None:
-        """Solve J dx = F for one case from J's values at the placement;
-        None if a block or S is singular."""
+    def __eq__(self, other) -> bool:
+        """The same split: equal index arrays."""
+        return (isinstance(other, _Blocks) and vars(self).keys() == vars(other).keys()
+                and all(np.array_equal(a, getattr(other, k)) for k, a in vars(self).items()))
+
+    def factor(self, vals):
+        """Place the values ``vals`` of one matrix and return the function
+        that solves it for any F, or returns None if a block or S is
+        singular.  numpy keeps no LU factors, so every solve factors the
+        blocks anew, those of one size in one stacked LAPACK call: the first
+        against F and B's columns, which gives A^-1 B and S, every later
+        one against F alone.  Only the first solve can meet a singular
+        matrix, since a later one factors the same blocks and S; after a
+        None the function is done with."""
         buf = np.bincount(self.dest, weights=vals, minlength=self.c0[-1] + len(self.dd_rows))
         nb, w, wr = len(self.border), self.cols_of.shape[1], self.rows_of.shape[1]
-        solved, CX = [], []
-        for k0, k1 in zip(self.groups[:-1], self.groups[1:]):
-            nk, b = k1 - k0, self.size[k0]
-            units = self.units[self.u0[k0] : self.u0[k1]].reshape(nk, b)
-            R = buf[self.r0[k0] : self.r0[k1]].reshape(nk, 1 + w, b)
-            R[:, 0] = F[units]
-            try:   # both operands in LAPACK's column-major order
-                X = np.linalg.solve(buf[self.a0[k0] : self.a0[k1]].reshape(nk, b, b).transpose(0, 2, 1),
-                                    R.transpose(0, 2, 1))
-            except np.linalg.LinAlgError:
+        inv_B, S = [], None   # after the first solve: A^-1 B per block size, and S
+
+        def solve(F):
+            nonlocal S
+            first = S is None
+            solved, CX = [], []
+            for i, (k0, k1) in enumerate(zip(self.groups[:-1], self.groups[1:])):
+                nk, b = k1 - k0, self.size[k0]
+                units = self.units[self.u0[k0] : self.u0[k1]].reshape(nk, b)
+                if first:
+                    R = buf[self.r0[k0] : self.r0[k1]].reshape(nk, 1 + w, b)
+                    R[:, 0] = F[units]
+                    rhs = R.transpose(0, 2, 1)
+                else:
+                    rhs = F[units][..., None]
+                try:   # both operands in LAPACK's column-major order
+                    X = np.linalg.solve(buf[self.a0[k0] : self.a0[k1]].reshape(nk, b, b).transpose(0, 2, 1),
+                                        rhs)
+                except np.linalg.LinAlgError:
+                    return None
+                CX.append(buf[self.c0[k0] : self.c0[k1]].reshape(nk, wr, b) @ X)
+                if first:
+                    inv_B.append(X[..., 1:])
+                solved.append((units, X[..., 0], inv_B[i], self.cols_of[k0:k1]))
+            CX = np.concatenate(CX)
+            Fb = F[self.border] - np.bincount(self.rows_of.ravel()[self.fix],
+                                              CX[..., 0].ravel()[self.fix], minlength=nb)
+            if first:
+                S = _place(np.concatenate([buf[self.c0[-1]:], -CX[..., 1:].ravel()[self.upd]]),
+                           np.concatenate([self.dd_rows, self.upd_rows]),
+                           np.concatenate([self.dd_cols, self.upd_cols]), (nb, nb), _dense(nb))
+            xb = _solve_linear(S, Fb)
+            if xb is None:
                 return None
-            CX.append(buf[self.c0[k0] : self.c0[k1]].reshape(nk, wr, b) @ X)
-            solved.append((units, X, self.cols_of[k0:k1]))
-        CX = np.concatenate(CX)
-        Fb = F[self.border] - np.bincount(self.rows_of.ravel()[self.fix],
-                                          CX[..., 0].ravel()[self.fix], minlength=nb)
-        S = _place(np.concatenate([buf[self.c0[-1]:], -CX[..., 1:].ravel()[self.upd]]),
-                   np.concatenate([self.dd_rows, self.upd_rows]),
-                   np.concatenate([self.dd_cols, self.upd_cols]), (nb, nb), _dense(nb))
-        xb = _solve_linear(S, Fb)
-        if xb is None:
-            return None
-        dx = np.empty(len(F))
-        dx[self.border] = xb
-        xb = np.append(xb, 0.0)   # the padding slot
-        for units, X, cols in solved:
-            dx[units] = X[..., 0] - (X[..., 1:] @ xb[cols][..., None])[..., 0]
-        return dx
+            dx = np.empty(len(F))
+            dx[self.border] = xb
+            xb = np.append(xb, 0.0)   # the padding slot
+            for units, XF, XB, cols in solved:
+                dx[units] = XF - (XB @ xb[cols][..., None])[..., 0]
+            return dx
+
+        return solve
 
 
 def _partition(st: _Structure) -> _Blocks | None:
-    """The replica blocks of a structure's Newton matrix.  The border is the
-    slack's component once the tap-changer branches are cut (in a combined
-    case the transmission network); each other component of the remaining
-    buses is a block (a distribution replica).  None unless there are
+    """The replica blocks of a structure's NR Jacobian
+    (:func:`_replica_blocks`), each unknown at its bus."""
+    _, rows, cols = st.place
+    return _replica_blocks(st.adm, st.tap_br, st.slack, np.concatenate([st.pvpq, st.pq]), rows, cols)
+
+
+def _replica_blocks(adm: _Admittance, tap_br, slack: int, at, rows, cols) -> _Blocks | None:
+    """The replica blocks of a Newton matrix placed at (rows, cols) over a
+    network.  The border is the slack's component once the tap-changer
+    branches ``tap_br`` are cut (in a combined case the transmission
+    network); each other component of the remaining buses is a block (a
+    distribution replica).  ``at`` holds the bus of each unknown, or a row
+    of buses each (a tap ratio's: its branch's two ends), and an unknown
+    joins the block of any of them off the border.  None unless there are
     blocks and border unknowns, and every block is small enough to be
     placed dense."""
-    adm, n = st.adm, st.adm.n
+    n = adm.n
     tap = np.zeros(len(adm.f), dtype=bool)
-    tap[st.tap_br] = True
+    tap[tap_br] = True
     comp = _island_of(n, adm.f[~tap], adm.t[~tap])
-    border = comp == comp[st.slack]
+    border = comp == comp[slack]
     # the components joined by tap changers away from the border are one block
     tie = tap & ~(border[adm.f] | border[adm.t])
     of = np.where(border, -1, _island_of(comp.max() + 1, comp[adm.f[tie]], comp[adm.t[tie]])[comp])
-    of = of[np.concatenate([st.pvpq, st.pq])]   # per unknown
+    of = of[np.atleast_2d(at)].max(axis=0)   # per unknown
     size = np.bincount(of + 1)   # the border's unknowns, then each block's
     ids = np.flatnonzero(size[1:])
     size = size[1:][ids]
@@ -460,7 +503,6 @@ def _partition(st: _Structure) -> _Blocks | None:
     order = np.argsort(size, kind="stable")   # by size, then by first appearance
     number = np.full(n + 1, -1)   # the blocks by size; of = -1 reads the last
     number[ids[order]] = np.arange(len(order))
-    _, rows, cols = st.place
     return _Blocks(rows, cols, number[of], size[order])
 
 
@@ -500,7 +542,7 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
         _, rows, cols = st.place
         dx = np.full_like(F, np.nan)
         for k in range(B):
-            step = st.blocks.step(vals[k], F[k]) if st.blocks else None
+            step = st.blocks.factor(vals[k])(F[k]) if st.blocks else None
             if meter is not None:
                 meter.linear_solves.append("superlu" if step is None else "blocks")
             if step is None:
@@ -669,7 +711,8 @@ class Meter:
     """The solver's work while it is :meth:`active`: batched kernel calls,
     case solves, NR iterations and tap rounds, the OPF's continuous solves
     and interior-point steps, the linear-solve path of each case's every
-    Newton step, in step order ("dense", "blocks" or "superlu"), and
+    Newton step, in step order ("dense", "blocks" or "superlu"), the path of
+    each OPF KKT factorization in ``kkt_solves`` (the same three), and
     ``marks``, each a (name, time, counts so far) a caller recorded with
     :meth:`mark`."""
 
@@ -682,6 +725,7 @@ class Meter:
     opf_solves: int = 0
     opf_steps: int = 0
     linear_solves: list[str] = field(default_factory=list)
+    kkt_solves: list[str] = field(default_factory=list)
     marks: list = field(default_factory=list)
 
     @contextmanager

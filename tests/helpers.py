@@ -350,7 +350,8 @@ def opf_derivative_fd_gaps(problem, rng: np.random.Generator, taps=()) -> tuple[
         gaps.append(float(np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())))
     for dense in (True, False):
         model.dense = dense
-        K = model.kkt(hess, np.zeros(nv), jac, np.zeros(2 * model.n), np.ones(nv + 2 * model.n))
+        K = model.kkt(model.kkt_values(hess, np.zeros(nv), jac, np.zeros(2 * model.n),
+                                         np.ones(nv + 2 * model.n)))
         assert isinstance(K, np.ndarray) == dense
         K = K if dense else K.toarray()
         assert not np.any(K[nv:, nv:])

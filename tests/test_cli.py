@@ -363,6 +363,18 @@ def test_the_opf_profile_counts_the_estimate_and_every_round(tmp_path):
         assert sum(c[name] for c in counts.values()) == data[name] == counts["opf"][name]
 
 
+def test_the_opf_profile_counts_kkt_factorizations_by_path(tmp_path):
+    # every KKT matrix of the mini-opf run splits into replica blocks; each
+    # interior-point step factors one, and a step that ends a run may too
+    conf = _write(tmp_path, "run_opf = true\nrandom = true\nrng_seed = 1\n")
+    profile = tmp_path / "profile.json"
+    assert main(["generate", str(conf), "--out", str(tmp_path / "out"),
+                 "--profile", str(profile)]) == 0
+    data = json.loads(profile.read_text())
+    assert list(data["kkt_solves"]) == ["blocks"]
+    assert data["kkt_solves"]["blocks"] >= data["opf_steps"] > 0
+
+
 def test_an_opf_at_its_round_cap_says_so_in_the_summary(tmp_path, monkeypatch, capsys):
     # without extra rounds the shipped mini-opf run ends at the cap, one
     # round before it settles

@@ -287,15 +287,17 @@ def test_dense_and_sparse_kkt_kernels_agree(run_pipeline, monkeypatch):
     assert dense.feasible and sparse.feasible
 
 
-def _check_reduced_steps(problem, monkeypatch):
-    """Run a cold and a warm interior point on ``problem`` and solve every
-    Newton system also as the full KKT system: the reduced solve must agree
-    with the dense LAPACK full solve to 1e-10 relative where the full
-    matrix's condition number is below 1e15 (most steps), and have a
-    normwise backward error in the full system below 1e-14 at every step."""
+def _check_reduced_steps(problem, monkeypatch, model=None, v_limits=None) -> set[str]:
+    """Run a cold and a warm interior point on ``problem`` (on ``model``,
+    by default one built without ratio columns, at the bounds ``v_limits``)
+    and solve every Newton system also as the full KKT system: the reduced
+    solve must agree with the dense LAPACK full solve to 1e-10 relative
+    where the full matrix's condition number is below 1e15 (most steps),
+    and have a normwise backward error in the full system below 1e-14 at
+    every step.  Returns the factorization paths the runs took."""
     from tdsynth.opf import _OpfModel
 
-    model = _OpfModel(problem)
+    model = model or _OpfModel(problem)
     assert model.dense == powerflow._dense(model.nv + 2 * model.n)
     factor, gaps, backward = model.newton_solver, [], []
 
@@ -318,29 +320,107 @@ def _check_reduced_steps(problem, monkeypatch):
         return solve
 
     monkeypatch.setattr(model, "newton_solver", checked)
-    cold = solve_continuous(problem, model=model)
-    warm = solve_continuous(problem, x0=cold.raw_x, duals=cold.raw_duals, model=model)
+    with powerflow.Meter().active() as meter:
+        cold = solve_continuous(problem, v_limits=v_limits, model=model)
+        warm = solve_continuous(problem, v_limits=v_limits, x0=cold.raw_x,
+                                duals=cold.raw_duals, model=model)
     assert cold.converged and warm.converged
     assert len(backward) == 2 * (cold.iterations + warm.iterations)
     assert len(gaps) >= len(backward) // 2
     assert max(gaps) <= 1e-10
     assert max(backward) <= 1e-14
+    return set(meter.kkt_solves)
 
 
-@pytest.mark.parametrize("dense_max", [powerflow.DENSE_MAX_ROWS, 0])  # LAPACK, then SuperLU
-def test_reduced_newton_step_equals_the_full_kkt_solve(run_pipeline, monkeypatch, dense_max):
+@pytest.mark.parametrize("dense_max, blocks, path", [
+    pytest.param(powerflow.DENSE_MAX_ROWS, False, "dense", id=str(powerflow.DENSE_MAX_ROWS)),
+    pytest.param(0, False, "superlu", id="0"),
+    pytest.param(powerflow.DENSE_MAX_ROWS, True, "blocks", id="blocks"),
+])
+def test_reduced_newton_step_equals_the_full_kkt_solve(run_pipeline, monkeypatch, dense_max,
+                                                       blocks, path):
     """Every Newton system of a cold and a warm run on the congested case,
     solved with Pg and Qg eliminated, gives the (dx, dlam) of the full KKT
     system: to 1e-10 relative to its dense solve wherever that is well
     conditioned, and with a backward error below 1e-14 at every step.  The
     last steps of a run have condition numbers up to 1e21, where the full
     solve itself is 1e-8 off a 60-digit solution, so only the backward
-    error is asserted there."""
+    error is asserted there.  The reduced matrix is factored whole by
+    LAPACK, whole by SuperLU, and on its replica blocks."""
+    from tdsynth.opf import _OpfModel
     from tdsynth.synth import SynthesisConfig
 
     monkeypatch.setattr(powerflow, "DENSE_MAX_ROWS", dense_max)
     combined = run_pipeline(SynthesisConfig(penetration_level=1.5)).case
-    _check_reduced_steps(OpfProblem.from_case(combined, v_limits=(0.95, 1.05)), monkeypatch)
+    problem = OpfProblem.from_case(combined, v_limits=(0.95, 1.05))
+    model = _OpfModel(problem)
+    assert (model.blocks is not None) == (dense_max > 0)
+    if not blocks:
+        model.blocks = None
+    assert _check_reduced_steps(problem, monkeypatch, model) == {path}
+
+
+def test_the_start_estimate_solves_its_ratio_columns_in_their_replica_blocks(monkeypatch):
+    """The start estimate's model has a ratio column per free tap changer;
+    each joins the block of its replica, and every Newton system of a cold
+    and a warm run of it solved on the blocks equals the dense full solve
+    to 1e-10 where that is well conditioned."""
+    from tdsynth import opf
+
+    case, schedule = _mini_opf_problem()
+    problem = OpfProblem.from_case(case)
+    regulated, runs = case.oltcs.tap.copy(), []
+    monkeypatch.setattr(opf, "solve_continuous",
+                        lambda problem, **kw: runs.append(kw) or solve_continuous(problem, **kw))
+    start = opf._tap_start(problem, schedule.rounds)
+    monkeypatch.undo()
+    (kw,) = runs
+    model = kw["model"]
+    assert model.nt == 3 and start["converged"]
+    ratios = np.arange(model.nv - model.nt, model.nv)
+    assert not np.isin(ratios, model.blocks.border).any()
+    assert model.blocks.size.tolist() == [45] * 3
+    case.oltcs.tap[:] = regulated   # where the model was built
+    case.sync_ratios()
+    assert _check_reduced_steps(problem, monkeypatch, model, kw["v_limits"]) == {"blocks"}
+
+
+def test_a_singular_block_falls_back_to_the_whole_matrix(monkeypatch):
+    # a bus without branches is a block of its own, and its balance rows are
+    # zero: the first solve finds it singular, and LAPACK's factorization of
+    # the whole matrix reports the matrix singular too
+    from tdsynth.opf import _OpfModel
+
+    case = three_bus_opf_case()
+    case.buses.append(Bus(id=4, kind=BusKind.PQ, p_load=0.1, base_kv=130.0))
+    problem = OpfProblem.from_case(case, v_limits=(0.95, 1.05))
+    model = _OpfModel(problem)
+    assert model.blocks.size.tolist() == [4] and model.dense
+    real, factored = powerflow._factor, []
+
+    def recorded(A):
+        factored.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(powerflow, "_factor", recorded)
+    with powerflow.Meter().active() as meter:
+        sol = solve_continuous(problem, model=model)
+    assert factored == [model.kkt_shape]
+    assert meter.kkt_solves == ["dense"]
+    assert sol.iterations == 0 and not sol.converged
+
+    # a block solve that fails on the mini-opf case: every factorization
+    # falls back to the whole matrix, and the run is the one without blocks
+    monkeypatch.setattr(powerflow, "_factor", real)
+    monkeypatch.setattr(powerflow._Blocks, "factor", lambda self, vals: lambda F: None)
+    problem = OpfProblem.from_case(_mini_opf_problem()[0])
+    model = _OpfModel(problem)
+    with powerflow.Meter().active() as meter:
+        fell_back = solve_continuous(problem, model=model)
+    model.blocks = None
+    whole = solve_continuous(problem, model=model)
+    assert meter.kkt_solves == ["dense"] * fell_back.iterations and fell_back.converged
+    assert np.array_equal(fell_back.raw_x, whole.raw_x)
 
 
 def test_reduced_newton_step_with_two_units_on_one_bus(monkeypatch):
@@ -352,10 +432,11 @@ def test_reduced_newton_step_with_two_units_on_one_bus(monkeypatch):
     _check_reduced_steps(OpfProblem.from_case(case, v_limits=(0.95, 1.05)), monkeypatch)
 
 
-def test_shipped_mini_opf_takes_at_most_89_steps():
+def test_shipped_mini_opf_takes_at_most_56_steps():
     """The benchmark's mini-opf run (shipped templates, random, seed 1)
-    took 89 interior-point steps over its 15 rounds (143 with the MIPS step
-    on the full KKT system), and every round converged."""
+    takes 56 interior-point steps: 12 in the start estimate, then 44 over
+    its 6 rounds, every one of them converged.  A kernel that costs the
+    interior point steps shows here."""
     from tdsynth.synth import SynthesisConfig, generate
     from tdsynth.templates import bundled_template_dir
 
@@ -363,7 +444,7 @@ def test_shipped_mini_opf_takes_at_most_89_steps():
     result = generate(templates / "mini-tn", templates / "mini-dn",
                       SynthesisConfig(run_opf=True, random=True, rng_seed=1))
     opf = result.manifest["opf"]
-    assert sum(opf["round_iterations"]) <= 89
+    assert sum(opf["round_iterations"]) + opf["start"]["iterations"] <= 56
     assert opf["converged"] is True and opf["feasible"] is True
 
 
