@@ -168,8 +168,9 @@ INSPECT_STAGES = ("args", "load", "validate", "regulate", "print")
 
 
 def _profile(started: float, meter: Meter, stages: tuple[str, ...]) -> dict:
-    """Each stage's wall time and solver work from the meter's marks; a
-    stage that did not run (``opf`` of generate unless configured) reads 0."""
+    """Each stage's wall time and solver work from the meter's marks (a
+    stage that did not run, ``opf`` of generate unless configured, reads
+    0), the totals, and the replica blocks placed and solved."""
     stages_s = dict.fromkeys(stages, 0.0)
     counts = {name: dict.fromkeys(Meter.COUNTERS, 0) for name in stages}
     t0, c0 = started, dict.fromkeys(Meter.COUNTERS, 0)
@@ -180,7 +181,8 @@ def _profile(started: float, meter: Meter, stages: tuple[str, ...]) -> dict:
     return {"stages_s": stages_s, "stage_counts": counts,
             "nr_iterations": meter.iterations, "solves": meter.solves,
             "batches": meter.batches, "tap_rounds": meter.tap_rounds,
-            "opf_solves": meter.opf_solves, "opf_steps": meter.opf_steps}
+            "opf_solves": meter.opf_solves, "opf_steps": meter.opf_steps,
+            "blocks_placed": meter.blocks_placed, "blocks_solved": meter.blocks_solved}
 
 
 def _reason(exc: Exception) -> str:

@@ -20,12 +20,14 @@ replica's voltages, multipliers and tap ratio are one block, tied to the
 transmission network's unknowns only through its tap-changer branch.  It
 is solved on those blocks whatever its size, as the power flow's Newton
 step is (:class:`powerflow._Blocks`, a Schur complement on the border
-after Gondzio & Grothey, Comput. Manag. Sci. 2009), by numpy alone.  A KKT
-matrix without replica blocks, or with a singular one, is factored whole
-(:func:`powerflow._factor`), placed by the power flow's size rule
-(:func:`powerflow._dense`): a small one as a dense array factored with
-LAPACK, a large one as a CSC matrix factored with SuperLU.  The contract
-is the returned KKT residual and ``converged`` flag, not the mechanism.
+after Gondzio & Grothey, Comput. Manag. Sci. 2009), by numpy alone, and a
+run of equal neighbouring blocks, the copies of one host without
+``random``, is solved once.  A KKT matrix without replica blocks, or with
+a singular one, is solved whole (:func:`powerflow._factor`), placed by the
+power flow's size rule (:func:`powerflow._dense`): a small one as a dense
+array solved by numpy's LAPACK on each solve, a large one as a CSC matrix
+factored once with SuperLU.  The contract is the returned KKT residual and
+``converged`` flag, not the mechanism.
 
 Discrete taps are handled by the outer relaxation loop: solve with voltage
 bounds widened, nudge every tap one step by the deadband rule using the
@@ -66,10 +68,10 @@ from .oltc import TapStepper
 
 class RelaxationError(RuntimeError):
     def __init__(self, round_index: int, limits: tuple[float, float]):
+        bounds = ("at the final bounds" if not any(limits) else
+                  f"voltage limits widened by {limits[0]:.3f}/{limits[1]:.3f}")
         super().__init__(
-            f"continuous subproblem infeasible in relaxation round {round_index} "
-            f"(voltage limits widened by {limits[0]:.3f}/{limits[1]:.3f})"
-        )
+            f"continuous subproblem infeasible in relaxation round {round_index} ({bounds})")
         self.round_index = round_index
         self.limits = limits
 
@@ -480,9 +482,10 @@ class _Factored:
     right-hand side: on its replica blocks (:meth:`powerflow._Blocks.factor`),
     whatever its size, or, where it has none or the first solve finds a
     block or the border singular, whole by :func:`powerflow._factor`,
-    placed by the size rule.  A solve returns None where the whole matrix
-    is singular too.  An active :class:`powerflow.Meter` gets the path of
-    the factorization in ``kkt_solves``: "blocks", "dense" or "superlu"."""
+    placed by the size rule (a dense matrix is factored anew on each
+    solve).  A solve returns None where the whole matrix is singular too.
+    An active :class:`powerflow.Meter` gets the path of the factorization
+    in ``kkt_solves``: "blocks", "dense" or "superlu"."""
 
     def __init__(self, model: _OpfModel, vals: np.ndarray):
         self.model, self.vals = model, vals

@@ -32,7 +32,13 @@ only where the Jacobian values go and how the step is solved:
   T&D case: replica blocks (:class:`_Blocks`).  The blocks come from the
   network graph, once per structure; all blocks of one size are solved in
   one stacked LAPACK call, then the Schur complement on the transmission
-  border, placed by the same rule, then the blocks by back-substitution;
+  border, placed by the same rule, then the blocks by back-substitution.
+  A run of neighbouring blocks equal to the last bit, right-hand sides
+  included, such as the copies of one host without ``random``, is solved
+  once, by its first block.  That is exact for the reason above: a block
+  gets the same LAPACK call and matmul whatever the batch around it, so
+  every copy would get the same bits, and a singular block is singular in
+  every copy;
 - any other large matrix, or one with a singular block: one CSC matrix per
   case factorized with SuperLU.  It pivots by a threshold
   (``SPARSE_LU_PIVOT``) that keeps its fill from hanging on how ties
@@ -41,22 +47,21 @@ only where the Jacobian values go and how the step is solved:
 The OPF's KKT matrix takes the replica blocks first, whatever its size
 (:func:`_replica_blocks` with each unknown at its bus), and the rule above
 only where it has none or one is singular.  Its interior point solves each
-factorization two or three times (:meth:`_Blocks.factor`).
+factorization two or three times (:meth:`_Blocks.factor`), and runs of
+equal blocks are solved once there too.
 
-scipy loads only where a matrix needs it, on first use: ``scipy.sparse``
-and SuperLU in :func:`_place` and :func:`_factor` for a sparse matrix,
-``scipy.linalg``'s LAPACK in :func:`_factor` for a dense matrix factored
-once and solved more than once (an OPF KKT matrix without replica blocks).
-Every one-shot dense solve, and every solve on replica blocks, is numpy's,
-so importing this module, every power flow whose matrices are dense or
-split into replica blocks with a dense border, and the OPF of a combined
-case load no scipy.
+scipy loads only where SuperLU needs it, on first use: ``scipy.sparse``
+and SuperLU in :func:`_place` and :func:`_factor` for a sparse matrix.
+Every dense solve, and every solve on replica blocks, is numpy's, so
+importing this module, every power flow whose matrices are dense or split
+into replica blocks with a dense border, and every OPF whose KKT matrices
+are too load no scipy.
 
 One rule tells a singular case from a diverged one on every path
 (:func:`_newton_steps`).  A :class:`Meter` lists each Newton step's path
-(``linear_solves``).  The formulation is polar full Newton, because
-distribution feeders with high R/X ratios defeat the fast-decoupled
-shortcuts.
+(``linear_solves``) and counts the replica blocks placed and solved.  The
+formulation is polar full Newton, because distribution feeders with high
+R/X ratios defeat the fast-decoupled shortcuts.
 """
 
 from __future__ import annotations
@@ -251,22 +256,15 @@ def _place(vals, rows, cols, shape, dense: bool):
 
 
 def _factor(A):
-    """Factor A once, for a matrix solved more than once (an OPF KKT
-    matrix without replica blocks, or with a singular one): a function
-    that solves A x = b for any b, or None if A is singular.  An ndarray
-    goes to LAPACK ``getrf`` of ``scipy.linalg``, which reports an exact
-    zero pivot in its ``info`` (``scipy.linalg.lu_factor`` only warns),
-    and is overwritten by its factors; a sparse matrix goes to SuperLU.
-    scipy loads here, on the first call that needs it."""
+    """A function that solves A x = b for any b, or returns None where A is
+    singular, for a matrix solved more than once (an OPF KKT matrix
+    without replica blocks, or with a singular one).  An ndarray goes to
+    :func:`_solve_linear` on each call, since numpy keeps no LU factors; a
+    sparse matrix is factored once by SuperLU, which loads scipy here, on
+    the first call that needs it, and returns None at once if A is
+    singular."""
     if isinstance(A, np.ndarray):
-        from scipy.linalg import lapack
-
-        # A^T is A's memory in Fortran order, so getrf factors it without a
-        # copy, and getrs with trans=1 solves A x = b from its factors
-        lu, piv, info = lapack.dgetrf(A.T, overwrite_a=True)
-        if info != 0:
-            return None
-        return lambda b: lapack.dgetrs(lu, piv, b, trans=1)[0]
+        return lambda b: _solve_linear(A, b)
     from scipy.sparse.linalg import splu
 
     try:
@@ -277,11 +275,11 @@ def _factor(A):
 
 
 def _solve_linear(A, b) -> np.ndarray | None:
-    """Solve A x = b once; None if A is singular.  An ndarray (the replica
-    blocks' border, :class:`_Blocks`) goes to ``np.linalg.solve``, whose
-    ``LinAlgError`` is an exact zero pivot, as in the stacked NR step of
-    :func:`_newton_steps`, so it needs no scipy; a sparse matrix goes to
-    SuperLU by :func:`_factor`."""
+    """Solve A x = b once; None if A is singular.  An ndarray (a dense
+    Newton matrix, or the replica blocks' border, :class:`_Blocks`) goes
+    to ``np.linalg.solve``, whose ``LinAlgError`` is an exact zero pivot,
+    as in the stacked NR step of :func:`_newton_steps`, so it needs no
+    scipy; a sparse matrix goes to SuperLU by :func:`_factor`."""
     if isinstance(A, np.ndarray):
         try:
             return np.linalg.solve(A, b)
@@ -342,6 +340,14 @@ def _jacobians(adm: _Admittance, rows, cols, vals, m: int) -> np.ndarray:
     return np.bincount(at, weights=vals.ravel(), minlength=B * m * m).reshape(B, m, m)
 
 
+def _same_as_before(a: np.ndarray) -> np.ndarray:
+    """Whether each row of ``a`` (rows, ...) after the first holds the bits
+    of the row before it.  Bits, not floats: -0.0 and 0.0 differ, and a NaN
+    equals only the same NaN, which a solve treats alike."""
+    bits = a.view(np.int64).reshape(len(a), -1)
+    return (bits[1:] == bits[:-1]).all(axis=1)
+
+
 class _Blocks:
     """A sparse Newton matrix split by replica (Sun et al., master-slave
     splitting, IEEE Trans. Smart Grid 2015; for the OPF's KKT matrix,
@@ -355,7 +361,18 @@ class _Blocks:
     one border bus), then the blocks by back-substitution.  Every solve is
     numpy's ``np.linalg.solve`` while S is placed dense, so it loads no
     scipy; a larger border goes to SuperLU.  Every index array is built
-    once, from the structure alone."""
+    once, from the structure alone.
+
+    Copies of one feeder with the same inputs give equal blocks, and the
+    blocks of one size sit in assembly order, so a host's copies are
+    neighbours.  A run of neighbouring blocks equal bit for bit (matrix, B
+    and C values, slot tables and right-hand side) is solved once, by its
+    first block, whose C A^-1 [F B] and back-substitution the whole run
+    takes.  That is exact: the stacked LAPACK call and the stacked matmul
+    give each block the same arithmetic whatever the batch around it, so
+    the run's other blocks would get the same bits, and a singular block is
+    singular in every copy.  Where no block equals its neighbour, the
+    stack is solved whole, with no copy made."""
 
     def __init__(self, rows, cols, block, size):
         """``rows``/``cols``: the placement of the matrix values; ``block``:
@@ -389,6 +406,9 @@ class _Blocks:
 
         col_slot, self.cols_of = slots(rb[ab], pos[c[ab]])   # B's columns
         row_slot, self.rows_of = slots(cb[ca], pos[r[ca]])   # C's rows
+        # per block, whether its slot tables are the block's before it
+        self.same_slots = np.concatenate([[False], _same_as_before(self.cols_of)
+                                          & _same_as_before(self.rows_of)])
         w, wr = self.cols_of.shape[1], self.rows_of.shape[1]
         # one buffer: each block in column-major order, then each block's
         # right-hand sides [F, B's columns] column-major, then each one's C,
@@ -407,7 +427,8 @@ class _Blocks:
         self.upd = np.flatnonzero((r < nb) & (c < nb))   # where C A^-1 B reaches S
         self.upd_rows, self.upd_cols = r.ravel()[self.upd], c.ravel()[self.upd]
         self.fix = np.flatnonzero(self.rows_of < nb)     # where C A^-1 F reaches F
-        self.groups = np.flatnonzero(np.diff(size, prepend=-1, append=-1))   # bounds of one size
+        bounds = np.flatnonzero(np.diff(size, prepend=-1, append=-1)).tolist()
+        self.groups = list(zip(bounds[:-1], bounds[1:]))   # (first, end) of each size's blocks
 
     def __eq__(self, other) -> bool:
         """The same split: equal index arrays."""
@@ -422,33 +443,71 @@ class _Blocks:
         against F and B's columns, which gives A^-1 B and S, every later
         one against F alone.  Only the first solve can meet a singular
         matrix, since a later one factors the same blocks and S; after a
-        None the function is done with."""
+        None the function is done with.
+
+        Here each block is compared with the one before it, and each solve
+        compares their F too: one block per run of equal ones is solved.
+        An active :class:`Meter` counts the blocks each solve placed and
+        those it solved."""
         buf = np.bincount(self.dest, weights=vals, minlength=self.c0[-1] + len(self.dd_rows))
         nb, w, wr = len(self.border), self.cols_of.shape[1], self.rows_of.shape[1]
-        inv_B, S = [], None   # after the first solve: A^-1 B per block size, and S
+        # per size: whether each block after the first equals the one before
+        # it but for F, or None where none does.  The slot tables and each
+        # block's first value go first, which is all the compare costs where
+        # no two blocks are equal
+        ties = []
+        for k0, k1 in self.groups:
+            nk, b = k1 - k0, self.size[k0]
+            A = buf[self.a0[k0] : self.a0[k1]].reshape(nk, b * b)
+            head = A[:, 0].view(np.int64)
+            tie = self.same_slots[k0 + 1 : k1] & (head[1:] == head[:-1])
+            if tie.any():
+                B = buf[self.r0[k0] : self.r0[k1]].reshape(nk, 1 + w, b)[:, 1:]
+                C = buf[self.c0[k0] : self.c0[k1]].reshape(nk, wr, b)
+                tie &= _same_as_before(A) & _same_as_before(B) & _same_as_before(C)
+            ties.append(tie if tie.any() else None)
+        # after the first solve, per size: A^-1 [F B] of the blocks it solved,
+        # and each block's run there (None: every block solved); and S
+        inv_B, S = [], None
 
         def solve(F):
             nonlocal S
             first = S is None
+            meter = _METER.get()
             solved, CX = [], []
-            for i, (k0, k1) in enumerate(zip(self.groups[:-1], self.groups[1:])):
+            for i, (k0, k1) in enumerate(self.groups):
                 nk, b = k1 - k0, self.size[k0]
                 units = self.units[self.u0[k0] : self.u0[k1]].reshape(nk, b)
+                # the blocks solved (each run's first, or all) and each block's run
+                lead, run = slice(None), None
+                if ties[i] is not None:
+                    tie = ties[i] & _same_as_before(F[units])
+                    if tie.any():
+                        starts = np.concatenate([[True], ~tie])
+                        lead, run = np.flatnonzero(starts), np.cumsum(starts) - 1
                 if first:
                     R = buf[self.r0[k0] : self.r0[k1]].reshape(nk, 1 + w, b)
                     R[:, 0] = F[units]
-                    rhs = R.transpose(0, 2, 1)
+                    rhs = R[lead].transpose(0, 2, 1)
                 else:
-                    rhs = F[units][..., None]
+                    rhs = F[units][lead][..., None]
+                if meter is not None:
+                    meter.blocks_placed += nk
+                    meter.blocks_solved += nk if run is None else len(lead)
                 try:   # both operands in LAPACK's column-major order
-                    X = np.linalg.solve(buf[self.a0[k0] : self.a0[k1]].reshape(nk, b, b).transpose(0, 2, 1),
-                                        rhs)
+                    X = np.linalg.solve(buf[self.a0[k0] : self.a0[k1]].reshape(nk, b, b)[lead]
+                                        .transpose(0, 2, 1), rhs)
                 except np.linalg.LinAlgError:
                     return None
-                CX.append(buf[self.c0[k0] : self.c0[k1]].reshape(nk, wr, b) @ X)
+                cx = buf[self.c0[k0] : self.c0[k1]].reshape(nk, wr, b)[lead] @ X
+                CX.append(cx if run is None else cx[run])
                 if first:
-                    inv_B.append(X[..., 1:])
-                solved.append((units, X[..., 0], inv_B[i], self.cols_of[k0:k1]))
+                    inv_B.append((X, run))
+                    XB = X[..., 1:]
+                else:   # the first solve's A^-1 B of this solve's blocks
+                    X1, at = inv_B[i]
+                    XB = X1[lead if at is None else at[lead]][..., 1:]
+                solved.append((units, run, X[..., 0], XB, self.cols_of[k0:k1][lead]))
             CX = np.concatenate(CX)
             Fb = F[self.border] - np.bincount(self.rows_of.ravel()[self.fix],
                                               CX[..., 0].ravel()[self.fix], minlength=nb)
@@ -462,8 +521,9 @@ class _Blocks:
             dx = np.empty(len(F))
             dx[self.border] = xb
             xb = np.append(xb, 0.0)   # the padding slot
-            for units, XF, XB, cols in solved:
-                dx[units] = XF - (XB @ xb[cols][..., None])[..., 0]
+            for units, run, XF, XB, cols in solved:
+                d = XF - (XB @ xb[cols][..., None])[..., 0]
+                dx[units] = d if run is None else d[run]
             return dx
 
         return solve
@@ -712,9 +772,11 @@ class Meter:
     case solves, NR iterations and tap rounds, the OPF's continuous solves
     and interior-point steps, the linear-solve path of each case's every
     Newton step, in step order ("dense", "blocks" or "superlu"), the path of
-    each OPF KKT factorization in ``kkt_solves`` (the same three), and
-    ``marks``, each a (name, time, counts so far) a caller recorded with
-    :meth:`mark`."""
+    each OPF KKT factorization in ``kkt_solves`` (the same three), how many
+    replica blocks the solves on blocks placed (``blocks_placed``) and how
+    many they solved, one per run of equal ones (``blocks_solved``, see
+    :meth:`_Blocks.factor`), and ``marks``, each a (name, time, counts so
+    far) a caller recorded with :meth:`mark`."""
 
     COUNTERS = ("batches", "solves", "iterations", "tap_rounds", "opf_solves", "opf_steps")
 
@@ -724,6 +786,8 @@ class Meter:
     tap_rounds: int = 0
     opf_solves: int = 0
     opf_steps: int = 0
+    blocks_placed: int = 0
+    blocks_solved: int = 0
     linear_solves: list[str] = field(default_factory=list)
     kkt_solves: list[str] = field(default_factory=list)
     marks: list = field(default_factory=list)

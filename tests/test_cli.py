@@ -375,6 +375,23 @@ def test_the_opf_profile_counts_kkt_factorizations_by_path(tmp_path):
     assert data["kkt_solves"]["blocks"] >= data["opf_steps"] > 0
 
 
+@pytest.mark.parametrize("random", ["false", "true"])
+def test_the_profile_counts_replica_blocks_placed_and_solved(tmp_path, random):
+    # without random every copy of a host has the same inputs, and a run of
+    # equal blocks is solved once; with it no two copies are equal
+    templates = scaled_templates(tmp_path / "t10", 10)
+    conf = _write(tmp_path, f"random = {random}\nrng_seed = 1\n")
+    profile = tmp_path / "profile.json"
+    assert main(["generate", str(conf), "--templates", str(templates), "--out",
+                 str(tmp_path / "out"), "--profile", str(profile)]) == 0
+    data = json.loads(profile.read_text())
+    assert data["blocks_placed"] > 0
+    if random == "true":
+        assert data["blocks_solved"] == data["blocks_placed"]
+    else:
+        assert data["blocks_solved"] < data["blocks_placed"]
+
+
 def test_an_opf_at_its_round_cap_says_so_in_the_summary(tmp_path, monkeypatch, capsys):
     # without extra rounds the shipped mini-opf run ends at the cap, one
     # round before it settles

@@ -138,6 +138,22 @@ def test_relaxation_error_reports_round():
     assert err.value.round_index == 0
 
 
+@pytest.mark.parametrize("schedule, bounds", [
+    (RelaxationSchedule(rounds=3, v_slack=0.02), "voltage limits widened by 0.020/0.020"),
+    (RelaxationSchedule(rounds=1, v_slack=0.02), "at the final bounds"),
+    (RelaxationSchedule(rounds=3, v_slack=0.0), "at the final bounds"),
+])
+def test_relaxation_error_names_the_bounds_of_its_round(schedule, bounds):
+    # a round with no slack left is at the final bounds, not widened by 0
+    case = three_bus_opf_case()
+    for g in case.generators:
+        g.q_min, g.q_max = -0.02, 0.02
+    problem = OpfProblem.from_case(case, v_limits=(1.2, 1.3))
+    with pytest.raises(RelaxationError) as err:
+        solve_with_relaxation(problem, schedule)
+    assert str(err.value) == f"continuous subproblem infeasible in relaxation round 0 ({bounds})"
+
+
 def test_feasibility_dominance_recheck(run_pipeline):
     # a feasible result must survive an independent power-flow re-check at
     # the returned dispatch and taps: voltages inside the final bounds to

@@ -532,3 +532,140 @@ def test_an_uncontrollable_unit_at_the_slack_keeps_its_output(dn_bundle):
     assert len(at) > 0
     assert gens.p[at].sum() == sol.p_inj[slack] + buses.p_load[slack] - 0.05
     assert gens.q[at].sum() == sol.q_inj[slack] + buses.q_load[slack] - 0.0
+
+
+def _bordered(A, B, C, host, D):
+    """A bordered block-diagonal matrix as :class:`powerflow._Blocks` takes
+    it: the placement (rows, cols), the values, each unknown's block and
+    the block sizes.  The border's unknowns come first, with D among them;
+    then block k's, with A[k] among them, coupled to border unknown
+    host[k] by the column B[k] and the row C[k]."""
+    (K, b), nb = A.shape[:2], len(D)
+    u = nb + b * np.arange(K)[:, None] + np.arange(b)   # (K, b): each block's unknowns
+    hb = np.repeat(host, b)
+    rows = np.concatenate([np.repeat(np.arange(nb), nb), np.repeat(u, b), u.ravel(), hb])
+    cols = np.concatenate([np.tile(np.arange(nb), nb), np.tile(u, b).ravel(), hb, u.ravel()])
+    vals = np.concatenate([D.ravel(), A.ravel(), B.ravel(), C.ravel()])
+    block = np.concatenate([np.full(nb, -1), np.repeat(np.arange(K), b)])
+    return rows, cols, vals, block, np.full(K, b)
+
+
+def _one_by_one(A, B, C, host, D, Fs):
+    """The solutions of the matrix of :func:`_bordered` for each F in turn,
+    as :meth:`powerflow._Blocks.factor` would give them with each block
+    solved by its own ``np.linalg.solve``: the first F against the block's
+    coupling column too, the later ones against F alone, and the border's
+    sums in block order; None once a block or the border is singular."""
+    (K, b), nb = A.shape[:2], len(D)
+    C = C[:, None, :].copy()   # each row laid out as factor's
+    out, inv_B, S = [], [], None
+    for F in Fs:
+        Fk = F[nb:].reshape(K, b)
+        try:
+            X = [np.linalg.solve(A[k], np.stack([Fk[k], B[k]], axis=1) if S is None
+                                 else Fk[k][:, None]) for k in range(K)]
+        except np.linalg.LinAlgError:
+            return out + [None]
+        CX = [C[k] @ X[k] for k in range(K)]
+        sums = np.zeros(nb)
+        for k in range(K):
+            sums[host[k]] += CX[k][0, 0]
+        if S is None:
+            inv_B, S = [x[:, 1:] for x in X], D.copy()
+            for k in range(K):
+                S[host[k], host[k]] += -CX[k][0, 1]
+        try:
+            xb = np.linalg.solve(S, F[:nb] - sums)
+        except np.linalg.LinAlgError:
+            return out + [None]
+        out.append(np.concatenate([xb] + [X[k][:, 0] - (inv_B[k] @ xb[host[k]][None, None])[:, 0]
+                                          for k in range(K)]))
+    return out
+
+
+def _block_solves(A, B, C, host, D, Fs):
+    """What :meth:`powerflow._Blocks.factor` gives the matrix of
+    :func:`_bordered` for each F in turn, up to the first None, and per F
+    the replica blocks it placed and solved."""
+    rows, cols, vals, block, size = _bordered(A, B, C, host, D)
+    solve, out, counts = powerflow._Blocks(rows, cols, block, size).factor(vals), [], []
+    for F in Fs:
+        with powerflow.Meter().active() as meter:
+            x = solve(F)
+        counts.append((meter.blocks_placed, meter.blocks_solved))
+        out.append(x)
+        if x is None:
+            break
+    return out, counts
+
+
+def _equal_bits(xs, ys):
+    """Whether two lists of solutions or Nones hold the same bits."""
+    def bits(solutions):
+        return [None if x is None else x.tobytes() for x in solutions]
+
+    return bits(xs) == bits(ys)
+
+
+def _five_blocks(rng, b=4):
+    """Five equal, diagonally dominant blocks with their coupling, the
+    first three hanging off border unknown 0 and the last two off 1, and
+    a 2 x 2 border."""
+    A = np.repeat(rng.uniform(-1, 1, (1, b, b)) + 4 * np.eye(b), 5, axis=0)
+    B, C = np.repeat(rng.uniform(-1, 1, (2, 1, b)), 5, axis=1)
+    return A, B, C, np.array([0, 0, 0, 1, 1]), rng.uniform(-1, 1, (2, 2)) + 5 * np.eye(2)
+
+
+def test_equal_blocks_with_different_right_hand_sides_are_solved_once_per_run():
+    rng = np.random.default_rng(8)
+    A, B, C, host, D = _five_blocks(rng)
+    f, g = rng.uniform(-1, 1, (2, 4))
+    # runs 0-1, 2 and 3-4 (2 and 3 hang off other border unknowns), then
+    # runs 0-2 and 3-4, then no run
+    Fs = [np.concatenate([[0.3, -0.2], f, f, g, g, g]),
+          np.concatenate([[0.1, 0.4], f, f, f, f, f]),
+          rng.uniform(-1, 1, 22)]
+    out, counts = _block_solves(A, B, C, host, D, Fs)
+    assert counts == [(5, 3), (5, 2), (5, 5)]
+    assert _equal_bits(out, _one_by_one(A, B, C, host, D, Fs))
+    rows, cols, vals = _bordered(A, B, C, host, D)[:3]
+    dense = np.zeros((22, 22))
+    np.add.at(dense, (rows, cols), vals)
+    for F, x in zip(Fs, out):
+        assert np.max(np.abs(dense @ x - F)) <= 1e-13
+
+
+def test_equal_singular_blocks_make_the_factorization_singular():
+    rng = np.random.default_rng(9)
+    A, B, C, host, D = _five_blocks(rng)
+    A[:2, 1] = 0.0   # the first two blocks, equal, each with a zero row
+    Fs = [rng.uniform(-1, 1, 22)]
+    Fs[0][6:10] = Fs[0][2:6]
+    out, counts = _block_solves(A, B, C, host, D, Fs)
+    assert out == [None] and counts == [(5, 4)]
+    assert _equal_bits(out, _one_by_one(A, B, C, host, D, Fs))
+
+
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_blocks_none_of_them_equal_are_each_solved(part):
+    # the blocks differ in their matrix, their coupling column or their
+    # coupling row alone, and not in their first entry or column
+    rng = np.random.default_rng(10)
+    parts = A, B, C, host, D = _five_blocks(rng)
+    parts[part][..., 1:] += rng.uniform(-0.1, 0.1, parts[part][..., 1:].shape)
+    Fs = [np.tile(rng.uniform(-1, 1, 2), 11) for _ in range(3)]   # each block's F equal
+    out, counts = _block_solves(A, B, C, host, D, Fs)
+    assert counts == [(5, 5)] * 3
+    assert _equal_bits(out, _one_by_one(A, B, C, host, D, Fs))
+
+
+def test_blocks_equal_but_for_the_sign_of_a_zero_are_each_solved():
+    rng = np.random.default_rng(11)
+    A, B, C, host, D = _five_blocks(rng)
+    F = np.concatenate([[0.3, -0.2], np.tile(rng.uniform(-1, 1, 4), 5)])
+    F[2::4] = 0.0
+    F[6] = -0.0   # the second block's first entry
+    out, counts = _block_solves(A, B, C, host, D, [F])
+    # runs 0, 1, 2 and 3-4: 0.0 == -0.0, but their bits differ
+    assert counts == [(5, 4)]
+    assert _equal_bits(out, _one_by_one(A, B, C, host, D, [F]))

@@ -2,8 +2,8 @@
 one already holds scipy: importing tdsynth, and every generate and inspect
 of the shipped and the 10x templates, load numpy only, the OPF included,
 since it solves the combined case's KKT matrices on its replica blocks; an
-OPF on a case without replica blocks loads ``scipy.linalg`` for its KKT
-factorization, and no ``scipy.sparse`` at a size placed dense."""
+OPF on a case without replica blocks, at a size placed dense, loads none
+either, since numpy solves its KKT matrices whole."""
 
 import json
 import os
@@ -101,8 +101,6 @@ def test_the_opf_of_a_combined_case_loads_no_scipy(tmp_path, scale):
     assert scipy == []
 
 
-def test_an_opf_without_replica_blocks_loads_scipy_linalg_only():
-    scipy, paths = _fresh(_THREE_BUS)
-    assert paths == ["dense"]
-    assert "scipy.linalg" in scipy
-    assert not [m for m in scipy if m.startswith("scipy.sparse")]
+def test_an_opf_without_replica_blocks_loads_no_scipy():
+    # its KKT matrix is placed dense and solved by numpy on each solve
+    assert _fresh(_THREE_BUS) == ([], ["dense"])
