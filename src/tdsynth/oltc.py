@@ -5,20 +5,22 @@ are updated simultaneously from the same solved voltage profile (Jacobi
 style), which keeps the result independent of transformer ordering.
 
 :func:`_regulate` regulates the copies of a stacked table (the power
-flow's batch, :class:`netmodel.CaseStack`) together: each round solves the
-copies whose taps moved as one batch, and one :class:`TapStepper` owns
-every copy's (B, taps) positions: it moves them in place and writes their
-tap-changer branch ratios (:func:`netmodel.tap_ratios`) for the next
-solve, so one tap rule decides every copy, and a copy's result does not
-depend on the batch around it.  Its optional ``prefix``, a walk's first tap
-rows known in advance (the capacity search's brackets share them), gives
-the stepper its start row, the last one: rounds, ``tap_trace`` and so
-``max_rounds`` count from the walk's start, and the move to the start row
-is each tap's last step, the one a reversal undoes.  A diverging
-solve's :class:`RegulationError` names the bus of its largest mismatch.
-:func:`regulate` is the API edge for one case: it regulates the
-case's one-copy stack, a view of it (:meth:`CaseStack.of`), so it moves the
-case itself; batches enter only as stacks.
+flow's batch, :class:`netmodel.CaseStack`) together: it gathers their
+inputs once, each round solves the copies whose taps moved as one batch,
+and it writes each copy's last convergent state back once, at the end.
+One :class:`TapStepper` owns every copy's (B, taps) positions: it moves
+them in place and writes their tap-changer branch ratios
+(:func:`netmodel.tap_ratios`) for the next solve, so one tap rule decides
+every copy, and a copy's result does not depend on the batch around it.
+Its optional ``prefix``, a walk's first tap rows known in advance (the
+capacity search's brackets share them), gives the stepper its start row,
+the last one: rounds, ``tap_trace`` and so ``max_rounds`` count from the
+walk's start, and the move to the start row is each tap's last step, the
+one a reversal undoes.  A diverging solve's :class:`RegulationError` names
+the bus of its largest mismatch.  :func:`regulate` is the API edge for one
+case: it regulates the case's one-copy stack, a view of it
+(:meth:`CaseStack.of`), so it moves the case itself; batches enter only as
+stacks.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ class RegulationReport:
     def settled(self) -> bool:
         return all(i or s or f for i, s, f in zip(self.in_band, self.saturated, self.frozen))
 
+    def copy(self) -> RegulationReport:
+        """An equal report that shares no list with this one."""
+        return RegulationReport(self.rounds, self.solves, self.iterations, self.final_taps.copy(),
+                                self.frozen.copy(), self.saturated.copy(), self.in_band.copy(),
+                                [row.copy() for row in self.tap_trace])
+
 
 def tap_update(xfmr: OltcTransformer, v_controlled: float) -> int:
     """Single-step deadband rule: returns -1, 0 or +1.
@@ -95,11 +103,12 @@ class TapStepper:
         self._last = np.zeros(self.oltcs.tap.shape, dtype=int)
         self.apply(np.subtract(start, self.oltcs.tap) if len(start) else 0)
 
-    def propose(self, v_mag: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+    def propose(self, v: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """One delta (-1, 0 or +1) per transformer from each case's solved
-        voltage profile (a row of ``v_mag``); a reversal freezes its
-        transformer and proposes 0, and so does every case not ``live``."""
-        deltas = tap_update(self.oltcs, v_mag[:, self.at])
+        controlled voltages (a row of ``v``, one per transformer); a
+        reversal freezes its transformer and proposes 0, and so does every
+        case not ``live``."""
+        deltas = tap_update(self.oltcs, v)
         deltas[self.frozen] = 0
         if live is not None:
             deltas[~live] = 0
@@ -122,44 +131,70 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
     two from each copy's last convergent solve.  Returns per copy that
     solve, as (:class:`powerflow._Solved`, row) or None, and its report or
     its error; the walk starts after ``prefix``, each tap of which moved
-    one way only."""
+    one way only.
+
+    The copies' inputs are gathered once (:func:`powerflow._inputs`): a tap
+    moves only branch ratios, and the injections a solve reads, P at the
+    PV and PQ buses and Q at the PQ buses, are no output of one.  Each
+    round solves the copies whose taps moved from their last solve, and
+    each copy's last convergent voltages and injections are written onto
+    the stack once, at the end (:func:`powerflow._store`)."""
     B, t = len(stack), stack.oltcs
-    stepper = TapStepper(stack, _find(st.ids, stack.template.oltcs.controlled_bus),
-                         prefix[-1] if prefix else ())
-    solves, iterations, rounds = (np.full(B, n) for n in (0, 0, len(prefix)))
+    if st.tap_at is None:
+        st.tap_at = _find(st.ids, stack.template.oltcs.controlled_bus)
+    at = st.tap_at
+    stepper = TapStepper(stack, at, prefix[-1] if prefix else ())
+    iterations, rounds = np.zeros(B, dtype=int), np.full(B, len(prefix))
     traces = [[list(row) for row in prefix] for _ in range(B)]
     errors: list[Exception | None] = [None] * B
     last: list[tuple | None] = [None] * B
     meter = powerflow._METER.get()
+    ratio, Sbus, vm, va = powerflow._inputs(st, stack, np.arange(B))
+    v_set = vm[:, st.set_pos]
+    # per copy, of its last convergent solve: the voltages V and injections
+    # S, held as one solve's own arrays until a solve keeps only some copies,
+    # and its controlled |V|
+    V, S, own = None, None, False
+    v_at = np.zeros(t.tap.shape)
 
-    def settle(items: np.ndarray) -> np.ndarray:
-        """Solve the copies ``items`` as one batch; the ones still going."""
-        sol = powerflow._solve(st, stack, items, opts)
-        solves[items] += 1
+    def settle(items: np.ndarray, sol: powerflow._Solved) -> np.ndarray:
+        """File the solve ``sol`` of the copies ``items``; the ones still going."""
+        nonlocal V, S, own
         iterations[items] += np.where(sol.singular, 0, sol.iterations)
         ok = sol.converged & ~sol.singular
-        for j in np.flatnonzero(~ok).tolist():
-            k = items[j]
-            errors[k] = sol.solution(j, st) if sol.singular[j] else RegulationError(
-                ("power flow diverged before any tap adjustment" if last[k] is None
-                 else f"power flow diverged in regulation round {rounds[k]}")
-                + f"; largest mismatch at bus {st.ids.item(sol.worst[j])}",
-                None if last[k] is None else last[k][0].solution(last[k][1], st))
-        good = np.flatnonzero(ok)
-        V, S = sol.V[good], sol.S[good]
-        powerflow._store(st.shares, stack, items[good], np.abs(V), np.angle(V), S.real, S.imag)
-        for j, k in zip(good.tolist(), items[good].tolist()):
+        good, rows = slice(None), range(len(items))
+        if not ok.all():
+            for j in (~ok).nonzero()[0].tolist():
+                k = items[j]
+                errors[k] = sol.solution(j, st) if sol.singular[j] else RegulationError(
+                    ("power flow diverged before any tap adjustment" if last[k] is None
+                     else f"power flow diverged in regulation round {rounds[k]}")
+                    + f"; largest mismatch at bus {st.ids.item(sol.worst[j])}",
+                    None if last[k] is None else last[k][0].solution(last[k][1], st))
+            good = ok.nonzero()[0]
+            items, rows = items[good], good.tolist()
+        if V is None or len(items) == B:   # the first solve, or every copy's
+            V, S, own = sol.V, sol.S, False
+        elif len(items):
+            if not own:   # the solve's arrays stay as it left them
+                V, S, own = V.copy(), S.copy(), True
+            V[items], S[items] = sol.V[good], sol.S[good]
+        v_at[items] = np.abs(sol.V.take(at, axis=1)[good])
+        for j, k in zip(rows, items.tolist()):
             last[k] = sol, j
-        return items[good]
+        return items
 
-    active = settle(np.arange(B))
+    active = settle(np.arange(B), powerflow._newton(st, ratio, Sbus, vm, va, opts))
+    del ratio, vm, va
     for _ in range(max_rounds - len(prefix)):
         if not active.size:
             break
-        live = np.zeros(B, dtype=bool)
-        live[active] = True
-        deltas = stepper.propose(stack.buses.v_mag, live)
-        moved = np.flatnonzero(deltas.any(axis=1))
+        live = None
+        if active.size < B:
+            live = np.zeros(B, dtype=bool)
+            live[active] = True
+        deltas = stepper.propose(v_at, live)
+        moved = deltas.any(axis=1).nonzero()[0]
         if not moved.size:
             break
         stepper.apply(deltas)
@@ -168,18 +203,27 @@ def _regulate(st: powerflow._Structure, stack: CaseStack, opts: SolverOptions, m
             meter.tap_rounds += len(moved)
         for k, taps in zip(moved.tolist(), t.tap[moved].tolist()):
             traces[k].append(taps)
-        active = settle(moved)
+        # each moved copy starts from its last solve, as the stack would hold it
+        rows = slice(None) if moved.size == B else moved
+        vm = np.abs(V[rows])
+        vm[:, st.set_pos] = v_set[rows]
+        active = settle(moved, powerflow._newton(st, stack.branches.ratio[moved], Sbus[rows], vm,
+                                                 np.angle(V[rows]), opts))
 
-    v = stack.buses.v_mag[:, stepper.at]
-    in_band = (np.abs(v - t.v_set) <= t.deadband / 2).tolist()
+    done = np.array([k for k, solved in enumerate(last) if solved is not None], dtype=int)
+    if done.size:
+        rows = slice(None) if done.size == B else done
+        powerflow._store(st.shares, stack, rows, np.abs(V[rows]), np.angle(V[rows]),
+                         S.real[rows], S.imag[rows])
+    in_band = (np.abs(v_at - t.v_set) <= t.deadband / 2).tolist()
     saturated = ((t.tap == t.tap_min) | (t.tap == t.tap_max)).tolist()
     frozen, taps = stepper.frozen.tolist(), t.tap.tolist()
     out: list[RegulationReport | Exception] = []
-    for k in range(B):
+    for k, (n, its) in enumerate(zip(rounds.tolist(), iterations.tolist())):
+        # a copy is solved once, then once in every round that moved it
         out.append(errors[k] if errors[k] is not None else RegulationReport(
-            rounds=int(rounds[k]), solves=int(solves[k]), iterations=int(iterations[k]),
-            final_taps=taps[k], frozen=frozen[k],
-            saturated=saturated[k], in_band=in_band[k], tap_trace=traces[k]))
+            rounds=n, solves=n - len(prefix) + 1, iterations=its, final_taps=taps[k],
+            frozen=frozen[k], saturated=saturated[k], in_band=in_band[k], tap_trace=traces[k]))
     return last, out
 
 

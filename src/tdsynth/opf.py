@@ -371,8 +371,9 @@ class _OpfModel:
     def jacobian(self, pt: _Point) -> np.ndarray:
         """Jv = d balance / dv (2n x nv): its values at (jac_rows,
         jac_cols).  d balance / d(Pg, Qg) is the constant -E."""
-        vals = powerflow._jacobian_values(self._adm, self.jac_take, pt.V[None], pt.Ibus[None],
-                                          pt.y[None])[0]
+        V, y = pt.V[None], pt.y[None]
+        vals = powerflow._jacobian_values(self._adm, self.jac_take, V, pt.Ibus[None], y,
+                                          self._adm.products(y, V))[0]
         if not self.nt:
             return vals
         rho, a, b, c = self._branch_flows(pt)
@@ -847,7 +848,7 @@ def solve_with_relaxation(
         v_gap = float(np.max(np.maximum(problem.v_min - sol.v_mag,
                                         sol.v_mag - problem.v_max), initial=0.0))
         final_viol = max(sol.max_violation, v_gap)
-        deltas = (stepper.propose(sol.v_mag[None]) if k < cap
+        deltas = (stepper.propose(sol.v_mag[None, stepper.at]) if k < cap
                   else np.zeros((1, len(work.oltcs)), dtype=int))
         moved = int(np.count_nonzero(deltas))
         trace.append(

@@ -6,9 +6,12 @@ bus kinds, branches, generators and tap changers, checked and indexed once
 (:class:`_Structure`, which keeps its Jacobian placement and replica
 blocks).  The copies, typically of one distribution feeder, differ only in
 the stack's (B, ...) columns: loads, generator outputs and setpoints,
-branch ratios and stored voltages.  Every Newton step works on all
-unconverged rows at once, and a row that converges is masked out and never
-updated again; :func:`_store` writes the solved rows back into the stack.
+branch ratios and stored voltages.  :func:`_inputs` gathers the rows of
+a stack, :func:`_newton` solves them, and :func:`_store` writes solved rows
+back; a regulation (:func:`oltc._regulate`) gathers its rows once and
+writes them back once, and in between re-solves the rows whose taps moved
+from arrays it holds.  Every Newton step works on all unconverged rows at
+once, and a row that converges is masked out and never updated again.
 A row's numbers do not depend on the batch around it: it passes through the
 same elementwise operations and the same LAPACK call whatever the batch
 size and its position (a large batch is cut into chunks for that, see
@@ -21,7 +24,8 @@ Ybus is held in one form only, its values at its entries
 the currents Ybus V are those values times V summed row by row
 (:meth:`_Admittance.currents`), and each Newton step evaluates one
 entry-wise dS/dV over the batch (:func:`_dS_dV`, which the OPF shares with
-its layout, :func:`_placement`).  One size rule (:func:`_dense`) decides
+its layout, :func:`_placement`), from the same products y V[c] as its
+currents (:meth:`_Admittance.products`).  One size rule (:func:`_dense`) decides
 only where the Jacobian values go and how the step is solved:
 
 - up to ``DENSE_MAX_ROWS`` rows, such as the Jacobians of the feeder
@@ -140,6 +144,11 @@ class PowerFlowSolution:
 # rounds differently in the last bit.  A batch is solved in chunks whose
 # elementwise arrays stay below that size, so a case gets the same numbers
 # in a batch as alone; a case that large alone is solved one at a time.
+# So each product keeps its expression form: writing dS/dVa and dS/dVm
+# into one buffer with ``out=`` moved the voltages of a 17,927-bus case by
+# up to 8.9e-16.  Only a temporary that owns its data is reused: ``take``
+# makes one, a fancy index ``V[..., c]`` of a 2-D V does not (of a 1-D V
+# it does), and ``np.multiply(a, b)``, a call, reuses none.
 _ELIDE_BYTES = 256 * 1024
 
 
@@ -237,6 +246,17 @@ class _Admittance:
         by row.  A leading batch axis on y and V carries over."""
         return np.add.reduceat(y * V[..., self.c], self.starts, axis=-1)
 
+    def products(self, y: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The products y V[c] of a batch (B, entries), which a Newton
+        step shares between :meth:`row_sums` and :func:`_dS_dV`: the values
+        of :meth:`currents`'s, since numpy elides no temporary of a
+        function call (see ``_ELIDE_BYTES``)."""
+        return np.multiply(y, V.take(self.c, axis=-1))
+
+    def row_sums(self, yV: np.ndarray) -> np.ndarray:
+        """Ybus V of a batch from its :meth:`products` yV."""
+        return np.add.reduceat(yV, self.starts, axis=-1)
+
 
 def _dense(rows: int) -> bool:
     """Whether a Newton matrix of ``rows`` rows is placed dense.  The
@@ -289,19 +309,25 @@ def _solve_linear(A, b) -> np.ndarray | None:
     return None if solve is None else solve(b)
 
 
-def _dS_dV(V, Ibus, r, c, y) -> tuple[np.ndarray, np.ndarray]:
-    """dS/dVa and dS/dVm of the injections S = V conj(Ibus), Ibus = Ybus V,
-    entry by entry (MATPOWER's ``dSbus_dV``): the values at the Ybus entries
-    (r, c, y), then at the diagonal (i, i) of every bus; values at one
-    position add up.  A leading batch axis on V, Ibus and y carries over."""
-    # dV/d|V| is V's direction, V / |V|, and 0 at V = 0 (|V| floored at the
-    # smallest normal float): a dead bus leaves the values finite, with
-    # zero columns
-    Vnorm = V / np.maximum(np.abs(V), np.finfo(float).tiny)
-    Vr, Ic = V[..., r], np.conj(Ibus)
-    dSa = 1j * np.concatenate([-Vr * np.conj(y * V[..., c]), V * Ic], axis=-1)
-    dSm = np.concatenate([Vr * np.conj(y * Vnorm[..., c]), Ic * Vnorm], axis=-1)
-    return dSa, dSm
+# dV/d|V| is V's direction, V / |V|, and 0 at V = 0 (|V| floored at the
+# smallest normal float): a dead bus leaves the values finite, with zero columns
+_TINY = np.finfo(float).tiny
+
+
+def _dS_dV(V, Ibus, r, c, y, yV) -> np.ndarray:
+    """dS/dVa, then dS/dVm, of the injections S = V conj(Ibus), Ibus =
+    Ybus V, entry by entry (MATPOWER's ``dSbus_dV``): each the values at
+    the Ybus entries (r, c, y), then at the diagonal (i, i) of every bus;
+    values at one position add up.  ``yV``: the products y V[c]
+    (:meth:`_Admittance.products`).  A leading batch axis on V, Ibus, y and
+    yV carries over."""
+    Vnorm = V / np.maximum(np.abs(V), _TINY)
+    Vr, Ic = V.take(r, axis=-1), np.conj(Ibus)
+    dS = np.concatenate([-Vr * np.conj(yV), V * Ic,
+                         Vr * np.conj(np.multiply(y, Vnorm.take(c, axis=-1))), Ic * Vnorm],
+                        axis=-1)
+    dS[..., : len(r) + V.shape[-1]] *= 1j   # exact: a product with 1j only moves parts
+    return dS
 
 
 def _placement(adm: _Admittance, p_at, q_at, a_at, m_at):
@@ -324,10 +350,10 @@ def _placement(adm: _Admittance, p_at, q_at, a_at, m_at):
     return take_view, rows[take], cols[take]
 
 
-def _jacobian_values(adm: _Admittance, take, V, Ibus, y) -> np.ndarray:
+def _jacobian_values(adm: _Admittance, take, V, Ibus, y, yV) -> np.ndarray:
     """The NR Jacobian's values of every case (B, len(take)), in the order
     :func:`_placement` places them."""
-    return np.concatenate(_dS_dV(V, Ibus, adm.r, adm.c, y), axis=-1).view(float)[:, take]
+    return _dS_dV(V, Ibus, adm.r, adm.c, y, yV).view(float).take(take, axis=-1)
 
 
 def _jacobians(adm: _Admittance, rows, cols, vals, m: int) -> np.ndarray:
@@ -533,7 +559,7 @@ def _partition(st: _Structure) -> _Blocks | None:
     """The replica blocks of a structure's NR Jacobian
     (:func:`_replica_blocks`), each unknown at its bus."""
     _, rows, cols = st.place
-    return _replica_blocks(st.adm, st.tap_br, st.slack, np.concatenate([st.pvpq, st.pq]), rows, cols)
+    return _replica_blocks(st.adm, st.tap_br, st.slack, st.f_bus, rows, cols)
 
 
 def _replica_blocks(adm: _Admittance, tap_br, slack: int, at, rows, cols) -> _Blocks | None:
@@ -566,9 +592,12 @@ def _replica_blocks(adm: _Admittance, tap_br, slack: int, at, rows, cols) -> _Bl
     return _Blocks(rows, cols, number[of], size[order])
 
 
-def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve J dx = F for every case: the steps (B, m), zero for a case
-    without one, which cases have one, and which are singular at V.
+def _newton_steps(st: _Structure, vals, F) -> tuple[np.ndarray, np.ndarray | None,
+                                                     np.ndarray | None]:
+    """Solve J dx = F for every case, J placed from its values ``vals``
+    (:func:`_jacobian_values`) at V: the steps (B, m), zero for a case
+    without one, which cases have one, and which are singular at V (both
+    None when every case has one).
 
     One rule holds on every path.  A case is singular at V only when its
     Jacobian values are finite and its factorization fails, and
@@ -580,8 +609,7 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
     :class:`Meter` gets the path of each: "dense", "blocks"
     (:class:`_Blocks`) or "superlu"."""
     meter = _METER.get()
-    vals = _jacobian_values(st.adm, st.place[0], V, Ibus, y)
-    (B, m), failed = F.shape, np.zeros(len(F), dtype=bool)
+    (B, m), failed = F.shape, None   # which factorizations failed, once one has
     if st.dense:
         if meter is not None:
             meter.linear_solves += ["dense"] * B
@@ -590,7 +618,7 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
             dx = np.linalg.solve(J, F[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # find the failing ones; each case gets the same LAPACK call
-            dx = np.full_like(F, np.nan)
+            dx, failed = np.full_like(F, np.nan), np.zeros(B, dtype=bool)
             for k in range(B):
                 try:
                     dx[k] = np.linalg.solve(J[k : k + 1], F[k : k + 1, :, None])[0, :, 0]
@@ -600,7 +628,7 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
         if st.blocks is None:
             st.blocks = _partition(st) or False
         _, rows, cols = st.place
-        dx = np.full_like(F, np.nan)
+        dx, failed = np.full_like(F, np.nan), np.zeros(B, dtype=bool)
         for k in range(B):
             step = st.blocks.factor(vals[k])(F[k]) if st.blocks else None
             if meter is not None:
@@ -611,17 +639,19 @@ def _newton_steps(st: _Structure, V, Ibus, y, F) -> tuple[np.ndarray, np.ndarray
                 failed[k] = True
             else:
                 dx[k] = step
+    if np.isfinite(dx).all():
+        return dx, None, None
     ok = np.isfinite(dx).all(axis=1)   # a failed case's row is NaN
-    if np.count_nonzero(ok) < B:
-        dx[~ok] = 0.0
-        failed &= np.isfinite(vals).all(axis=1)
-    return dx, ok, failed
+    dx[~ok] = 0.0
+    if failed is None:
+        return dx, ok, np.zeros(B, dtype=bool)
+    return dx, ok, failed & np.isfinite(vals).all(axis=1)
 
 
 def _mismatch(V, Ibus, Sbus, at) -> np.ndarray:
     """The mismatch V conj(Ibus) - Sbus per case at ``at``, positions in its
     float view: P at pvpq, then Q at pq (``_Structure.f_at``)."""
-    return (V * np.conj(Ibus) - Sbus).view(float)[..., at]
+    return (V * np.conj(Ibus) - Sbus).view(float).take(at, axis=-1)
 
 
 def _worst(F) -> np.ndarray:
@@ -675,12 +705,20 @@ class _Structure:
     set_pos: np.ndarray      # slack/PV bus positions ...
     set_gen: np.ndarray      # ... and the generator whose v_set each holds
     f_at: np.ndarray         # the mismatch's P and Q in its float view (see :func:`_mismatch`)
+    f_bus: np.ndarray        # the bus of each unknown and mismatch: pvpq, then pq
+    # a case's state: its angles, then its |V|, taken in the order ``state``,
+    # which puts the unknowns first (see :func:`_solve_chunk`); and where
+    # each bus's angle and |V| are in it
+    state: np.ndarray
+    va_at: np.ndarray
+    vm_at: np.ndarray
     shares: tuple            # see :func:`_shares`
     tap_br: list[int]        # branches whose ratio may differ per case
     dense: bool
     chunk: int               # cases solved together, at most
     place: tuple | None = None
     blocks: _Blocks | bool | None = None   # False: the matrix has no replica blocks
+    tap_at: np.ndarray | None = None       # controlled bus positions, on first regulation
 
 
 def _structure(case: NetworkCase) -> _Structure:
@@ -705,10 +743,16 @@ def _structure(case: NetworkCase) -> _Structure:
         raise PowerFlowError(f"{b.kind.value} bus {b.id} has no generator")
     pq = np.flatnonzero(kinds == PQ)
     pvpq = np.concatenate([np.flatnonzero(kinds == PV), pq])
+    n = len(kinds)
+    known = np.ones(2 * n, dtype=bool)
+    known[pvpq], known[n + pq] = False, False
+    state = np.concatenate([pvpq, n + pq, np.flatnonzero(known)])
+    where = np.argsort(state)
     return _Structure(
         adm=adm, ids=case.buses.id.copy(), slack=slack.item(),
         slack_gen=first[held.searchsorted(slack)].item(), pvpq=pvpq, pq=pq, gen_pos=gen_pos,
         set_pos=set_pos, set_gen=first[at], f_at=np.concatenate([2 * pvpq, 2 * pq + 1]),
+        f_bus=np.concatenate([pvpq, pq]), state=state, va_at=where[:n], vm_at=where[n:],
         shares=_shares(case), tap_br=sorted(set(case.oltcs.branch_ref.tolist())),
         dense=_dense(len(pvpq) + len(pq)),
         # the widest elementwise array of a case, dS/dV, holds fewer than
@@ -809,71 +853,97 @@ _METER: ContextVar[Meter | None] = ContextVar("tdsynth_meter", default=None)
 
 
 def _solve(st: _Structure, stack: CaseStack, rows: np.ndarray, opts: SolverOptions) -> _Solved:
-    """Newton-Raphson on the copies ``rows`` of a stack of one structure,
-    at most ``st.chunk`` of them together, under :func:`_quiet`."""
+    """Newton-Raphson on the copies ``rows`` of a stack of one structure:
+    :func:`_newton` of their :func:`_inputs`."""
+    return _newton(st, *_inputs(st, stack, rows), opts)
+
+
+def _newton(st: _Structure, ratio, Sbus, vm, va, opts: SolverOptions) -> _Solved:
+    """Newton-Raphson on a batch of cases of one structure, a row each:
+    branch ratios, specified injections, and the start |V| and angle with
+    every slack/PV bus at its setpoint (see :func:`_inputs`).  At most
+    ``st.chunk`` rows are solved together, under :func:`_quiet`; an active
+    :class:`Meter` counts the batch, its cases and their iterations."""
+    B, chunk = len(ratio), st.chunk
     with _quiet():
-        parts = [_solve_chunk(st, stack, rows[k : k + st.chunk], opts)
-                 for k in range(0, len(rows), st.chunk)]
-    sol = parts[0] if len(parts) == 1 else _Solved(
-        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(_Solved)))
+        if B <= chunk:
+            sol = _solve_chunk(st, ratio, Sbus, vm, va, opts)
+        else:
+            parts = [_solve_chunk(st, *(a[k : k + chunk] for a in (ratio, Sbus, vm, va)), opts)
+                     for k in range(0, B, chunk)]
+            sol = _Solved(*(np.concatenate([getattr(p, f.name) for p in parts])
+                            for f in fields(_Solved)))
     meter = _METER.get()
     if meter is not None:
         meter.batches += 1
-        meter.solves += len(rows)
+        meter.solves += B
         meter.iterations += int(sol.iterations.sum())
     return sol
 
 
-def _solve_chunk(st: _Structure, stack: CaseStack, rows: np.ndarray,
-                 opts: SolverOptions) -> _Solved:
-    """:func:`_solve` of at most ``st.chunk`` copies."""
-    B, adm = len(rows), st.adm
-    pvpq, pq, npvpq = st.pvpq, st.pq, len(st.pvpq)
-    ratio, Sbus, vm, va = _inputs(st, stack, rows)
+def _solve_chunk(st: _Structure, ratio, Sbus, vm, va, opts: SolverOptions) -> _Solved:
+    """:func:`_newton` of at most ``st.chunk`` rows.  A case's state is a
+    row of x, its angles and |V| with the unknowns first (``st.state``), so
+    a step moves them with one subtraction."""
+    B, adm, m, tol = len(ratio), st.adm, len(st.f_at), opts.tolerance
     y = adm.entry_values(ratio)
+    x = np.concatenate([va, vm], axis=1).take(st.state, axis=1)
     V = vm * np.exp(1j * va)
-    Ibus = adm.currents(y, V)
+    yV = adm.products(y, V)
+    Ibus = adm.row_sums(yV)
     F = _mismatch(V, Ibus, Sbus, st.f_at)
     iterations = np.zeros(B, dtype=int)
     singular = np.zeros(B, dtype=bool)
 
-    # the unconverged cases: row j of the working arrays (w*) is case act[j]
-    act = np.flatnonzero(~(_worst(F) < opts.tolerance))
+    # the unconverged cases: row j of the working arrays (w*) is case act[j];
+    # they are the arrays themselves while every case is
+    act = np.flatnonzero(~(_worst(F) < tol))
     if act.size and st.place is None:
-        st.place = _placement(adm, pvpq, pq, pvpq, pq)
-    wva, wvm, wS, wy, wV, wI, wF = (a[act] for a in (va, vm, Sbus, y, V, Ibus, F))
+        st.place = _placement(adm, st.pvpq, st.pq, st.pvpq, st.pq)
+    work = (x, Sbus, y, V, yV, Ibus, F)
+    wx, wS, wy, wV, wyV, wI, wF = work if act.size == B else (a[act] for a in work)
+    del work, yV
     it = 0
     while act.size and it < opts.max_iterations:
-        dx, ok, sing = _newton_steps(st, wV, wI, wy, wF)
-        if it == 0:   # only the given state's Jacobian (see :func:`_newton_steps`)
+        vals = _jacobian_values(adm, st.place[0], wV, wI, wy, wyV)
+        wyV = None   # held by no step: a large case's solve needs the room
+        dx, ok, sing = _newton_steps(st, vals, wF)
+        del vals
+        # only the given state's Jacobian can be singular (see :func:`_newton_steps`)
+        if it == 0 and sing is not None:
             singular[act[sing]] = True
-        wva[:, pvpq] -= dx[:, :npvpq]
-        wvm[:, pq] -= dx[:, npvpq:]
-        wV = wvm * np.exp(1j * wva)
-        wI = adm.currents(wy, wV)
+        wx[:, :m] -= dx
+        wV = wx.take(st.vm_at, axis=1) * np.exp(1j * wx.take(st.va_at, axis=1))
+        wyV = adm.products(wy, wV)
+        wI = adm.row_sums(wyV)
         wF = _mismatch(wV, wI, wS, st.f_at)
         it += 1
-        done = ~ok | (np.abs(wF).max(axis=1) < opts.tolerance) | (it == opts.max_iterations)
+        done = np.abs(wF).max(axis=1) < tol
+        if ok is not None:
+            done |= ~ok
+        if it == opts.max_iterations or done.all():   # the last ones: keep their state
+            if act.size == B:
+                V, Ibus, F = wV, wI, wF
+            else:
+                V[act], Ibus[act], F[act] = wV, wI, wF
+            iterations[act] = it
+            break
         if done.any():
-            # these cases leave the batch for good: keep their last state
-            # (a case without a step kept its own)
-            fin = act[done]
+            # these cases leave the batch for good: keep their last state (a
+            # case without a step kept its own)
+            fin, keep = act[done], ~done
             V[fin], Ibus[fin], F[fin], iterations[fin] = wV[done], wI[done], wF[done], it
-            keep = ~done
             act = act[keep]
-            if act.size:
-                wva, wvm, wS, wy, wV, wI, wF = (a[keep] for a in (wva, wvm, wS, wy, wV, wI, wF))
-    converged = _worst(F) < opts.tolerance
+            wx, wS, wy, wV, wyV, wI, wF = (a[keep] for a in (wx, wS, wy, wV, wyV, wI, wF))
 
+    absF = np.abs(F)
     if F.shape[1]:
-        absF = np.abs(F)
-        worst = absF.argmax(axis=1)
-        max_mismatch = absF[np.arange(B), worst]
         # F holds P at pvpq, then Q at pq
-        worst = np.concatenate([pvpq, pq])[worst]
+        worst, max_mismatch = st.f_bus[absF.argmax(axis=1)], absF.max(axis=1)
     else:
-        max_mismatch, worst = np.zeros(B), np.full(B, -1)
-    return _Solved(V, V * np.conj(Ibus), ratio, converged, singular, iterations, max_mismatch, worst)
+        worst, max_mismatch = np.full(B, -1), np.zeros(B)
+    return _Solved(V, V * np.conj(Ibus), ratio, max_mismatch < tol, singular, iterations,
+                   max_mismatch, worst)
 
 
 def solve(case: NetworkCase, opts: SolverOptions | None = None) -> PowerFlowSolution:

@@ -9,7 +9,8 @@ Pipeline stages (mirrored by :func:`generate`):
 3. customize every replica against its host-bus voltage: load scaling once
    per host, then per copy DG sizing and allocation, optional demand growth
    and per-replica randomization, every copy of every host solved as one
-   batch per step,
+   batch per step (without randomization one row per host, which its
+   copies share),
 4. assemble, re-regulate the tap changers on the combined system, optionally
    optimize, and export.
 
@@ -409,7 +410,9 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
     The hosts, then the copies, are the rows of one stack of template
     copies, solved on the template's power-flow ``structure`` (built here
     unless the caller has it); each instance stays a row of that stack, a
-    case of its own only when something reads it.  The replicas only share
+    case of its own only when something reads it.  Without ``random`` the
+    copies of a host have the same inputs, so one row stands for them all,
+    and each copy's instance reads it.  The replicas only share
     solves, so each one is what it would be alone.  If any fails, the error
     of the first failing one in plan order is raised, naming its host bus
     (and copy).
@@ -474,9 +477,11 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
         H, np.arange(len(matched)), [(h, -1) for h in matched.tolist()], targets[matched],
         IMPORT_ROUNDS, IMPORT_TOL, rescale)
 
-    # DG sizing against each replica's own demand, in plan order
+    # DG sizing against each replica's own demand, in plan order: a row per
+    # copy, or without ``random`` one per host, the first copy's, since the
+    # copies of a host then have the same inputs and so the same solves
     plan = [(row, h, k) for row, h in enumerate(matched.tolist()) if (h, -1) not in errors
-            for k in range(len(hosts[h][3]))]
+            for k in range(len(hosts[h][3]) if cfg.random else min(len(hosts[h][3]), 1))]
     C = H.take(np.array([row for row, _, _ in plan], dtype=int))
     p_loads = np.array([sum(p) for p in C.buses.p_load.tolist()])
     pl, gs, dg_total, dg, output, failed = _size_dg(
@@ -512,17 +517,24 @@ def customize(dn: NetworkCase, cfg: SynthesisConfig, hosts: list[Host],
         where = f"host bus {host_bus}" if k < 0 else f"host bus {host_bus}, copy {copies[k][0]}"
         raise SynthesisError(f"{where}: {errors[h, k]}") from errors[h, k]
 
+    # every copy a row stands for reads it, each with reports of its own
     instances = []
-    for j, (row, h, k) in enumerate(plan):
-        inst = DnInstance(
-            case=None, host_tn_bus=hosts[h][0], copy_index=hosts[h][3][k][0],
-            load_scale=float(scales[row]), realized_penetration=float(pl[j]),
-            realized_split=float(gs[j]), boundary_p=float(boundary_p[j]),
-            import_mismatch=float(import_gap[row]),
-            constant_load_mismatch=float(mismatch[j]) if grow[j] else None,
-            regulation=reports[j], constant_load_counts=counts[j] if grow[j] else None)
-        inst._row = C, j
-        instances.append(inst)
+    load_scales, import_gaps = scales.tolist(), import_gap.tolist()
+    for j, ((row, h, k), p, g, b, gap, grown) in enumerate(zip(
+            plan, pl.tolist(), gs.tolist(), boundary_p.tolist(), mismatch.tolist(),
+            grow.tolist())):
+        host_bus, _p, _v, copies = hosts[h]
+        for n, (copy_index, _) in enumerate(copies[k : k + 1] if cfg.random else copies):
+            inst = DnInstance(
+                case=None, host_tn_bus=host_bus, copy_index=copy_index,
+                load_scale=load_scales[row], realized_penetration=p, realized_split=g,
+                boundary_p=b, import_mismatch=import_gaps[row],
+                constant_load_mismatch=gap if grown else None,
+                regulation=reports[j] if n == 0 else reports[j].copy(),
+                constant_load_counts=(counts[j] if n == 0 else SolveCounts(**vars(counts[j])))
+                if grown else None)
+            inst._row = C, j
+            instances.append(inst)
     return instances
 
 

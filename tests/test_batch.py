@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from tdsynth import synth as synth_mod
 from tdsynth.caseio import from_network, to_network
 from tdsynth.netmodel import IS_DG, CaseStack, OltcTransformer, tap_ratios
-from tdsynth.oltc import RegulationError, RegulationReport, _regulate, regulate
+from tdsynth.oltc import RegulationError, RegulationReport, TapStepper, _regulate, regulate
 from tdsynth.opf import OpfProblem, solve_with_relaxation
-from tdsynth.powerflow import SingularJacobianError, SolverOptions, _solve, _structure, solve
+from tdsynth.powerflow import (SingularJacobianError, SolverOptions, _solve, _structure,
+                               apply_solution, solve)
 from tdsynth.synth import (
     PipelineError,
     SynthesisConfig,
@@ -84,6 +85,129 @@ def test_batch_items_equal_their_one_item_runs(k, source_v, items):
         assert got == report
     # taps, ratios, voltages and generator outputs were moved alike
     assert stack.cases() == alone
+
+
+def _serial_regulate(case, opts, max_rounds, prefix=()):
+    """A regulation round by round, as one solve of the case per round:
+    the public ``solve`` and ``apply_solution``, and a one-copy
+    ``TapStepper`` on the case.  Returns its report or error and its last
+    convergent solution (None if none)."""
+    idx = case.bus_index()
+    at = np.array([idx[bus] for bus in case.oltcs.controlled_bus.tolist()], dtype=int)
+    stepper = TapStepper(CaseStack.of(case), at, prefix[-1] if prefix else ())
+    report = RegulationReport(rounds=len(prefix), tap_trace=[list(row) for row in prefix])
+    last = None
+    while True:
+        try:
+            sol = solve(case, opts)
+        except SingularJacobianError as exc:
+            return exc, last
+        report.solves += 1
+        if not sol.converged:
+            where = ("before any tap adjustment" if last is None
+                     else f"in regulation round {report.rounds}")
+            return RegulationError(f"power flow diverged {where}; largest mismatch at bus "
+                                   f"{sol.mismatch_bus}", last), last
+        report.iterations += sol.iterations
+        apply_solution(case, sol)
+        last = sol
+        if report.rounds >= max_rounds:
+            break
+        deltas = stepper.propose(case.buses.v_mag[None, at])
+        if not deltas.any():
+            break
+        stepper.apply(deltas)
+        report.rounds += 1
+        report.tap_trace.append(case.oltcs.tap.tolist())
+    t = case.oltcs
+    report.final_taps, report.frozen = t.tap.tolist(), stepper.frozen[0].tolist()
+    report.saturated = ((t.tap == t.tap_min) | (t.tap == t.tap_max)).tolist()
+    report.in_band = (np.abs(case.buses.v_mag[at] - t.v_set) <= t.deadband / 2).tolist()
+    return report, last
+
+
+def _assert_same_outcome(got, want) -> None:
+    """A regulation's report, or its error with the last convergent
+    solution it carries, alike."""
+    if not isinstance(want, Exception):
+        assert got == want
+        return
+    assert type(got) is type(want) and str(got) == str(want)
+    if isinstance(want, RegulationError):
+        if want.last_solution is None:
+            assert got.last_solution is None
+        else:
+            assert_same_solution(got.last_solution, want.last_solution)
+
+
+@PROPERTY
+@given(k=st.sampled_from(sorted(TEMPLATES)), source_v=st.floats(0.97, 1.06),
+       items=st.lists(st.tuples(copies, st.booleans()), min_size=1, max_size=6),
+       max_iterations=st.sampled_from([1, 2, 20]), deadband=st.sampled_from([0.02, 0.006]),
+       max_rounds=st.integers(1, 12), start=st.none() | st.integers(-6, 6))
+def test_a_regulation_equals_its_rounds_of_one_copy_solves(k, source_v, items, max_iterations,
+                                                           deadband, max_rounds, start):
+    # a copy marked warm starts from its own solved state, so with one or
+    # two iterations per solve its first solve converges and a later one,
+    # after a tap move, may not: it keeps its last convergent state
+    base = TEMPLATES[k].clone()
+    base.oltcs.deadband[:] = deadband
+    stack = _feeder_copies(base, source_v, *zip(*(item for item, _ in items)))
+    for j, (_, warm) in enumerate(items):
+        (case,) = stack.take([j]).cases()
+        sol = solve(case)
+        if warm and sol.converged:
+            apply_solution(case, sol)
+            stack.put([j], CaseStack.of(case))
+    alone, opts = stack.cases(), SolverOptions(max_iterations=max_iterations)
+    prefix = [] if start is None else [[start]]
+    structure = _structure(base)
+
+    last, results = _regulate(structure, stack, opts, max_rounds, prefix)
+    for j, case in enumerate(alone):
+        want, want_last = _serial_regulate(case, opts, max_rounds, prefix)
+        _assert_same_outcome(results[j], want)
+        if want_last is None:
+            assert last[j] is None
+        else:
+            assert_same_solution(last[j][0].solution(last[j][1], structure), want_last)
+    assert [column_bytes(c) for c in stack.cases()] == [column_bytes(c) for c in alone]
+
+
+def test_a_copy_that_diverges_after_its_first_round_keeps_its_last_solve():
+    # both copies start solved; one iteration per solve is enough there,
+    # not after the tap move the high source voltage asks for
+    stack = _feeder_copies(DN, 1.06, [0.5, 1.0], [0.0, 0.3], [0, 0])
+    for j in range(2):
+        (case,) = stack.take([j]).cases()
+        apply_solution(case, solve(case))
+        stack.put([j], CaseStack.of(case))
+    alone, opts = stack.cases(), SolverOptions(max_iterations=1)
+    structure = _structure(DN)
+    _, results = _regulate(structure, stack, opts, 8)
+    for got, case in zip(results, alone):
+        want, last = _serial_regulate(case, opts, 8)
+        assert isinstance(want, RegulationError) and "in regulation round 1" in str(want)
+        assert last.iterations == 0
+        _assert_same_outcome(got, want)
+    # taps moved, voltages and generator outputs those of the first solve
+    after = stack.cases()
+    assert [column_bytes(c) for c in after] == [column_bytes(c) for c in alone]
+    assert [c.oltcs.tap.tolist() for c in after] == [[1], [1]]
+
+
+def test_a_combined_case_regulates_as_its_rounds_of_solves(run_pipeline):
+    # PV hosts whose |V| a solve holds at its setpoint, through several rounds
+    case = run_pipeline(SynthesisConfig()).case.clone()
+    t = case.oltcs
+    t.tap[:] = np.maximum(t.tap - 4, t.tap_min)
+    case.sync_ratios()
+    alone = case.clone()
+    sol, report = regulate(case)
+    want, want_sol = _serial_regulate(alone, SolverOptions(), 30)
+    assert report.rounds > 1 and report == want
+    assert_same_solution(sol, want_sol)
+    assert column_bytes(case) == column_bytes(alone)
 
 
 def _serial_capacity(dn, v_limits, tolerance, ceiling, max_rounds):

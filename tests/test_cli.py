@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import time
 import warnings
@@ -415,6 +416,24 @@ def test_the_capacity_search_resumes_the_tap_walks_its_brackets_share(tmp_path):
     assert main(["generate", str(CONF_ROOT), "--out", str(tmp_path / "out"),
                  "--profile", str(profile)]) == 0
     assert json.loads(profile.read_text())["stage_counts"]["capacity"]["batches"] <= 25
+
+
+def test_the_benchmarked_generate_does_the_same_solver_work(tmp_path):
+    # the shipped default with random = true and rng_seed = 1, the generate
+    # perfbench's inspect-800x workload times: a kernel change that adds,
+    # drops or recounts a solve, an iteration or a tap round changes these
+    text = CONF_ROOT.read_text()
+    for line in ("random = true", "rng_seed = 1"):
+        text, found = re.subn(rf"^{line.split()[0]} .*$", line, text, flags=re.M)
+        assert found == 1, line
+    profile = tmp_path / "profile.json"
+    assert main(["generate", str(_write(tmp_path, text)), "--out", str(tmp_path / "out"),
+                 "--profile", str(profile)]) == 0
+    counts = json.loads(profile.read_text())["stage_counts"]
+    work = {stage: [c[k] for k in ("batches", "solves", "iterations", "tap_rounds")]
+            for stage, c in counts.items() if any(c.values())}
+    assert work == {"tn-solve": [1, 1, 0, 0], "capacity": [21, 70, 312, 37],
+                    "customize": [12, 24, 67, 15], "combined-solve": [1, 1, 3, 0]}
 
 
 @pytest.mark.parametrize("line", [

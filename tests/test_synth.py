@@ -1,12 +1,12 @@
 import json
 import shutil
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from tdsynth import residual
+from tdsynth import powerflow, residual
 from tdsynth import synth as synth_mod
 from tdsynth.caseio import emit_case, from_network, load_case_dir, save_case_dir
 from tdsynth.netmodel import GenKind, penetration_level, total_load, validate
@@ -660,6 +660,41 @@ def test_replicas_do_not_alias(dn_bundle, tn_bundle):
     twin.case.buses.p_load[:] = 0.0
     twin.case.oltcs.tap[:] = 0
     assert instances[1].case == before[1]
+
+
+@pytest.mark.parametrize("constant_load", [False, True])
+def test_copies_without_random_are_one_solve_each_their_own(dn_bundle, constant_load):
+    # without random the copies of a host have the same inputs: one row per
+    # host is solved, and every copy is what a one-copy customization makes,
+    # with reports and cases of its own
+    dn = dn_bundle.case
+    cfg = SynthesisConfig(constant_load=constant_load)
+    hosts = [(5, 0.3, 1.01, [(k, None) for k in range(3)]), (7, 0.2, 0.99, [(4, None)])]
+    with powerflow.Meter().active() as many:
+        instances = customize(dn, cfg, hosts)
+    with powerflow.Meter().active() as one:
+        alone = [customize_dn(dn, target, cfg, None, source_v=v, host_bus=bus,
+                              copy_index=copies[0][0]) for bus, target, v, copies in hosts]
+    assert (many.solves, many.iterations) == (one.solves, one.iterations)
+    assert [(inst.host_tn_bus, inst.copy_index) for inst in instances] == [
+        (5, 0), (5, 1), (5, 2), (7, 4)]
+    for inst, want in zip(instances, [alone[0]] * 3 + [alone[1]]):
+        for f in fields(inst):
+            if f.name not in ("case", "copy_index"):
+                assert getattr(inst, f.name) == getattr(want, f.name), f.name
+        assert inst.case == want.case
+    first, *others = instances[:3]
+    for inst in others:
+        assert inst.regulation is not first.regulation and inst.case is not first.case
+        assert not any(a is b for a, b in zip(vars(inst.regulation).values(),
+                                               vars(first.regulation).values())
+                       if isinstance(a, list))
+        if constant_load:
+            assert inst.constant_load_counts is not first.constant_load_counts
+    first.regulation.final_taps.append(99)
+    first.case.buses.p_load[:] = 0.0
+    for inst in others:
+        assert inst.regulation == alone[0].regulation and inst.case == alone[0].case
 
 
 def test_customize_without_copies_builds_nothing(dn_bundle):
